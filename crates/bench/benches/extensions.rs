@@ -11,10 +11,9 @@ use baselines::{
     SacCounter, SampledCounter, SamplingConfig, Vhc, VhcConfig,
 };
 use bench::{bench_config, bench_trace, linerate_bench_trace};
-use caesar::epochs::{EpochedCaesar, EpochedConcurrentCaesar};
+use caesar::epochs::EpochedCaesar;
 use caesar::{
-    BuildMode, Caesar, CaesarConfig, ConcurrentCaesar, Estimator, OnlineCaesar, SketchDelta,
-    ThreadedCaesar,
+    Caesar, CaesarConfig, ConcurrentCaesar, Estimator, OnlineCaesar, SketchDelta, ThreadedCaesar,
 };
 use experiments::zoo::{online_engine, stress_plan, zoo_config, ONLINE_SHARDS};
 use flowtrace::zoo::{standard_zoo, ZOO_SEED};
@@ -113,19 +112,14 @@ fn sac_and_sampling() {
 fn concurrent_and_epochs() {
     let (trace, _) = bench_trace();
     let flows: Vec<u64> = trace.packets.iter().map(|p| p.flow).collect();
-    // Stable names "1"/"2"/"4" keep measuring the default build path —
-    // now the single-pass partitioned pipeline. `replay_*` pins the
-    // seed's O(T·n) scan-and-filter implementation for the before/after
-    // trajectory (BENCH_PR2.json), `stream_4` the mpsc overlap variant.
+    // Stable names "1"/"2"/"4" keep measuring the slice build — the
+    // single-pass partitioned pipeline; `stream_4` the ring-fed
+    // transport (worker-per-shard loops draining SPSC rings in
+    // batches, striped writeback merged once at finish).
     let mut g = Harness::new("concurrent_build");
     for shards in [1usize, 2, 4] {
         g.bench(&shards.to_string(), || {
             black_box(ConcurrentCaesar::build(bench_config(), shards, &flows));
-        });
-    }
-    for shards in [1usize, 4] {
-        g.bench(&format!("replay_{shards}"), || {
-            black_box(ConcurrentCaesar::build_replay(bench_config(), shards, &flows));
         });
     }
     g.bench("stream_4", || {
@@ -135,27 +129,12 @@ fn concurrent_and_epochs() {
             flows.iter().copied(),
         ));
     });
-    // The PR 4 ring transport: worker-per-shard loops draining SPSC
-    // rings in batches, striped writeback merged once at finish.
-    g.bench("pinned_4", || {
-        black_box(ConcurrentCaesar::build_with_mode(
-            bench_config(),
-            4,
-            &flows,
-            BuildMode::Pinned,
-        ));
-    });
-    // The headline before/after pair: the line-rate regime (cache sized
-    // to the working set) isolates the ingest pipeline itself, which is
-    // what the O(n)-partition fix targets — the `replay` defect is pure
-    // redundant scan work there.
+    // The line-rate regime (cache sized to the working set) isolates
+    // the ingest pipeline itself: build vs stream there.
     let (linerate, _) = linerate_bench_trace();
     let lflows: Vec<u64> = linerate.packets.iter().map(|p| p.flow).collect();
     g.bench("linerate_4", || {
         black_box(ConcurrentCaesar::build(bench_config(), 4, &lflows));
-    });
-    g.bench("linerate_replay_4", || {
-        black_box(ConcurrentCaesar::build_replay(bench_config(), 4, &lflows));
     });
     g.bench("linerate_stream_4", || {
         black_box(ConcurrentCaesar::build_stream(
@@ -167,7 +146,7 @@ fn concurrent_and_epochs() {
     g.finish();
 
     // The PR 5 supervised online engine: same SPSC/striped-writeback
-    // machinery as `stream_4`/`pinned_4`, but single-owner, supervised
+    // machinery as `stream_4`, but single-owner, supervised
     // and non-terminating. `steady_state_*` is the packet-at-a-time
     // offer loop incl. epoch merges and the final drain — the
     // before/after pair for the fault-tolerance tax is
@@ -214,16 +193,6 @@ fn concurrent_and_epochs() {
     let mut g = Harness::new("epochs");
     g.bench("rotate_8_epochs", || {
         let mut e = EpochedCaesar::new(bench_config(), 8);
-        for chunk in flows.chunks(flows.len() / 8) {
-            for &f in chunk {
-                e.record(f);
-            }
-            e.rotate();
-        }
-        black_box(e.epochs().count());
-    });
-    g.bench("rotate_8_epochs_concurrent_4", || {
-        let mut e = EpochedConcurrentCaesar::new(bench_config(), 4, 8);
         for chunk in flows.chunks(flows.len() / 8) {
             for &f in chunk {
                 e.record(f);

@@ -436,71 +436,6 @@ pub struct WritebackState {
     pub flushed_updates: u64,
 }
 
-/// Where a [`WritebackBuffer`] sends capacity-triggered flushes.
-///
-/// The concurrent construction path flushes into the shared
-/// [`AtomicCounterArray`]; the packed-SRAM build runs its shard workers
-/// against a length-only [`SegmentSink`] (its segments never auto-flush
-/// — they use [`WRITEBACK_ACCUMULATE_ALL`] — and are merged into the
-/// packed backing once, by [`WritebackBuffer::flush_into`]).
-pub trait WritebackSink {
-    /// Number of counters in the eventual flush target (sizes the
-    /// buffer's dense accumulator).
-    fn sink_len(&self) -> usize;
-    /// Best-effort software prefetch of counter `idx`'s storage.
-    fn sink_prefetch(&self, idx: usize);
-    /// Apply a capacity-triggered flush of `wb`'s staged segment.
-    fn receive_flush(&self, wb: &mut WritebackBuffer);
-}
-
-impl WritebackSink for AtomicCounterArray {
-    fn sink_len(&self) -> usize {
-        self.len()
-    }
-
-    #[inline]
-    fn sink_prefetch(&self, idx: usize) {
-        self.prefetch(idx);
-    }
-
-    fn receive_flush(&self, wb: &mut WritebackBuffer) {
-        wb.flush(self);
-    }
-}
-
-/// A length-only [`WritebackSink`] for **accumulate-all** segments
-/// destined for a non-atomic backing: it cannot receive a flush, so it
-/// must only be paired with buffers built with
-/// [`WRITEBACK_ACCUMULATE_ALL`] capacity.
-#[derive(Debug, Clone, Copy)]
-pub struct SegmentSink {
-    len: usize,
-}
-
-impl SegmentSink {
-    /// A sink standing in for a backing of `len` counters.
-    pub fn new(len: usize) -> Self {
-        Self { len }
-    }
-}
-
-impl WritebackSink for SegmentSink {
-    fn sink_len(&self) -> usize {
-        self.len
-    }
-
-    #[inline]
-    fn sink_prefetch(&self, _idx: usize) {}
-
-    fn receive_flush(&self, _wb: &mut WritebackBuffer) {
-        panic!(
-            "SegmentSink cannot receive auto-flushes; build the buffer \
-             with WRITEBACK_ACCUMULATE_ALL and merge via flush_into"
-        );
-    }
-}
-
-
 /// Per-worker eviction writeback buffer: stages `(index, increment)`
 /// updates in a dense thread-local accumulator, coalescing duplicates
 /// as they arrive, and flushes them to a shared [`AtomicCounterArray`]
@@ -584,17 +519,14 @@ impl WritebackBuffer {
         }
     }
 
-    /// Stage one update, flushing to `sink` if the dirty set is full.
-    /// `sink` is the shared atomic array during concurrent
-    /// construction, or a length-only [`SegmentSink`] when the segment
-    /// is destined for a non-atomic [`SramBacking`] (the packed-SRAM
-    /// build) — see [`WritebackSink`].
-    pub fn push<S: WritebackSink + ?Sized>(&mut self, idx: usize, v: u64, sink: &S) {
+    /// Stage one update, flushing to `sram` if the dirty set is full.
+    #[inline]
+    pub fn push(&mut self, idx: usize, v: u64, sram: &AtomicCounterArray) {
         if v == 0 {
             return;
         }
-        if self.acc.len() < sink.sink_len() {
-            self.acc.resize(sink.sink_len(), 0);
+        if self.acc.len() < sram.len() {
+            self.acc.resize(sram.len(), 0);
         }
         // `v >= 1`, so a zero slot means "not staged yet" — a staged
         // slot can never return to zero before its flush resets it.
@@ -608,7 +540,7 @@ impl WritebackBuffer {
         self.acc[idx] = self.acc[idx].saturating_add(v);
         self.staged_updates += 1;
         if self.dirty.len() >= self.capacity {
-            sink.receive_flush(self);
+            self.flush(sram);
         }
     }
 
@@ -627,30 +559,6 @@ impl WritebackBuffer {
         self.flushed_updates += self.dirty.len() as u64;
         self.dirty.clear();
         sram.add_batch_striped(self.stripe, &self.batch);
-        self.batch.clear();
-        self.flushes += 1;
-    }
-
-    /// Drain the staged (already coalesced) segment into a non-atomic
-    /// [`SramBacking`] via one
-    /// [`add_batch`](crate::sram::SramBacking::add_batch) — the merge
-    /// step of the packed-SRAM sharded build, where each shard
-    /// accumulates its whole delta locally
-    /// ([`WRITEBACK_ACCUMULATE_ALL`]) and the backings are too narrow
-    /// (or not thread-safe) for in-flight atomic flushes. A no-op on an
-    /// empty buffer.
-    pub fn flush_into<B: crate::sram::SramBacking>(&mut self, backing: &mut B) {
-        if self.dirty.is_empty() {
-            return;
-        }
-        self.batch.clear();
-        for &idx in &self.dirty {
-            self.batch.push((idx, self.acc[idx]));
-            self.acc[idx] = 0;
-        }
-        self.flushed_updates += self.dirty.len() as u64;
-        self.dirty.clear();
-        backing.add_batch(&self.batch);
         self.batch.clear();
         self.flushes += 1;
     }

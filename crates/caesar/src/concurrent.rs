@@ -1,60 +1,64 @@
-//! Sharded multi-core construction phase — a real ingest pipeline.
+//! The shard-worker ingest kernel and the sharded multi-core
+//! construction phase built on it.
 //!
-//! A real multi-queue line card (RSS) already partitions packets by a
-//! hash of the flow ID, so per-flow state never crosses cores. The same
-//! structure parallelizes CAESAR's construction phase perfectly:
+//! `ShardWorker` is the **one** construction-phase hot path in the
+//! crate: a private on-chip cache, the memoized per-slot counter rows,
+//! the remainder-scatter RNG, and the probe-one-ahead batch loop. Every
+//! eviction is split `e = p·k + q` by [`crate::update::spread_eviction`]
+//! and handed to the worker's `EvictionSink`:
 //!
-//! * the trace is routed into per-shard batches with **one** O(n)
-//!   partition pass ([`support::par::partition_by`]) — total work is
-//!   O(n + n/T per worker), not the O(T·n) "every shard replays the
-//!   whole trace and filters" pattern the first implementation used
-//!   (retained as [`ConcurrentCaesar::build_replay`] for equivalence
-//!   tests and before/after benchmarks);
-//! * each shard owns a private on-chip cache (the `M` entries are
-//!   divided with the remainder distributed — see
-//!   [`per_shard_entries`] — so the total on-chip budget is exact);
-//! * all shards push evictions through a per-shard
+//! * the sequential [`crate::Caesar`] is one worker whose sink is its
+//!   own [`SramBacking`] — evictions apply directly, with no staging;
+//! * the sharded engines ([`ConcurrentCaesar`], the online pump and the
+//!   detached-thread runtime) give each shard a worker whose sink is a
 //!   [`WritebackBuffer`] acting as a **shard-local SRAM segment**
 //!   ([`WRITEBACK_ACCUMULATE_ALL`]): the whole delta accumulates in a
 //!   dense private array and merges into the shared
-//!   [`AtomicCounterArray`] exactly once per shard — saturating adds
-//!   commute, so the merge order cannot change any final counter, and
-//!   the shared array sees one CAS sequence per distinct counter per
-//!   shard for the entire run;
+//!   [`AtomicCounterArray`] once per shard (or per epoch) — saturating
+//!   adds commute, so the merge order cannot change any final counter.
+//!
+//! A real multi-queue line card (RSS) already partitions packets by a
+//! hash of the flow ID, so per-flow state never crosses cores. The same
+//! structure parallelizes CAESAR's construction phase:
+//!
+//! * [`ConcurrentCaesar::build`] routes an in-memory trace into
+//!   per-shard batches with **one** O(n) partition pass
+//!   ([`support::par::partition_by`]) and runs each batch on its own
+//!   scoped thread;
+//! * [`ConcurrentCaesar::build_stream`] overlaps partitioning with
+//!   consumption over one lock-free [`support::spsc`] ring per shard,
+//!   each worker pinned to a core where the host allows it;
+//! * each shard owns a private on-chip cache (the `M` entries are
+//!   divided with the remainder distributed — see
+//!   [`per_shard_entries`] — so the total on-chip budget is exact);
 //! * the shared offered-units/saturation tallies are **striped** per
 //!   shard ([`AtomicCounterArray::with_stripes`]) so not even the
 //!   bookkeeping RMWs share a cache line;
-//! * streaming ingest rides a lock-free [`support::spsc`] ring per
-//!   shard (cache-line-padded indices, batched acquire/release)
-//!   instead of a mutex-guarded `mpsc` channel;
 //! * the query phase is identical to the sequential sketch.
 //!
 //! Because flows are partitioned (not packets), every shard's eviction
 //! sequence is independent of thread scheduling, and because saturating
-//! adds commute, the buffered/batched writeback cannot change any final
-//! counter value — the sketch is **deterministic** for a fixed
-//! configuration across runs and across every build mode
-//! ([`ConcurrentCaesar::build`] / [`ConcurrentCaesar::build_stream`] /
-//! [`ConcurrentCaesar::build_replay`] / [`BuildMode::Pinned`]), which
-//! the tests pin bit-exactly. With **one shard** the worker's seeds
-//! equal the sequential [`crate::Caesar`]'s, so the whole family is
-//! additionally pinned byte-identical to the sequential oracle.
+//! adds commute, the staged writeback cannot change any final counter
+//! value — the sketch is **deterministic** for a fixed configuration
+//! across runs and across both builds, which the tests pin bit-exactly.
+//! Shard 0's seeds equal the sequential [`crate::Caesar`]'s, so a
+//! one-shard build is additionally byte-identical to the sequential
+//! sketch.
 
 use crate::atomic_sram::{
-    AtomicCounterArray, SegmentSink, WritebackBuffer, WritebackSink, WritebackState,
-    WRITEBACK_ACCUMULATE_ALL,
+    AtomicCounterArray, WritebackBuffer, WritebackState, WRITEBACK_ACCUMULATE_ALL,
 };
 use crate::config::{CaesarConfig, Estimator};
-use crate::estimator::{csm, mlm, Estimate, EstimateParams};
+use crate::estimator::{Estimate, EstimateParams};
 use crate::merge::{MergeError, SketchDelta, SketchFingerprint, SketchPayload};
-use crate::packed::PackedCounterArray;
-use crate::pipeline::{sram_prefetch_min_bytes, PackedCaesar};
 use crate::query::QueryHealth;
+use crate::sram::SramBacking;
+use crate::update::{spread_eviction, SpreadTarget};
 use cachesim::{CacheConfig, CacheTable, CacheTableState};
 use hashkit::mix::{bucket, mix64};
 use hashkit::{KCounterMap, K_MAX};
 use support::par::partition_by;
-use support::rand::{rngs::StdRng, Rng, SeedableRng};
+use support::rand::{rngs::StdRng, SeedableRng};
 use support::spsc;
 
 /// Flows routed per streaming chunk (amortizes ring publishes over
@@ -67,48 +71,387 @@ pub(crate) const STREAM_CHUNK: usize = 1024;
 /// instead of buffering the whole trace.
 pub const DEFAULT_RING_CAPACITY: usize = 4 * STREAM_CHUNK;
 
-/// How [`ConcurrentCaesar::build`] executes the shard workers.
+/// Smallest SRAM footprint (bytes) for which the batch path issues
+/// software prefetches of predicted counter rows. Below this the
+/// counter array is comfortably cache-resident and the prefetch
+/// instructions are pure front-end overhead — BENCH_PR3 measured the
+/// hinted batch path *slower* than scalar `record` on the 2048-counter
+/// (16 KiB) micro-trace geometry precisely because every prefetch was
+/// wasted. 256 KiB ≈ typical per-core L2 size: arrays at least this
+/// big miss often enough for the one-ahead hint to pay.
+const SRAM_PREFETCH_MIN_BYTES: usize = 256 * 1024;
+
+/// Where a [`ShardWorker`]'s evictions go.
 ///
-/// All modes consume exactly the same per-shard flow subsequences, so
-/// they produce **bit-identical** sketches (pinned by tests); they only
-/// trade off how the O(n/T per worker) consumption half is scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BuildMode {
-    /// Route the trace into per-shard batches with one O(n) partition
-    /// pass, then consume each batch on its own scoped thread through
-    /// the batched (probe-one-ahead) record path — the multicore shape
-    /// for a trace that is already resident in memory.
-    Threaded,
-    /// Route each packet straight to its shard worker on the calling
-    /// thread — no partition buffers, no thread spawn. The right shape
-    /// when only one hardware thread is available: same total work,
-    /// none of the coordination cost.
-    Inline,
-    /// One worker thread **pinned per shard**, each consuming its own
-    /// lock-free [`support::spsc`] ring in batches while the calling
-    /// thread plays the RSS front end — the line-card shape, with
-    /// partitioning overlapped with consumption. This is what
-    /// [`ConcurrentCaesar::build_stream`] uses under the hood; as a
-    /// [`BuildMode`] it runs the same transport over an in-memory
-    /// slice.
-    Pinned,
-    /// [`BuildMode::Threaded`] when `available_parallelism() > 1`,
-    /// otherwise [`BuildMode::Inline`].
-    Auto,
+/// The split itself is always [`spread_eviction`]'s, so every engine
+/// consumes its remainder-scatter RNG identically; the sink only
+/// decides where the finished increment row lands.
+pub(crate) trait EvictionSink {
+    /// State the sink writes through, passed into every call: the
+    /// shared atomic array for a writeback segment, `()` for a sink
+    /// that owns its SRAM.
+    type Target: ?Sized;
+
+    /// Split `value` over `indices` and apply (or stage) the
+    /// increments. Returns the number of counters written.
+    fn spread(
+        &mut self,
+        target: &Self::Target,
+        indices: &[usize],
+        value: u64,
+        rng: &mut StdRng,
+    ) -> u64;
+
+    /// Best-effort software prefetch of counter `idx`'s storage.
+    fn prefetch(&self, target: &Self::Target, idx: usize);
 }
 
-impl BuildMode {
-    fn resolve(self) -> BuildMode {
-        match self {
-            BuildMode::Auto => {
-                if support::par::host_parallelism() > 1 {
-                    BuildMode::Threaded
-                } else {
-                    BuildMode::Inline
+/// The sequential sketch's sink: evictions apply straight to the
+/// worker's own SRAM.
+impl<B: SramBacking> EvictionSink for B {
+    type Target = ();
+
+    #[inline]
+    fn spread(&mut self, _: &(), indices: &[usize], value: u64, rng: &mut StdRng) -> u64 {
+        spread_eviction(self, indices, value, rng)
+    }
+
+    #[inline]
+    fn prefetch(&self, _: &(), idx: usize) {
+        SramBacking::prefetch(self, idx);
+    }
+}
+
+/// The sharded engines' sink: evictions stage in a shard-local
+/// segment that merges into the shared array at flush time.
+impl EvictionSink for WritebackBuffer {
+    type Target = AtomicCounterArray;
+
+    #[inline]
+    fn spread(
+        &mut self,
+        sram: &AtomicCounterArray,
+        indices: &[usize],
+        value: u64,
+        rng: &mut StdRng,
+    ) -> u64 {
+        spread_eviction(&mut Staged { wb: self, sram }, indices, value, rng)
+    }
+
+    #[inline]
+    fn prefetch(&self, sram: &AtomicCounterArray, idx: usize) {
+        sram.prefetch(idx);
+    }
+}
+
+/// A writeback segment paired with its flush target for one eviction.
+struct Staged<'a> {
+    wb: &'a mut WritebackBuffer,
+    sram: &'a AtomicCounterArray,
+}
+
+impl SpreadTarget for Staged<'_> {
+    #[inline]
+    fn add_spread(&mut self, indices: &[usize], incs: &[u64]) -> u64 {
+        let mut staged = 0;
+        for (&idx, &inc) in indices.iter().zip(incs) {
+            if inc != 0 {
+                self.wb.push(idx, inc, self.sram);
+                staged += 1;
+            }
+        }
+        staged
+    }
+}
+
+/// The construction-phase kernel: one cache, its remainder-scatter
+/// RNG, the memoized per-slot counter indices, and the sink evictions
+/// go to. [`crate::Caesar`] is one worker over its own SRAM; the
+/// sharded engines run one staging worker per shard.
+///
+/// The worker holds **no references**: the index map (and, for a
+/// staging sink, the shared SRAM) is passed into each call, so a
+/// worker can live inside an owned engine as easily as inside a scoped
+/// thread borrowing the arrays.
+#[derive(Debug)]
+pub(crate) struct ShardWorker<S = WritebackBuffer> {
+    pub(crate) cache: CacheTable,
+    rng: StdRng,
+    /// Memoized counter indices, stride-`k` rows indexed by cache slot:
+    /// computed once per insert, reused by every eviction of that
+    /// occupancy — Overflow, Replacement (the victim's row is consumed
+    /// before the rebind refreshes it), and the FinalDump drain.
+    pub(crate) memo: Vec<usize>,
+    k: usize,
+    pub(crate) sink: S,
+    /// Software-prefetch predicted SRAM rows in the batch path only
+    /// when the counter array is too big to be cache-resident (see
+    /// [`SRAM_PREFETCH_MIN_BYTES`]); on small arrays the hint is pure
+    /// overhead.
+    prefetch_sram: bool,
+    /// Reusable per-batch base-hash row — `record_batch` hashes its
+    /// whole batch up front in lane-width chunks
+    /// ([`KCounterMap::base_hashes`]). Transient scratch, not state:
+    /// deliberately absent from [`ShardWorkerState`].
+    base_buf: Vec<u64>,
+    pub(crate) evictions: u64,
+    /// Counters written (for a staging sink: increments staged).
+    pub(crate) sram_writes: u64,
+}
+
+/// Serializable dynamic state of a staging [`ShardWorker`], for the
+/// online runtime's crash-consistent snapshots. Everything a worker
+/// will ever consult again is here: the cache (slots, recency list,
+/// victim RNG), the remainder-scatter RNG, the memoized per-slot
+/// counter rows, the staged-but-unflushed writeback segment, and the
+/// eviction count.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ShardWorkerState {
+    pub(crate) cache: CacheTableState,
+    pub(crate) rng: [u64; 4],
+    pub(crate) memo: Vec<usize>,
+    pub(crate) wb: WritebackState,
+    pub(crate) evictions: u64,
+}
+
+/// Shard-decorrelated cache configuration; shard 0's seed equals the
+/// sequential sketch's, so a 1-shard build is byte-identical to it.
+fn cache_config(cfg: &CaesarConfig, shard: usize, entries: usize) -> CacheConfig {
+    CacheConfig {
+        entries,
+        entry_capacity: cfg.entry_capacity,
+        policy: cfg.policy,
+        seed: cfg.seed ^ 0xA11C_E5ED ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+    }
+}
+
+/// Shard-decorrelated remainder-scatter RNG seed (shard 0 sequential).
+fn rng_seed(cfg: &CaesarConfig, shard: usize) -> u64 {
+    cfg.seed ^ 0x0D15_EA5E ^ (shard as u64) << 32
+}
+
+impl<S: EvictionSink> ShardWorker<S> {
+    /// A fresh worker for `shard` with `entries` cache entries,
+    /// sending its evictions to `sink`.
+    pub(crate) fn new(cfg: &CaesarConfig, shard: usize, entries: usize, sink: S) -> Self {
+        Self {
+            cache: CacheTable::new(cache_config(cfg, shard, entries)),
+            rng: StdRng::seed_from_u64(rng_seed(cfg, shard)),
+            memo: vec![0usize; entries * cfg.k],
+            k: cfg.k,
+            sink,
+            prefetch_sram: cfg.counters * 8 >= SRAM_PREFETCH_MIN_BYTES,
+            base_buf: Vec::new(),
+            evictions: 0,
+            sram_writes: 0,
+        }
+    }
+
+    /// Ingest one packet of `flow`.
+    pub(crate) fn record(&mut self, flow: u64, target: &S::Target, kmap: &KCounterMap) {
+        let r = self.cache.record_slotted(flow);
+        if let Some(row) = self.settle(r, target, kmap) {
+            kmap.fill_indices(flow, row);
+        }
+    }
+
+    /// Ingest a batch of packets through the probe-one-ahead hot path:
+    /// packet `i + 1`'s cache slot is probed while packet `i` is being
+    /// applied, the probe is carried forward as a slot hint (one index
+    /// lookup per packet instead of two on hits, see
+    /// [`record_slotted_hinted`](CacheTable::record_slotted_hinted)),
+    /// and — when the next packet will overflow its entry and the SRAM
+    /// is big enough for prefetching to pay — the flow's `k` counter
+    /// words are software-prefetched. Strictly equivalent to
+    /// `for &f in flows { self.record(f, ..) }`: probes are read-only
+    /// and the hint is tag-validated, so the sketch is byte-identical.
+    pub(crate) fn record_batch(&mut self, flows: &[u64], target: &S::Target, kmap: &KCounterMap) {
+        let k = self.k;
+        // Hash the whole batch up front: `base_hashes` mixes the keys
+        // in lane-width chunks, and inserted flows derive their `k`
+        // counter indices from the memoized base — bit-identical to
+        // per-flow `fill_indices` (pinned in hashkit).
+        let mut bases = std::mem::take(&mut self.base_buf);
+        bases.clear();
+        bases.resize(flows.len(), 0);
+        kmap.base_hashes(flows, &mut bases);
+        if !self.prefetch_sram {
+            // Cache-resident counter array: no miss latency to hide, so
+            // the probe-one-ahead pipeline is pure overhead. Plain loop,
+            // same sketch, with a pure-hit fast path: most packets are
+            // absorbed on-chip with no memo or spread bookkeeping.
+            for (&flow, &base) in flows.iter().zip(&bases) {
+                if self.cache.record_absorbed(flow) {
+                    continue;
+                }
+                let r = self.cache.record_slotted(flow);
+                if let Some(row) = self.settle(r, target, kmap) {
+                    kmap.fill_indices_from_base(base, row);
                 }
             }
-            mode => mode,
+            self.base_buf = bases;
+            return;
         }
+        let mut hint = flows.first().and_then(|&f| self.cache.prefetch(f));
+        for (i, &flow) in flows.iter().enumerate() {
+            let r = self
+                .cache
+                .record_slotted_hinted(flow, hint.map(|(slot, _)| slot));
+            if let Some(row) = self.settle(r, target, kmap) {
+                kmap.fill_indices_from_base(bases[i], row);
+            }
+            hint = flows.get(i + 1).and_then(|&next| {
+                let probe = self.cache.prefetch(next);
+                if let Some((slot, true)) = probe {
+                    let start = slot as usize * k;
+                    for &idx in &self.memo[start..start + k] {
+                        self.sink.prefetch(target, idx);
+                    }
+                }
+                probe
+            });
+        }
+        self.base_buf = bases;
+    }
+
+    /// Memo/spread bookkeeping for one recorded packet: spread the
+    /// eviction (if any) over the slot's memoized row, then return the
+    /// row for the caller to refill when the slot was rebound to a new
+    /// flow. The refill comes *after* the spread, so a Replacement
+    /// consumes the victim's row.
+    #[inline]
+    fn settle(
+        &mut self,
+        r: cachesim::Recorded,
+        target: &S::Target,
+        kmap: &KCounterMap,
+    ) -> Option<&mut [usize]> {
+        let k = self.k;
+        let start = r.slot as usize * k;
+        if let Some(ev) = r.eviction {
+            debug_assert_eq!(self.memo[start..start + k], kmap.indices(ev.flow)[..]);
+            self.spread_row(start, ev.value, target);
+        }
+        r.inserted.then(|| &mut self.memo[start..start + k])
+    }
+
+    /// Send an eviction of `value` over the memoized index row starting
+    /// at `start` to the sink.
+    #[inline]
+    pub(crate) fn spread_row(&mut self, start: usize, value: u64, target: &S::Target) {
+        let Self { memo, rng, sink, k, .. } = self;
+        self.sram_writes += sink.spread(target, &memo[start..start + *k], value, rng);
+        self.evictions += 1;
+    }
+
+    /// Dump every resident cache entry through the memoized rows into
+    /// the sink (the FinalDump), leaving the worker alive with an
+    /// **empty** cache. For a staging worker this is also the salvage
+    /// primitive of the online supervisor: after a worker panic, the
+    /// surviving cache mass is drained here before the lane respawns,
+    /// so no recorded packet is lost. Returns the unit mass drained.
+    /// Does **not** flush a writeback segment.
+    pub(crate) fn drain_cache(&mut self, target: &S::Target, kmap: &KCounterMap) -> u64 {
+        let Self { cache, rng, memo, k, sink, evictions, sram_writes, .. } = self;
+        let mut drained = 0u64;
+        cache.drain_with(|slot, ev| {
+            let start = slot as usize * *k;
+            let indices = &memo[start..start + *k];
+            debug_assert_eq!(indices, &kmap.indices(ev.flow)[..]);
+            *evictions += 1;
+            drained += ev.value;
+            *sram_writes += sink.spread(target, indices, ev.value, rng);
+        });
+        drained
+    }
+
+    /// Unit mass currently resident in the cache (recorded packets not
+    /// yet evicted) — the supervisor's salvage-consistency oracle.
+    pub(crate) fn resident_units(&self) -> u64 {
+        self.cache.iter().map(|(_, count)| count).sum()
+    }
+}
+
+impl ShardWorker<WritebackBuffer> {
+    /// A fresh worker for `shard` staging its evictions in an
+    /// accumulate-all segment charged to the shard's tally stripe.
+    pub(crate) fn staged(cfg: &CaesarConfig, shard: usize, entries: usize) -> Self {
+        Self::new(cfg, shard, entries, WritebackBuffer::striped(WRITEBACK_ACCUMULATE_ALL, shard))
+    }
+
+    /// Merge the shard-local writeback segment into the shared SRAM —
+    /// the epoch-boundary flush of the online runtime. The cache keeps
+    /// counting; only staged evictions become query-visible.
+    pub(crate) fn flush_writeback(&mut self, sram: &AtomicCounterArray) {
+        self.sink.flush(sram);
+    }
+
+    /// Unit mass staged in the writeback buffer (evicted but not yet
+    /// merged into the shared SRAM).
+    pub(crate) fn staged_units(&self) -> u64 {
+        self.sink.state().pending.iter().map(|&(_, v)| v).sum()
+    }
+
+    /// Ingest statistics so far (the mid-stream form of the report
+    /// [`finish`](Self::finish) returns).
+    pub(crate) fn ingest_stats(&self) -> IngestStats {
+        IngestStats {
+            evictions: self.evictions,
+            staged_updates: self.sink.staged_updates(),
+            flushed_updates: self.sink.flushed_updates(),
+            flushes: self.sink.flushes(),
+        }
+    }
+
+    /// Capture the worker's complete dynamic state (see
+    /// [`ShardWorkerState`]).
+    pub(crate) fn snapshot_state(&self) -> ShardWorkerState {
+        ShardWorkerState {
+            cache: self.cache.snapshot_state(),
+            rng: self.rng.state(),
+            memo: self.memo.clone(),
+            wb: self.sink.state(),
+            evictions: self.evictions,
+        }
+    }
+
+    /// Rebuild a worker from a [`ShardWorkerState`] snapshot taken
+    /// under the same `(cfg, shard, entries)`. Byte-identical
+    /// continuation: the cache (including its victim RNG), the scatter
+    /// RNG, the memo rows, and the staged writeback all resume exactly.
+    ///
+    /// # Panics
+    /// Panics if the memo geometry disagrees with `entries * cfg.k`.
+    pub(crate) fn restore_state(
+        cfg: &CaesarConfig,
+        shard: usize,
+        entries: usize,
+        state: ShardWorkerState,
+    ) -> Self {
+        assert_eq!(
+            state.memo.len(),
+            entries * cfg.k,
+            "snapshot memo geometry mismatch"
+        );
+        let sink = WritebackBuffer::restore(&state.wb);
+        Self {
+            cache: CacheTable::restore(cache_config(cfg, shard, entries), &state.cache),
+            rng: StdRng::from_state(state.rng),
+            memo: state.memo,
+            k: cfg.k,
+            sram_writes: sink.staged_updates(),
+            sink,
+            prefetch_sram: cfg.counters * 8 >= SRAM_PREFETCH_MIN_BYTES,
+            base_buf: Vec::new(),
+            evictions: state.evictions,
+        }
+    }
+
+    /// End of measurement: dump the cache, flush the segment, report.
+    pub(crate) fn finish(mut self, sram: &AtomicCounterArray, kmap: &KCounterMap) -> IngestStats {
+        self.drain_cache(sram, kmap);
+        self.sink.flush(sram);
+        self.ingest_stats()
     }
 }
 
@@ -171,343 +514,9 @@ impl IngestStats {
     }
 }
 
-/// One shard's private construction state: cache, remainder-scatter
-/// RNG, the memoized per-slot counter indices, and the writeback
-/// buffer into the shared SRAM.
-///
-/// The worker owns **no references**: the shared SRAM and index map
-/// are passed into each call, so a worker can live inside an owned
-/// streaming ingest ([`InlineIngest`], the epoch-rotation wrapper's
-/// engine) as easily as inside a scoped thread borrowing the arrays.
-#[derive(Debug)]
-pub(crate) struct ShardWorker {
-    cache: CacheTable,
-    rng: StdRng,
-    /// Memoized counter indices, stride-`k` rows indexed by cache slot
-    /// (same scheme as the sequential [`crate::Caesar`]): computed once
-    /// per insert, reused by every eviction of that occupancy —
-    /// Overflow, Replacement (the victim's row is consumed before the
-    /// rebind refreshes it), and the FinalDump drain.
-    memo: Vec<usize>,
-    k: usize,
-    wb: WritebackBuffer,
-    /// Software-prefetch predicted SRAM rows in the batch path only
-    /// when the counter array is too big to be cache-resident (see
-    /// [`crate::pipeline::sram_prefetch_min_bytes`]); on small arrays
-    /// the hint is pure overhead.
-    prefetch_sram: bool,
-    /// Reusable per-batch base-hash row — `record_batch` hashes its
-    /// whole drain batch up front in lane-width chunks
-    /// ([`KCounterMap::base_hashes`]). Transient scratch, not state:
-    /// deliberately absent from [`ShardWorkerState`].
-    base_buf: Vec<u64>,
-    evictions: u64,
-}
-
-/// Serializable dynamic state of a [`ShardWorker`], for the online
-/// runtime's crash-consistent snapshots. Everything a worker will ever
-/// consult again is here: the cache (slots, recency list, victim RNG),
-/// the remainder-scatter RNG, the memoized per-slot counter rows, the
-/// staged-but-unflushed writeback segment, and the eviction count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ShardWorkerState {
-    pub(crate) cache: CacheTableState,
-    pub(crate) rng: [u64; 4],
-    pub(crate) memo: Vec<usize>,
-    pub(crate) wb: WritebackState,
-    pub(crate) evictions: u64,
-}
-
-/// Shard-decorrelated cache seed; shard 0 equals the sequential
-/// sketch's (`Caesar::new`) so a 1-shard build is byte-identical to
-/// the sequential oracle.
-fn cache_seed(cfg: &CaesarConfig, shard: usize) -> u64 {
-    cfg.seed ^ 0xA11C_E5ED ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// Shard-decorrelated remainder-scatter RNG seed (shard 0 sequential).
-fn rng_seed(cfg: &CaesarConfig, shard: usize) -> u64 {
-    cfg.seed ^ 0x0D15_EA5E ^ (shard as u64) << 32
-}
-
-impl ShardWorker {
-    pub(crate) fn new(
-        cfg: &CaesarConfig,
-        shard: usize,
-        entries: usize,
-        writeback_capacity: usize,
-    ) -> Self {
-        Self {
-            cache: CacheTable::new(CacheConfig {
-                entries,
-                entry_capacity: cfg.entry_capacity,
-                policy: cfg.policy,
-                // Shard 0's seeds are exactly the sequential sketch's
-                // (`Caesar::new`): with one shard the concurrent build
-                // is byte-identical to the sequential oracle, which the
-                // equivalence suite pins. Higher shards decorrelate via
-                // the golden-ratio multiplier.
-                seed: cache_seed(cfg, shard),
-            }),
-            rng: StdRng::seed_from_u64(rng_seed(cfg, shard)),
-            memo: vec![0usize; entries * cfg.k],
-            k: cfg.k,
-            wb: WritebackBuffer::striped(writeback_capacity, shard),
-            prefetch_sram: cfg.counters * 8 >= sram_prefetch_min_bytes(),
-            base_buf: Vec::new(),
-            evictions: 0,
-        }
-    }
-
-    /// Ingest one packet of `flow`.
-    pub(crate) fn record<S: WritebackSink>(&mut self, flow: u64, sink: &S, kmap: &KCounterMap) {
-        let r = self.cache.record_slotted(flow);
-        self.apply(flow, r, sink, kmap);
-    }
-
-    /// Ingest a batch of packets through the probe-one-ahead hot path:
-    /// packet `i + 1`'s cache slot is probed while packet `i` is being
-    /// applied, the probe is carried forward as a slot hint (one index
-    /// lookup per packet instead of two on hits), and — when the next
-    /// packet will overflow its entry and the SRAM is big enough for
-    /// prefetching to pay — the flow's `k` counter words are
-    /// software-prefetched. Strictly equivalent to
-    /// `for &f in flows { self.record(f, ..) }`: probes are read-only
-    /// and the hint is tag-validated, so the sketch is byte-identical
-    /// (pinned by the equivalence suite).
-    pub(crate) fn record_batch<S: WritebackSink>(
-        &mut self,
-        flows: &[u64],
-        sink: &S,
-        kmap: &KCounterMap,
-    ) {
-        let k = self.k;
-        // Hash the whole ring-drain batch up front: `base_hashes` mixes
-        // the keys in lane-width chunks, and inserted flows derive
-        // their `k` counter indices from the memoized base —
-        // bit-identical to per-flow `fill_indices` (pinned in hashkit).
-        let mut bases = std::mem::take(&mut self.base_buf);
-        bases.clear();
-        bases.resize(flows.len(), 0);
-        kmap.base_hashes(flows, &mut bases);
-        if !self.prefetch_sram {
-            // Cache-resident counter array: no miss latency to hide, so
-            // the probe-one-ahead pipeline is pure overhead (see
-            // `sram_prefetch_min_bytes`). Plain loop, same sketch.
-            for (&flow, &base) in flows.iter().zip(&bases) {
-                if self.cache.record_absorbed(flow) {
-                    continue;
-                }
-                let r = self.cache.record_slotted(flow);
-                self.apply_base(flow, base, r, sink, kmap);
-            }
-            self.base_buf = bases;
-            return;
-        }
-        let mut hint = flows.first().and_then(|&f| self.cache.prefetch(f));
-        for (i, &flow) in flows.iter().enumerate() {
-            let r = self
-                .cache
-                .record_slotted_hinted(flow, hint.map(|(slot, _)| slot));
-            self.apply_base(flow, bases[i], r, sink, kmap);
-            hint = flows.get(i + 1).and_then(|&next| {
-                let probe = self.cache.prefetch(next);
-                if let Some((slot, true)) = probe {
-                    let start = slot as usize * k;
-                    for &idx in &self.memo[start..start + k] {
-                        sink.sink_prefetch(idx);
-                    }
-                }
-                probe
-            });
-        }
-        self.base_buf = bases;
-    }
-
-    /// Memo/spread bookkeeping for one recorded packet, shared by the
-    /// per-call and batch paths.
-    #[inline]
-    fn apply<S: WritebackSink>(
-        &mut self,
-        flow: u64,
-        r: cachesim::Recorded,
-        sink: &S,
-        kmap: &KCounterMap,
-    ) {
-        let start = r.slot as usize * self.k;
-        if let Some(ev) = r.eviction {
-            debug_assert_eq!(self.memo[start..start + self.k], kmap.indices(ev.flow)[..]);
-            self.evictions += 1;
-            self.spread_row(start, ev.value, sink);
-        }
-        if r.inserted {
-            kmap.fill_indices(flow, &mut self.memo[start..start + self.k]);
-        }
-    }
-
-    /// [`apply`](Self::apply) with the flow's precomputed base hash
-    /// (the batch path): identical bookkeeping, but an insert fills the
-    /// memo row from the base instead of re-mixing the key.
-    #[inline]
-    fn apply_base<S: WritebackSink>(
-        &mut self,
-        flow: u64,
-        base: u64,
-        r: cachesim::Recorded,
-        sink: &S,
-        kmap: &KCounterMap,
-    ) {
-        debug_assert_eq!(base, kmap.base_hash(flow));
-        let start = r.slot as usize * self.k;
-        if let Some(ev) = r.eviction {
-            debug_assert_eq!(self.memo[start..start + self.k], kmap.indices(ev.flow)[..]);
-            self.evictions += 1;
-            self.spread_row(start, ev.value, sink);
-        }
-        if r.inserted {
-            kmap.fill_indices_from_base(base, &mut self.memo[start..start + self.k]);
-        }
-    }
-
-    /// Stage an eviction of `value` for the memoized index row starting
-    /// at `start`: split `value = p·k + q`, scatter the `q` remainder
-    /// units uniformly over the flow's `k` counters (§3.1). RNG draw
-    /// order is identical to the sequential implementation, so the
-    /// staged increments (and the final sketch) are bit-identical.
-    fn spread_row<S: WritebackSink>(&mut self, start: usize, value: u64, sink: &S) {
-        let Self { memo, rng, wb, k, .. } = self;
-        stage_spread(&memo[start..start + *k], value, rng, wb, sink);
-    }
-
-    /// Dump every resident cache entry through the memoized
-    /// remainder-scatter path into the writeback buffer (the FinalDump
-    /// half of [`finish`](Self::finish)), leaving the worker alive
-    /// with an **empty** cache — the salvage primitive of the online
-    /// supervisor: after a worker panic, the surviving cache mass is
-    /// drained here before the lane respawns, so no recorded packet is
-    /// lost. Returns the unit mass drained. Does **not** flush the
-    /// buffer.
-    pub(crate) fn drain_cache<S: WritebackSink>(&mut self, sink: &S, kmap: &KCounterMap) -> u64 {
-        let Self { cache, rng, memo, k, wb, evictions, .. } = self;
-        let mut drained = 0u64;
-        cache.drain_with(|slot, ev| {
-            let start = slot as usize * *k;
-            let indices = &memo[start..start + *k];
-            debug_assert_eq!(indices, &kmap.indices(ev.flow)[..]);
-            *evictions += 1;
-            drained += ev.value;
-            stage_spread(indices, ev.value, rng, wb, sink);
-        });
-        drained
-    }
-
-    /// Merge the shard-local writeback segment into the shared SRAM —
-    /// the epoch-boundary flush of the online runtime. The cache keeps
-    /// counting; only staged evictions become query-visible.
-    pub(crate) fn flush_writeback(&mut self, sram: &AtomicCounterArray) {
-        self.wb.flush(sram);
-    }
-
-    /// Unit mass currently resident in the cache (recorded packets not
-    /// yet evicted) — the supervisor's salvage-consistency oracle.
-    pub(crate) fn resident_units(&self) -> u64 {
-        self.cache.iter().map(|(_, count)| count).sum()
-    }
-
-    /// Unit mass staged in the writeback buffer (evicted but not yet
-    /// merged into the shared SRAM).
-    pub(crate) fn staged_units(&self) -> u64 {
-        self.wb.state().pending.iter().map(|&(_, v)| v).sum()
-    }
-
-    /// Ingest statistics so far (the mid-stream form of the report
-    /// [`finish`](Self::finish) returns).
-    pub(crate) fn ingest_stats(&self) -> IngestStats {
-        IngestStats {
-            evictions: self.evictions,
-            staged_updates: self.wb.staged_updates(),
-            flushed_updates: self.wb.flushed_updates(),
-            flushes: self.wb.flushes(),
-        }
-    }
-
-    /// Capture the worker's complete dynamic state (see
-    /// [`ShardWorkerState`]).
-    pub(crate) fn snapshot_state(&self) -> ShardWorkerState {
-        ShardWorkerState {
-            cache: self.cache.snapshot_state(),
-            rng: self.rng.state(),
-            memo: self.memo.clone(),
-            wb: self.wb.state(),
-            evictions: self.evictions,
-        }
-    }
-
-    /// Rebuild a worker from a [`ShardWorkerState`] snapshot taken
-    /// under the same `(cfg, shard, entries)`. Byte-identical
-    /// continuation: the cache (including its victim RNG), the scatter
-    /// RNG, the memo rows, and the staged writeback all resume exactly.
-    ///
-    /// # Panics
-    /// Panics if the memo geometry disagrees with `entries * cfg.k`.
-    pub(crate) fn restore_state(
-        cfg: &CaesarConfig,
-        shard: usize,
-        entries: usize,
-        state: ShardWorkerState,
-    ) -> Self {
-        assert_eq!(
-            state.memo.len(),
-            entries * cfg.k,
-            "snapshot memo geometry mismatch"
-        );
-        Self {
-            cache: CacheTable::restore(
-                CacheConfig {
-                    entries,
-                    entry_capacity: cfg.entry_capacity,
-                    policy: cfg.policy,
-                    seed: cache_seed(cfg, shard),
-                },
-                &state.cache,
-            ),
-            rng: StdRng::from_state(state.rng),
-            memo: state.memo,
-            k: cfg.k,
-            wb: WritebackBuffer::restore(&state.wb),
-            prefetch_sram: cfg.counters * 8 >= sram_prefetch_min_bytes(),
-            base_buf: Vec::new(),
-            evictions: state.evictions,
-        }
-    }
-
-    /// End of measurement: dump the cache, flush the buffer, report.
-    pub(crate) fn finish(mut self, sram: &AtomicCounterArray, kmap: &KCounterMap) -> IngestStats {
-        self.drain_cache(sram, kmap);
-        self.wb.flush(sram);
-        self.ingest_stats()
-    }
-
-    /// End of measurement for a segment-only build (the packed-SRAM
-    /// path): dump the cache into the accumulate-all segment and hand
-    /// the staged buffer plus the eviction count to the caller, which
-    /// merges shard segments into the non-atomic backing one at a time
-    /// via [`WritebackBuffer::flush_into`].
-    pub(crate) fn finish_segment(
-        mut self,
-        sink: &SegmentSink,
-        kmap: &KCounterMap,
-    ) -> (WritebackBuffer, u64) {
-        self.drain_cache(sink, kmap);
-        (self.wb, self.evictions)
-    }
-}
-
 /// A shard worker panicked during a finite build.
 ///
-/// The error-propagating builds ([`ConcurrentCaesar::try_build_with_mode`],
-/// [`ConcurrentCaesar::try_build_stream_with_ring`],
-/// [`ConcurrentCaesar::try_build_replay`]) surface the first panicking
+/// [`ConcurrentCaesar::try_build_stream`] surfaces the first panicking
 /// shard here instead of aborting the process; the partially built
 /// accumulators (shared SRAM, index map, every worker's staged
 /// writeback) are dropped with the failed call, so a retry starts from
@@ -537,90 +546,6 @@ pub(crate) fn panic_payload(p: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Split `value = p·k + q` over `indices` and stage the per-counter
-/// increments: the aliquot `p` to each, the `q` remainder units
-/// scattered uniformly (each an independent `gen_range(0..k)` draw —
-/// the exact RNG consumption the ingest determinism pins rely on). The
-/// remainder accumulator is a stack array, bounded by [`K_MAX`].
-#[inline]
-fn stage_spread<S: WritebackSink>(
-    indices: &[usize],
-    value: u64,
-    rng: &mut StdRng,
-    wb: &mut WritebackBuffer,
-    sink: &S,
-) {
-    let kk = indices.len() as u64;
-    let p = value / kk;
-    let q = (value % kk) as usize;
-    let mut extra = [0u64; K_MAX];
-    for _ in 0..q {
-        extra[rng.gen_range(0..indices.len())] += 1;
-    }
-    // Fold the aliquot into the scatter accumulator in one
-    // lane-parallel pass (`extra` becomes the per-counter increment
-    // row), then stage one coalesced push per counter — `push` drops
-    // zero increments, exactly like the old `p + extra[slot]` form.
-    let incs = &mut extra[..indices.len()];
-    for inc in incs.iter_mut() {
-        *inc += p;
-    }
-    for (slot, &idx) in indices.iter().enumerate() {
-        wb.push(idx, incs[slot], sink);
-    }
-}
-
-/// An **owned**, packet-at-a-time sharded ingest: the engine behind
-/// [`BuildMode::Inline`] and the epoch-rotation wrapper
-/// ([`crate::EpochedConcurrentCaesar`]). Owns the shared SRAM, the
-/// index map, and every shard worker, so it can live across calls
-/// (unlike the scoped-thread builds, which borrow for one closure).
-#[derive(Debug)]
-pub(crate) struct InlineIngest {
-    cfg: CaesarConfig,
-    shards: usize,
-    sram: AtomicCounterArray,
-    kmap: KCounterMap,
-    workers: Vec<ShardWorker>,
-}
-
-impl InlineIngest {
-    /// Fresh ingest over `shards` workers; evictions accumulate in
-    /// shard-local segments ([`WRITEBACK_ACCUMULATE_ALL`]).
-    ///
-    /// # Panics
-    /// Panics if `shards == 0` or the configuration is invalid.
-    pub(crate) fn new(cfg: CaesarConfig, shards: usize) -> Self {
-        let (sram, kmap, entries) = ConcurrentCaesar::scaffold(&cfg, shards);
-        let workers = (0..shards)
-            .map(|shard| ShardWorker::new(&cfg, shard, entries[shard], WRITEBACK_ACCUMULATE_ALL))
-            .collect();
-        Self { cfg, shards, sram, kmap, workers }
-    }
-
-    /// Route one packet to its shard worker (RSS hash partition; with
-    /// one shard the hash is skipped entirely).
-    pub(crate) fn record(&mut self, flow: u64) {
-        let shard = if self.shards == 1 {
-            0
-        } else {
-            ConcurrentCaesar::shard_of(flow, self.shards, self.cfg.seed)
-        };
-        self.workers[shard].record(flow, &self.sram, &self.kmap);
-    }
-
-    /// End of measurement: drain every shard's cache, merge the
-    /// shard-local segments (ascending shard order — deterministic, and
-    /// irrelevant to the final values since saturating adds commute),
-    /// and hand back the finished sketch.
-    pub(crate) fn finish(self) -> ConcurrentCaesar {
-        let Self { cfg, shards, sram, kmap, workers } = self;
-        let per_shard: Vec<IngestStats> =
-            workers.into_iter().map(|w| w.finish(&sram, &kmap)).collect();
-        ConcurrentCaesar::assemble(cfg, shards, sram, kmap, per_shard)
     }
 }
 
@@ -735,174 +660,51 @@ impl ConcurrentCaesar {
     /// workers, then return the finished sketch.
     ///
     /// The trace is routed with one O(n) partition pass; each worker
-    /// consumes only its own flow subsequence and stages evictions in a
-    /// shard-local [`WritebackBuffer`] segment merged once at the end.
-    /// Scheduling is chosen by [`BuildMode::Auto`]: per-shard batches
-    /// on scoped threads when the host has more than one hardware
-    /// thread, inline multiplexing on the calling thread otherwise. Use
-    /// [`ConcurrentCaesar::build_with_mode`] to force a mode.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0` or the configuration is invalid.
-    pub fn build(cfg: CaesarConfig, shards: usize, flows: &[u64]) -> Self {
-        Self::build_with_mode(cfg, shards, flows, BuildMode::Auto)
-    }
-
-    /// [`ConcurrentCaesar::build`] with an explicit [`BuildMode`]. All
-    /// modes yield bit-identical sketches; the tests pin it.
+    /// consumes only its own flow subsequence through the batch hot
+    /// path and stages evictions in a shard-local [`WritebackBuffer`]
+    /// segment merged once at the end. The batches run on scoped
+    /// threads, or one after another on the calling thread when there
+    /// is one shard or one hardware thread (same sketch, none of the
+    /// coordination cost).
     ///
     /// # Panics
     /// Panics if `shards == 0`, the configuration is invalid, or a
-    /// shard worker panics (see
-    /// [`ConcurrentCaesar::try_build_with_mode`] for the
-    /// error-propagating form).
-    pub fn build_with_mode(
-        cfg: CaesarConfig,
-        shards: usize,
-        flows: &[u64],
-        mode: BuildMode,
-    ) -> Self {
-        Self::try_build_with_mode(cfg, shards, flows, mode)
-            .unwrap_or_else(|e| panic!("concurrent build failed: {e}"))
-    }
-
-    /// Error-propagating [`ConcurrentCaesar::build_with_mode`]: a
-    /// panicking shard worker yields `Err(BuildError)` instead of
-    /// aborting the process. Every worker is joined before returning,
-    /// and the scaffold (shared SRAM, index map, staged writeback) is
-    /// dropped with the error, so a retry re-ingests from scratch —
-    /// no partial mass survives to double-count.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0` or the configuration is invalid (caller
-    /// bugs, not worker faults).
-    pub fn try_build_with_mode(
-        cfg: CaesarConfig,
-        shards: usize,
-        flows: &[u64],
-        mode: BuildMode,
-    ) -> Result<Self, BuildError> {
-        match mode.resolve() {
-            BuildMode::Pinned => Self::try_build_stream_with_ring(
-                cfg,
-                shards,
-                flows.iter().copied(),
-                DEFAULT_RING_CAPACITY,
-            ),
-            // Inline multiplex: route each packet straight to its shard
-            // worker — the degenerate partition (one pass, no batch
-            // buffers, no spawn). With one shard this *is* the
-            // sequential ingest off the borrowed slice, so Threaded
-            // also lands here rather than spawning a lone thread.
-            BuildMode::Inline | BuildMode::Threaded if shards == 1 => {
-                Ok(Self::build_inline(cfg, shards, flows))
-            }
-            BuildMode::Inline => Ok(Self::build_inline(cfg, shards, flows)),
-            BuildMode::Threaded => Self::try_build_threaded(cfg, shards, flows),
-            BuildMode::Auto => unreachable!("resolve() eliminated Auto"),
-        }
-    }
-
-    fn build_inline(cfg: CaesarConfig, shards: usize, flows: &[u64]) -> Self {
-        let mut ingest = InlineIngest::new(cfg, shards);
-        for &flow in flows {
-            ingest.record(flow);
-        }
-        ingest.finish()
-    }
-
-    fn try_build_threaded(
-        cfg: CaesarConfig,
-        shards: usize,
-        flows: &[u64],
-    ) -> Result<Self, BuildError> {
+    /// shard worker panics.
+    pub fn build(cfg: CaesarConfig, shards: usize, flows: &[u64]) -> Self {
         let (sram, kmap, entries) = Self::scaffold(&cfg, shards);
-        // The single partition pass: flow-affine, order-preserving.
-        let batches = partition_by(flows, shards, |&f| Self::shard_of(f, shards, cfg.seed));
-
-        let per_shard = std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(shards);
-            for (shard, batch) in batches.into_iter().enumerate() {
-                let sram = &sram;
-                let kmap = &kmap;
-                let entries = entries[shard];
-                handles.push(s.spawn(move || {
-                    let mut w =
-                        ShardWorker::new(&cfg, shard, entries, WRITEBACK_ACCUMULATE_ALL);
-                    w.record_batch(&batch, sram, kmap);
-                    w.finish(sram, kmap)
-                }));
+        let run = |shard: usize, batch: &[u64]| {
+            let mut w = ShardWorker::staged(&cfg, shard, entries[shard]);
+            w.record_batch(batch, &sram, &kmap);
+            w.finish(&sram, &kmap)
+        };
+        let per_shard = if shards == 1 {
+            vec![run(0, flows)]
+        } else {
+            // The single partition pass: flow-affine, order-preserving.
+            let batches = partition_by(flows, shards, |&f| Self::shard_of(f, shards, cfg.seed));
+            if support::par::host_parallelism() == 1 {
+                batches.iter().enumerate().map(|(shard, b)| run(shard, b)).collect()
+            } else {
+                let run = &run;
+                std::thread::scope(|s| {
+                    let handles = batches
+                        .iter()
+                        .enumerate()
+                        .map(|(shard, b)| s.spawn(move || run(shard, b)))
+                        .collect();
+                    join_shards(handles)
+                })
+                .unwrap_or_else(|e| panic!("concurrent build failed: {e}"))
             }
-            join_shards(handles)
-        })?;
-        Ok(Self::assemble(cfg, shards, sram, kmap, per_shard))
-    }
-
-    /// Packed-SRAM ingest ablation: the threaded construction phase
-    /// run against a bit-[`PackedCounterArray`] backing instead of the
-    /// word-per-counter atomic array.
-    ///
-    /// Packed counters straddle word boundaries, so shard workers
-    /// cannot write them concurrently. Instead each worker stages its
-    /// entire eviction stream in an accumulate-all
-    /// [`WritebackBuffer`] segment against a length-only
-    /// [`SegmentSink`] (parallel phase), and the segments are merged
-    /// into the packed array one shard at a time via
-    /// [`WritebackBuffer::flush_into`] (serial phase). The resulting
-    /// counter values are bit-identical to the word-backed threaded
-    /// build with the same configuration and shard count.
-    ///
-    /// The returned sketch is a sequential [`PackedCaesar`] whose
-    /// cache-occupancy statistics read zero — the shard caches are
-    /// consumed by the merge, and only eviction/write totals survive.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0` or the configuration is invalid.
-    pub fn try_build_packed(
-        cfg: CaesarConfig,
-        shards: usize,
-        flows: &[u64],
-    ) -> Result<PackedCaesar, BuildError> {
-        assert!(shards >= 1, "need at least one shard");
-        assert!(cfg.k <= K_MAX, "concurrent build supports k up to {K_MAX}");
-        cfg.validate();
-        let kmap = KCounterMap::new(cfg.k, cfg.counters, cfg.seed ^ 0x5EED_5EED);
-        let entries = per_shard_entries(cfg.cache_entries, shards);
-        let sink = SegmentSink::new(cfg.counters);
-        let batches = partition_by(flows, shards, |&f| Self::shard_of(f, shards, cfg.seed));
-
-        let segments = std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(shards);
-            for (shard, batch) in batches.into_iter().enumerate() {
-                let sink = &sink;
-                let kmap = &kmap;
-                let entries = entries[shard];
-                handles.push(s.spawn(move || {
-                    let mut w =
-                        ShardWorker::new(&cfg, shard, entries, WRITEBACK_ACCUMULATE_ALL);
-                    w.record_batch(&batch, sink, kmap);
-                    w.finish_segment(sink, kmap)
-                }));
-            }
-            join_shards(handles)
-        })?;
-
-        let mut packed = PackedCounterArray::new(cfg.counters, cfg.counter_bits);
-        let mut evictions = 0u64;
-        let mut sram_writes = 0u64;
-        for (mut wb, shard_evictions) in segments {
-            wb.flush_into(&mut packed);
-            evictions += shard_evictions;
-            sram_writes += wb.flushed_updates();
-        }
-        Ok(PackedCaesar::from_finished_parts(cfg, packed, evictions, sram_writes))
+        };
+        Self::assemble(cfg, shards, sram, kmap, per_shard)
     }
 
     /// Streaming construction: overlap partitioning with shard
     /// consumption over one lock-free [`support::spsc`] ring per shard
-    /// — the line-card replay shape, where packets arrive as a stream
-    /// and are routed to worker cores on the fly instead of being
-    /// materialized into per-shard batches first.
+    /// — the line-card shape, where packets arrive as a stream and are
+    /// routed to worker cores on the fly instead of being materialized
+    /// into per-shard batches first.
     ///
     /// The calling thread plays the RSS front end: it hashes each flow
     /// to its shard and publishes fixed-size chunks into the shard's
@@ -914,72 +716,41 @@ impl ConcurrentCaesar {
     /// **bit-identical** to `build`'s.
     ///
     /// # Panics
-    /// Panics if `shards == 0` or the configuration is invalid.
+    /// Panics if `shards == 0`, the configuration is invalid, or a
+    /// shard worker panics (see [`ConcurrentCaesar::try_build_stream`]).
     pub fn build_stream<I>(cfg: CaesarConfig, shards: usize, flows: I) -> Self
     where
         I: IntoIterator<Item = u64>,
     {
-        Self::build_stream_with_ring(cfg, shards, flows, DEFAULT_RING_CAPACITY)
-    }
-
-    /// [`ConcurrentCaesar::build_stream`] with an explicit per-shard
-    /// ring capacity (`>= 1`; capacity 1 degenerates to a ping-pong
-    /// hand-off and is exercised by the backpressure tests). The ring
-    /// capacity affects scheduling only — never the result.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`, `ring_capacity == 0`, the
-    /// configuration is invalid, or a shard worker panics (see
-    /// [`ConcurrentCaesar::try_build_stream_with_ring`]).
-    pub fn build_stream_with_ring<I>(
-        cfg: CaesarConfig,
-        shards: usize,
-        flows: I,
-        ring_capacity: usize,
-    ) -> Self
-    where
-        I: IntoIterator<Item = u64>,
-    {
-        Self::try_build_stream_with_ring(cfg, shards, flows, ring_capacity)
+        Self::try_build_stream(cfg, shards, flows, DEFAULT_RING_CAPACITY, &[])
             .unwrap_or_else(|e| panic!("concurrent stream build failed: {e}"))
     }
 
-    /// Error-propagating [`ConcurrentCaesar::build_stream_with_ring`]:
-    /// a panicking shard worker closes its ring, the front end stops
+    /// Error-propagating [`ConcurrentCaesar::build_stream`] with an
+    /// explicit per-shard ring capacity and a deterministic fault
+    /// schedule.
+    ///
+    /// `ring_capacity` (`>= 1`) affects scheduling only — never the
+    /// result; capacity 1 degenerates to a ping-pong hand-off under
+    /// full backpressure. `panic_at[shard]`, when `Some(n)`, makes that
+    /// shard's worker panic (payload
+    /// [`support::testkit::INJECTED_PANIC`]) immediately before
+    /// processing the `n`-th packet (0-based) of its own flow
+    /// subsequence; shards beyond `panic_at.len()` never fault, so an
+    /// empty schedule is the plain stream build. It is the chaos seam
+    /// behind the fault-tolerance suite and `scripts/check.sh
+    /// --fault-smoke`.
+    ///
+    /// A panicking shard worker closes its ring, the front end stops
     /// feeding that shard (remaining routed packets are discarded with
-    /// the failed build), every worker is joined, and the first
-    /// failure comes back as `Err(BuildError)`. The dropped scaffold
-    /// guarantees a retry cannot double-count.
+    /// the failed build), every worker is joined, and the first failure
+    /// comes back as `Err(BuildError)`. The dropped scaffold guarantees
+    /// a retry cannot double-count.
     ///
     /// # Panics
     /// Panics if `shards == 0`, `ring_capacity == 0`, or the
     /// configuration is invalid.
-    pub fn try_build_stream_with_ring<I>(
-        cfg: CaesarConfig,
-        shards: usize,
-        flows: I,
-        ring_capacity: usize,
-    ) -> Result<Self, BuildError>
-    where
-        I: IntoIterator<Item = u64>,
-    {
-        Self::try_build_stream_injected(cfg, shards, flows, ring_capacity, &[])
-    }
-
-    /// [`ConcurrentCaesar::try_build_stream_with_ring`] with a
-    /// deterministic fault schedule — the chaos-testing seam behind
-    /// the fault-tolerance suite and `scripts/check.sh --fault-smoke`.
-    /// `panic_at[shard]`, when `Some(n)`, makes that shard's worker
-    /// panic (payload [`support::testkit::INJECTED_PANIC`]) immediately
-    /// before processing the `n`-th packet (0-based) of its own flow
-    /// subsequence; shards beyond `panic_at.len()` never fault. An
-    /// empty schedule is exactly
-    /// [`ConcurrentCaesar::try_build_stream_with_ring`].
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`, `ring_capacity == 0`, or the
-    /// configuration is invalid.
-    pub fn try_build_stream_injected<I>(
+    pub fn try_build_stream<I>(
         cfg: CaesarConfig,
         shards: usize,
         flows: I,
@@ -1002,14 +773,12 @@ impl ConcurrentCaesar {
                 let entries = entries[shard];
                 let fault = panic_at.get(shard).copied().flatten();
                 handles.push(s.spawn(move || {
-                    // Shard→core placement, the "Pinned" in
-                    // `BuildMode::Pinned`: keep each worker's eviction
+                    // Shard→core placement: keep each worker's eviction
                     // accumulator and ring consumer lines resident on
                     // one core's cache. Quiet no-op on hosts that
                     // cannot pin (see `support::affinity`).
                     let _ = support::affinity::pin_shard(shard, shards);
-                    let mut w =
-                        ShardWorker::new(&cfg, shard, entries, WRITEBACK_ACCUMULATE_ALL);
+                    let mut w = ShardWorker::staged(&cfg, shard, entries);
                     let mut buf: Vec<u64> = Vec::with_capacity(STREAM_CHUNK);
                     let mut seen = 0u64;
                     loop {
@@ -1061,67 +830,6 @@ impl ConcurrentCaesar {
         Ok(Self::assemble(cfg, shards, sram, kmap, per_shard))
     }
 
-    /// The original sharded construction, kept as the reference
-    /// implementation: every shard replays the **whole** trace and
-    /// filters to its own flows — O(T·n) total scan/hash work — and
-    /// writes each eviction's increments through one by one.
-    ///
-    /// Retained (not deprecated) for two jobs: the equivalence tests
-    /// pin that the partitioned pipeline is a pure optimization (its
-    /// counter array is bit-identical to this one's), and the
-    /// `concurrent_build` bench measures the before/after speedup.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`, the configuration is invalid, or a
-    /// shard worker panics (see [`ConcurrentCaesar::try_build_replay`]
-    /// for the error-propagating form).
-    pub fn build_replay(cfg: CaesarConfig, shards: usize, flows: &[u64]) -> Self {
-        match Self::try_build_replay(cfg, shards, flows) {
-            Ok(built) => built,
-            Err(e) => panic!("concurrent replay build failed: {e}"),
-        }
-    }
-
-    /// Error-propagating form of [`ConcurrentCaesar::build_replay`]:
-    /// a panicking shard worker surfaces as [`BuildError`] and the
-    /// partial accumulators are dropped cleanly, so a caller can retry
-    /// on a fresh instance with no double-counted state.
-    ///
-    /// # Errors
-    /// Returns the lowest-numbered panicking shard's [`BuildError`].
-    ///
-    /// # Panics
-    /// Panics if `shards == 0` or the configuration is invalid.
-    pub fn try_build_replay(
-        cfg: CaesarConfig,
-        shards: usize,
-        flows: &[u64],
-    ) -> Result<Self, BuildError> {
-        let (sram, kmap, entries) = Self::scaffold(&cfg, shards);
-        let per_shard: Vec<IngestStats> = std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(shards);
-            for shard in 0..shards {
-                let sram = &sram;
-                let kmap = &kmap;
-                let entries = entries[shard];
-                handles.push(s.spawn(move || {
-                    // Capacity 1 = write-through: the seed's per-eviction
-                    // direct adds, expressed through the same worker.
-                    let mut w = ShardWorker::new(&cfg, shard, entries, 1);
-                    for &flow in flows {
-                        if Self::shard_of(flow, shards, cfg.seed) != shard {
-                            continue;
-                        }
-                        w.record(flow, sram, kmap);
-                    }
-                    w.finish(sram, kmap)
-                }));
-            }
-            join_shards(handles)
-        })?;
-        Ok(Self::assemble(cfg, shards, sram, kmap, per_shard))
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &CaesarConfig {
         &self.cfg
@@ -1149,27 +857,13 @@ impl ConcurrentCaesar {
 
     /// Estimator parameters at the current state.
     pub fn params(&self) -> EstimateParams {
-        EstimateParams {
-            k: self.cfg.k,
-            y: self.cfg.entry_capacity,
-            counters: self.cfg.counters,
-            total_packets: self.sram.total_added(),
-        }
+        crate::query::params(&self.cfg, self.sram.total_added())
     }
 
     /// Query with an explicit estimator.
     pub fn estimate(&self, flow: u64, estimator: Estimator) -> Estimate {
-        let w: Vec<u64> = self
-            .kmap
-            .indices(flow)
-            .into_iter()
-            .map(|i| self.sram.get(i))
-            .collect();
         let params = self.params();
-        match estimator {
-            Estimator::Csm => csm::estimate(&w, &params),
-            Estimator::Mlm => mlm::estimate(&w, &params),
-        }
+        crate::query::estimate_one(&self.kmap, |i| self.sram.get(i), &params, estimator, flow)
     }
 
     /// Clamped default-estimator query.
@@ -1371,7 +1065,7 @@ mod tests {
             // Fault the last shard after it has seen 100 packets.
             let mut plan = vec![None; shards];
             plan[shards - 1] = Some(100);
-            let err = ConcurrentCaesar::try_build_stream_injected(
+            let err = ConcurrentCaesar::try_build_stream(
                 cfg(),
                 shards,
                 flows.iter().copied(),
@@ -1389,7 +1083,7 @@ mod tests {
     fn lowest_faulting_shard_wins_when_several_panic() {
         let flows = workload();
         let plan = [Some(50u64), Some(10), Some(70), None];
-        let err = ConcurrentCaesar::try_build_stream_injected(
+        let err = ConcurrentCaesar::try_build_stream(
             cfg(),
             4,
             flows.iter().copied(),
@@ -1406,7 +1100,7 @@ mod tests {
         // inputs must equal a never-faulted build bit-for-bit.
         let flows = workload();
         let plan = [None, Some(0)];
-        assert!(ConcurrentCaesar::try_build_stream_injected(
+        assert!(ConcurrentCaesar::try_build_stream(
             cfg(),
             2,
             flows.iter().copied(),
@@ -1414,11 +1108,12 @@ mod tests {
             &plan,
         )
         .is_err());
-        let retry = ConcurrentCaesar::try_build_stream_with_ring(
+        let retry = ConcurrentCaesar::try_build_stream(
             cfg(),
             2,
             flows.iter().copied(),
             DEFAULT_RING_CAPACITY,
+            &[],
         )
         .expect("clean retry succeeds");
         let reference = ConcurrentCaesar::build(cfg(), 2, &flows);
@@ -1427,50 +1122,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_fault_schedule_is_the_plain_stream_build() {
-        let flows = workload();
-        let a = ConcurrentCaesar::try_build_stream_injected(
-            cfg(),
-            3,
-            flows.iter().copied(),
-            DEFAULT_RING_CAPACITY,
-            &[],
-        )
-        .unwrap();
-        let b = ConcurrentCaesar::build_stream(cfg(), 3, flows.iter().copied());
-        assert_eq!(a.sram().snapshot(), b.sram().snapshot());
-    }
-
-    #[test]
-    fn partitioned_matches_replay_bit_exactly() {
-        // The tentpole's contract: the O(n) partitioned, batch-writeback
-        // pipeline is a pure optimization of the O(T·n) replay path —
-        // in every scheduling shape, including the ring-fed Pinned one.
-        let flows = workload();
-        for shards in [1, 3, 4, 8] {
-            let slow = ConcurrentCaesar::build_replay(cfg(), shards, &flows);
-            for mode in [
-                BuildMode::Auto,
-                BuildMode::Threaded,
-                BuildMode::Inline,
-                BuildMode::Pinned,
-            ] {
-                let fast = ConcurrentCaesar::build_with_mode(cfg(), shards, &flows, mode);
-                assert_eq!(
-                    fast.sram().snapshot(),
-                    slow.sram().snapshot(),
-                    "shards = {shards}, mode = {mode:?}"
-                );
-                assert_eq!(fast.evictions(), slow.evictions(), "shards = {shards}");
-                assert_eq!(fast.sram().total_added(), slow.sram().total_added());
-            }
-        }
-    }
-
-    #[test]
     fn stream_matches_build_bit_exactly() {
         let flows = workload();
-        for shards in [1, 2, 5] {
+        for shards in [1, 2, 3, 4, 5, 8] {
             let batch = ConcurrentCaesar::build(cfg(), shards, &flows);
             let stream =
                 ConcurrentCaesar::build_stream(cfg(), shards, flows.iter().copied());
@@ -1490,12 +1144,14 @@ mod tests {
         let flows = workload();
         let reference = ConcurrentCaesar::build(cfg(), 3, &flows);
         for cap in [1usize, 2, 7, 64, 4096] {
-            let c = ConcurrentCaesar::build_stream_with_ring(
+            let c = ConcurrentCaesar::try_build_stream(
                 cfg(),
                 3,
                 flows.iter().copied(),
                 cap,
-            );
+                &[],
+            )
+            .unwrap();
             assert_eq!(
                 c.sram().snapshot(),
                 reference.sram().snapshot(),
@@ -1580,24 +1236,20 @@ mod tests {
     #[test]
     fn single_shard_matches_sequential_byte_for_byte() {
         // One shard uses exactly the sequential seeds (cache and RNG),
-        // so every build mode must reproduce the sequential oracle's
-        // counter array bit for bit — the strongest equivalence the
-        // suite pins, and the anchor for the multi-shard determinism
-        // argument (each shard is "a sequential sketch over its flow
-        // subsequence").
+        // so both builds must reproduce the sequential sketch's counter
+        // array bit for bit — the anchor for the multi-shard
+        // determinism argument (each shard is "a sequential sketch over
+        // its flow subsequence").
         let flows = workload();
         let mut seq = crate::Caesar::new(cfg());
         for &f in &flows {
             seq.record(f);
         }
         seq.finish();
-        for mode in [BuildMode::Inline, BuildMode::Threaded, BuildMode::Pinned] {
-            let conc = ConcurrentCaesar::build_with_mode(cfg(), 1, &flows, mode);
-            assert_eq!(
-                conc.sram().snapshot(),
-                seq.sram().as_slice(),
-                "mode = {mode:?}"
-            );
+        let built = ConcurrentCaesar::build(cfg(), 1, &flows);
+        let streamed = ConcurrentCaesar::build_stream(cfg(), 1, flows.iter().copied());
+        for conc in [built, streamed] {
+            assert_eq!(conc.sram().snapshot(), seq.sram().as_slice());
             assert_eq!(conc.sram().total_added(), seq.sram().total_added());
             assert_eq!(conc.evictions(), seq.stats().evictions);
         }
@@ -1615,14 +1267,6 @@ mod tests {
         let c = ConcurrentCaesar::build_stream(cfg(), 4, std::iter::empty());
         assert_eq!(c.sram().total_added(), 0);
         assert_eq!(c.evictions(), 0);
-    }
-
-    #[test]
-    fn empty_trace_pinned_terminates() {
-        // Regression guard: rings that never receive an item must still
-        // close and drain (no hang when shards exceed trace length).
-        let c = ConcurrentCaesar::build_with_mode(cfg(), 8, &[], BuildMode::Pinned);
-        assert_eq!(c.sram().total_added(), 0);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! over [`Caesar`] with bounded memory: at most `retained` finished
 //! epochs are kept, oldest dropped first.
 
-use crate::concurrent::{ConcurrentCaesar, InlineIngest};
 use crate::config::CaesarConfig;
 use crate::pipeline::Caesar;
 use std::collections::VecDeque;
@@ -95,134 +94,6 @@ impl EpochedCaesar {
 
     /// The finished epochs, oldest first.
     pub fn epochs(&self) -> impl Iterator<Item = &Epoch> {
-        self.finished.iter()
-    }
-
-    /// Query one finished epoch by index (`None` if not retained).
-    pub fn query_epoch(&self, epoch: u64, flow: u64) -> Option<f64> {
-        self.finished
-            .iter()
-            .find(|e| e.index == epoch)
-            .map(|e| e.sketch.query(flow))
-    }
-
-    /// Sliding-window query: summed estimate over the most recent
-    /// `window` finished epochs (fewer if not that many are retained).
-    pub fn query_window(&self, flow: u64, window: usize) -> f64 {
-        self.finished
-            .iter()
-            .rev()
-            .take(window)
-            .map(|e| e.sketch.query(flow))
-            .sum()
-    }
-}
-
-/// A finished epoch's **sharded** sketch plus its identity.
-#[derive(Debug)]
-pub struct ConcurrentEpoch {
-    /// Epoch sequence number (0-based).
-    pub index: u64,
-    /// The finished, queryable sharded sketch.
-    pub sketch: ConcurrentCaesar,
-}
-
-/// Continuously measuring, epoch-rotated **sharded** CAESAR: the
-/// multi-core ingest pipeline ([`ConcurrentCaesar`]) wrapped in the
-/// same rotate/retain scheme as [`EpochedCaesar`].
-///
-/// The live epoch is an owned [`InlineIngest`] — shard workers with
-/// private caches and shard-local writeback segments, multiplexed on
-/// the recording thread. [`EpochedConcurrentCaesar::rotate`] is the
-/// epoch-boundary merge point the striped-writeback design calls for:
-/// it drains every shard's cache, merges the shard-local delta
-/// segments into the epoch's shared counter array (ascending shard
-/// order — deterministic, and value-irrelevant since saturating adds
-/// commute), and opens a fresh ingest for the next epoch. A finished
-/// epoch's sketch is **bit-identical** to
-/// [`ConcurrentCaesar::build`] over the same packets with the same
-/// derived per-epoch seed (pinned by tests).
-///
-/// ```
-/// use caesar::{CaesarConfig, EpochedConcurrentCaesar};
-/// let cfg = CaesarConfig { cache_entries: 32, entry_capacity: 8, counters: 1024, k: 3,
-///                          ..CaesarConfig::default() };
-/// let mut monitor = EpochedConcurrentCaesar::new(cfg, 2, 4);
-/// for _ in 0..300 { monitor.record(7); }
-/// monitor.rotate();
-/// for _ in 0..100 { monitor.record(7); }
-/// monitor.rotate();
-/// let e0 = monitor.query_epoch(0, 7).expect("retained");
-/// assert!((e0 - 300.0).abs() < 20.0);
-/// assert!((monitor.query_window(7, 2) - 400.0).abs() < 30.0);
-/// ```
-#[derive(Debug)]
-pub struct EpochedConcurrentCaesar {
-    cfg: CaesarConfig,
-    shards: usize,
-    retained: usize,
-    current: InlineIngest,
-    current_index: u64,
-    finished: VecDeque<ConcurrentEpoch>,
-}
-
-impl EpochedConcurrentCaesar {
-    /// Start measuring epoch 0 with `shards` shard workers. Keeps at
-    /// most `retained` finished epochs (≥ 1).
-    ///
-    /// # Panics
-    /// Panics if `retained == 0`, `shards == 0`, or the configuration
-    /// is invalid.
-    pub fn new(cfg: CaesarConfig, shards: usize, retained: usize) -> Self {
-        assert!(retained >= 1, "must retain at least one finished epoch");
-        Self {
-            current: InlineIngest::new(derive_epoch_config(&cfg, 0), shards),
-            cfg,
-            shards,
-            retained,
-            current_index: 0,
-            finished: VecDeque::new(),
-        }
-    }
-
-    /// Record one packet into the current epoch (routed to its shard
-    /// worker).
-    pub fn record(&mut self, flow: u64) {
-        self.current.record(flow);
-    }
-
-    /// Close the current epoch and open the next: drain every shard's
-    /// cache, merge the shard-local writeback segments into the shared
-    /// counter array, and retire the finished sketch (evicting the
-    /// oldest retained epoch if the buffer is full).
-    pub fn rotate(&mut self) {
-        let next_index = self.current_index + 1;
-        let done = std::mem::replace(
-            &mut self.current,
-            InlineIngest::new(derive_epoch_config(&self.cfg, next_index), self.shards),
-        );
-        self.finished.push_back(ConcurrentEpoch {
-            index: self.current_index,
-            sketch: done.finish(),
-        });
-        self.current_index = next_index;
-        while self.finished.len() > self.retained {
-            self.finished.pop_front();
-        }
-    }
-
-    /// Index of the epoch currently being recorded.
-    pub fn current_epoch(&self) -> u64 {
-        self.current_index
-    }
-
-    /// Number of shard workers per epoch.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The finished epochs, oldest first.
-    pub fn epochs(&self) -> impl Iterator<Item = &ConcurrentEpoch> {
         self.finished.iter()
     }
 
@@ -337,83 +208,5 @@ mod tests {
     #[should_panic(expected = "at least one")]
     fn zero_retention_rejected() {
         EpochedCaesar::new(cfg(), 0);
-    }
-
-    #[test]
-    fn concurrent_epochs_isolate_and_window() {
-        let mut e = EpochedConcurrentCaesar::new(cfg(), 2, 4);
-        for _ in 0..500 {
-            e.record(1);
-        }
-        e.rotate();
-        for _ in 0..100 {
-            e.record(1);
-        }
-        e.rotate();
-        let epoch0 = e.query_epoch(0, 1).expect("epoch 0 retained");
-        let epoch1 = e.query_epoch(1, 1).expect("epoch 1 retained");
-        assert!((epoch0 - 500.0).abs() < 15.0, "epoch0 = {epoch0}");
-        assert!((epoch1 - 100.0).abs() < 15.0, "epoch1 = {epoch1}");
-        let w = e.query_window(1, 2);
-        assert!((w - 600.0).abs() < 25.0, "window = {w}");
-        assert_eq!(e.current_epoch(), 2);
-        assert_eq!(e.shards(), 2);
-    }
-
-    #[test]
-    fn concurrent_epoch_matches_batch_build_bit_exactly() {
-        // A rotated epoch is the same sketch ConcurrentCaesar::build
-        // produces over that epoch's packets with the derived seed: the
-        // drain/merge at the epoch boundary loses nothing and adds
-        // nothing.
-        use crate::concurrent::{BuildMode, ConcurrentCaesar};
-        let flows: Vec<u64> = (0..4000u64).map(|i| i % 37).collect();
-        let (first, second) = flows.split_at(2500);
-        let mut e = EpochedConcurrentCaesar::new(cfg(), 3, 4);
-        for &f in first {
-            e.record(f);
-        }
-        e.rotate();
-        for &f in second {
-            e.record(f);
-        }
-        e.rotate();
-        for (idx, part) in [(0u64, first), (1u64, second)] {
-            let reference = ConcurrentCaesar::build_with_mode(
-                derive_epoch_config(&cfg(), idx),
-                3,
-                part,
-                BuildMode::Inline,
-            );
-            let epoch = e
-                .epochs()
-                .find(|ep| ep.index == idx)
-                .expect("epoch retained");
-            assert_eq!(
-                epoch.sketch.sram().snapshot(),
-                reference.sram().snapshot(),
-                "epoch {idx}"
-            );
-            assert_eq!(epoch.sketch.evictions(), reference.evictions());
-        }
-    }
-
-    #[test]
-    fn concurrent_retention_evicts_oldest() {
-        let mut e = EpochedConcurrentCaesar::new(cfg(), 2, 2);
-        for _ in 0..5 {
-            e.record(1);
-            e.rotate();
-        }
-        assert_eq!(e.epochs().count(), 2);
-        assert!(e.query_epoch(0, 1).is_none());
-        assert!(e.query_epoch(4, 1).is_some());
-        assert_eq!(e.current_epoch(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn concurrent_zero_shards_rejected() {
-        EpochedConcurrentCaesar::new(cfg(), 0, 2);
     }
 }

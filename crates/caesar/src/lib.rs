@@ -63,14 +63,11 @@ pub mod theory;
 pub mod threaded;
 pub mod update;
 
-pub use atomic_sram::{
-    AtomicCounterArray, SegmentSink, WritebackBuffer, WritebackSink, WRITEBACK_ACCUMULATE_ALL,
-};
+pub use atomic_sram::{AtomicCounterArray, WritebackBuffer, WRITEBACK_ACCUMULATE_ALL};
 pub use concurrent::{
-    per_shard_entries, BuildError, BuildMode, ConcurrentCaesar, IngestStats,
-    DEFAULT_RING_CAPACITY,
+    per_shard_entries, BuildError, ConcurrentCaesar, IngestStats, DEFAULT_RING_CAPACITY,
 };
-pub use epochs::{ConcurrentEpoch, EpochedCaesar, EpochedConcurrentCaesar};
+pub use epochs::EpochedCaesar;
 pub use heavy_hitters::{DetectionReport, Hitter};
 pub use merge::{MergeError, PayloadError, SketchDelta, SketchFingerprint, SketchPayload};
 pub use online::{
@@ -80,7 +77,7 @@ pub use online::{
 pub use packed::PackedCounterArray;
 pub use config::{CaesarConfig, Estimator};
 pub use estimator::{Estimate, EstimateParams};
-pub use pipeline::{sram_prefetch_min_bytes, Caesar, CaesarCore, CaesarStats, PackedCaesar};
-pub use query::{estimate_all, query_batch_chunk_width, query_health, CounterView, QueryHealth, SaturationView};
+pub use pipeline::{Caesar, CaesarCore, CaesarStats, PackedCaesar};
+pub use query::{estimate_all, query_health, CounterView, QueryHealth, SaturationView};
 pub use sram::{CounterArray, SramBacking, DIRTY_BLOCK_COUNTERS};
 pub use threaded::{heartbeat_interval_ms, ThreadedCaesar, DEFAULT_HEARTBEAT_MS};

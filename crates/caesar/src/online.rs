@@ -27,7 +27,7 @@
 //!   marks the lane `inline_fallback`, and serves it on the supervisor
 //!   thread until the next epoch boundary re-arms the ring path.
 //! * **Epoch-aligned merges.** Workers stage evictions in shard-local
-//!   [`WRITEBACK_ACCUMULATE_ALL`] segments; at every epoch boundary
+//!   [`crate::WRITEBACK_ACCUMULATE_ALL`] segments; at every epoch boundary
 //!   ([`OnlineCaesar::with_epoch_len`] offered packets) all lanes are
 //!   drained dry and their segments merged into the shared SRAM in
 //!   ascending shard order. Queries read the SRAM at any time — a
@@ -70,10 +70,9 @@ use crate::concurrent::{
     panic_payload, ConcurrentCaesar, IngestStats, ShardWorker, ShardWorkerState, STREAM_CHUNK,
 };
 use crate::config::{CaesarConfig, Estimator};
-use crate::estimator::{csm, mlm, Estimate, EstimateParams};
+use crate::estimator::{Estimate, EstimateParams};
 use crate::merge::{MergeError, SketchFingerprint};
 use crate::query::{query_health, QueryHealth};
-use crate::WRITEBACK_ACCUMULATE_ALL;
 use cachesim::{CachePolicy, CacheStats, CacheTableState};
 use hashkit::{KCounterMap, K_MAX};
 use support::bytesx::{seal, unseal, ByteReader, PutBytes, SealError};
@@ -274,7 +273,7 @@ impl Lane {
         Self {
             tx,
             rx,
-            worker: ShardWorker::new(cfg, shard, entries, WRITEBACK_ACCUMULATE_ALL),
+            worker: ShardWorker::staged(cfg, shard, entries),
             buf: Vec::with_capacity(STREAM_CHUNK),
             offered: 0,
             recorded: 0,
@@ -584,7 +583,7 @@ impl OnlineCaesar {
             lane.retired.merge(&lane.worker.ingest_stats());
             // Respawn: a fresh worker (fresh cache + RNG streams)
             // against the shard's surviving accumulator state.
-            lane.worker = ShardWorker::new(cfg, shard, entries[shard], WRITEBACK_ACCUMULATE_ALL);
+            lane.worker = ShardWorker::staged(cfg, shard, entries[shard]);
             lane.respawns += 1;
             lane.log.records.push(FaultRecord {
                 kind: FaultKind::WorkerPanic,
@@ -760,28 +759,14 @@ impl OnlineCaesar {
 
     /// Estimator parameters at the current visible state.
     pub fn params(&self) -> EstimateParams {
-        EstimateParams {
-            k: self.cfg.k,
-            y: self.cfg.entry_capacity,
-            counters: self.cfg.counters,
-            total_packets: self.sram.total_added(),
-        }
+        crate::query::params(&self.cfg, self.sram.total_added())
     }
 
     /// Query with an explicit estimator against the visible (merged)
     /// state. Ingest continues unaffected.
     pub fn estimate(&self, flow: u64, estimator: Estimator) -> Estimate {
-        let w: Vec<u64> = self
-            .kmap
-            .indices(flow)
-            .into_iter()
-            .map(|i| self.sram.get(i))
-            .collect();
         let params = self.params();
-        match estimator {
-            Estimator::Csm => csm::estimate(&w, &params),
-            Estimator::Mlm => mlm::estimate(&w, &params),
-        }
+        crate::query::estimate_one(&self.kmap, |i| self.sram.get(i), &params, estimator, flow)
     }
 
     /// Clamped default-estimator query.

@@ -280,10 +280,6 @@ impl crate::sram::SramBacking for PackedCounterArray {
         PackedCounterArray::add_spread(self, indices, incs)
     }
 
-    fn add_batch(&mut self, updates: &[(usize, u64)]) {
-        PackedCounterArray::add_batch(self, updates);
-    }
-
     #[inline]
     fn get(&self, idx: usize) -> u64 {
         PackedCounterArray::get(self, idx)

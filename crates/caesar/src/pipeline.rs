@@ -1,53 +1,14 @@
 //! The full CAESAR pipeline: cache → split-`k` eviction → SRAM →
 //! estimator.
 
+use crate::concurrent::ShardWorker;
 use crate::config::{CaesarConfig, Estimator};
-use crate::estimator::{csm, mlm, Estimate, EstimateParams};
+use crate::estimator::{Estimate, EstimateParams};
 use crate::packed::PackedCounterArray;
 use crate::query::CounterView;
 use crate::sram::{CounterArray, CounterArrayStats, SramBacking};
-use crate::update::spread_eviction;
-use cachesim::{CacheConfig, CacheStats, CacheTable};
+use cachesim::CacheStats;
 use hashkit::KCounterMap;
-use support::rand::{rngs::StdRng, SeedableRng};
-
-/// Smallest SRAM footprint (bytes) for which the batch paths issue
-/// software prefetches of predicted counter rows. Below this the
-/// counter array is comfortably cache-resident and the prefetch
-/// instructions are pure front-end overhead — BENCH_PR3 measured the
-/// hinted batch path *slower* than scalar `record` on the 2048-counter
-/// (16 KiB) micro-trace geometry precisely because every prefetch was
-/// wasted. 256 KiB ≈ typical per-core L2 size: arrays at least this
-/// big miss often enough for the one-ahead hint to pay.
-pub(crate) const SRAM_PREFETCH_MIN_BYTES: usize = 256 * 1024;
-
-/// The prefetch gate actually in effect: [`SRAM_PREFETCH_MIN_BYTES`]
-/// unless overridden through the `CAESAR_SRAM_PREFETCH_MIN_BYTES`
-/// environment variable (a byte count, read **once** per process).
-/// The override exists so benches and cross-host tuning can force
-/// either batch path on any geometry — `0` turns prefetching on
-/// everywhere, a huge value turns it off — without recompiling.
-/// Unparsable values warn on stderr and keep the built-in default.
-pub fn sram_prefetch_min_bytes() -> usize {
-    static CACHED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CACHED.get_or_init(|| {
-        parse_prefetch_min(std::env::var("CAESAR_SRAM_PREFETCH_MIN_BYTES").ok().as_deref())
-    })
-}
-
-/// Parse the env override; `None`/empty means "use the default".
-fn parse_prefetch_min(raw: Option<&str>) -> usize {
-    match raw.map(str::trim) {
-        None | Some("") => SRAM_PREFETCH_MIN_BYTES,
-        Some(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!(
-                "caesar: ignoring unparsable CAESAR_SRAM_PREFETCH_MIN_BYTES={s:?} \
-                 (want a byte count); using default {SRAM_PREFETCH_MIN_BYTES}"
-            );
-            SRAM_PREFETCH_MIN_BYTES
-        }),
-    }
-}
 
 /// Aggregate statistics of a CAESAR run.
 #[derive(Debug, Clone, Copy)]
@@ -65,6 +26,10 @@ pub struct CaesarStats {
 /// Cache Assisted randomizEd ShAring counteRs (see crate docs),
 /// generic over the off-chip counter storage.
 ///
+/// The sketch is one `ShardWorker` — the same construction kernel
+/// every sharded engine runs per shard — whose evictions apply directly
+/// to its own SRAM, plus the flow→counter map the query phase reads.
+///
 /// `B` is the [`SramBacking`] seam: [`Caesar`] (the default, a
 /// word-per-counter [`CounterArray`]) is the simulation hot path;
 /// [`PackedCaesar`] runs the identical ingest against the
@@ -74,28 +39,10 @@ pub struct CaesarStats {
 #[derive(Debug)]
 pub struct CaesarCore<B: SramBacking = CounterArray> {
     cfg: CaesarConfig,
-    cache: CacheTable,
-    sram: B,
     kmap: KCounterMap,
-    rng: StdRng,
-    /// Memoized per-slot counter indices (row `slot` is
-    /// `memo[slot·k .. slot·k + k]`): each resident flow's `k` mapped
-    /// SRAM indices are computed **once at insert time** and reused by
-    /// every Overflow / Replacement / FinalDump eviction of that
-    /// occupancy, eliminating the per-eviction re-hash. Rows are
-    /// refreshed whenever the cache rebinds a slot
-    /// ([`cachesim::Recorded::inserted`]), *after* the replacement
-    /// eviction of the previous occupant consumed its row.
-    memo: Vec<usize>,
+    worker: ShardWorker<B>,
     ev_buf: Vec<cachesim::Eviction>,
-    /// Reusable per-batch base-hash row ([`KCounterMap::base_hashes`]):
-    /// `record_batch` hashes the whole drain batch up front in
-    /// lane-width chunks, and inserted flows derive their `k` counter
-    /// indices from the memoized base.
-    base_buf: Vec<u64>,
     finished: bool,
-    evictions: u64,
-    sram_writes: u64,
 }
 
 /// The word-per-counter CAESAR sketch — the default, fastest layout.
@@ -114,45 +61,14 @@ impl<B: SramBacking> CaesarCore<B> {
     /// [`CaesarConfig::validate`]).
     pub fn new(cfg: CaesarConfig) -> Self {
         cfg.validate();
-        let cache = CacheTable::new(CacheConfig {
-            entries: cfg.cache_entries,
-            entry_capacity: cfg.entry_capacity,
-            policy: cfg.policy,
-            seed: cfg.seed ^ 0xA11C_E5ED,
-        });
+        let sram = B::new_backing(cfg.counters, cfg.counter_bits);
         Self {
-            cache,
-            sram: B::new_backing(cfg.counters, cfg.counter_bits),
             kmap: KCounterMap::new(cfg.k, cfg.counters, cfg.seed ^ 0x5EED_5EED),
-            rng: StdRng::seed_from_u64(cfg.seed ^ 0x0D15_EA5E),
-            memo: vec![0usize; cfg.cache_entries * cfg.k],
+            worker: ShardWorker::new(&cfg, 0, cfg.cache_entries, sram),
             ev_buf: Vec::new(),
-            base_buf: Vec::new(),
             finished: false,
-            evictions: 0,
-            sram_writes: 0,
             cfg,
         }
-    }
-
-    /// Assemble a **finished**, query-only sketch around an externally
-    /// constructed backing — the hand-off at the end of the sharded
-    /// packed build ([`crate::ConcurrentCaesar::try_build_packed`]).
-    /// The cache is empty (the shard caches were already drained into
-    /// `sram`), so cache-side stats read zero; eviction and write
-    /// tallies come from the build that produced the backing.
-    pub(crate) fn from_finished_parts(
-        cfg: CaesarConfig,
-        sram: B,
-        evictions: u64,
-        sram_writes: u64,
-    ) -> Self {
-        let mut core = Self::new(cfg);
-        core.sram = sram;
-        core.evictions = evictions;
-        core.sram_writes = sram_writes;
-        core.finished = true;
-        core
     }
 
     /// The configuration in use.
@@ -167,62 +83,7 @@ impl<B: SramBacking> CaesarCore<B> {
     /// read-only.
     pub fn record(&mut self, flow: u64) {
         assert!(!self.finished, "record() after finish(): the sketch is read-only");
-        self.record_inner(flow);
-    }
-
-    /// The memoized per-packet hot path. The resulting sketch is
-    /// byte-identical to recomputing `kmap.indices(ev.flow)` per
-    /// eviction: the memo row at the recorded slot is exactly the
-    /// evicted flow's index vector (its own on Overflow, the previous
-    /// occupant's on Replacement — the row is only refreshed *after*
-    /// the replacement eviction is spread), and the eviction/RNG order
-    /// is untouched.
-    #[inline]
-    fn record_inner(&mut self, flow: u64) {
-        let r = self.cache.record_slotted(flow);
-        self.apply_recorded(flow, r);
-    }
-
-    /// Memo/spread bookkeeping for one recorded packet, shared by the
-    /// per-call and batch paths.
-    #[inline]
-    fn apply_recorded(&mut self, flow: u64, r: cachesim::Recorded) {
-        let k = self.cfg.k;
-        let start = r.slot as usize * k;
-        if let Some(ev) = r.eviction {
-            debug_assert_eq!(self.memo[start..start + k], self.kmap.indices(ev.flow)[..]);
-            self.spread_row(start, ev.value);
-        }
-        if r.inserted {
-            self.kmap.fill_indices(flow, &mut self.memo[start..start + k]);
-        }
-    }
-
-    /// [`CaesarCore::apply_recorded`] with the flow's precomputed base
-    /// hash (the batch path): identical bookkeeping, but an insert
-    /// fills the memo row from the base instead of re-mixing the key.
-    #[inline]
-    fn apply_recorded_base(&mut self, flow: u64, base: u64, r: cachesim::Recorded) {
-        debug_assert_eq!(base, self.kmap.base_hash(flow));
-        let k = self.cfg.k;
-        let start = r.slot as usize * k;
-        if let Some(ev) = r.eviction {
-            debug_assert_eq!(self.memo[start..start + k], self.kmap.indices(ev.flow)[..]);
-            self.spread_row(start, ev.value);
-        }
-        if r.inserted {
-            self.kmap.fill_indices_from_base(base, &mut self.memo[start..start + k]);
-        }
-    }
-
-    /// Spread `value` over the memoized index row starting at `start`.
-    #[inline]
-    fn spread_row(&mut self, start: usize, value: u64) {
-        // The borrow checker will not let `spread_eviction` borrow both
-        // `self.sram` and `self.memo` through `self`, so split them.
-        let Self { sram, memo, rng, cfg, .. } = self;
-        self.sram_writes += spread_eviction(sram, &memo[start..start + cfg.k], value, rng);
-        self.evictions += 1;
+        self.worker.record(flow, &(), &self.kmap);
     }
 
     /// Process a whole slice of packets.
@@ -232,78 +93,18 @@ impl<B: SramBacking> CaesarCore<B> {
         }
     }
 
-    /// Batch construction: record `flows` in order while probing the
-    /// cache state — and, when the next packet will overflow its entry
-    /// *and* the counter array is large enough that a miss is likely
-    /// ([`SRAM_PREFETCH_MIN_BYTES`]), software-prefetching the flow's
-    /// `k` SRAM counter words — **one batch element ahead**,
-    /// overlapping the lookup/RMW latency of packet `i + 1` with the
-    /// processing of packet `i`.
-    ///
-    /// The probe result is then carried forward as a **slot hint** into
-    /// packet `i + 1`'s record, so a cache hit costs one index lookup
-    /// per packet instead of two (the hint is re-validated against the
-    /// slot's flow tag, see
-    /// [`record_slotted_hinted`](cachesim::CacheTable::record_slotted_hinted)).
-    ///
-    /// Strictly equivalent to `for f in flows { self.record(f) }`
-    /// (the probe is read-only and the hint only short-circuits the
-    /// lookup); the recorded sketch is byte-identical.
+    /// Batch construction: record `flows` in order through the shard
+    /// worker's probe-one-ahead hot path (slot hints carried one packet
+    /// ahead, and SRAM prefetches when the counter array is too big to
+    /// stay cache-resident). Strictly equivalent to
+    /// `for f in flows { self.record(f) }`; the recorded sketch is
+    /// byte-identical.
     ///
     /// # Panics
     /// Panics if called after [`Caesar::finish`].
     pub fn record_batch(&mut self, flows: &[u64]) {
         assert!(!self.finished, "record_batch() after finish(): the sketch is read-only");
-        let k = self.cfg.k;
-        // Hash the whole batch up front: `base_hashes` mixes the flow
-        // keys in lane-width chunks (the vectorized pass), and every
-        // inserted flow then derives its `k` counter indices from the
-        // memoized base via `fill_indices_from_base` — bit-identical to
-        // the per-flow `fill_indices` (pinned in hashkit).
-        let mut bases = std::mem::take(&mut self.base_buf);
-        bases.clear();
-        bases.resize(flows.len(), 0);
-        self.kmap.base_hashes(flows, &mut bases);
-        let prefetch_sram = self.cfg.counters * 8 >= sram_prefetch_min_bytes();
-        if !prefetch_sram {
-            // Cache-resident counter array: there is no miss latency to
-            // hide, so the probe-one-ahead pipeline below is pure
-            // bookkeeping overhead (the BENCH_PR3 `caesar_trace_batch`
-            // regression). The plain loop is the fast path here and is
-            // trivially the same sketch.
-            for (&flow, &base) in flows.iter().zip(&bases) {
-                // Pure-hit fast path: >90% of packets in the cache-
-                // friendly regime are absorbed on-chip with no memo or
-                // spread bookkeeping; fall through to the full record
-                // only on miss/overflow (record_absorbed recorded
-                // nothing in that case).
-                if self.cache.record_absorbed(flow) {
-                    continue;
-                }
-                let r = self.cache.record_slotted(flow);
-                self.apply_recorded_base(flow, base, r);
-            }
-            self.base_buf = bases;
-            return;
-        }
-        let mut hint = flows.first().and_then(|&f| self.cache.prefetch(f));
-        for (i, &flow) in flows.iter().enumerate() {
-            let r = self
-                .cache
-                .record_slotted_hinted(flow, hint.map(|(slot, _)| slot));
-            self.apply_recorded_base(flow, bases[i], r);
-            hint = flows.get(i + 1).and_then(|&next| {
-                let probe = self.cache.prefetch(next);
-                if let Some((slot, true)) = probe {
-                    let start = slot as usize * k;
-                    for &idx in &self.memo[start..start + k] {
-                        self.sram.prefetch(idx);
-                    }
-                }
-                probe
-            });
-        }
-        self.base_buf = bases;
+        self.worker.record_batch(flows, &(), &self.kmap);
     }
 
     /// Construction phase for **flow volume**: one packet of `flow`
@@ -320,7 +121,8 @@ impl<B: SramBacking> CaesarCore<B> {
         let mut evs = std::mem::take(&mut self.ev_buf);
         evs.clear();
         let k = self.cfg.k;
-        if let Some(r) = self.cache.record_weighted_slotted(flow, units, &mut evs) {
+        let w = &mut self.worker;
+        if let Some(r) = w.cache.record_weighted_slotted(flow, units, &mut evs) {
             let start = r.slot as usize * k;
             // A replacement eviction (previous occupant, emitted first)
             // consumes the slot's old memo row; the new flow's row is
@@ -328,14 +130,14 @@ impl<B: SramBacking> CaesarCore<B> {
             let mut refreshed = !r.inserted;
             for &ev in &evs {
                 if !refreshed && ev.flow == flow {
-                    self.kmap.fill_indices(flow, &mut self.memo[start..start + k]);
+                    self.kmap.fill_indices(flow, &mut w.memo[start..start + k]);
                     refreshed = true;
                 }
-                debug_assert_eq!(self.memo[start..start + k], self.kmap.indices(ev.flow)[..]);
-                self.spread_row(start, ev.value);
+                debug_assert_eq!(w.memo[start..start + k], self.kmap.indices(ev.flow)[..]);
+                w.spread_row(start, ev.value, &());
             }
             if !refreshed {
-                self.kmap.fill_indices(flow, &mut self.memo[start..start + k]);
+                self.kmap.fill_indices(flow, &mut w.memo[start..start + k]);
             }
         }
         self.ev_buf = evs;
@@ -347,18 +149,10 @@ impl<B: SramBacking> CaesarCore<B> {
         if self.finished {
             return;
         }
-        // Streaming drain: each dumped entry's memoized row replaces
-        // the per-eviction re-hash; emission order (and hence the RNG
-        // draw order) is identical to `cache.drain()`.
-        let Self { cache, sram, memo, rng, kmap, cfg, evictions, sram_writes, .. } = self;
-        let k = cfg.k;
-        cache.drain_with(|slot, ev| {
-            let start = slot as usize * k;
-            let row = &memo[start..start + k];
-            debug_assert_eq!(row, &kmap.indices(ev.flow)[..]);
-            *sram_writes += spread_eviction(sram, row, ev.value, rng);
-            *evictions += 1;
-        });
+        // Each dumped entry's memoized row replaces the per-eviction
+        // re-hash; emission order (and hence the RNG draw order) is
+        // identical to `cache.drain()`.
+        self.worker.drain_cache(&(), &self.kmap);
         self.finished = true;
     }
 
@@ -369,12 +163,7 @@ impl<B: SramBacking> CaesarCore<B> {
 
     /// The estimator parameters at the current state.
     pub fn params(&self) -> EstimateParams {
-        EstimateParams {
-            k: self.cfg.k,
-            y: self.cfg.entry_capacity,
-            counters: self.cfg.counters,
-            total_packets: self.sram.total_added(),
-        }
+        crate::query::params(&self.cfg, self.sram().total_added())
     }
 
     /// The raw values of `flow`'s `k` mapped counters.
@@ -382,7 +171,7 @@ impl<B: SramBacking> CaesarCore<B> {
         self.kmap
             .indices(flow)
             .into_iter()
-            .map(|i| self.sram.get(i))
+            .map(|i| self.sram().get(i))
             .collect()
     }
 
@@ -390,12 +179,8 @@ impl<B: SramBacking> CaesarCore<B> {
     /// [`Caesar::finish`] first or residual cache contents will be
     /// missing from the estimate.
     pub fn estimate(&self, flow: u64, estimator: Estimator) -> Estimate {
-        let w = self.counters_of(flow);
-        let params = self.params();
-        match estimator {
-            Estimator::Csm => csm::estimate(&w, &params),
-            Estimator::Mlm => mlm::estimate(&w, &params),
-        }
+        let sram = self.sram();
+        crate::query::estimate_one(&self.kmap, |i| sram.get(i), &self.params(), estimator, flow)
     }
 
     /// Estimated size of `flow` using the configured default estimator,
@@ -423,12 +208,13 @@ impl<B: SramBacking> CaesarCore<B> {
     /// draw from the marginal noise-plus-share distribution, selection
     /// term included.
     pub fn empirical_counter_variance(&self) -> f64 {
-        let len = self.sram.len();
+        let sram = self.sram();
+        let len = sram.len();
         let n = len as f64;
-        let mean = (0..len).map(|i| self.sram.get(i) as f64).sum::<f64>() / n;
+        let mean = (0..len).map(|i| sram.get(i) as f64).sum::<f64>() / n;
         (0..len)
             .map(|i| {
-                let d = self.sram.get(i) as f64 - mean;
+                let d = sram.get(i) as f64 - mean;
                 d * d
             })
             .sum::<f64>()
@@ -451,16 +237,16 @@ impl<B: SramBacking> CaesarCore<B> {
     /// Run statistics.
     pub fn stats(&self) -> CaesarStats {
         CaesarStats {
-            cache: self.cache.stats(),
-            sram: self.sram.stats(),
-            evictions: self.evictions,
-            sram_writes: self.sram_writes,
+            cache: self.worker.cache.stats(),
+            sram: self.sram().stats(),
+            evictions: self.worker.evictions,
+            sram_writes: self.worker.sram_writes,
         }
     }
 
     /// Borrow the SRAM backing (read-only diagnostics / sweeps).
     pub fn sram(&self) -> &B {
-        &self.sram
+        &self.worker.sink
     }
 }
 
@@ -483,7 +269,7 @@ impl<B: SramBacking + CounterView> CaesarCore<B> {
         estimator: Estimator,
         threads: usize,
     ) -> Vec<Estimate> {
-        crate::query::estimate_all(&self.kmap, &self.sram, &self.params(), estimator, flows, threads)
+        crate::query::estimate_all(&self.kmap, self.sram(), &self.params(), estimator, flows, threads)
     }
 
     /// Clamped default-estimator sizes for a whole flow table — the
@@ -521,9 +307,9 @@ impl Caesar {
                 && a.seed == b.seed,
             "merge requires identical geometry and seed"
         );
-        self.sram.merge(&other.sram);
-        self.evictions += other.evictions;
-        self.sram_writes += other.sram_writes;
+        self.worker.sink.merge(other.sram());
+        self.worker.evictions += other.worker.evictions;
+        self.worker.sram_writes += other.worker.sram_writes;
     }
 }
 

@@ -39,7 +39,7 @@
 //! 1-core host degrades to the batch kernel instead of paying spawn
 //! latency for no concurrency.
 
-use crate::config::Estimator;
+use crate::config::{CaesarConfig, Estimator};
 use crate::estimator::{csm, mlm, Estimate, EstimateParams, LANES};
 use hashkit::{KCounterMap, K_MAX};
 use support::par::par_map_threads;
@@ -161,6 +161,64 @@ impl QueryHealth {
     }
 }
 
+/// Estimator parameters of a sketch configured by `cfg` that has
+/// absorbed `total_packets` units — shared by every engine's
+/// `params()`.
+pub(crate) fn params(cfg: &CaesarConfig, total_packets: u64) -> EstimateParams {
+    EstimateParams {
+        k: cfg.k,
+        y: cfg.entry_capacity,
+        counters: cfg.counters,
+        total_packets,
+    }
+}
+
+/// Single-flow query: `flow`'s `k` counters gathered into a stack row
+/// and evaluated with `estimator` — shared by every engine's
+/// `estimate()`, bit-identical to the batch engine's per-flow output.
+///
+/// # Panics
+/// Panics on invalid `params`.
+pub(crate) fn estimate_one(
+    kmap: &KCounterMap,
+    get: impl Fn(usize) -> u64,
+    params: &EstimateParams,
+    estimator: Estimator,
+    flow: u64,
+) -> Estimate {
+    with_row(kmap, get, flow, |w| estimate_row(w, params, estimator))
+}
+
+fn estimate_row(w: &[u64], params: &EstimateParams, estimator: Estimator) -> Estimate {
+    match estimator {
+        Estimator::Csm => csm::estimate(w, params),
+        Estimator::Mlm => mlm::estimate(w, params),
+    }
+}
+
+/// Gather `flow`'s `k` counter values (read through `get`) into a
+/// stack row and hand it to `f` — no allocation for `k <= K_MAX`;
+/// larger `k` takes a cold heap row.
+fn with_row<T>(
+    kmap: &KCounterMap,
+    get: impl Fn(usize) -> u64,
+    flow: u64,
+    f: impl FnOnce(&[u64]) -> T,
+) -> T {
+    let k = kmap.k();
+    if k > K_MAX {
+        let w: Vec<u64> = kmap.indices(flow).into_iter().map(get).collect();
+        return f(&w);
+    }
+    let mut idx = [0usize; K_MAX];
+    kmap.fill_indices(flow, &mut idx[..k]);
+    let mut w = [0u64; K_MAX];
+    for (dst, &i) in w.iter_mut().zip(&idx[..k]) {
+        *dst = get(i);
+    }
+    f(&w[..k])
+}
+
 /// Health-annotated single-flow query against any saturation-aware
 /// counter array. `loss_fraction` is the caller's exact ingest-loss
 /// ratio for this flow's shard (pass `0.0` for loss-free sketches).
@@ -180,13 +238,10 @@ pub fn query_health<V: SaturationView>(
         "loss_fraction must be in [0, 1]"
     );
     let clamp = view.clamp_value();
-    let w: Vec<u64> = kmap.indices(flow).into_iter().map(|i| view.get(i)).collect();
-    let saturated_counters = w.iter().filter(|&&v| v >= clamp).count();
-    let estimate = match estimator {
-        Estimator::Csm => csm::estimate(&w, params),
-        Estimator::Mlm => mlm::estimate(&w, params),
-    };
-    let k = w.len().max(1);
+    let (estimate, saturated_counters) = with_row(kmap, |i| view.get(i), flow, |w| {
+        (estimate_row(w, params, estimator), w.iter().filter(|&&v| v >= clamp).count())
+    });
+    let k = kmap.k().max(1);
     let confidence =
         (1.0 - loss_fraction) * (1.0 - saturated_counters as f64 / k as f64);
     QueryHealth {
@@ -274,40 +329,6 @@ fn resolve_threads(requested: usize) -> usize {
     requested.clamp(1, support::par::host_parallelism())
 }
 
-/// Default batch-query chunk width: `0` means *auto* — one contiguous
-/// chunk per worker (`flows.len() / threads`, rounded up), the
-/// best-throughput split on every geometry measured so far.
-const QUERY_CHUNK_WIDTH_AUTO: usize = 0;
-
-/// The batch-query chunk width in flows, unless overridden through the
-/// `CAESAR_QUERY_CHUNK_WIDTH` environment variable (a flow count, read
-/// **once** per process). `0` — the default — means *auto*: one chunk
-/// per worker. A positive value forces that fixed width, so benches
-/// and cross-host tuning can sweep gather widths (finer chunks trade
-/// scheduling overhead for tail balance) without recompiling —
-/// chunking is order-preserving, so outputs are bit-identical at any
-/// width. Unparsable values warn on stderr and keep the default.
-pub fn query_batch_chunk_width() -> usize {
-    static CACHED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CACHED.get_or_init(|| {
-        parse_chunk_width(std::env::var("CAESAR_QUERY_CHUNK_WIDTH").ok().as_deref())
-    })
-}
-
-/// Parse the env override; `None`/empty means "use the default".
-fn parse_chunk_width(raw: Option<&str>) -> usize {
-    match raw.map(str::trim) {
-        None | Some("") => QUERY_CHUNK_WIDTH_AUTO,
-        Some(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!(
-                "caesar: ignoring unparsable CAESAR_QUERY_CHUNK_WIDTH={s:?} \
-                 (want a flow count, 0 = auto); using auto"
-            );
-            QUERY_CHUNK_WIDTH_AUTO
-        }),
-    }
-}
-
 /// Evaluate `estimator` for every flow in `flows` against the frozen
 /// counters in `view`, using up to `threads` workers (resolved against
 /// the host's parallelism). Output order matches `flows`; results are
@@ -360,13 +381,9 @@ fn run_all<V: CounterView, K: BatchKernel>(
     if threads <= 1 || flows.len() < 2 {
         return batch_dispatch(kmap, view, kernel, k, flows);
     }
-    // Contiguous chunks, one per worker by default; order-preserving
-    // reassembly keeps the output bit-identical at any width.
-    let chunk = match query_batch_chunk_width() {
-        0 => flows.len().div_ceil(threads),
-        w => w,
-    };
-    let chunks: Vec<&[u64]> = flows.chunks(chunk).collect();
+    // Contiguous chunks, one per worker; order-preserving reassembly
+    // keeps the output bit-identical at any width.
+    let chunks: Vec<&[u64]> = flows.chunks(flows.len().div_ceil(threads)).collect();
     let per_chunk = par_map_threads(&chunks, threads, |c| {
         batch_dispatch(kmap, view, kernel, k, c)
     });
@@ -624,15 +641,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn chunk_width_override_parses_defensively() {
-        assert_eq!(parse_chunk_width(None), QUERY_CHUNK_WIDTH_AUTO);
-        assert_eq!(parse_chunk_width(Some("")), QUERY_CHUNK_WIDTH_AUTO);
-        assert_eq!(parse_chunk_width(Some("  256 ")), 256);
-        assert_eq!(parse_chunk_width(Some("0")), QUERY_CHUNK_WIDTH_AUTO);
-        assert_eq!(parse_chunk_width(Some("not-a-number")), QUERY_CHUNK_WIDTH_AUTO);
     }
 
     #[test]

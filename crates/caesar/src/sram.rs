@@ -345,12 +345,6 @@ pub trait SramBacking {
     /// loop — see [`CounterArray::add_spread`].
     fn add_spread(&mut self, indices: &[usize], incs: &[u64]) -> u64;
 
-    /// Apply a `(index, increment)` batch, equivalent to one
-    /// [`add`](SramBacking::add) per entry — the merge target for
-    /// shard-local writeback segments
-    /// ([`crate::WritebackBuffer::flush_into`]).
-    fn add_batch(&mut self, updates: &[(usize, u64)]);
-
     /// Read counter `idx`.
     fn get(&self, idx: usize) -> u64;
 
@@ -403,10 +397,6 @@ impl SramBacking for CounterArray {
     #[inline]
     fn add_spread(&mut self, indices: &[usize], incs: &[u64]) -> u64 {
         CounterArray::add_spread(self, indices, incs)
-    }
-
-    fn add_batch(&mut self, updates: &[(usize, u64)]) {
-        CounterArray::add_batch(self, updates);
     }
 
     #[inline]

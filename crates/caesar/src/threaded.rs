@@ -73,7 +73,7 @@ use crate::concurrent::{
     panic_payload, ConcurrentCaesar, IngestStats, ShardWorker, STREAM_CHUNK,
 };
 use crate::config::{CaesarConfig, Estimator};
-use crate::estimator::{csm, mlm, Estimate, EstimateParams};
+use crate::estimator::{Estimate, EstimateParams};
 use crate::merge::{SketchFingerprint, SketchPayload};
 use crate::online::{
     encode_delta_prelude, encode_lane_section, encode_snapshot_prelude, BackpressurePolicy,
@@ -81,7 +81,6 @@ use crate::online::{
     LaneStats, OnlineCaesar, OnlineStats, RestoreError,
 };
 use crate::query::{query_health, QueryHealth};
-use crate::WRITEBACK_ACCUMULATE_ALL;
 use hashkit::KCounterMap;
 use support::bytesx::seal;
 use support::spsc::{self, CachePadded};
@@ -97,9 +96,8 @@ pub const DEFAULT_HEARTBEAT_MS: u64 = 250;
 /// The heartbeat interval actually in effect for new engines:
 /// [`DEFAULT_HEARTBEAT_MS`] unless overridden through the
 /// `CAESAR_HEARTBEAT_MS` environment variable (milliseconds, read
-/// **once** per process — the same pattern as
-/// [`crate::sram_prefetch_min_bytes`]). Unparsable or zero values warn
-/// on stderr and keep the built-in default.
+/// **once** per process). Unparsable or zero values warn on stderr and
+/// keep the built-in default.
 pub fn heartbeat_interval_ms() -> u64 {
     static CACHED: OnceLock<u64> = OnceLock::new();
     *CACHED.get_or_init(|| {
@@ -262,12 +260,7 @@ impl ThreadLane {
         Self {
             tx,
             boot: Some(rx),
-            shared: Arc::new(LaneShared::new(ShardWorker::new(
-                cfg,
-                shard,
-                entries,
-                WRITEBACK_ACCUMULATE_ALL,
-            ))),
+            shared: Arc::new(LaneShared::new(ShardWorker::staged(cfg, shard, entries))),
             handle: None,
             offered: 0,
             dropped: 0,
@@ -668,7 +661,7 @@ impl ThreadedCaesar {
         let salvaged_units = cell.worker.drain_cache(&**sram, kmap);
         cell.worker.flush_writeback(sram);
         lane.retired.merge(&cell.worker.ingest_stats());
-        cell.worker = ShardWorker::new(cfg, shard, entries[shard], WRITEBACK_ACCUMULATE_ALL);
+        cell.worker = ShardWorker::staged(cfg, shard, entries[shard]);
         drop(cell);
         lane.respawns += 1;
         let exact = payload == INJECTED_PANIC;
@@ -744,12 +737,8 @@ impl ThreadedCaesar {
             let (tx, rx) = spsc::ring::<u64>(*ring_capacity);
             lane.tx = tx;
             lane.boot = Some(rx);
-            lane.shared = Arc::new(LaneShared::new(ShardWorker::new(
-                cfg,
-                shard,
-                entries[shard],
-                WRITEBACK_ACCUMULATE_ALL,
-            )));
+            lane.shared =
+                Arc::new(LaneShared::new(ShardWorker::staged(cfg, shard, entries[shard])));
             lane.shared.ctrl.epoch.store(epoch, Ordering::Release);
             lane.shared.ctrl.park.store(*quiesced, Ordering::Release);
             lane.flush_issued = 0;
@@ -1301,28 +1290,14 @@ impl ThreadedCaesar {
 
     /// Estimator parameters at the current visible state.
     pub fn params(&self) -> EstimateParams {
-        EstimateParams {
-            k: self.cfg.k,
-            y: self.cfg.entry_capacity,
-            counters: self.cfg.counters,
-            total_packets: self.sram.total_added(),
-        }
+        crate::query::params(&self.cfg, self.sram.total_added())
     }
 
     /// Query with an explicit estimator against the visible (merged)
     /// state. Ingest continues unaffected.
     pub fn estimate(&self, flow: u64, estimator: Estimator) -> Estimate {
-        let w: Vec<u64> = self
-            .kmap
-            .indices(flow)
-            .into_iter()
-            .map(|i| self.sram.get(i))
-            .collect();
         let params = self.params();
-        match estimator {
-            Estimator::Csm => csm::estimate(&w, &params),
-            Estimator::Mlm => mlm::estimate(&w, &params),
-        }
+        crate::query::estimate_one(&self.kmap, |i| self.sram.get(i), &params, estimator, flow)
     }
 
     /// Clamped default-estimator query.

@@ -4,9 +4,7 @@
 //! estimates. The [`caesar::SramBacking`] seam only swaps the storage
 //! layout; nothing observable may change.
 
-use caesar::{
-    Caesar, CaesarConfig, ConcurrentCaesar, Estimator, PackedCaesar, SramBacking,
-};
+use caesar::{Caesar, CaesarConfig, Estimator, PackedCaesar, SramBacking};
 use cachesim::CachePolicy;
 use support::rand::Rng;
 use support::testkit::{for_each_seed, GenExt};
@@ -145,58 +143,5 @@ fn packed_scalar_and_batch_ingest_agree() {
         }
         assert_eq!(scalar.stats().evictions, batch.stats().evictions);
         assert_eq!(scalar.stats().sram_writes, batch.stats().sram_writes);
-    });
-}
-
-/// The concurrent packed build (segment staging + serial merge) yields
-/// the same counters as the word-backed threaded build, and with one
-/// shard it is byte-identical to the sequential oracle.
-#[test]
-fn concurrent_packed_build_matches_word_build() {
-    for_each_seed(|rng| {
-        let bits = rng.pick(&[7u32, 16, 33]);
-        let cfg = random_cfg(rng, bits);
-        let flows = random_trace(rng);
-        for shards in [1usize, 2, 3] {
-            let word = ConcurrentCaesar::build(cfg, shards, &flows);
-            let packed = ConcurrentCaesar::try_build_packed(cfg, shards, &flows)
-                .expect("packed build");
-            let (w, p) = (word.sram(), packed.sram());
-            assert_eq!(w.len(), p.len());
-            for i in 0..w.len() {
-                assert_eq!(
-                    w.get(i),
-                    SramBacking::get(p, i),
-                    "shards {shards} counter {i}"
-                );
-            }
-            assert_eq!(
-                word.ingest_stats().evictions,
-                packed.stats().evictions,
-                "shards {shards} evictions"
-            );
-            assert_eq!(
-                word.ingest_stats().flushed_updates,
-                packed.stats().sram_writes,
-                "shards {shards} flushed updates vs writes"
-            );
-        }
-
-        // One shard ≡ the sequential packed sketch, counter for counter.
-        let seq = {
-            let mut c = PackedCaesar::new(cfg);
-            c.record_batch(&flows);
-            c.finish();
-            c
-        };
-        let one = ConcurrentCaesar::try_build_packed(cfg, 1, &flows).expect("packed build");
-        for i in 0..seq.sram().len() {
-            assert_eq!(
-                SramBacking::get(seq.sram(), i),
-                SramBacking::get(one.sram(), i),
-                "sequential oracle counter {i}"
-            );
-        }
-        assert_eq!(seq.stats().evictions, one.stats().evictions);
     });
 }

@@ -171,9 +171,6 @@ fn main() -> ExitCode {
         csvs.extend(r.to_svg());
         let c = experiments::throughput::construction_scaling(args.scale, &[1, 2, 4], 3);
         println!("{}", c.render());
-        if let Some(speedup) = c.speedup(4) {
-            println!("partitioned-vs-replay speedup at 4 shards: {speedup:.2}x\n");
-        }
         csvs.extend(c.to_csv());
         ran_any = true;
     }

@@ -17,7 +17,7 @@ use crate::report::{f, Csv, TextTable};
 use crate::runner::bursty_trace_for;
 use crate::scale::{Scale, PAPER_MEAN_FLOW};
 use cachesim::{CacheConfig, CacheTable};
-use caesar::{BuildMode, ConcurrentCaesar};
+use caesar::ConcurrentCaesar;
 use memsim::{AccessCosts, PacketWork, Pipeline};
 use std::time::Instant;
 
@@ -198,8 +198,8 @@ pub struct ConstructionRow {
 }
 
 /// Wall-clock construction-throughput study of the ingest pipeline:
-/// the partitioned/batched build and its streaming variant versus the
-/// replay reference, per shard count.
+/// the partitioned slice build versus the ring-fed stream build, per
+/// shard count.
 #[derive(Debug, Clone)]
 pub struct ConstructionScaling {
     /// Measured rows.
@@ -253,12 +253,6 @@ pub fn construction_scaling(
         timed("stream", shards, &|| {
             ConcurrentCaesar::build_stream(cfg, shards, flows.iter().copied())
         });
-        timed("pinned", shards, &|| {
-            ConcurrentCaesar::build_with_mode(cfg, shards, &flows, BuildMode::Pinned)
-        });
-        timed("replay", shards, &|| {
-            ConcurrentCaesar::build_replay(cfg, shards, &flows)
-        });
     }
     ConstructionScaling { rows, n_packets: flows.len() }
 }
@@ -267,11 +261,6 @@ impl ConstructionScaling {
     /// Row lookup by path and shard count.
     pub fn row(&self, path: &str, shards: usize) -> Option<&ConstructionRow> {
         self.rows.iter().find(|r| r.path == path && r.shards == shards)
-    }
-
-    /// Replay-vs-partitioned wall-clock speedup at a shard count.
-    pub fn speedup(&self, shards: usize) -> Option<f64> {
-        Some(self.row("replay", shards)?.ms / self.row("partitioned", shards)?.ms)
     }
 
     /// Text rendering.
@@ -354,14 +343,13 @@ mod tests {
         // Structural assertions only — wall-clock ordering is asserted
         // by the `concurrent_build` bench, not in CI-sized tests.
         let r = construction_scaling(Scale::Tiny, &[1, 2], 1);
-        assert_eq!(r.rows.len(), 8, "4 paths × 2 shard counts");
+        assert_eq!(r.rows.len(), 4, "2 paths × 2 shard counts");
         for row in &r.rows {
             assert!(row.ms > 0.0 && row.ms.is_finite(), "{row:?}");
             assert!(row.mpps > 0.0 && row.mpps.is_finite(), "{row:?}");
         }
-        assert!(r.speedup(2).is_some());
+        assert!(r.row("partitioned", 2).is_some());
         assert!(r.row("stream", 1).is_some());
-        assert!(r.row("pinned", 2).is_some());
         assert!(r.render().contains("construction"));
         assert_eq!(r.to_csv().len(), 1);
     }

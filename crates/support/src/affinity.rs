@@ -10,11 +10,11 @@
 //! pointers past the call.
 //!
 //! Why pinning matters here: the sharded ingest pipeline
-//! (`BuildMode::Pinned`, and the detached-thread online runtime's
-//! shard workers) wants shard→core placement so each worker's cache
-//! working set — its eviction accumulator and its ring's consumer-side
-//! lines — stays resident on one L1/L2 instead of migrating with the
-//! scheduler. On a host without real parallelism (or a non-Linux OS)
+//! (`ConcurrentCaesar::build_stream`'s ring-fed workers, and the
+//! detached-thread online runtime's shard workers) wants shard→core
+//! placement so each worker's cache working set — its eviction
+//! accumulator and its ring's consumer-side lines — stays resident on
+//! one L1/L2 instead of migrating with the scheduler. On a host without real parallelism (or a non-Linux OS)
 //! pinning is useless-to-harmful, so [`pin_current_thread`] degrades
 //! to a no-op that warns **once** rather than failing the build or the
 //! run: placement is an optimization, never a correctness dependency.
@@ -102,8 +102,8 @@ pub fn pin_current_thread(_cpu: usize) -> PinOutcome {
 /// Pin the calling thread for shard `shard` of a `shards`-wide build:
 /// shard *i* goes to CPU `i % host_parallelism()`, so shard count may
 /// exceed core count without requesting nonexistent CPUs. The standard
-/// placement for both `BuildMode::Pinned` and the threaded online
-/// runtime's workers.
+/// placement for both the stream build's ring-fed workers and the
+/// threaded online runtime's workers.
 pub fn pin_shard(shard: usize, _shards: usize) -> PinOutcome {
     let cores = crate::par::host_parallelism();
     if cores <= 1 {

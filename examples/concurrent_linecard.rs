@@ -9,9 +9,8 @@
 //! counter array. The ingest pipeline routes the trace into per-shard
 //! batches with a single O(n) pass and pushes evictions through
 //! coalescing writeback buffers. This example measures construction
-//! throughput from 1 to 8 shards, compares the pipeline against the
-//! original O(shards·n) replay implementation and the streaming
-//! (mpsc-overlapped) variant, and checks accuracy is unaffected.
+//! throughput from 1 to 8 shards, compares the slice build against the
+//! ring-fed streaming build, and checks accuracy is unaffected.
 
 use caesar::ConcurrentCaesar;
 use caesar_repro::prelude::*;
@@ -79,31 +78,22 @@ fn main() {
         );
     }
 
-    // Before/after: the seed's replay implementation re-scans the whole
-    // trace in every shard (O(shards·n) hashing) and writes each
-    // eviction's counters through one atomic op at a time.
+    // Slice build (one partition pass, then a scoped thread per shard)
+    // vs stream build (partitioning overlapped with consumption over
+    // one SPSC ring per shard).
     let shards = 4usize;
-    let t0 = Instant::now();
-    let slow = ConcurrentCaesar::build_replay(cfg, shards, &flows);
-    let replay_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t0 = Instant::now();
     let fast = ConcurrentCaesar::build(cfg, shards, &flows);
     let partitioned_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t0 = Instant::now();
     let stream = ConcurrentCaesar::build_stream(cfg, shards, flows.iter().copied());
     let stream_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(fast.sram().snapshot(), slow.sram().snapshot());
     assert_eq!(fast.sram().snapshot(), stream.sram().snapshot());
     println!(
         "\ningest pipeline at {shards} shards (identical counters, pinned):\n\
-         {:>14} {replay_ms:>10.1} ms\n\
-         {:>14} {partitioned_ms:>10.1} ms  ({:.2}x)\n\
-         {:>14} {stream_ms:>10.1} ms  ({:.2}x, partition overlapped via mpsc)",
-        "replay (seed)",
-        "partitioned",
-        replay_ms / partitioned_ms,
-        "streamed",
-        replay_ms / stream_ms,
+         {:>14} {partitioned_ms:>10.1} ms\n\
+         {:>14} {stream_ms:>10.1} ms  (partition overlapped via SPSC rings)",
+        "partitioned", "streamed",
     );
     let stats = fast.ingest_stats();
     println!(
@@ -116,7 +106,7 @@ fn main() {
     );
     println!(
         "\nflow partitioning keeps each shard's eviction stream deterministic —\n\
-         rerun this example and the counter array is bit-identical; batch vs\n\
-         stream vs replay agree because saturating adds commute"
+         rerun this example and the counter array is bit-identical; batch and\n\
+         stream agree because saturating adds commute"
     );
 }

@@ -4,7 +4,8 @@
 # to the code that produced them.
 #
 # Usage: scripts/bench_trajectory.sh [OUT] [BENCH...]
-#   OUT      output file (default BENCH_PR9.json)
+#   OUT      output file (default: the next BENCH_PR<N>.json after the
+#            highest-numbered one present)
 #   BENCH... bench targets to run (default: micro extensions, plus the
 #            ingest_backing group from the ablations bench)
 #
@@ -16,18 +17,17 @@
 #   {"group":…,"name":…,"median_ns":…,"min_ns":…,"max_ns":…,"samples":…}
 # plus one leading meta line recording when/what produced the file.
 # Compare trajectories across PRs by joining on (group, name) — names
-# are stable by contract (see support::timing docs). The before/after
-# for PR 2's ingest pipeline lives inside one file: group
-# "concurrent_build", headline pair "linerate_4" (partitioned pipeline)
-# vs "linerate_replay_4" (the seed's O(T·n) scan-and-filter), plus the
-# cache-thrash-regime pair "4" vs "replay_4". PR 3's pairs live in
+# are stable by contract (see support::timing docs). Group
+# "concurrent_build" prices the sharded slice build ("1"/"2"/"4",
+# "linerate_4") against the ring-fed stream build ("stream_4",
+# "linerate_stream_4"); the retired scan-and-filter "replay_*" and
+# slice-over-ring "pinned_4" rows survive only in the trajectory files
+# recorded before their code was deleted. PR 3's pairs live in
 # groups "record" ("caesar_trace" vs "caesar_trace_batch"),
 # "estimators" ("caesar_query_*_all_flows" vs the "*_batch"/"*_par4"
 # batch-engine sweeps) and "hashing" ("kmap_indices_k3" vs
-# "kmap_fill_indices_k3"). PR 4's pairs: group "concurrent_build"
-# "stream_4"/"pinned_4" (SPSC-ring transport + striped writeback) vs
-# "replay_4", "linerate_stream_4" vs "linerate_replay_4", and the raw
-# ring hand-off in group "spsc". PR 5's pair prices the supervised
+# "kmap_fill_indices_k3"). The raw ring hand-off is group "spsc".
+# PR 5's pair prices the supervised
 # online engine's fault-tolerance tax: group "online"
 # "steady_state_4" (single-owner supervised offer loop, epoch merges,
 # watchdog ticks) vs group "concurrent_build" "stream_4" (the same
@@ -71,7 +71,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_PR9.json}"
+LAST_N="$(ls BENCH_PR*.json 2>/dev/null \
+    | sed -n 's/^BENCH_PR\([0-9]*\)\.json$/\1/p' | sort -n | tail -1 || true)"
+OUT="${1:-BENCH_PR$(( ${LAST_N:-0} + 1 )).json}"
 shift || true
 BENCHES=("$@")
 ABLATION_RIDEALONG=0

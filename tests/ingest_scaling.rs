@@ -4,17 +4,16 @@
 //! Over randomized `(cfg, workload)` cases the suite pins, at 1/2/4
 //! shards:
 //!
-//! * ring-fed stream build ≡ `build_replay` ≡ `build` — byte-for-byte
-//!   counter snapshots, for **every** ring capacity tried (including
-//!   capacity 1, where every chunk hand-off rides full-ring
-//!   backpressure);
+//! * ring-fed stream build ≡ `build` — byte-for-byte counter
+//!   snapshots, for **every** ring capacity tried (including capacity
+//!   1, where every chunk hand-off rides full-ring backpressure);
 //! * at one shard, all of the above ≡ the sequential `Caesar` oracle
 //!   byte-for-byte (shard 0 runs the sequential seeds, so the whole
 //!   concurrent family is anchored to the paper's reference sketch);
 //! * the empty-shard edges (shards > distinct flows, shards > trace
 //!   length, empty trace) terminate and conserve counts.
 
-use caesar::{BuildMode, CaesarConfig, ConcurrentCaesar, DEFAULT_RING_CAPACITY};
+use caesar::{CaesarConfig, ConcurrentCaesar, DEFAULT_RING_CAPACITY};
 use caesar_repro::prelude::*;
 use cachesim::CachePolicy;
 use support::rand::{rngs::StdRng, Rng};
@@ -24,6 +23,12 @@ use support::testkit::{for_each_seed_n, GenExt};
 /// case count modest (the workload/geometry randomization covers the
 /// space jointly).
 const CASES: u32 = 12;
+
+/// The fault-free stream build over a ring of `cap` slots per shard.
+fn stream(cfg: CaesarConfig, shards: usize, flows: &[u64], cap: usize) -> ConcurrentCaesar {
+    ConcurrentCaesar::try_build_stream(cfg, shards, flows.iter().copied(), cap, &[])
+        .expect("no faults scheduled")
+}
 
 fn random_cfg(rng: &mut StdRng) -> CaesarConfig {
     let counters = rng.gen_range(64usize..2048);
@@ -51,36 +56,25 @@ fn random_workload(rng: &mut StdRng) -> Vec<u64> {
 }
 
 #[test]
-fn ring_stream_matches_replay_and_build_at_1_2_4_shards() {
+fn ring_stream_matches_build_at_1_2_4_shards() {
     for_each_seed_n(CASES, |rng| {
         let cfg = random_cfg(rng);
         let flows = random_workload(rng);
         for shards in [1usize, 2, 4] {
-            let replay = ConcurrentCaesar::build_replay(cfg, shards, &flows);
             let build = ConcurrentCaesar::build(cfg, shards, &flows);
-            assert_eq!(
-                build.sram().snapshot(),
-                replay.sram().snapshot(),
-                "build vs replay: {cfg:?} shards={shards}"
-            );
             // Ring capacities: the degenerate ping-pong (1), a couple
             // of mid-sizes that wrap many times, and the default.
             for cap in [1usize, rng.gen_range(2..64), 256, DEFAULT_RING_CAPACITY] {
-                let stream = ConcurrentCaesar::build_stream_with_ring(
-                    cfg,
-                    shards,
-                    flows.iter().copied(),
-                    cap,
-                );
+                let stream = stream(cfg, shards, &flows, cap);
                 assert_eq!(
                     stream.sram().snapshot(),
-                    replay.sram().snapshot(),
-                    "stream(cap={cap}) vs replay: {cfg:?} shards={shards}"
+                    build.sram().snapshot(),
+                    "stream(cap={cap}) vs build: {cfg:?} shards={shards}"
                 );
-                assert_eq!(stream.evictions(), replay.evictions(), "cap={cap}");
+                assert_eq!(stream.evictions(), build.evictions(), "cap={cap}");
                 assert_eq!(
                     stream.sram().total_added(),
-                    replay.sram().total_added(),
+                    build.sram().total_added(),
                     "cap={cap}"
                 );
                 // Transport must not leak into the ingest statistics
@@ -102,8 +96,7 @@ fn one_shard_ring_stream_matches_sequential_oracle() {
         }
         seq.finish();
         for cap in [1usize, 17, DEFAULT_RING_CAPACITY] {
-            let stream =
-                ConcurrentCaesar::build_stream_with_ring(cfg, 1, flows.iter().copied(), cap);
+            let stream = stream(cfg, 1, &flows, cap);
             assert_eq!(
                 stream.sram().snapshot(),
                 seq.sram().as_slice(),
@@ -129,8 +122,7 @@ fn capacity_one_full_backpressure_conserves_large_workload() {
     let flows: Vec<u64> = (0..40_000u64).map(|i| hashkit::mix::mix64(i % 500)).collect();
     for shards in [2usize, 4] {
         let reference = ConcurrentCaesar::build(cfg, shards, &flows);
-        let squeezed =
-            ConcurrentCaesar::build_stream_with_ring(cfg, shards, flows.iter().copied(), 1);
+        let squeezed = stream(cfg, shards, &flows, 1);
         assert_eq!(squeezed.sram().total_added() as usize, flows.len());
         assert_eq!(
             squeezed.sram().snapshot(),
@@ -151,17 +143,15 @@ fn empty_shard_edges_terminate_and_conserve() {
     };
     // Shards ≫ distinct flows: most rings never see an item.
     let tiny: Vec<u64> = (0..5u64).map(hashkit::mix::mix64).collect();
-    for mode in [BuildMode::Threaded, BuildMode::Inline, BuildMode::Pinned] {
-        let c = ConcurrentCaesar::build_with_mode(cfg, 16, &tiny, mode);
-        assert_eq!(c.sram().total_added(), 5, "{mode:?}");
-    }
-    let stream = ConcurrentCaesar::build_stream_with_ring(cfg, 16, tiny.iter().copied(), 1);
-    assert_eq!(stream.sram().total_added(), 5);
+    let built = ConcurrentCaesar::build(cfg, 16, &tiny);
+    assert_eq!(built.sram().total_added(), 5);
+    let streamed = stream(cfg, 16, &tiny, 1);
+    assert_eq!(streamed.sram().total_added(), 5);
     // Shards > trace length and the empty trace.
     let one = [hashkit::mix::mix64(9)];
     let c = ConcurrentCaesar::build_stream(cfg, 8, one.iter().copied());
     assert_eq!(c.sram().total_added(), 1);
-    let empty = ConcurrentCaesar::build_stream_with_ring(cfg, 8, std::iter::empty(), 1);
+    let empty = stream(cfg, 8, &[], 1);
     assert_eq!(empty.sram().total_added(), 0);
     assert_eq!(empty.evictions(), 0);
 }

@@ -11,6 +11,7 @@ use baselines::{
     SacCounter, SampledCounter, SamplingConfig, Vhc, VhcConfig,
 };
 use bench::{bench_config, bench_trace, linerate_bench_trace};
+use caesar::SketchRead;
 use caesar::epochs::EpochedCaesar;
 use caesar::{
     Caesar, CaesarConfig, ConcurrentCaesar, Estimator, OnlineCaesar, SketchDelta, ThreadedCaesar,

@@ -9,7 +9,7 @@ use baselines::{Case, CaseConfig, DiscoScale, LossModel, Rcs, RcsConfig};
 use bench::{bench_config, bench_trace, build_sketch};
 use caesar::estimator::{csm, mlm, EstimateParams};
 use caesar::update::spread_eviction;
-use caesar::{AtomicCounterArray, Caesar, CounterArray, Estimator, WritebackBuffer};
+use caesar::{AtomicCounterArray, Caesar, CounterArray, Estimator, SketchRead, WritebackBuffer};
 use hashkit::{aphash::aphash64, fnv::fnv1a64, sha1::Sha1, KCounterMap, K_MAX};
 use std::hint::black_box;
 use support::rand::{rngs::StdRng, Rng, SeedableRng};

@@ -9,7 +9,7 @@
 //! * `ablations` — the design choices DESIGN.md calls out: `k`, entry
 //!   capacity `y`, replacement policy, cache size `M`, SRAM size `L`.
 
-use caesar::{Caesar, CaesarConfig};
+use caesar::{Caesar, CaesarConfig, SketchRead};
 use flowtrace::synth::{SynthConfig, TraceGenerator};
 use flowtrace::{FlowId, Trace};
 use std::collections::HashMap;

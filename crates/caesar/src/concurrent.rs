@@ -49,17 +49,20 @@ use crate::atomic_sram::{
     AtomicCounterArray, WritebackBuffer, WritebackState, WRITEBACK_ACCUMULATE_ALL,
 };
 use crate::config::{CaesarConfig, Estimator};
-use crate::estimator::{Estimate, EstimateParams};
+use crate::estimator::Estimate;
 use crate::merge::{MergeError, SketchDelta, SketchFingerprint, SketchPayload};
-use crate::query::QueryHealth;
+use crate::query::{CounterView, QueryHealth, SketchRead};
 use crate::sram::SramBacking;
 use crate::update::{spread_eviction, SpreadTarget};
 use cachesim::{CacheConfig, CacheTable, CacheTableState};
 use hashkit::mix::{bucket, mix64};
 use hashkit::{KCounterMap, K_MAX};
+use std::cell::Cell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use support::par::partition_by;
 use support::rand::{rngs::StdRng, SeedableRng};
 use support::spsc;
+use support::testkit::INJECTED_PANIC;
 
 /// Flows routed per streaming chunk (amortizes ring publishes over
 /// many packets while keeping partition→consume latency bounded).
@@ -118,7 +121,7 @@ impl<B: SramBacking> EvictionSink for B {
 
     #[inline]
     fn prefetch(&self, _: &(), idx: usize) {
-        SramBacking::prefetch(self, idx);
+        CounterView::prefetch(self, idx);
     }
 }
 
@@ -447,6 +450,45 @@ impl ShardWorker<WritebackBuffer> {
         }
     }
 
+    /// The supervised drain step both online runtimes run: apply
+    /// `flows` under an unwind boundary and, if the batch panics,
+    /// report the exact applied prefix and the payload.
+    ///
+    /// Without `fault_tick` the whole batch goes through one
+    /// [`record_batch`](Self::record_batch) call — the production hot
+    /// path. With one, `fault_tick()` runs before every packet and a
+    /// `true` panics with [`INJECTED_PANIC`] *between* two packets, so
+    /// the applied prefix of an injected fault is exact.
+    pub(crate) fn apply_supervised(
+        &mut self,
+        flows: &[u64],
+        sram: &AtomicCounterArray,
+        kmap: &KCounterMap,
+        fault_tick: Option<impl FnMut() -> bool>,
+    ) -> Result<(), BatchPanic> {
+        let applied = Cell::new(0usize);
+        let result = match fault_tick {
+            None => catch_unwind(AssertUnwindSafe(|| {
+                self.record_batch(flows, sram, kmap);
+                applied.set(flows.len());
+            })),
+            Some(mut tick) => catch_unwind(AssertUnwindSafe(|| {
+                for (i, &flow) in flows.iter().enumerate() {
+                    if tick() {
+                        panic!("{}", INJECTED_PANIC);
+                    }
+                    self.record(flow, sram, kmap);
+                    applied.set(i + 1);
+                }
+            })),
+        };
+        result.map_err(|p| BatchPanic {
+            applied: applied.get() as u64,
+            unapplied: (flows.len() - applied.get()) as u64,
+            payload: panic_payload(p),
+        })
+    }
+
     /// End of measurement: dump the cache, flush the segment, report.
     pub(crate) fn finish(mut self, sram: &AtomicCounterArray, kmap: &KCounterMap) -> IngestStats {
         self.drain_cache(sram, kmap);
@@ -538,6 +580,17 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
+/// What a panicking [`ShardWorker::apply_supervised`] batch left behind.
+#[derive(Debug)]
+pub(crate) struct BatchPanic {
+    /// Packets fully applied before the panic.
+    pub(crate) applied: u64,
+    /// The unprocessed remainder of the batch (to be quarantined).
+    pub(crate) unapplied: u64,
+    /// The panic payload, rendered to a string.
+    pub(crate) payload: String,
+}
+
 /// Render a `catch_unwind`/`join` panic payload to a string.
 pub(crate) fn panic_payload(p: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
@@ -601,7 +654,7 @@ fn join_shards<'scope, T>(
 /// Multi-core CAESAR: sharded caches, one shared atomic SRAM.
 ///
 /// ```
-/// use caesar::{CaesarConfig, ConcurrentCaesar};
+/// use caesar::{CaesarConfig, ConcurrentCaesar, SketchRead};
 /// let flows: Vec<u64> = (0..5_000).map(|i| i % 50).collect();
 /// let sketch = ConcurrentCaesar::build(
 ///     CaesarConfig { cache_entries: 64, entry_capacity: 8, counters: 4096, k: 3,
@@ -792,7 +845,7 @@ impl ConcurrentCaesar {
                                 // point, then fail exactly there.
                                 let head = (at - seen) as usize;
                                 w.record_batch(&buf[..head], sram, kmap);
-                                panic!("{}", support::testkit::INJECTED_PANIC);
+                                panic!("{}", INJECTED_PANIC);
                             }
                         }
                         seen += buf.len() as u64;
@@ -855,62 +908,18 @@ impl ConcurrentCaesar {
         &self.sram
     }
 
-    /// Estimator parameters at the current state.
-    pub fn params(&self) -> EstimateParams {
-        crate::query::params(&self.cfg, self.sram.total_added())
-    }
-
-    /// Query with an explicit estimator.
-    pub fn estimate(&self, flow: u64, estimator: Estimator) -> Estimate {
-        let params = self.params();
-        crate::query::estimate_one(&self.kmap, |i| self.sram.get(i), &params, estimator, flow)
-    }
-
-    /// Clamped default-estimator query.
-    pub fn query(&self, flow: u64) -> f64 {
-        self.estimate(flow, self.cfg.estimator).clamped()
-    }
-
-    /// Batch query: evaluate `estimator` for every flow in `flows`
-    /// with the zero-alloc batch engine, sequentially. Bit-identical
-    /// to per-flow [`ConcurrentCaesar::estimate`].
+    /// [`SketchRead::estimate_all`], callable without importing the
+    /// trait.
     pub fn estimate_all(&self, flows: &[u64], estimator: Estimator) -> Vec<Estimate> {
-        self.estimate_all_threads(flows, estimator, 1)
+        SketchRead::estimate_all(self, flows, estimator)
     }
 
-    /// [`ConcurrentCaesar::estimate_all`] with up to `threads`
-    /// workers. Output order matches `flows`; bit-identical at every
-    /// thread count.
-    pub fn estimate_all_threads(
-        &self,
-        flows: &[u64],
-        estimator: Estimator,
-        threads: usize,
-    ) -> Vec<Estimate> {
-        crate::query::estimate_all(&self.kmap, &self.sram, &self.params(), estimator, flows, threads)
-    }
-
-    /// Clamped default-estimator sizes for a whole flow table.
-    pub fn query_all(&self, flows: &[u64]) -> Vec<f64> {
-        self.estimate_all(flows, self.cfg.estimator)
-            .into_iter()
-            .map(|e| e.clamped())
-            .collect()
-    }
-
-    /// Health-annotated default-estimator query. Offline sketches have
-    /// no ingest loss, so only saturation can degrade confidence — on
-    /// a merged cluster view that includes saturation folded in from
-    /// every contributing node.
+    /// [`SketchRead::query_health`], callable without importing the
+    /// trait. Offline sketches have no ingest loss, so only saturation
+    /// can degrade confidence — on a merged cluster view that includes
+    /// saturation folded in from every contributing node.
     pub fn query_health(&self, flow: u64) -> QueryHealth {
-        crate::query::query_health(
-            &self.kmap,
-            &self.sram,
-            &self.params(),
-            self.cfg.estimator,
-            flow,
-            0.0,
-        )
+        SketchRead::query_health(self, flow)
     }
 
     /// The identity two sketches must share to merge (see
@@ -1000,6 +1009,22 @@ impl ConcurrentCaesar {
         )?;
         self.ingest.evictions += delta.evictions_delta;
         Ok(())
+    }
+}
+
+impl SketchRead for ConcurrentCaesar {
+    type Counters = AtomicCounterArray;
+
+    fn config(&self) -> &CaesarConfig {
+        &self.cfg
+    }
+
+    fn kmap(&self) -> &KCounterMap {
+        &self.kmap
+    }
+
+    fn counters(&self) -> &AtomicCounterArray {
+        &self.sram
     }
 }
 

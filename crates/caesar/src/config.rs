@@ -33,7 +33,7 @@ pub struct CaesarConfig {
     pub k: usize,
     /// Bits per SRAM counter (`l = 2^counter_bits − 1` max value).
     pub counter_bits: u32,
-    /// Default estimator for [`crate::Caesar::query`].
+    /// Default estimator for [`crate::SketchRead::query`].
     pub estimator: Estimator,
     /// Master seed (hash family, remainder scattering, random policy).
     pub seed: u64,

@@ -10,6 +10,7 @@
 
 use crate::config::CaesarConfig;
 use crate::pipeline::Caesar;
+use crate::query::SketchRead;
 use std::collections::VecDeque;
 
 /// A finished epoch's sketch plus its identity.

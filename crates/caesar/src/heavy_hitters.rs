@@ -10,6 +10,7 @@
 
 use crate::config::Estimator;
 use crate::pipeline::Caesar;
+use crate::query::SketchRead;
 
 /// A flow flagged as a heavy hitter.
 #[derive(Debug, Clone, Copy, PartialEq)]

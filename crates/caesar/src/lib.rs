@@ -21,12 +21,13 @@
 //!   from the Fisher information (Eq. 31).
 //!
 //! Both come with confidence intervals (Eqs. 26/32) via
-//! [`gaussian::z_alpha`].
+//! [`gaussian::z_alpha`]. Every engine answers queries through one
+//! trait, [`SketchRead`].
 //!
 //! ## Quick start
 //!
 //! ```
-//! use caesar::{Caesar, CaesarConfig};
+//! use caesar::{Caesar, CaesarConfig, SketchRead};
 //!
 //! let mut sketch = Caesar::new(CaesarConfig {
 //!     cache_entries: 64,
@@ -78,6 +79,6 @@ pub use packed::PackedCounterArray;
 pub use config::{CaesarConfig, Estimator};
 pub use estimator::{Estimate, EstimateParams};
 pub use pipeline::{Caesar, CaesarCore, CaesarStats, PackedCaesar};
-pub use query::{estimate_all, query_health, CounterView, QueryHealth, SaturationView};
+pub use query::{CounterView, QueryHealth, SketchRead};
 pub use sram::{CounterArray, SramBacking, DIRTY_BLOCK_COUNTERS};
-pub use threaded::{heartbeat_interval_ms, ThreadedCaesar, DEFAULT_HEARTBEAT_MS};
+pub use threaded::{ThreadedCaesar, DEFAULT_HEARTBEAT_MS};

@@ -284,10 +284,7 @@ impl SketchPayload {
         let total_added = r.get_u64_le().ok_or(PayloadError::Truncated)?;
         let saturation_events = r.get_u64_le().ok_or(PayloadError::Truncated)?;
         let evictions = r.get_u64_le().ok_or(PayloadError::Truncated)?;
-        let num = r.get_u64_le().ok_or(PayloadError::Truncated)? as usize;
-        if r.remaining() < num.saturating_mul(8) {
-            return Err(PayloadError::Truncated);
-        }
+        let num = r.get_count(8).ok_or(PayloadError::Truncated)?;
         let mut counters = Vec::with_capacity(num);
         for _ in 0..num {
             counters.push(r.get_u64_le().ok_or(PayloadError::Truncated)?);
@@ -483,6 +480,12 @@ impl SketchDelta {
         if num > n_blocks_total {
             return Err(PayloadError::Malformed("more changed blocks than blocks"));
         }
+        // `n_blocks_total` trusts the sender's fingerprint, so it bounds
+        // nothing; the input does. Every block is an index plus at
+        // least one increment.
+        if num > r.remaining() / 16 {
+            return Err(PayloadError::Truncated);
+        }
         let mut blocks = Vec::with_capacity(num);
         let mut prev_block = None;
         for _ in 0..num {
@@ -670,6 +673,27 @@ mod tests {
             SketchDelta::decode(&out_of_range.encode()),
             Err(PayloadError::Malformed("block index out of range"))
         ));
+    }
+
+    #[test]
+    fn forged_delta_block_count_is_truncation_not_an_allocation() {
+        // An 83-byte frame: header only, claiming 2^41 changed blocks
+        // of a 2^47-counter sketch. The count passes the fingerprint
+        // bound, so only the input length can refuse it — before any
+        // allocation is sized from it.
+        let forged = SketchDelta {
+            fingerprint: SketchFingerprint { counters: 1 << 47, ..fp() },
+            base_epoch: 0,
+            blocks: Vec::new(),
+            total_added_delta: 0,
+            saturation_events_delta: 0,
+            evictions_delta: 0,
+        };
+        let mut frame = forged.encode();
+        assert_eq!(frame.len(), 83);
+        let count_at = frame.len() - 8;
+        frame[count_at..].copy_from_slice(&(1u64 << 41).to_le_bytes());
+        assert_eq!(SketchDelta::decode(&frame), Err(PayloadError::Truncated));
     }
 
     #[test]

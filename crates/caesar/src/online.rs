@@ -62,17 +62,13 @@
 //! left partial cache state; the lane's [`FaultRecord::exact`] flag
 //! turns `false` to say so.)
 
-use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use crate::atomic_sram::AtomicCounterArray;
 use crate::concurrent::{
-    panic_payload, ConcurrentCaesar, IngestStats, ShardWorker, ShardWorkerState, STREAM_CHUNK,
+    BatchPanic, ConcurrentCaesar, IngestStats, ShardWorker, ShardWorkerState, STREAM_CHUNK,
 };
 use crate::config::{CaesarConfig, Estimator};
-use crate::estimator::{Estimate, EstimateParams};
 use crate::merge::{MergeError, SketchFingerprint};
-use crate::query::{query_health, QueryHealth};
+use crate::query::SketchRead;
 use cachesim::{CachePolicy, CacheStats, CacheTableState};
 use hashkit::{KCounterMap, K_MAX};
 use support::bytesx::{seal, unseal, ByteReader, PutBytes, SealError};
@@ -239,8 +235,128 @@ pub struct OnlineStats {
     pub failovers: u64,
 }
 
+/// The per-lane accounting both online runtimes keep — the pump's
+/// [`Lane`] and the detached-thread runtime's thread lane each hold
+/// one, and it moves between them whole. How many packets were
+/// *recorded* and are *in flight* is runtime-specific (the pump counts
+/// them, the threaded runtime reads the worker's heartbeat), so those
+/// two are passed in where needed.
+#[derive(Debug, Default)]
+pub(crate) struct LaneLedger {
+    /// Packets routed to this shard.
+    pub(crate) offered: u64,
+    /// Packets shed by the backpressure policy.
+    pub(crate) dropped: u64,
+    /// Packets lost to worker faults.
+    pub(crate) quarantined: u64,
+    /// Times the worker was respawned.
+    pub(crate) respawns: u64,
+    /// Ingest stats retired from workers that have since been
+    /// respawned (so the aggregate survives respawns).
+    pub(crate) retired: IngestStats,
+    /// Every fault the lane survived.
+    pub(crate) log: FaultLog,
+}
+
+impl LaneLedger {
+    /// Packets accepted but neither recorded nor lost, given the
+    /// runtime's `recorded` count.
+    pub(crate) fn unsettled(&self, recorded: u64) -> u64 {
+        self.offered - self.dropped - self.quarantined - recorded
+    }
+
+    /// The exact loss ratio `(dropped + quarantined) / offered`
+    /// ([`SketchRead::loss_fraction`] of the lane's flows).
+    pub(crate) fn loss_fraction(&self) -> f64 {
+        if self.offered == 0 {
+            0.0
+        } else {
+            (self.dropped + self.quarantined) as f64 / self.offered as f64
+        }
+    }
+
+    /// Service a worker panic: quarantine the unprocessed remainder,
+    /// salvage the surviving cache mass (plus anything already staged)
+    /// into the shared SRAM so every *recorded* packet stays
+    /// query-visible, retire the dead worker's stats, swap in `fresh`
+    /// (fresh cache and RNG streams against the shard's surviving
+    /// accumulator state), and log the fault.
+    pub(crate) fn respawn_after_panic(
+        &mut self,
+        worker: &mut ShardWorker,
+        fresh: ShardWorker,
+        sram: &AtomicCounterArray,
+        kmap: &KCounterMap,
+        epoch: u64,
+        panic: BatchPanic,
+    ) {
+        self.quarantined += panic.unapplied;
+        let mut dead = std::mem::replace(worker, fresh);
+        let salvaged_units = dead.drain_cache(sram, kmap);
+        dead.flush_writeback(sram);
+        self.retired.merge(&dead.ingest_stats());
+        self.respawns += 1;
+        self.log.records.push(FaultRecord {
+            kind: FaultKind::WorkerPanic,
+            epoch,
+            at_offered: self.offered,
+            quarantined: panic.unapplied,
+            salvaged_units,
+            exact: panic.payload == INJECTED_PANIC,
+            payload: panic.payload,
+        });
+    }
+
+    /// The lane's public accounting snapshot.
+    pub(crate) fn lane_stats(
+        &self,
+        shard: usize,
+        recorded: u64,
+        in_flight: u64,
+        inline_fallback: bool,
+    ) -> LaneStats {
+        LaneStats {
+            shard,
+            offered: self.offered,
+            recorded,
+            dropped: self.dropped,
+            quarantined: self.quarantined,
+            in_flight,
+            respawns: self.respawns,
+            inline_fallback,
+        }
+    }
+
+    /// Add the lane into an engine-wide aggregate.
+    pub(crate) fn fold_into(&self, st: &mut OnlineStats, recorded: u64, in_flight: u64) {
+        st.recorded += recorded;
+        st.dropped += self.dropped;
+        st.quarantined += self.quarantined;
+        st.in_flight += in_flight;
+        st.respawns += self.respawns;
+        st.failovers += self.log.failovers() as u64;
+    }
+}
+
+impl OnlineStats {
+    /// The aggregate before any lane is folded in.
+    pub(crate) fn empty(offered: u64, epoch: u64, merges: u64) -> Self {
+        Self {
+            offered,
+            recorded: 0,
+            dropped: 0,
+            quarantined: 0,
+            in_flight: 0,
+            epoch,
+            merges,
+            respawns: 0,
+            failovers: 0,
+        }
+    }
+}
+
 /// One shard lane: the ring, the worker state machine, and the exact
-/// accounting counters. `pub(crate)` so the detached-thread runtime
+/// accounting. `pub(crate)` so the detached-thread runtime
 /// ([`crate::threaded`]) can decompose a pump engine into thread lanes
 /// and reassemble one (`from_online` / `into_online`) without a codec
 /// round trip.
@@ -251,20 +367,13 @@ pub(crate) struct Lane {
     pub(crate) worker: ShardWorker,
     /// Pump scratch buffer (reused; capacity [`STREAM_CHUNK`]).
     pub(crate) buf: Vec<u64>,
-    pub(crate) offered: u64,
     pub(crate) recorded: u64,
-    pub(crate) dropped: u64,
-    pub(crate) quarantined: u64,
     /// Packets currently queued in the ring.
     pub(crate) in_ring: u64,
-    pub(crate) respawns: u64,
     pub(crate) inline_fallback: bool,
     /// Consecutive no-progress pump attempts (watchdog state).
     pub(crate) stalled_attempts: u64,
-    /// Ingest stats retired from workers that have since been
-    /// respawned (so the aggregate survives respawns).
-    pub(crate) retired: IngestStats,
-    pub(crate) log: FaultLog,
+    pub(crate) ledger: LaneLedger,
 }
 
 impl Lane {
@@ -275,16 +384,11 @@ impl Lane {
             rx,
             worker: ShardWorker::staged(cfg, shard, entries),
             buf: Vec::with_capacity(STREAM_CHUNK),
-            offered: 0,
             recorded: 0,
-            dropped: 0,
-            quarantined: 0,
             in_ring: 0,
-            respawns: 0,
             inline_fallback: false,
             stalled_attempts: 0,
-            retired: IngestStats::default(),
-            log: FaultLog::default(),
+            ledger: LaneLedger::default(),
         }
     }
 }
@@ -442,7 +546,7 @@ impl OnlineCaesar {
     pub fn offer(&mut self, flow: u64) {
         let shard = self.route(flow);
         self.offered_total += 1;
-        self.lanes[shard].offered += 1;
+        self.lanes[shard].ledger.offered += 1;
         loop {
             if self.lanes[shard].inline_fallback {
                 // Failed-over lane: the supervisor serves it directly.
@@ -469,13 +573,13 @@ impl OnlineCaesar {
                 // hung consumer fails over after the deadline.
                 BackpressurePolicy::Block => continue,
                 BackpressurePolicy::DropNewest => {
-                    self.lanes[shard].dropped += 1;
+                    self.lanes[shard].ledger.dropped += 1;
                     break;
                 }
                 BackpressurePolicy::DropOldest => {
                     if self.lanes[shard].rx.try_pop().is_some() {
                         self.lanes[shard].in_ring -= 1;
-                        self.lanes[shard].dropped += 1;
+                        self.lanes[shard].ledger.dropped += 1;
                     }
                     continue; // admit the new packet into the freed slot
                 }
@@ -535,67 +639,24 @@ impl OnlineCaesar {
     }
 
     /// The supervised drain step: apply `lane.buf` to the worker under
-    /// `catch_unwind`. On a panic: count the applied prefix as
-    /// recorded, quarantine the unprocessed remainder, salvage the
-    /// surviving cache mass into the shared SRAM, respawn the worker,
-    /// and log the fault.
+    /// [`ShardWorker::apply_supervised`]. On a panic the applied prefix
+    /// counts as recorded and the lane's ledger services the fault
+    /// ([`LaneLedger::respawn_after_panic`]).
     fn drain_step(&mut self, shard: usize) {
         let Self { lanes, injector, sram, kmap, cfg, entries, epoch, .. } = self;
         let lane = &mut lanes[shard];
-        let buf = std::mem::take(&mut lane.buf);
-        let applied = Cell::new(0usize);
-        let worker = &mut lane.worker;
-        let result = if injector.is_inert() {
-            // Production fast path: the whole chunk through the
-            // probe-one-ahead batch kernel, still under the unwind
-            // boundary.
-            catch_unwind(AssertUnwindSafe(|| {
-                worker.record_batch(&buf, sram, kmap);
-                applied.set(buf.len());
-            }))
-        } else {
-            // Fault-schedule path: per-packet ticks so an injected
-            // panic fires *between* two packets — the applied prefix
-            // is exact.
-            catch_unwind(AssertUnwindSafe(|| {
-                for (i, &flow) in buf.iter().enumerate() {
-                    if injector.tick(FaultSite::WorkerPanic, shard) {
-                        panic!("{}", INJECTED_PANIC);
-                    }
-                    worker.record(flow, sram, kmap);
-                    applied.set(i + 1);
-                }
-            }))
-        };
-        let applied = applied.get();
-        lane.recorded += applied as u64;
-        if let Err(p) = result {
-            let payload = panic_payload(p);
-            let exact = payload == INJECTED_PANIC;
-            let quarantined = (buf.len() - applied) as u64;
-            lane.quarantined += quarantined;
-            // Salvage: drain the surviving cache through the memoized
-            // scatter path and merge it (plus anything already staged)
-            // into the shared SRAM, so every *recorded* packet's mass
-            // is query-visible even though the worker dies.
-            let salvaged_units = lane.worker.drain_cache(sram, kmap);
-            lane.worker.flush_writeback(sram);
-            lane.retired.merge(&lane.worker.ingest_stats());
-            // Respawn: a fresh worker (fresh cache + RNG streams)
-            // against the shard's surviving accumulator state.
-            lane.worker = ShardWorker::staged(cfg, shard, entries[shard]);
-            lane.respawns += 1;
-            lane.log.records.push(FaultRecord {
-                kind: FaultKind::WorkerPanic,
-                epoch: *epoch,
-                at_offered: lane.offered,
-                quarantined,
-                salvaged_units,
-                payload,
-                exact,
-            });
+        // Per-packet fault ticks only under a live schedule: the inert
+        // injector keeps the whole-chunk batch kernel.
+        let tick = (!injector.is_inert())
+            .then_some(|| injector.tick(FaultSite::WorkerPanic, shard));
+        match lane.worker.apply_supervised(&lane.buf, sram, kmap, tick) {
+            Ok(()) => lane.recorded += lane.buf.len() as u64,
+            Err(panic) => {
+                lane.recorded += panic.applied;
+                let fresh = ShardWorker::staged(cfg, shard, entries[shard]);
+                lane.ledger.respawn_after_panic(&mut lane.worker, fresh, sram, kmap, *epoch, panic);
+            }
         }
-        lane.buf = buf;
     }
 
     /// Watchdog failover: the lane's consumer is declared hung. The
@@ -611,10 +672,10 @@ impl OnlineCaesar {
         let lane = &mut self.lanes[shard];
         lane.inline_fallback = true;
         lane.stalled_attempts = 0;
-        lane.log.records.push(FaultRecord {
+        lane.ledger.log.records.push(FaultRecord {
             kind: FaultKind::WatchdogFailover,
             epoch: self.epoch,
-            at_offered: lane.offered,
+            at_offered: lane.ledger.offered,
             quarantined: 0,
             salvaged_units: 0,
             payload: format!("no consumer progress within {deadline} pump attempts"),
@@ -673,24 +734,9 @@ impl OnlineCaesar {
 
     /// Aggregate accounting across all lanes.
     pub fn stats(&self) -> OnlineStats {
-        let mut st = OnlineStats {
-            offered: self.offered_total,
-            recorded: 0,
-            dropped: 0,
-            quarantined: 0,
-            in_flight: 0,
-            epoch: self.epoch,
-            merges: self.merges,
-            respawns: 0,
-            failovers: 0,
-        };
+        let mut st = OnlineStats::empty(self.offered_total, self.epoch, self.merges);
         for lane in &self.lanes {
-            st.recorded += lane.recorded;
-            st.dropped += lane.dropped;
-            st.quarantined += lane.quarantined;
-            st.in_flight += lane.in_ring;
-            st.respawns += lane.respawns;
-            st.failovers += lane.log.failovers() as u64;
+            lane.ledger.fold_into(&mut st, lane.recorded, lane.in_ring);
         }
         st
     }
@@ -701,16 +747,7 @@ impl OnlineCaesar {
     /// Panics if `shard >= shards`.
     pub fn lane_stats(&self, shard: usize) -> LaneStats {
         let lane = &self.lanes[shard];
-        LaneStats {
-            shard,
-            offered: lane.offered,
-            recorded: lane.recorded,
-            dropped: lane.dropped,
-            quarantined: lane.quarantined,
-            in_flight: lane.in_ring,
-            respawns: lane.respawns,
-            inline_fallback: lane.inline_fallback,
-        }
+        lane.ledger.lane_stats(shard, lane.recorded, lane.in_ring, lane.inline_fallback)
     }
 
     /// The shard's fault history.
@@ -718,7 +755,7 @@ impl OnlineCaesar {
     /// # Panics
     /// Panics if `shard >= shards`.
     pub fn fault_log(&self, shard: usize) -> &FaultLog {
-        &self.lanes[shard].log
+        &self.lanes[shard].ledger.log
     }
 
     /// The attached fault injector (fired/pending schedule).
@@ -757,44 +794,6 @@ impl OnlineCaesar {
             .sum()
     }
 
-    /// Estimator parameters at the current visible state.
-    pub fn params(&self) -> EstimateParams {
-        crate::query::params(&self.cfg, self.sram.total_added())
-    }
-
-    /// Query with an explicit estimator against the visible (merged)
-    /// state. Ingest continues unaffected.
-    pub fn estimate(&self, flow: u64, estimator: Estimator) -> Estimate {
-        let params = self.params();
-        crate::query::estimate_one(&self.kmap, |i| self.sram.get(i), &params, estimator, flow)
-    }
-
-    /// Clamped default-estimator query.
-    pub fn query(&self, flow: u64) -> f64 {
-        self.estimate(flow, self.cfg.estimator).clamped()
-    }
-
-    /// Health-annotated query: the estimate plus saturation flags and
-    /// the flow's shard-exact loss fraction folded into a confidence
-    /// score (see [`QueryHealth`]).
-    pub fn query_health(&self, flow: u64) -> QueryHealth {
-        let lane = &self.lanes[self.route(flow)];
-        let lost = lane.dropped + lane.quarantined;
-        let loss_fraction = if lane.offered == 0 {
-            0.0
-        } else {
-            lost as f64 / lane.offered as f64
-        };
-        query_health(
-            &self.kmap,
-            &self.sram,
-            &self.params(),
-            self.cfg.estimator,
-            flow,
-            loss_fraction,
-        )
-    }
-
     /// End of measurement: drain every ring, dump every cache, merge
     /// every segment — then hand back a finished [`ConcurrentCaesar`].
     /// On a fault-free run this is **bit-identical** to
@@ -817,7 +816,7 @@ impl OnlineCaesar {
         let per_shard: Vec<IngestStats> = lanes
             .into_iter()
             .map(|lane| {
-                let mut st = lane.retired;
+                let mut st = lane.ledger.retired;
                 st.merge(&lane.worker.finish(&sram, &kmap));
                 st
             })
@@ -897,17 +896,12 @@ impl OnlineCaesar {
             encode_lane_section(
                 buf,
                 &LaneEncodeParts {
-                    offered: lane.offered,
+                    ledger: &lane.ledger,
                     recorded: lane.recorded,
-                    dropped: lane.dropped,
-                    quarantined: lane.quarantined,
-                    respawns: lane.respawns,
                     inline_fallback: lane.inline_fallback,
                     stalled_attempts: lane.stalled_attempts,
                     pending: &pending,
-                    retired: &lane.retired,
                     state: &lane.worker.snapshot_state(),
-                    log: &lane.log,
                 },
             );
             for f in pending {
@@ -1151,6 +1145,9 @@ impl OnlineCaesar {
         if n_words != cfg.counters {
             return Err(RestoreError::Corrupt("SRAM length disagrees with config"));
         }
+        if n_words > r.remaining() / 8 {
+            return Err(RestoreError::Truncated);
+        }
         let max = if bits >= 64 { u64::MAX } else { (1u64 << bits) - 1 };
         let mut words = Vec::with_capacity(n_words);
         for _ in 0..n_words {
@@ -1163,6 +1160,9 @@ impl OnlineCaesar {
         let n_tallies = get_usize(&mut r)?;
         if n_tallies != shards {
             return Err(RestoreError::Corrupt("tally stripe count disagrees with shards"));
+        }
+        if n_tallies > r.remaining() / 16 {
+            return Err(RestoreError::Truncated);
         }
         let mut tallies = Vec::with_capacity(n_tallies);
         for _ in 0..n_tallies {
@@ -1233,6 +1233,28 @@ impl OnlineCaesar {
             .expect_matches(&found)
             .map_err(RestoreError::Incompatible)?;
         Self::restore(bytes)
+    }
+}
+
+/// Queries read the visible (merged) state; ingest continues
+/// unaffected. A flow's health carries its shard's exact loss ratio.
+impl SketchRead for OnlineCaesar {
+    type Counters = AtomicCounterArray;
+
+    fn config(&self) -> &CaesarConfig {
+        &self.cfg
+    }
+
+    fn kmap(&self) -> &KCounterMap {
+        &self.kmap
+    }
+
+    fn counters(&self) -> &AtomicCounterArray {
+        &self.sram
+    }
+
+    fn loss_fraction(&self, flow: u64) -> f64 {
+        self.lanes[self.route(flow)].ledger.loss_fraction()
     }
 }
 
@@ -1509,37 +1531,33 @@ pub(crate) fn encode_delta_prelude(
 /// runtime owns the lane (the pump's [`Lane`] or a thread lane's
 /// locked worker cell).
 pub(crate) struct LaneEncodeParts<'a> {
-    pub(crate) offered: u64,
+    pub(crate) ledger: &'a LaneLedger,
     pub(crate) recorded: u64,
-    pub(crate) dropped: u64,
-    pub(crate) quarantined: u64,
-    pub(crate) respawns: u64,
     pub(crate) inline_fallback: bool,
     pub(crate) stalled_attempts: u64,
     pub(crate) pending: &'a [u64],
-    pub(crate) retired: &'a IngestStats,
     pub(crate) state: &'a ShardWorkerState,
-    pub(crate) log: &'a FaultLog,
 }
 
 /// One lane's dynamic state, shared verbatim by full snapshots and
 /// delta frames (the lane tail is O(cache + staged) — small and
 /// epoch-churned, so deltas carry it whole).
 pub(crate) fn encode_lane_section(buf: &mut Vec<u8>, parts: &LaneEncodeParts<'_>) {
-    buf.put_u64_le(parts.offered);
+    let ledger = parts.ledger;
+    buf.put_u64_le(ledger.offered);
     buf.put_u64_le(parts.recorded);
-    buf.put_u64_le(parts.dropped);
-    buf.put_u64_le(parts.quarantined);
-    buf.put_u64_le(parts.respawns);
+    buf.put_u64_le(ledger.dropped);
+    buf.put_u64_le(ledger.quarantined);
+    buf.put_u64_le(ledger.respawns);
     buf.put_slice(&[u8::from(parts.inline_fallback)]);
     buf.put_u64_le(parts.stalled_attempts);
     buf.put_u64_le(parts.pending.len() as u64);
     for &f in parts.pending {
         buf.put_u64_le(f);
     }
-    encode_ingest_stats(buf, parts.retired);
+    encode_ingest_stats(buf, &ledger.retired);
     encode_worker_state(buf, parts.state);
-    encode_fault_log(buf, parts.log);
+    encode_fault_log(buf, &ledger.log);
 }
 
 /// Decode one lane's dynamic state — the exact inverse of the per-lane
@@ -1567,6 +1585,9 @@ fn decode_lane(
     if n_pending > ring_capacity {
         return Err(RestoreError::Corrupt("ring contents exceed capacity"));
     }
+    if n_pending > r.remaining() / 8 {
+        return Err(RestoreError::Truncated);
+    }
     let mut pending = Vec::with_capacity(n_pending);
     for _ in 0..n_pending {
         pending.push(r.get_u64_le().ok_or(RestoreError::Truncated)?);
@@ -1592,16 +1613,11 @@ fn decode_lane(
         rx,
         worker,
         buf: Vec::with_capacity(STREAM_CHUNK),
-        offered,
         recorded,
-        dropped,
-        quarantined,
         in_ring,
-        respawns,
         inline_fallback,
         stalled_attempts,
-        retired,
-        log,
+        ledger: LaneLedger { offered, dropped, quarantined, respawns, retired, log },
     })
 }
 
@@ -1612,6 +1628,12 @@ fn get_u8(r: &mut ByteReader<'_>) -> Result<u8, RestoreError> {
 fn get_usize(r: &mut ByteReader<'_>) -> Result<usize, RestoreError> {
     let v = r.get_u64_le().ok_or(RestoreError::Truncated)?;
     usize::try_from(v).map_err(|_| RestoreError::Corrupt("length exceeds usize"))
+}
+
+/// An element count the remaining input can hold at `width` bytes per
+/// element (see [`ByteReader::get_count`]).
+fn get_count(r: &mut ByteReader<'_>, width: usize) -> Result<usize, RestoreError> {
+    r.get_count(width).ok_or(RestoreError::Truncated)
 }
 
 fn policy_to_u8(p: CachePolicy) -> u8 {
@@ -1750,7 +1772,7 @@ fn get_rng_state(r: &mut ByteReader<'_>) -> Result<[u64; 4], RestoreError> {
 }
 
 fn decode_worker_state(r: &mut ByteReader<'_>) -> Result<ShardWorkerState, RestoreError> {
-    let n_slots = get_usize(r)?;
+    let n_slots = get_count(r, 24)?;
     let mut slots = Vec::with_capacity(n_slots);
     for _ in 0..n_slots {
         let flow = r.get_u64_le().ok_or(RestoreError::Truncated)?;
@@ -1770,12 +1792,12 @@ fn decode_worker_state(r: &mut ByteReader<'_>) -> Result<ShardWorkerState, Resto
         final_dump_entries: r.get_u64_le().ok_or(RestoreError::Truncated)?,
     };
     let rng = get_rng_state(r)?;
-    let n_memo = get_usize(r)?;
+    let n_memo = get_count(r, 8)?;
     let mut memo = Vec::with_capacity(n_memo);
     for _ in 0..n_memo {
         memo.push(get_usize(r)?);
     }
-    let n_pending = get_usize(r)?;
+    let n_pending = get_count(r, 16)?;
     let mut pending = Vec::with_capacity(n_pending);
     for _ in 0..n_pending {
         let idx = get_usize(r)?;
@@ -1822,7 +1844,9 @@ fn encode_fault_log(buf: &mut Vec<u8>, log: &FaultLog) {
 }
 
 fn decode_fault_log(r: &mut ByteReader<'_>) -> Result<FaultLog, RestoreError> {
-    let n = get_usize(r)?;
+    // A record is at least its kind, four u64s, the exact flag and the
+    // payload length.
+    let n = get_count(r, 1 + 4 * 8 + 1 + 8)?;
     let mut records = Vec::with_capacity(n);
     for _ in 0..n {
         let kind = match get_u8(r)? {
@@ -1839,13 +1863,10 @@ fn decode_fault_log(r: &mut ByteReader<'_>) -> Result<FaultLog, RestoreError> {
             1 => true,
             _ => return Err(RestoreError::Corrupt("exact flag")),
         };
-        let len = get_usize(r)?;
-        let mut bytes = vec![0u8; len];
-        for b in &mut bytes {
-            *b = get_u8(r)?;
-        }
-        let payload =
-            String::from_utf8(bytes).map_err(|_| RestoreError::Corrupt("payload utf-8"))?;
+        let len = get_count(r, 1)?;
+        let bytes = r.get_slice(len).ok_or(RestoreError::Truncated)?;
+        let payload = String::from_utf8(bytes.to_vec())
+            .map_err(|_| RestoreError::Corrupt("payload utf-8"))?;
         records.push(FaultRecord {
             kind,
             epoch,
@@ -2212,6 +2233,32 @@ mod tests {
         ));
         // The pristine blob still restores.
         assert!(OnlineCaesar::restore(&blob).is_ok());
+    }
+
+    #[test]
+    fn forged_sram_length_is_truncation_not_an_allocation() {
+        use crate::merge::FINGERPRINT_BYTES;
+        let mut online = OnlineCaesar::new(cfg(), 1);
+        online.offer_batch(&workload(2_000));
+        let mut payload = unseal(&online.snapshot()).unwrap().to_vec();
+        // Field offsets in the payload: layout version, fingerprint
+        // (counters first), then the config (cache entries, entry
+        // capacity, policy, counters, k, width, estimator, seed), the
+        // engine scalars (shards, policy, ring capacity, epoch length,
+        // watchdog, epoch, merges, offered) and the SRAM width.
+        let fp_counters = 2;
+        let cfg_counters = fp_counters + FINGERPRINT_BYTES + 8 + 8 + 1;
+        let n_words = cfg_counters + 8 + 8 + 4 + 1 + 8 + (8 + 1 + 6 * 8) + 4;
+        let huge = (1u64 << 44).to_le_bytes();
+        for at in [fp_counters, cfg_counters, n_words] {
+            let field: [u8; 8] = payload[at..at + 8].try_into().unwrap();
+            assert_eq!(u64::from_le_bytes(field), cfg().counters as u64, "offset {at}");
+            payload[at..at + 8].copy_from_slice(&huge);
+        }
+        // Consistent and re-sealed: only the input length can refuse
+        // the 2^44-word SRAM, and it must before allocating for it.
+        seal(&mut payload);
+        assert_eq!(OnlineCaesar::restore(&payload).err(), Some(RestoreError::Truncated));
     }
 
     #[test]

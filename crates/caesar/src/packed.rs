@@ -280,30 +280,12 @@ impl crate::sram::SramBacking for PackedCounterArray {
         PackedCounterArray::add_spread(self, indices, incs)
     }
 
-    #[inline]
-    fn get(&self, idx: usize) -> u64 {
-        PackedCounterArray::get(self, idx)
-    }
-
-    #[inline]
-    fn prefetch(&self, idx: usize) {
-        PackedCounterArray::prefetch(self, idx);
-    }
-
     fn len(&self) -> usize {
         PackedCounterArray::len(self)
     }
 
-    fn max_value(&self) -> u64 {
-        PackedCounterArray::max_value(self)
-    }
-
     fn sum(&self) -> u64 {
         PackedCounterArray::sum(self)
-    }
-
-    fn total_added(&self) -> u64 {
-        PackedCounterArray::total_added(self)
     }
 
     fn stats(&self) -> crate::sram::CounterArrayStats {

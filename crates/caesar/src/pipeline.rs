@@ -3,9 +3,9 @@
 
 use crate::concurrent::ShardWorker;
 use crate::config::{CaesarConfig, Estimator};
-use crate::estimator::{Estimate, EstimateParams};
+use crate::estimator::Estimate;
 use crate::packed::PackedCounterArray;
-use crate::query::CounterView;
+use crate::query::SketchRead;
 use crate::sram::{CounterArray, CounterArrayStats, SramBacking};
 use cachesim::CacheStats;
 use hashkit::KCounterMap;
@@ -161,11 +161,6 @@ impl<B: SramBacking> CaesarCore<B> {
         self.finished
     }
 
-    /// The estimator parameters at the current state.
-    pub fn params(&self) -> EstimateParams {
-        crate::query::params(&self.cfg, self.sram().total_added())
-    }
-
     /// The raw values of `flow`'s `k` mapped counters.
     pub fn counters_of(&self, flow: u64) -> Vec<u64> {
         self.kmap
@@ -175,18 +170,10 @@ impl<B: SramBacking> CaesarCore<B> {
             .collect()
     }
 
-    /// Query phase (§3.2) with an explicit estimator choice. Call
-    /// [`Caesar::finish`] first or residual cache contents will be
-    /// missing from the estimate.
-    pub fn estimate(&self, flow: u64, estimator: Estimator) -> Estimate {
-        let sram = self.sram();
-        crate::query::estimate_one(&self.kmap, |i| sram.get(i), &self.params(), estimator, flow)
-    }
-
-    /// Estimated size of `flow` using the configured default estimator,
-    /// clamped to physically possible (non-negative) sizes.
-    pub fn query(&self, flow: u64) -> f64 {
-        self.estimate(flow, self.cfg.estimator).clamped()
+    /// [`SketchRead::estimate_all`], callable without importing the
+    /// trait.
+    pub fn estimate_all(&self, flows: &[u64], estimator: Estimator) -> Vec<Estimate> {
+        SketchRead::estimate_all(self, flows, estimator)
     }
 
     /// Estimate plus the `alpha`-reliability confidence interval
@@ -250,35 +237,19 @@ impl<B: SramBacking> CaesarCore<B> {
     }
 }
 
-impl<B: SramBacking + CounterView> CaesarCore<B> {
-    /// Batch query (§3.2 at scale): evaluate `estimator` for every
-    /// flow in `flows` with the zero-alloc batch engine
-    /// ([`crate::query::estimate_all`]), sequentially. Results are
-    /// bit-identical to calling [`CaesarCore::estimate`] per flow.
-    pub fn estimate_all(&self, flows: &[u64], estimator: Estimator) -> Vec<Estimate> {
-        self.estimate_all_threads(flows, estimator, 1)
+impl<B: SramBacking> SketchRead for CaesarCore<B> {
+    type Counters = B;
+
+    fn config(&self) -> &CaesarConfig {
+        &self.cfg
     }
 
-    /// [`CaesarCore::estimate_all`] with up to `threads` workers
-    /// (resolved against the host's available parallelism). Output
-    /// order matches `flows` and is bit-identical at every thread
-    /// count.
-    pub fn estimate_all_threads(
-        &self,
-        flows: &[u64],
-        estimator: Estimator,
-        threads: usize,
-    ) -> Vec<Estimate> {
-        crate::query::estimate_all(&self.kmap, self.sram(), &self.params(), estimator, flows, threads)
+    fn kmap(&self) -> &KCounterMap {
+        &self.kmap
     }
 
-    /// Clamped default-estimator sizes for a whole flow table — the
-    /// batch counterpart of [`CaesarCore::query`].
-    pub fn query_all(&self, flows: &[u64]) -> Vec<f64> {
-        self.estimate_all(flows, self.cfg.estimator)
-            .into_iter()
-            .map(|e| e.clamped())
-            .collect()
+    fn counters(&self) -> &B {
+        self.sram()
     }
 }
 

@@ -44,15 +44,21 @@ use crate::estimator::{csm, mlm, Estimate, EstimateParams, LANES};
 use hashkit::{KCounterMap, K_MAX};
 use support::par::par_map_threads;
 
-/// Read-only view of a frozen counter array — the one thing the two
-/// sketch flavors ([`crate::Caesar`]'s `CounterArray`,
-/// [`crate::ConcurrentCaesar`]'s `AtomicCounterArray`) must provide to
-/// the batch engine.
+/// Read-only view of a frozen counter array — everything the query
+/// phase reads from the three counter-array flavors ([`crate::Caesar`]'s
+/// `CounterArray`, [`crate::PackedCaesar`]'s `PackedCounterArray`, the
+/// sharded engines' `AtomicCounterArray`).
 pub trait CounterView: Sync {
     /// Read counter `idx`.
     fn get(&self, idx: usize) -> u64;
-    /// Hint that counter `idx` is about to be read (default: no-op).
-    fn prefetch(&self, _idx: usize) {}
+    /// Best-effort software prefetch of counter `idx`'s storage word.
+    fn prefetch(&self, idx: usize);
+    /// Total units offered to the array (`n` for the estimators).
+    fn total_added(&self) -> u64;
+    /// Saturating adds that lost precision over the array's lifetime.
+    fn saturation_events(&self) -> u64;
+    /// The clamp value a saturated counter sits at.
+    fn clamp_value(&self) -> u64;
 }
 
 impl CounterView for crate::sram::CounterArray {
@@ -63,6 +69,15 @@ impl CounterView for crate::sram::CounterArray {
     #[inline]
     fn prefetch(&self, idx: usize) {
         crate::sram::CounterArray::prefetch(self, idx)
+    }
+    fn total_added(&self) -> u64 {
+        crate::sram::CounterArray::total_added(self)
+    }
+    fn saturation_events(&self) -> u64 {
+        self.stats().saturations
+    }
+    fn clamp_value(&self) -> u64 {
+        self.max_value()
     }
 }
 
@@ -75,6 +90,15 @@ impl CounterView for crate::atomic_sram::AtomicCounterArray {
     fn prefetch(&self, idx: usize) {
         crate::atomic_sram::AtomicCounterArray::prefetch(self, idx)
     }
+    fn total_added(&self) -> u64 {
+        crate::atomic_sram::AtomicCounterArray::total_added(self)
+    }
+    fn saturation_events(&self) -> u64 {
+        self.saturations()
+    }
+    fn clamp_value(&self) -> u64 {
+        self.max_value()
+    }
 }
 
 impl CounterView for crate::packed::PackedCounterArray {
@@ -82,28 +106,13 @@ impl CounterView for crate::packed::PackedCounterArray {
     fn get(&self, idx: usize) -> u64 {
         crate::packed::PackedCounterArray::get(self, idx)
     }
-}
-
-/// A [`CounterView`] that can also report saturation state — what the
-/// health-annotated query path needs on top of raw reads. Implemented
-/// by all three counter-array flavors (plain, atomic-striped, packed).
-pub trait SaturationView: CounterView {
-    /// Saturating adds that lost precision over the array's lifetime.
-    fn saturation_events(&self) -> u64;
-    /// The clamp value a saturated counter sits at.
-    fn clamp_value(&self) -> u64;
-}
-
-impl SaturationView for crate::sram::CounterArray {
-    fn saturation_events(&self) -> u64 {
-        self.stats().saturations
+    #[inline]
+    fn prefetch(&self, idx: usize) {
+        crate::packed::PackedCounterArray::prefetch(self, idx)
     }
-    fn clamp_value(&self) -> u64 {
-        self.max_value()
+    fn total_added(&self) -> u64 {
+        crate::packed::PackedCounterArray::total_added(self)
     }
-}
-
-impl SaturationView for crate::atomic_sram::AtomicCounterArray {
     fn saturation_events(&self) -> u64 {
         self.saturations()
     }
@@ -112,12 +121,112 @@ impl SaturationView for crate::atomic_sram::AtomicCounterArray {
     }
 }
 
-impl SaturationView for crate::packed::PackedCounterArray {
-    fn saturation_events(&self) -> u64 {
-        self.saturations()
+/// The query phase (§3.2) of every CAESAR engine: read the flow's `k`
+/// counters, remove the `n/L` sharing noise, apply CSM or MLM.
+///
+/// An engine supplies four things — its configuration, its flow→counter
+/// map, the counter array it answers from, and (for the online
+/// runtimes) the exact ingest-loss ratio of a flow's shard — and the
+/// default methods are the whole query surface, identical for
+/// [`crate::Caesar`], [`crate::PackedCaesar`], [`crate::ConcurrentCaesar`],
+/// [`crate::OnlineCaesar`] and [`crate::ThreadedCaesar`].
+///
+/// ```
+/// use caesar::{Caesar, CaesarConfig, Estimator, SketchRead};
+/// let mut sketch = Caesar::new(CaesarConfig { cache_entries: 64, entry_capacity: 8,
+///                                             counters: 1024, k: 3,
+///                                             ..CaesarConfig::default() });
+/// sketch.record_batch(&[7; 100]);
+/// sketch.finish();
+/// let batch = sketch.estimate_all_threads(&[7], Estimator::Csm, 2);
+/// assert_eq!(batch[0].value.to_bits(), sketch.estimate(7, Estimator::Csm).value.to_bits());
+/// assert!(!sketch.query_health(7).is_degraded());
+/// ```
+pub trait SketchRead {
+    /// The counter array queries read.
+    type Counters: CounterView;
+
+    /// The configuration in use.
+    fn config(&self) -> &CaesarConfig;
+
+    /// The flow → `k` counter index map.
+    fn kmap(&self) -> &KCounterMap;
+
+    /// The query-visible counter array.
+    fn counters(&self) -> &Self::Counters;
+
+    /// Exact ingest-loss ratio, `(dropped + quarantined) / offered`,
+    /// of the shard `flow` routes to; `0.0` for loss-free sketches.
+    fn loss_fraction(&self, _flow: u64) -> f64 {
+        0.0
     }
-    fn clamp_value(&self) -> u64 {
-        self.max_value()
+
+    /// The estimator parameters at the current (visible) state.
+    fn params(&self) -> EstimateParams {
+        let cfg = self.config();
+        EstimateParams {
+            k: cfg.k,
+            y: cfg.entry_capacity,
+            counters: cfg.counters,
+            total_packets: self.counters().total_added(),
+        }
+    }
+
+    /// Query with an explicit estimator. On a [`crate::Caesar`], call
+    /// `finish` first or residual cache contents are missing from the
+    /// estimate; the online runtimes answer from the last merge.
+    fn estimate(&self, flow: u64, estimator: Estimator) -> Estimate {
+        let params = self.params();
+        with_row(self.kmap(), self.counters(), flow, |w| estimate_row(w, &params, estimator))
+    }
+
+    /// Estimated size of `flow` under the configured estimator,
+    /// clamped to physically possible (non-negative) sizes.
+    fn query(&self, flow: u64) -> f64 {
+        self.estimate(flow, self.config().estimator).clamped()
+    }
+
+    /// Batch query: evaluate `estimator` for every flow in `flows` with
+    /// the zero-alloc batch engine, sequentially. Bit-identical to
+    /// per-flow [`SketchRead::estimate`].
+    fn estimate_all(&self, flows: &[u64], estimator: Estimator) -> Vec<Estimate> {
+        self.estimate_all_threads(flows, estimator, 1)
+    }
+
+    /// [`SketchRead::estimate_all`] with up to `threads` workers
+    /// (resolved against the host's parallelism). Output order matches
+    /// `flows`; bit-identical at every thread count.
+    fn estimate_all_threads(
+        &self,
+        flows: &[u64],
+        estimator: Estimator,
+        threads: usize,
+    ) -> Vec<Estimate> {
+        estimate_all(self.kmap(), self.counters(), &self.params(), estimator, flows, threads)
+    }
+
+    /// Clamped default-estimator sizes for a whole flow table — the
+    /// batch counterpart of [`SketchRead::query`].
+    fn query_all(&self, flows: &[u64]) -> Vec<f64> {
+        self.estimate_all(flows, self.config().estimator)
+            .into_iter()
+            .map(|e| e.clamped())
+            .collect()
+    }
+
+    /// Health-annotated default-estimator query: the estimate plus
+    /// saturation flags and the flow's shard loss ratio folded into a
+    /// confidence score (see [`QueryHealth`]). On a merged cluster view
+    /// the saturation includes every contributing node's.
+    fn query_health(&self, flow: u64) -> QueryHealth {
+        query_health(
+            self.kmap(),
+            self.counters(),
+            &self.params(),
+            self.config().estimator,
+            flow,
+            self.loss_fraction(flow),
+        )
     }
 }
 
@@ -161,34 +270,6 @@ impl QueryHealth {
     }
 }
 
-/// Estimator parameters of a sketch configured by `cfg` that has
-/// absorbed `total_packets` units — shared by every engine's
-/// `params()`.
-pub(crate) fn params(cfg: &CaesarConfig, total_packets: u64) -> EstimateParams {
-    EstimateParams {
-        k: cfg.k,
-        y: cfg.entry_capacity,
-        counters: cfg.counters,
-        total_packets,
-    }
-}
-
-/// Single-flow query: `flow`'s `k` counters gathered into a stack row
-/// and evaluated with `estimator` — shared by every engine's
-/// `estimate()`, bit-identical to the batch engine's per-flow output.
-///
-/// # Panics
-/// Panics on invalid `params`.
-pub(crate) fn estimate_one(
-    kmap: &KCounterMap,
-    get: impl Fn(usize) -> u64,
-    params: &EstimateParams,
-    estimator: Estimator,
-    flow: u64,
-) -> Estimate {
-    with_row(kmap, get, flow, |w| estimate_row(w, params, estimator))
-}
-
 fn estimate_row(w: &[u64], params: &EstimateParams, estimator: Estimator) -> Estimate {
     match estimator {
         Estimator::Csm => csm::estimate(w, params),
@@ -196,36 +277,37 @@ fn estimate_row(w: &[u64], params: &EstimateParams, estimator: Estimator) -> Est
     }
 }
 
-/// Gather `flow`'s `k` counter values (read through `get`) into a
+/// Gather `flow`'s `k` counter values (read from `view`) into a
 /// stack row and hand it to `f` — no allocation for `k <= K_MAX`;
 /// larger `k` takes a cold heap row.
-fn with_row<T>(
+fn with_row<V: CounterView, T>(
     kmap: &KCounterMap,
-    get: impl Fn(usize) -> u64,
+    view: &V,
     flow: u64,
     f: impl FnOnce(&[u64]) -> T,
 ) -> T {
     let k = kmap.k();
     if k > K_MAX {
-        let w: Vec<u64> = kmap.indices(flow).into_iter().map(get).collect();
+        let w: Vec<u64> = kmap.indices(flow).into_iter().map(|i| view.get(i)).collect();
         return f(&w);
     }
     let mut idx = [0usize; K_MAX];
     kmap.fill_indices(flow, &mut idx[..k]);
     let mut w = [0u64; K_MAX];
     for (dst, &i) in w.iter_mut().zip(&idx[..k]) {
-        *dst = get(i);
+        *dst = view.get(i);
     }
     f(&w[..k])
 }
 
-/// Health-annotated single-flow query against any saturation-aware
-/// counter array. `loss_fraction` is the caller's exact ingest-loss
-/// ratio for this flow's shard (pass `0.0` for loss-free sketches).
+/// Health-annotated single-flow query kernel behind
+/// [`SketchRead::query_health`]. `loss_fraction` is the exact
+/// ingest-loss ratio of the flow's shard (`0.0` for loss-free
+/// sketches).
 ///
 /// # Panics
 /// Panics on invalid `params` or `loss_fraction` outside `[0, 1]`.
-pub fn query_health<V: SaturationView>(
+pub(crate) fn query_health<V: CounterView>(
     kmap: &KCounterMap,
     view: &V,
     params: &EstimateParams,
@@ -238,7 +320,7 @@ pub fn query_health<V: SaturationView>(
         "loss_fraction must be in [0, 1]"
     );
     let clamp = view.clamp_value();
-    let (estimate, saturated_counters) = with_row(kmap, |i| view.get(i), flow, |w| {
+    let (estimate, saturated_counters) = with_row(kmap, view, flow, |w| {
         (estimate_row(w, params, estimator), w.iter().filter(|&&v| v >= clamp).count())
     });
     let k = kmap.k().max(1);
@@ -329,14 +411,15 @@ fn resolve_threads(requested: usize) -> usize {
     requested.clamp(1, support::par::host_parallelism())
 }
 
-/// Evaluate `estimator` for every flow in `flows` against the frozen
+/// Batch query kernel behind [`SketchRead::estimate_all_threads`]:
+/// evaluate `estimator` for every flow in `flows` against the frozen
 /// counters in `view`, using up to `threads` workers (resolved against
 /// the host's parallelism). Output order matches `flows`; results are
 /// bit-identical to calling the per-flow estimator sequentially.
 ///
 /// # Panics
 /// Panics on invalid `params`.
-pub fn estimate_all<V: CounterView>(
+pub(crate) fn estimate_all<V: CounterView>(
     kmap: &KCounterMap,
     view: &V,
     params: &EstimateParams,

@@ -6,6 +6,7 @@
 //! are counted so experiments can detect an undersized configuration.
 
 use crate::merge::MergeError;
+use crate::query::CounterView;
 
 /// Counters per dirty-tracking block: the granularity at which the SRAM
 /// backings report "something here changed" (one cache line of u64
@@ -321,12 +322,15 @@ impl CounterArray {
 /// and is priced, by the `ablations/ingest_backing` bench group —
 /// against either layout.
 ///
+/// Reads come from the [`CounterView`] supertrait — the same contract
+/// the query phase reads through.
+///
 /// Every implementor must honor the [`CounterArray`] semantics (the
 /// packed-parity suite pins them): adds saturate at
-/// [`max_value`](SramBacking::max_value) and count saturation events,
-/// each write tallies one access, and the offered-units total records
-/// pre-clipping values.
-pub trait SramBacking {
+/// [`clamp_value`](CounterView::clamp_value) and count saturation
+/// events, each write tallies one access, and the offered-units total
+/// records pre-clipping values.
+pub trait SramBacking: CounterView {
     /// Fresh all-zero array of `len` counters of `bits` bits each.
     ///
     /// # Panics
@@ -345,13 +349,6 @@ pub trait SramBacking {
     /// loop — see [`CounterArray::add_spread`].
     fn add_spread(&mut self, indices: &[usize], incs: &[u64]) -> u64;
 
-    /// Read counter `idx`.
-    fn get(&self, idx: usize) -> u64;
-
-    /// Best-effort software prefetch of counter `idx`'s storage word
-    /// (may be a no-op).
-    fn prefetch(&self, idx: usize);
-
     /// Number of counters `L`.
     fn len(&self) -> usize;
 
@@ -360,14 +357,8 @@ pub trait SramBacking {
         self.len() == 0
     }
 
-    /// Maximum storable value `l`.
-    fn max_value(&self) -> u64;
-
     /// Sum over all counters.
     fn sum(&self) -> u64;
-
-    /// Total units offered (`n` for the estimators).
-    fn total_added(&self) -> u64;
 
     /// Array statistics in the common [`CounterArrayStats`] shape.
     fn stats(&self) -> CounterArrayStats;
@@ -399,30 +390,12 @@ impl SramBacking for CounterArray {
         CounterArray::add_spread(self, indices, incs)
     }
 
-    #[inline]
-    fn get(&self, idx: usize) -> u64 {
-        CounterArray::get(self, idx)
-    }
-
-    #[inline]
-    fn prefetch(&self, idx: usize) {
-        CounterArray::prefetch(self, idx);
-    }
-
     fn len(&self) -> usize {
         CounterArray::len(self)
     }
 
-    fn max_value(&self) -> u64 {
-        CounterArray::max_value(self)
-    }
-
     fn sum(&self) -> u64 {
         CounterArray::sum(self)
-    }
-
-    fn total_added(&self) -> u64 {
-        CounterArray::total_added(self)
     }
 
     fn stats(&self) -> CounterArrayStats {

@@ -61,66 +61,32 @@
 //! The pump remains the test oracle precisely because it is
 //! deterministic; this module is the thing it is an oracle *for*.
 
-use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::atomic_sram::AtomicCounterArray;
-use crate::concurrent::{
-    panic_payload, ConcurrentCaesar, IngestStats, ShardWorker, STREAM_CHUNK,
-};
-use crate::config::{CaesarConfig, Estimator};
-use crate::estimator::{Estimate, EstimateParams};
+use crate::concurrent::{BatchPanic, ConcurrentCaesar, ShardWorker, STREAM_CHUNK};
+use crate::config::CaesarConfig;
 use crate::merge::{SketchFingerprint, SketchPayload};
 use crate::online::{
     encode_delta_prelude, encode_lane_section, encode_snapshot_prelude, BackpressurePolicy,
     ChainError, DeltaError, EngineHeader, FaultKind, FaultLog, FaultRecord, Lane, LaneEncodeParts,
-    LaneStats, OnlineCaesar, OnlineStats, RestoreError,
+    LaneLedger, LaneStats, OnlineCaesar, OnlineStats, RestoreError,
 };
-use crate::query::{query_health, QueryHealth};
+use crate::query::SketchRead;
 use hashkit::KCounterMap;
 use support::bytesx::seal;
 use support::spsc::{self, CachePadded};
-use support::testkit::{FaultInjector, FaultSite, INJECTED_PANIC};
+use support::testkit::{FaultInjector, FaultSite};
 
-/// Built-in default heartbeat interval, in milliseconds. Generous on
-/// purpose: supervision exists to catch *wedged* workers, and a false
-/// failover quarantines real traffic. Latency-sensitive deployments
-/// tune it down via `CAESAR_HEARTBEAT_MS` or
+/// Default heartbeat interval of a new engine, in milliseconds.
+/// Generous on purpose: supervision exists to catch *wedged* workers,
+/// and a false failover quarantines real traffic. Latency-sensitive
+/// deployments tune it down with
 /// [`ThreadedCaesar::with_heartbeat_interval`].
 pub const DEFAULT_HEARTBEAT_MS: u64 = 250;
-
-/// The heartbeat interval actually in effect for new engines:
-/// [`DEFAULT_HEARTBEAT_MS`] unless overridden through the
-/// `CAESAR_HEARTBEAT_MS` environment variable (milliseconds, read
-/// **once** per process). Unparsable or zero values warn on stderr and
-/// keep the built-in default.
-pub fn heartbeat_interval_ms() -> u64 {
-    static CACHED: OnceLock<u64> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        parse_heartbeat_ms(std::env::var("CAESAR_HEARTBEAT_MS").ok().as_deref())
-    })
-}
-
-/// Parse the env override; `None`/empty means "use the default".
-fn parse_heartbeat_ms(raw: Option<&str>) -> u64 {
-    match raw.map(str::trim) {
-        None | Some("") => DEFAULT_HEARTBEAT_MS,
-        Some(s) => match s.parse() {
-            Ok(ms) if ms > 0 => ms,
-            _ => {
-                eprintln!(
-                    "caesar: ignoring unparsable CAESAR_HEARTBEAT_MS={s:?} \
-                     (want a positive millisecond count); using default {DEFAULT_HEARTBEAT_MS}"
-                );
-                DEFAULT_HEARTBEAT_MS
-            }
-        },
-    }
-}
 
 // Worker lifecycle states published through the heartbeat slot.
 const HB_RUNNING: u8 = 0;
@@ -194,12 +160,6 @@ impl Control {
     }
 }
 
-/// What a worker panic left behind, for the engine to service.
-struct PanicInfo {
-    payload: String,
-    unapplied: u64,
-}
-
 /// The mutable worker state, owned by whichever side holds the lock:
 /// the worker thread while applying a batch, the engine while
 /// salvaging, snapshotting, or respawning.
@@ -209,7 +169,7 @@ struct WorkerCell {
     /// created (survives in-place panic respawns; reset only by
     /// failover, which folds it into the lane's `recorded_base`).
     recorded: u64,
-    panic_info: Option<PanicInfo>,
+    panic_info: Option<BatchPanic>,
 }
 
 /// Everything one worker thread and the engine share for a lane.
@@ -230,8 +190,8 @@ impl LaneShared {
 }
 
 /// Engine-side lane state: the producer endpoint, the shared slot,
-/// the thread handle, and the exact accounting counters the worker
-/// does not own.
+/// the thread handle, and the exact accounting the worker does not
+/// own.
 struct ThreadLane {
     tx: spsc::Producer<u64>,
     /// The consumer endpoint, held until the worker thread is spawned
@@ -239,19 +199,14 @@ struct ThreadLane {
     boot: Option<spsc::Consumer<u64>>,
     shared: Arc<LaneShared>,
     handle: Option<JoinHandle<spsc::Consumer<u64>>>,
-    offered: u64,
-    dropped: u64,
-    quarantined: u64,
     /// Recorded count carried over from before the current worker cell
     /// existed (prior failovers, or the pump engine this lane was
     /// built from). Lane total = `recorded_base + hb.recorded`.
     recorded_base: u64,
-    respawns: u64,
     /// Flush commands issued to the current worker cell (reset by
     /// failover along with the control word).
     flush_issued: u64,
-    retired: IngestStats,
-    log: FaultLog,
+    ledger: LaneLedger,
 }
 
 impl ThreadLane {
@@ -262,31 +217,14 @@ impl ThreadLane {
             boot: Some(rx),
             shared: Arc::new(LaneShared::new(ShardWorker::staged(cfg, shard, entries))),
             handle: None,
-            offered: 0,
-            dropped: 0,
-            quarantined: 0,
             recorded_base: 0,
-            respawns: 0,
             flush_issued: 0,
-            retired: IngestStats::default(),
-            log: FaultLog::default(),
+            ledger: LaneLedger::default(),
         }
     }
 
     fn from_pump_lane(lane: Lane) -> Self {
-        let Lane {
-            tx,
-            rx,
-            worker,
-            offered,
-            recorded,
-            dropped,
-            quarantined,
-            respawns,
-            retired,
-            log,
-            ..
-        } = lane;
+        let Lane { tx, rx, worker, recorded, ledger, .. } = lane;
         // The pump's transient watchdog state (`inline_fallback`,
         // `stalled_attempts`) does not transfer: the threaded runtime
         // has its own supervision. In-ring packets stay in the ring —
@@ -296,14 +234,9 @@ impl ThreadLane {
             boot: Some(rx),
             shared: Arc::new(LaneShared::new(worker)),
             handle: None,
-            offered,
-            dropped,
-            quarantined,
             recorded_base: recorded,
-            respawns,
             flush_issued: 0,
-            retired,
-            log,
+            ledger,
         }
     }
 
@@ -317,7 +250,7 @@ impl ThreadLane {
     /// and mid-batch). Derived, so the mass invariant holds at every
     /// instant by construction.
     fn in_flight(&self) -> u64 {
-        self.offered - self.dropped - self.quarantined - self.recorded()
+        self.ledger.unsettled(self.recorded())
     }
 }
 
@@ -398,7 +331,7 @@ impl ThreadedCaesar {
     /// ([`BackpressurePolicy::Block`]), ring capacity
     /// ([`crate::DEFAULT_RING_CAPACITY`]), epoch length
     /// ([`crate::DEFAULT_EPOCH_LEN`]) and heartbeat interval
-    /// ([`heartbeat_interval_ms`]). Worker threads spawn lazily on the
+    /// ([`DEFAULT_HEARTBEAT_MS`]). Worker threads spawn lazily on the
     /// first offer (or rotation/snapshot), so an engine that is built
     /// and dropped costs nothing.
     ///
@@ -417,7 +350,7 @@ impl ThreadedCaesar {
             ring_capacity,
             epoch_len: crate::DEFAULT_EPOCH_LEN,
             watchdog_deadline: crate::DEFAULT_WATCHDOG_DEADLINE,
-            heartbeat: Duration::from_millis(heartbeat_interval_ms()),
+            heartbeat: Duration::from_millis(DEFAULT_HEARTBEAT_MS),
             pin_workers: false,
             sram: Arc::new(sram),
             kmap: Arc::new(kmap),
@@ -476,7 +409,7 @@ impl ThreadedCaesar {
             ring_capacity,
             epoch_len,
             watchdog_deadline,
-            heartbeat: Duration::from_millis(heartbeat_interval_ms()),
+            heartbeat: Duration::from_millis(DEFAULT_HEARTBEAT_MS),
             pin_workers: false,
             sram: Arc::new(sram),
             kmap: Arc::new(kmap),
@@ -651,29 +584,13 @@ impl ThreadedCaesar {
         let epoch = self.epoch;
         let Self { lanes, sram, kmap, cfg, entries, .. } = self;
         let lane = &mut lanes[shard];
-        let shared = Arc::clone(&lane.shared);
-        let mut cell = shared.cell.lock().expect("worker cell lock");
-        let Some(PanicInfo { payload, unapplied }) = cell.panic_info.take() else {
-            drop(cell);
+        let mut cell = lane.shared.cell.lock().expect("worker cell lock");
+        let Some(panic) = cell.panic_info.take() else {
             return;
         };
-        lane.quarantined += unapplied;
-        let salvaged_units = cell.worker.drain_cache(&**sram, kmap);
-        cell.worker.flush_writeback(sram);
-        lane.retired.merge(&cell.worker.ingest_stats());
-        cell.worker = ShardWorker::staged(cfg, shard, entries[shard]);
+        let fresh = ShardWorker::staged(cfg, shard, entries[shard]);
+        lane.ledger.respawn_after_panic(&mut cell.worker, fresh, sram, kmap, epoch, panic);
         drop(cell);
-        lane.respawns += 1;
-        let exact = payload == INJECTED_PANIC;
-        lane.log.records.push(FaultRecord {
-            kind: FaultKind::WorkerPanic,
-            epoch,
-            at_offered: lane.offered,
-            quarantined: unapplied,
-            salvaged_units,
-            payload,
-            exact,
-        });
         // Releasing the state releases the worker thread, which loops
         // straight back into draining against the fresh state machine.
         lane.shared.hb.state.0.store(HB_RUNNING, Ordering::Release);
@@ -701,9 +618,9 @@ impl ThreadedCaesar {
                     // the cell is free, so the applied count is final
                     // and the accumulator is safe to salvage.
                     lane.recorded_base += cell.recorded;
-                    let salvaged = cell.worker.drain_cache(&**sram, kmap);
+                    let salvaged = cell.worker.drain_cache(sram, kmap);
                     cell.worker.flush_writeback(sram);
-                    lane.retired.merge(&cell.worker.ingest_stats());
+                    lane.ledger.retired.merge(&cell.worker.ingest_stats());
                     (true, salvaged)
                 }
                 Err(_) => {
@@ -716,13 +633,14 @@ impl ThreadedCaesar {
                     (false, 0)
                 }
             };
-            let residual = lane.offered - lane.dropped - lane.quarantined - lane.recorded_base;
-            lane.quarantined += residual;
-            lane.respawns += 1;
-            lane.log.records.push(FaultRecord {
+            let ledger = &mut lane.ledger;
+            let residual = ledger.unsettled(lane.recorded_base);
+            ledger.quarantined += residual;
+            ledger.respawns += 1;
+            ledger.log.records.push(FaultRecord {
                 kind: FaultKind::WatchdogFailover,
                 epoch,
-                at_offered: lane.offered,
+                at_offered: ledger.offered,
                 quarantined: residual,
                 salvaged_units,
                 payload: format!(
@@ -784,7 +702,7 @@ impl ThreadedCaesar {
         let mut backoff = spsc::Backoff::new();
         loop {
             if self.lanes[shard].tx.try_push(flow).is_ok() {
-                self.lanes[shard].offered += 1;
+                self.lanes[shard].ledger.offered += 1;
                 break;
             }
             // Ring full: the worker is behind (or wedged — the monitor
@@ -795,9 +713,9 @@ impl ThreadedCaesar {
                     backoff.wait();
                 }
                 BackpressurePolicy::DropNewest => {
-                    let lane = &mut self.lanes[shard];
-                    lane.offered += 1;
-                    lane.dropped += 1;
+                    let ledger = &mut self.lanes[shard].ledger;
+                    ledger.offered += 1;
+                    ledger.dropped += 1;
                     break;
                 }
                 BackpressurePolicy::DropOldest => {
@@ -952,19 +870,14 @@ impl ThreadedCaesar {
             encode_lane_section(
                 buf,
                 &LaneEncodeParts {
-                    offered: lane.offered,
+                    ledger: &lane.ledger,
                     recorded: lane.recorded_base + cell.recorded,
-                    dropped: lane.dropped,
-                    quarantined: lane.quarantined,
-                    respawns: lane.respawns,
                     // Quiesced: rings are empty and the pump-specific
                     // watchdog state has no threaded counterpart.
                     inline_fallback: false,
                     stalled_attempts: 0,
                     pending: &[],
-                    retired: &lane.retired,
                     state: &cell.worker.snapshot_state(),
-                    log: &lane.log,
                 },
             );
         }
@@ -1096,20 +1009,7 @@ impl ThreadedCaesar {
         } = self;
         let mut pump_lanes = Vec::with_capacity(shards);
         for lane in lanes {
-            let ThreadLane {
-                tx,
-                boot,
-                shared,
-                handle,
-                offered,
-                dropped,
-                quarantined,
-                recorded_base,
-                respawns,
-                retired,
-                log,
-                ..
-            } = lane;
+            let ThreadLane { tx, boot, shared, handle, recorded_base, ledger, .. } = lane;
             let rx = match handle {
                 Some(h) => h.join().expect("shard worker thread exits cleanly"),
                 None => boot.expect("unstarted lane retains its consumer endpoint"),
@@ -1123,16 +1023,11 @@ impl ThreadedCaesar {
                 rx,
                 worker: cell.worker,
                 buf: Vec::with_capacity(STREAM_CHUNK),
-                offered,
                 recorded: recorded_base + cell.recorded,
-                dropped,
-                quarantined,
                 in_ring: 0,
-                respawns,
                 inline_fallback: false,
                 stalled_attempts: 0,
-                retired,
-                log,
+                ledger,
             });
         }
         let sram = Arc::try_unwrap(sram).unwrap_or_else(|arc| {
@@ -1188,28 +1083,13 @@ impl ThreadedCaesar {
 
     /// Aggregate accounting across all lanes.
     pub fn stats(&self) -> OnlineStats {
-        let mut st = OnlineStats {
-            offered: self.offered_total,
-            recorded: 0,
-            dropped: 0,
-            quarantined: 0,
-            in_flight: 0,
-            epoch: self.epoch,
-            merges: self.merges,
-            respawns: 0,
-            failovers: 0,
-        };
+        let mut st = OnlineStats::empty(self.offered_total, self.epoch, self.merges);
         for lane in &self.lanes {
             // One load of the worker's recorded counter per lane, so
             // the reported snapshot satisfies the mass invariant even
             // while the worker races ahead.
             let recorded = lane.recorded();
-            st.recorded += recorded;
-            st.dropped += lane.dropped;
-            st.quarantined += lane.quarantined;
-            st.in_flight += lane.offered - lane.dropped - lane.quarantined - recorded;
-            st.respawns += lane.respawns;
-            st.failovers += lane.log.failovers() as u64;
+            lane.ledger.fold_into(&mut st, recorded, lane.ledger.unsettled(recorded));
         }
         st
     }
@@ -1219,18 +1099,9 @@ impl ThreadedCaesar {
     /// # Panics
     /// Panics if `shard >= shards`.
     pub fn lane_stats(&self, shard: usize) -> LaneStats {
-        let lane = &self.lanes[shard];
-        let recorded = lane.recorded();
-        LaneStats {
-            shard,
-            offered: lane.offered,
-            recorded,
-            dropped: lane.dropped,
-            quarantined: lane.quarantined,
-            in_flight: lane.offered - lane.dropped - lane.quarantined - recorded,
-            respawns: lane.respawns,
-            inline_fallback: false,
-        }
+        let ledger = &self.lanes[shard].ledger;
+        let recorded = self.lanes[shard].recorded();
+        ledger.lane_stats(shard, recorded, ledger.unsettled(recorded), false)
     }
 
     /// The shard's fault history.
@@ -1238,7 +1109,7 @@ impl ThreadedCaesar {
     /// # Panics
     /// Panics if `shard >= shards`.
     pub fn fault_log(&self, shard: usize) -> &FaultLog {
-        &self.lanes[shard].log
+        &self.lanes[shard].ledger.log
     }
 
     /// Inspect the fault-injection schedule (fired/pending counts).
@@ -1288,44 +1159,6 @@ impl ThreadedCaesar {
             .sum()
     }
 
-    /// Estimator parameters at the current visible state.
-    pub fn params(&self) -> EstimateParams {
-        crate::query::params(&self.cfg, self.sram.total_added())
-    }
-
-    /// Query with an explicit estimator against the visible (merged)
-    /// state. Ingest continues unaffected.
-    pub fn estimate(&self, flow: u64, estimator: Estimator) -> Estimate {
-        let params = self.params();
-        crate::query::estimate_one(&self.kmap, |i| self.sram.get(i), &params, estimator, flow)
-    }
-
-    /// Clamped default-estimator query.
-    pub fn query(&self, flow: u64) -> f64 {
-        self.estimate(flow, self.cfg.estimator).clamped()
-    }
-
-    /// Health-annotated query: the estimate plus saturation flags and
-    /// the flow's shard-exact loss fraction folded into a confidence
-    /// score.
-    pub fn query_health(&self, flow: u64) -> QueryHealth {
-        let lane = &self.lanes[self.route(flow)];
-        let lost = lane.dropped + lane.quarantined;
-        let loss_fraction = if lane.offered == 0 {
-            0.0
-        } else {
-            lost as f64 / lane.offered as f64
-        };
-        query_health(
-            &self.kmap,
-            &*self.sram,
-            &self.params(),
-            self.cfg.estimator,
-            flow,
-            loss_fraction,
-        )
-    }
-
     /// Export the current visible state as a wire-transportable
     /// [`SketchPayload`] — what a supervised measurement tap pushes to
     /// an aggregator. Call [`ThreadedCaesar::merge_now`] first if the
@@ -1334,7 +1167,7 @@ impl ThreadedCaesar {
         let mut evictions = 0;
         for lane in &self.lanes {
             let cell = lane.shared.cell.lock().expect("worker cell lock");
-            evictions += lane.retired.evictions + cell.worker.ingest_stats().evictions;
+            evictions += lane.ledger.retired.evictions + cell.worker.ingest_stats().evictions;
         }
         SketchPayload {
             fingerprint: SketchFingerprint::of(&self.cfg),
@@ -1343,6 +1176,28 @@ impl ThreadedCaesar {
             saturation_events: self.sram.saturations(),
             evictions,
         }
+    }
+}
+
+/// Queries read the visible (merged) state; ingest continues
+/// unaffected. A flow's health carries its shard's exact loss ratio.
+impl SketchRead for ThreadedCaesar {
+    type Counters = AtomicCounterArray;
+
+    fn config(&self) -> &CaesarConfig {
+        &self.cfg
+    }
+
+    fn kmap(&self) -> &KCounterMap {
+        &self.kmap
+    }
+
+    fn counters(&self) -> &AtomicCounterArray {
+        &self.sram
+    }
+
+    fn loss_fraction(&self, flow: u64) -> f64 {
+        self.lanes[self.route(flow)].ledger.loss_fraction()
     }
 }
 
@@ -1465,17 +1320,21 @@ fn worker_loop(
             shared.hb.state.0.store(HB_EXITED, Ordering::Release);
             return rx;
         }
-        match apply_batch(&mut cell.worker, &buf, sram, kmap, injector, ctx.shard) {
+        let shard = ctx.shard;
+        let tick = injector.map(|inj| {
+            move || inj.lock().expect("injector lock").tick(FaultSite::WorkerPanic, shard)
+        });
+        match cell.worker.apply_supervised(&buf, sram, kmap, tick) {
             Ok(()) => {
                 cell.recorded += n as u64;
                 let recorded = cell.recorded;
                 drop(cell);
                 shared.hb.recorded.0.store(recorded, Ordering::Release);
             }
-            Err((prefix, payload)) => {
-                cell.recorded += prefix;
+            Err(panic) => {
+                cell.recorded += panic.applied;
                 let recorded = cell.recorded;
-                cell.panic_info = Some(PanicInfo { payload, unapplied: n as u64 - prefix });
+                cell.panic_info = Some(panic);
                 drop(cell);
                 shared.hb.recorded.0.store(recorded, Ordering::Release);
                 shared.hb.state.0.store(HB_PANICKED, Ordering::Release);
@@ -1495,42 +1354,6 @@ fn worker_loop(
                 }
             }
         }
-    }
-}
-
-/// Apply one popped batch under an unwind boundary. Returns the
-/// applied prefix length and the panic payload on failure.
-fn apply_batch(
-    worker: &mut ShardWorker,
-    buf: &[u64],
-    sram: &AtomicCounterArray,
-    kmap: &KCounterMap,
-    injector: Option<&Mutex<FaultInjector>>,
-    shard: usize,
-) -> Result<(), (u64, String)> {
-    let applied = Cell::new(0u64);
-    let result = match injector {
-        // Production fast path: the whole batch through the
-        // probe-one-ahead kernel, still under the unwind boundary.
-        None => catch_unwind(AssertUnwindSafe(|| {
-            worker.record_batch(buf, sram, kmap);
-            applied.set(buf.len() as u64);
-        })),
-        // Fault-schedule path: per-packet ticks so an injected panic
-        // fires *between* two packets — the applied prefix is exact.
-        Some(inj) => catch_unwind(AssertUnwindSafe(|| {
-            for (i, &flow) in buf.iter().enumerate() {
-                if inj.lock().expect("injector lock").tick(FaultSite::WorkerPanic, shard) {
-                    panic!("{}", INJECTED_PANIC);
-                }
-                worker.record(flow, sram, kmap);
-                applied.set(i as u64 + 1);
-            }
-        })),
-    };
-    match result {
-        Ok(()) => Ok(()),
-        Err(p) => Err((applied.get(), panic_payload(p))),
     }
 }
 
@@ -1582,15 +1405,6 @@ fn monitor_loop(shared: &MonitorShared, interval: Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn heartbeat_env_parse_defaults_and_rejects_garbage() {
-        assert_eq!(parse_heartbeat_ms(None), DEFAULT_HEARTBEAT_MS);
-        assert_eq!(parse_heartbeat_ms(Some("")), DEFAULT_HEARTBEAT_MS);
-        assert_eq!(parse_heartbeat_ms(Some("  40 ")), 40);
-        assert_eq!(parse_heartbeat_ms(Some("0")), DEFAULT_HEARTBEAT_MS);
-        assert_eq!(parse_heartbeat_ms(Some("soon")), DEFAULT_HEARTBEAT_MS);
-    }
 
     #[test]
     fn unstarted_engine_builds_and_drops_without_spawning() {

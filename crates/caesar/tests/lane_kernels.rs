@@ -9,7 +9,7 @@
 //! which code path computed them.
 
 use caesar::estimator::{csm, mlm, EstimateParams, LANES};
-use caesar::{Caesar, CaesarConfig, Estimator};
+use caesar::{Caesar, CaesarConfig, Estimator, SketchRead};
 use cachesim::CachePolicy;
 use support::rand::Rng;
 use support::testkit::{for_each_seed, GenExt};

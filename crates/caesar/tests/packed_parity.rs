@@ -4,7 +4,7 @@
 //! estimates. The [`caesar::SramBacking`] seam only swaps the storage
 //! layout; nothing observable may change.
 
-use caesar::{Caesar, CaesarConfig, Estimator, PackedCaesar, SramBacking};
+use caesar::{Caesar, CaesarConfig, CounterView, Estimator, PackedCaesar};
 use cachesim::CachePolicy;
 use support::rand::Rng;
 use support::testkit::{for_each_seed, GenExt};
@@ -14,8 +14,8 @@ fn assert_parity(word: &Caesar, packed: &PackedCaesar, ctx: &str) {
     assert_eq!(w.len(), p.len(), "{ctx}: length");
     for i in 0..w.len() {
         assert_eq!(
-            SramBacking::get(w, i),
-            SramBacking::get(p, i),
+            CounterView::get(w, i),
+            CounterView::get(p, i),
             "{ctx}: counter {i}"
         );
     }
@@ -139,7 +139,7 @@ fn packed_scalar_and_batch_ingest_agree() {
 
         let (s, b) = (scalar.sram(), batch.sram());
         for i in 0..s.len() {
-            assert_eq!(SramBacking::get(s, i), SramBacking::get(b, i), "counter {i}");
+            assert_eq!(CounterView::get(s, i), CounterView::get(b, i), "counter {i}");
         }
         assert_eq!(scalar.stats().evictions, batch.stats().evictions);
         assert_eq!(scalar.stats().sram_writes, batch.stats().sram_writes);

@@ -10,6 +10,7 @@
 //! writes.
 
 use cachesim::{CacheConfig, CachePolicy, CacheTable};
+use caesar::SketchRead;
 use caesar::update::spread_eviction;
 use caesar::{Caesar, CaesarConfig, ConcurrentCaesar, CounterArray, PackedCaesar, SramBacking};
 use hashkit::{KCounterMap, K_MAX};

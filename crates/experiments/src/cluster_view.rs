@@ -44,7 +44,7 @@
 use crate::report::{f, pct, Csv, TextTable};
 use crate::scale::{Scale, PAPER_FLOWS};
 use crate::zoo::zoo_config;
-use caesar::{ConcurrentCaesar, Estimator, SketchDelta};
+use caesar::{ConcurrentCaesar, Estimator, SketchDelta, SketchRead};
 use flowtrace::zoo::{standard_zoo, WorkloadGen, ZOO_SEED};
 use flowtrace::FlowId;
 use metrics::ScatterSeries;

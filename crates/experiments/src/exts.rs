@@ -18,6 +18,7 @@ use crate::report::{f, pct, Csv, TextTable};
 use crate::runner::{caesar_config, run_caesar, trace_for};
 use crate::scale::{Scale, LARGE_FLOW_THRESHOLD};
 use baselines::{BraidsConfig, CounterBraids, SampledCounter, SamplingConfig};
+use caesar::SketchRead;
 use caesar::Estimator;
 use metrics::{are_over_threshold, ScatterPoint};
 

@@ -15,7 +15,7 @@ use baselines::{
     BraidsConfig, Case, CaseConfig, CounterBraids, LossModel, Rcs, RcsConfig, SampledCounter,
     SamplingConfig, Vhc, VhcConfig,
 };
-use caesar::{Caesar, CaesarConfig, Estimator};
+use caesar::{Caesar, CaesarConfig, Estimator, SketchRead};
 use hashkit::IdHashMap;
 use metrics::{are_over_threshold, AccuracyReport, ScatterPoint};
 

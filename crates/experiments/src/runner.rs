@@ -2,7 +2,7 @@
 
 use crate::scale::{Scale, PAPER_MEAN_FLOW};
 use baselines::{Case, Rcs};
-use caesar::{Caesar, CaesarConfig, ConcurrentCaesar, Estimator};
+use caesar::{Caesar, CaesarConfig, ConcurrentCaesar, Estimator, SketchRead};
 use flowtrace::{FlowId, Trace};
 use metrics::ScatterSeries;
 use std::collections::HashMap;

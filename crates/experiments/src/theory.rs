@@ -26,7 +26,7 @@ use crate::runner::{bursty_trace_for, caesar_config, run_caesar, trace_for};
 use crate::scale::{Scale, LARGE_FLOW_THRESHOLD};
 use caesar::theory;
 use caesar::update::spread_eviction;
-use caesar::{CounterArray, Estimator};
+use caesar::{CounterArray, Estimator, SketchRead};
 use cachesim::{CacheConfig, CacheTable};
 use support::rand::{rngs::StdRng, Rng, SeedableRng};
 

@@ -16,6 +16,7 @@ use crate::report::{f, pct, Csv, TextTable};
 use crate::scale::{
     Scale, PAPER_CACHE_ENTRIES, PAPER_CAESAR_COUNTERS, PAPER_FLOWS, PAPER_PACKETS,
 };
+use caesar::SketchRead;
 use caesar::{
     BackpressurePolicy, Caesar, CaesarConfig, ConcurrentCaesar, Estimator, OnlineCaesar,
 };

@@ -254,7 +254,7 @@ impl<T: Transport> MeasurementClient<T> {
 mod tests {
     use super::*;
     use crate::server::TcpServer;
-    use caesar::{CaesarConfig, ConcurrentCaesar};
+    use caesar::{CaesarConfig, ConcurrentCaesar, SketchRead};
     use std::sync::Arc;
 
     fn cfg() -> CaesarConfig {

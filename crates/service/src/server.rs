@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 
-use caesar::{CaesarConfig, ConcurrentCaesar, SketchFingerprint, SketchPayload};
+use caesar::{CaesarConfig, ConcurrentCaesar, SketchFingerprint, SketchPayload, SketchRead};
 
 use crate::proto::{read_frame, write_frame, ClusterStats, HealthReport, ProtoError, Request, Response};
 

@@ -89,6 +89,17 @@ impl<'a> ByteReader<'a> {
     pub fn get_u64_le(&mut self) -> Option<u64> {
         self.get_array::<8>().map(u64::from_le_bytes)
     }
+
+    /// Read a little-endian `u64` element count whose elements take at
+    /// least `width` bytes each (`width >= 1`), and return it only if
+    /// the rest of the input can hold that many elements. A decoder
+    /// that sizes an allocation from this count is thereby bounded by
+    /// the input's own length: a forged count fails here as truncation
+    /// instead of asking the allocator for terabytes.
+    pub fn get_count(&mut self, width: usize) -> Option<usize> {
+        let n = usize::try_from(self.get_u64_le()?).ok()?;
+        (n <= self.remaining() / width).then_some(n)
+    }
 }
 
 /// Magic tag of a sealed buffer footer (`b"CSRB"` — CAESAR blob —
@@ -190,6 +201,21 @@ mod tests {
         assert_eq!(r.get_u32_le(), None, "only 1 byte left");
         assert_eq!(r.remaining(), 1, "failed read consumes nothing");
         assert_eq!(r.get_array::<1>(), Some([3]));
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_remaining_input() {
+        let mut buf = Vec::new();
+        buf.put_u64_le(2);
+        buf.put_slice(&[0; 16]);
+        assert_eq!(ByteReader::new(&buf).get_count(8), Some(2));
+        assert_eq!(ByteReader::new(&buf).get_count(9), None, "18 bytes needed, 16 left");
+        let mut forged = Vec::new();
+        forged.put_u64_le(1 << 44);
+        assert_eq!(ByteReader::new(&forged).get_count(1), None);
+        forged.clear();
+        forged.put_u64_le(u64::MAX);
+        assert_eq!(ByteReader::new(&forged).get_count(8), None);
     }
 
     #[test]

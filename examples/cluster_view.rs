@@ -19,6 +19,7 @@
 //!   4. handshake (fingerprint check), push each tap's payload;
 //!   5. query the merged view + per-flow health over the same socket.
 
+use caesar::SketchRead;
 use caesar_repro::prelude::*;
 use flowtrace::transform;
 use service::{MeasurementClient, MeasurementService, TcpServer, TcpTransport};

@@ -12,6 +12,7 @@
 //! throughput from 1 to 8 shards, compares the slice build against the
 //! ring-fed streaming build, and checks accuracy is unaffected.
 
+use caesar::SketchRead;
 use caesar::ConcurrentCaesar;
 use caesar_repro::prelude::*;
 use std::time::Instant;

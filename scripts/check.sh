@@ -378,6 +378,12 @@ else
     run cargo test -q --offline
 fi
 
+# The repository benchmark (perfbench/) is a workspace of its own, so
+# nothing above compiles it. Its tiny-run tests build it against the
+# current crates and drive every workload once, so an API change that
+# breaks the benchmark fails here, not in the first benchmark run.
+run cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 # Benches and examples are not exercised by `cargo test`; keep them
 # compiling so the figure/bench harnesses never rot. Build them in
 # release too: the bench trajectory (scripts/bench_trajectory.sh) runs

@@ -23,7 +23,9 @@ pub use service;
 pub mod prelude {
     pub use baselines::{case::Case, case::CaseConfig, rcs::Rcs, rcs::RcsConfig};
     pub use cachesim::{CachePolicy, CacheTable};
-    pub use caesar::{Caesar, CaesarConfig, ConcurrentCaesar, Estimator, SketchPayload};
+    pub use caesar::{
+        Caesar, CaesarConfig, ConcurrentCaesar, Estimator, SketchPayload, SketchRead,
+    };
     pub use flowtrace::{
         synth::{ArrivalOrder, SynthConfig, TraceGenerator},
         ExactCounter, FiveTuple, FlowId, Packet, Trace,

@@ -13,7 +13,7 @@
 //!   in-process query engine on the same service (f64s cross the wire
 //!   as raw bits; both paths converge on the same frame handler).
 
-use caesar::{ConcurrentCaesar, Estimator};
+use caesar::{ConcurrentCaesar, Estimator, SketchRead};
 use experiments::zoo::{stress_plan, zoo_config};
 use flowtrace::zoo::{standard_zoo, ZOO_SEED};
 use flowtrace::FlowId;

@@ -14,6 +14,7 @@
 //! * drop-policy losses and forced saturation must surface in
 //!   [`QueryHealth`] as reduced confidence, never as silent bias.
 
+use caesar::SketchRead;
 use caesar::{
     BackpressurePolicy, CaesarConfig, ConcurrentCaesar, FaultKind, OnlineCaesar,
     ThreadedCaesar,

@@ -13,11 +13,16 @@
 //!    same eviction/write counts, same estimates);
 //! 3. the chunk-parallel batch query engine is **bit-identical** to the
 //!    sequential per-flow estimators for CSM and MLM at 1, 2 and 4
-//!    threads, for both the sequential and the concurrent sketch.
+//!    threads, for every engine behind the one `SketchRead` surface
+//!    (sequential, packed, sharded, pump and threaded).
 
-use caesar::{Caesar, CaesarConfig, ConcurrentCaesar, Estimator};
+use caesar::{
+    Caesar, CaesarConfig, ConcurrentCaesar, Estimator, OnlineCaesar, PackedCaesar, SketchRead,
+    ThreadedCaesar,
+};
 use caesar_repro::prelude::*;
 use hashkit::{KCounterMap, K_MAX};
+use std::time::Duration;
 use support::rand::{rngs::StdRng, Rng};
 use support::testkit::{for_each_seed_n, GenExt};
 
@@ -122,6 +127,47 @@ fn record_batch_builds_byte_identical_sketch() {
     });
 }
 
+/// The whole [`SketchRead`] batch surface of `sketch` against its own
+/// per-flow queries over `flows`: `estimate_all_threads` at 1, 2 and 4
+/// threads and `estimate_all` bit-identical to `estimate` under both
+/// estimators, and `query_all` to `query`.
+fn assert_batch_matches_per_flow<S: SketchRead>(sketch: &S, flows: &[u64]) {
+    for estimator in [Estimator::Csm, Estimator::Mlm] {
+        let reference: Vec<_> = flows.iter().map(|&f| sketch.estimate(f, estimator)).collect();
+        let batches = [1usize, 2, 4]
+            .map(|threads| (threads, sketch.estimate_all_threads(flows, estimator, threads)));
+        let sequential = (0, sketch.estimate_all(flows, estimator));
+        for (threads, batch) in batches.iter().chain([&sequential]) {
+            assert_eq!(batch.len(), reference.len());
+            for (i, (a, b)) in reference.iter().zip(batch).enumerate() {
+                assert_eq!(
+                    a.value.to_bits(),
+                    b.value.to_bits(),
+                    "{estimator:?} t={threads} flow#{i} value"
+                );
+                assert_eq!(
+                    a.variance.to_bits(),
+                    b.variance.to_bits(),
+                    "{estimator:?} t={threads} flow#{i} variance"
+                );
+            }
+        }
+    }
+    let clamped = sketch.query_all(flows);
+    for (&f, &v) in flows.iter().zip(&clamped) {
+        assert_eq!(v.to_bits(), sketch.query(f).to_bits(), "query_all flow {f}");
+    }
+}
+
+/// The trace's flows, deduplicated, plus one flow it never saw.
+fn query_flows(workload: &[u64]) -> Vec<u64> {
+    let mut flows = workload.to_vec();
+    flows.sort_unstable();
+    flows.dedup();
+    flows.push(0xFEED_FACE);
+    flows
+}
+
 #[test]
 fn parallel_query_bit_identical_to_sequential_caesar() {
     for_each_seed_n(6, |rng| {
@@ -130,32 +176,19 @@ fn parallel_query_bit_identical_to_sequential_caesar() {
         let mut sketch = Caesar::new(cfg);
         sketch.record_all(workload.iter().copied());
         sketch.finish();
+        assert_batch_matches_per_flow(&sketch, &query_flows(&workload));
+    });
+}
 
-        let mut flows: Vec<u64> = workload.clone();
-        flows.dedup();
-        flows.push(0xFEED_FACE); // unseen flow rides along
-        for estimator in [Estimator::Csm, Estimator::Mlm] {
-            let reference: Vec<_> = flows
-                .iter()
-                .map(|&f| sketch.estimate(f, estimator))
-                .collect();
-            for threads in [1usize, 2, 4] {
-                let batch = sketch.estimate_all_threads(&flows, estimator, threads);
-                assert_eq!(batch.len(), reference.len());
-                for (i, (a, b)) in reference.iter().zip(&batch).enumerate() {
-                    assert_eq!(
-                        a.value.to_bits(),
-                        b.value.to_bits(),
-                        "{estimator:?} t={threads} flow#{i} value"
-                    );
-                    assert_eq!(
-                        a.variance.to_bits(),
-                        b.variance.to_bits(),
-                        "{estimator:?} t={threads} flow#{i} variance"
-                    );
-                }
-            }
-        }
+#[test]
+fn parallel_query_bit_identical_to_sequential_packed() {
+    for_each_seed_n(4, |rng| {
+        let cfg = random_cfg(rng);
+        let workload = random_workload(rng);
+        let mut sketch = PackedCaesar::new(cfg);
+        sketch.record_batch(&workload);
+        sketch.finish();
+        assert_batch_matches_per_flow(&sketch, &query_flows(&workload));
     });
 }
 
@@ -166,25 +199,52 @@ fn parallel_query_bit_identical_to_sequential_concurrent() {
         let workload = random_workload(rng);
         let shards = rng.gen_range(1usize..4);
         let sketch = ConcurrentCaesar::build(cfg, shards, &workload);
+        assert_batch_matches_per_flow(&sketch, &query_flows(&workload));
+    });
+}
 
-        let mut flows: Vec<u64> = workload.clone();
-        flows.dedup();
-        for estimator in [Estimator::Csm, Estimator::Mlm] {
-            let reference: Vec<_> = flows
-                .iter()
-                .map(|&f| sketch.estimate(f, estimator))
-                .collect();
-            for threads in [1usize, 2, 4] {
-                let batch = sketch.estimate_all_threads(&flows, estimator, threads);
-                for (i, (a, b)) in reference.iter().zip(&batch).enumerate() {
-                    assert_eq!(
-                        a.value.to_bits(),
-                        b.value.to_bits(),
-                        "{estimator:?} t={threads} flow#{i}"
-                    );
-                    assert_eq!(a.variance.to_bits(), b.variance.to_bits());
-                }
-            }
+#[test]
+fn parallel_query_bit_identical_to_sequential_online() {
+    for_each_seed_n(4, |rng| {
+        let cfg = random_cfg(rng);
+        let workload = random_workload(rng);
+        let mut engine = OnlineCaesar::new(cfg, rng.gen_range(1usize..4));
+        engine.offer_batch(&workload);
+        engine.merge_now();
+        assert_batch_matches_per_flow(&engine, &query_flows(&workload));
+    });
+}
+
+#[test]
+fn parallel_query_bit_identical_to_sequential_threaded() {
+    for_each_seed_n(2, |rng| {
+        let cfg = random_cfg(rng);
+        let workload = random_workload(rng);
+        let mut engine = ThreadedCaesar::new(cfg, rng.gen_range(1usize..4))
+            .with_heartbeat_interval(Duration::from_secs(5));
+        engine.offer_batch(&workload);
+        engine.merge_now();
+        assert_batch_matches_per_flow(&engine, &query_flows(&workload));
+    });
+}
+
+#[test]
+fn query_health_identical_between_caesar_and_one_shard_concurrent() {
+    for_each_seed_n(6, |rng| {
+        let cfg = random_cfg(rng);
+        let workload = random_workload(rng);
+        let mut sequential = Caesar::new(cfg);
+        sequential.record_batch(&workload);
+        sequential.finish();
+        let sharded = ConcurrentCaesar::build(cfg, 1, &workload);
+        for f in query_flows(&workload) {
+            let (a, b) = (sequential.query_health(f), sharded.query_health(f));
+            assert_eq!(a.estimate.value.to_bits(), b.estimate.value.to_bits(), "flow {f}");
+            assert_eq!(a.estimate.variance.to_bits(), b.estimate.variance.to_bits());
+            assert_eq!(a.saturation_events, b.saturation_events, "flow {f} ({cfg:?})");
+            assert_eq!(a.saturated_counters, b.saturated_counters);
+            assert_eq!(a.loss_fraction.to_bits(), b.loss_fraction.to_bits());
+            assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
         }
     });
 }

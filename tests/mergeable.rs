@@ -26,7 +26,7 @@
 //! merge vs. one per offending add), which is why the clamped case
 //! asserts values-equal + flagged rather than tally-equal.
 
-use caesar::{CaesarConfig, ConcurrentCaesar, SketchPayload};
+use caesar::{CaesarConfig, ConcurrentCaesar, SketchPayload, SketchRead};
 use support::rand::Rng;
 use support::testkit::for_each_seed;
 

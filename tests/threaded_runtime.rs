@@ -26,6 +26,7 @@
 
 use std::time::Duration;
 
+use caesar::SketchRead;
 use caesar::{
     CaesarConfig, ConcurrentCaesar, FaultKind, OnlineCaesar, ThreadedCaesar,
 };

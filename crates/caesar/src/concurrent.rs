@@ -490,7 +490,7 @@ impl ShardWorker<WritebackBuffer> {
     }
 
     /// End of measurement: dump the cache, flush the segment, report.
-    pub(crate) fn finish(mut self, sram: &AtomicCounterArray, kmap: &KCounterMap) -> IngestStats {
+    pub(crate) fn finish(&mut self, sram: &AtomicCounterArray, kmap: &KCounterMap) -> IngestStats {
         self.drain_cache(sram, kmap);
         self.sink.flush(sram);
         self.ingest_stats()
@@ -833,23 +833,25 @@ impl ConcurrentCaesar {
                     let _ = support::affinity::pin_shard(shard, shards);
                     let mut w = ShardWorker::staged(&cfg, shard, entries);
                     let mut buf: Vec<u64> = Vec::with_capacity(STREAM_CHUNK);
+                    // The fault seam is the supervised step's tick: it
+                    // fires before the `at`-th packet of this shard.
                     let mut seen = 0u64;
+                    let mut tick = fault.map(|at| {
+                        move || {
+                            seen += 1;
+                            seen - 1 == at
+                        }
+                    });
                     loop {
                         buf.clear();
                         if rx.pop_batch_blocking(&mut buf, STREAM_CHUNK) == 0 {
                             break; // producer gone and ring drained
                         }
-                        if let Some(at) = fault {
-                            if seen + buf.len() as u64 > at {
-                                // Process the packets before the fault
-                                // point, then fail exactly there.
-                                let head = (at - seen) as usize;
-                                w.record_batch(&buf[..head], sram, kmap);
-                                panic!("{}", INJECTED_PANIC);
-                            }
+                        if let Err(p) = w.apply_supervised(&buf, sram, kmap, tick.as_mut()) {
+                            // A finite build has no lane to quarantine
+                            // into: the fault fails the build.
+                            std::panic::resume_unwind(Box::new(p.payload));
                         }
-                        seen += buf.len() as u64;
-                        w.record_batch(&buf, sram, kmap);
                     }
                     w.finish(sram, kmap)
                 }));

@@ -54,6 +54,7 @@ pub mod epochs;
 pub mod estimator;
 pub mod gaussian;
 pub mod heavy_hitters;
+mod lane;
 pub mod merge;
 pub mod online;
 pub mod packed;

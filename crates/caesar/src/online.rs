@@ -7,8 +7,11 @@
 //! [`OnlineCaesar`] is the supervised, long-running form of the same
 //! machinery:
 //!
-//! * **Supervised shard workers.** Each shard lane owns a bounded
-//!   [`support::spsc`] ring and a [`ShardWorker`] state machine. Every
+//! * **Supervised shard workers.** Each shard lane (the crate-private
+//!   `lane::Lane`, the same type the detached-thread runtime drives)
+//!   owns a bounded [`support::spsc`] ring and a [`ShardWorker`] state
+//!   machine; here the supervisor holds both ring endpoints and drains
+//!   each lane itself. Every
 //!   drain step runs under [`std::panic::catch_unwind`]; a panicking
 //!   worker **quarantines** the unprocessed remainder of its batch
 //!   (counted exactly), has its surviving cache mass **salvaged** into
@@ -62,18 +65,20 @@
 //! left partial cache state; the lane's [`FaultRecord::exact`] flag
 //! turns `false` to say so.)
 
+use std::sync::Arc;
+
 use crate::atomic_sram::AtomicCounterArray;
 use crate::concurrent::{
-    BatchPanic, ConcurrentCaesar, IngestStats, ShardWorker, ShardWorkerState, STREAM_CHUNK,
+    ConcurrentCaesar, IngestStats, ShardWorker, ShardWorkerState, STREAM_CHUNK,
 };
 use crate::config::{CaesarConfig, Estimator};
+use crate::lane::{Lane, LaneLedger};
 use crate::merge::{MergeError, SketchFingerprint};
 use crate::query::SketchRead;
 use cachesim::{CachePolicy, CacheStats, CacheTableState};
 use hashkit::{KCounterMap, K_MAX};
 use support::bytesx::{seal, unseal, ByteReader, PutBytes, SealError};
-use support::spsc;
-use support::testkit::{FaultInjector, FaultSite, INJECTED_PANIC};
+use support::testkit::{FaultInjector, FaultSite};
 
 /// Default epoch length in offered packets: a few ring-chunks per lane
 /// between merges — frequent enough that queries lag ingest by a small
@@ -235,109 +240,6 @@ pub struct OnlineStats {
     pub failovers: u64,
 }
 
-/// The per-lane accounting both online runtimes keep — the pump's
-/// [`Lane`] and the detached-thread runtime's thread lane each hold
-/// one, and it moves between them whole. How many packets were
-/// *recorded* and are *in flight* is runtime-specific (the pump counts
-/// them, the threaded runtime reads the worker's heartbeat), so those
-/// two are passed in where needed.
-#[derive(Debug, Default)]
-pub(crate) struct LaneLedger {
-    /// Packets routed to this shard.
-    pub(crate) offered: u64,
-    /// Packets shed by the backpressure policy.
-    pub(crate) dropped: u64,
-    /// Packets lost to worker faults.
-    pub(crate) quarantined: u64,
-    /// Times the worker was respawned.
-    pub(crate) respawns: u64,
-    /// Ingest stats retired from workers that have since been
-    /// respawned (so the aggregate survives respawns).
-    pub(crate) retired: IngestStats,
-    /// Every fault the lane survived.
-    pub(crate) log: FaultLog,
-}
-
-impl LaneLedger {
-    /// Packets accepted but neither recorded nor lost, given the
-    /// runtime's `recorded` count.
-    pub(crate) fn unsettled(&self, recorded: u64) -> u64 {
-        self.offered - self.dropped - self.quarantined - recorded
-    }
-
-    /// The exact loss ratio `(dropped + quarantined) / offered`
-    /// ([`SketchRead::loss_fraction`] of the lane's flows).
-    pub(crate) fn loss_fraction(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            (self.dropped + self.quarantined) as f64 / self.offered as f64
-        }
-    }
-
-    /// Service a worker panic: quarantine the unprocessed remainder,
-    /// salvage the surviving cache mass (plus anything already staged)
-    /// into the shared SRAM so every *recorded* packet stays
-    /// query-visible, retire the dead worker's stats, swap in `fresh`
-    /// (fresh cache and RNG streams against the shard's surviving
-    /// accumulator state), and log the fault.
-    pub(crate) fn respawn_after_panic(
-        &mut self,
-        worker: &mut ShardWorker,
-        fresh: ShardWorker,
-        sram: &AtomicCounterArray,
-        kmap: &KCounterMap,
-        epoch: u64,
-        panic: BatchPanic,
-    ) {
-        self.quarantined += panic.unapplied;
-        let mut dead = std::mem::replace(worker, fresh);
-        let salvaged_units = dead.drain_cache(sram, kmap);
-        dead.flush_writeback(sram);
-        self.retired.merge(&dead.ingest_stats());
-        self.respawns += 1;
-        self.log.records.push(FaultRecord {
-            kind: FaultKind::WorkerPanic,
-            epoch,
-            at_offered: self.offered,
-            quarantined: panic.unapplied,
-            salvaged_units,
-            exact: panic.payload == INJECTED_PANIC,
-            payload: panic.payload,
-        });
-    }
-
-    /// The lane's public accounting snapshot.
-    pub(crate) fn lane_stats(
-        &self,
-        shard: usize,
-        recorded: u64,
-        in_flight: u64,
-        inline_fallback: bool,
-    ) -> LaneStats {
-        LaneStats {
-            shard,
-            offered: self.offered,
-            recorded,
-            dropped: self.dropped,
-            quarantined: self.quarantined,
-            in_flight,
-            respawns: self.respawns,
-            inline_fallback,
-        }
-    }
-
-    /// Add the lane into an engine-wide aggregate.
-    pub(crate) fn fold_into(&self, st: &mut OnlineStats, recorded: u64, in_flight: u64) {
-        st.recorded += recorded;
-        st.dropped += self.dropped;
-        st.quarantined += self.quarantined;
-        st.in_flight += in_flight;
-        st.respawns += self.respawns;
-        st.failovers += self.log.failovers() as u64;
-    }
-}
-
 impl OnlineStats {
     /// The aggregate before any lane is folded in.
     pub(crate) fn empty(offered: u64, epoch: u64, merges: u64) -> Self {
@@ -351,44 +253,6 @@ impl OnlineStats {
             merges,
             respawns: 0,
             failovers: 0,
-        }
-    }
-}
-
-/// One shard lane: the ring, the worker state machine, and the exact
-/// accounting. `pub(crate)` so the detached-thread runtime
-/// ([`crate::threaded`]) can decompose a pump engine into thread lanes
-/// and reassemble one (`from_online` / `into_online`) without a codec
-/// round trip.
-#[derive(Debug)]
-pub(crate) struct Lane {
-    pub(crate) tx: spsc::Producer<u64>,
-    pub(crate) rx: spsc::Consumer<u64>,
-    pub(crate) worker: ShardWorker,
-    /// Pump scratch buffer (reused; capacity [`STREAM_CHUNK`]).
-    pub(crate) buf: Vec<u64>,
-    pub(crate) recorded: u64,
-    /// Packets currently queued in the ring.
-    pub(crate) in_ring: u64,
-    pub(crate) inline_fallback: bool,
-    /// Consecutive no-progress pump attempts (watchdog state).
-    pub(crate) stalled_attempts: u64,
-    pub(crate) ledger: LaneLedger,
-}
-
-impl Lane {
-    fn new(cfg: &CaesarConfig, shard: usize, entries: usize, ring_capacity: usize) -> Self {
-        let (tx, rx) = spsc::ring::<u64>(ring_capacity);
-        Self {
-            tx,
-            rx,
-            worker: ShardWorker::staged(cfg, shard, entries),
-            buf: Vec::with_capacity(STREAM_CHUNK),
-            recorded: 0,
-            in_ring: 0,
-            inline_fallback: false,
-            stalled_attempts: 0,
-            ledger: LaneLedger::default(),
         }
     }
 }
@@ -413,16 +277,19 @@ impl Lane {
 #[derive(Debug)]
 pub struct OnlineCaesar {
     // Fields are `pub(crate)` so [`crate::threaded`] — the detached-
-    // thread form of this same engine — can decompose and reassemble
-    // one without going through the snapshot codec.
+    // thread form of this same engine, over the same lanes — can take
+    // one over and hand it back without going through the snapshot
+    // codec.
     pub(crate) cfg: CaesarConfig,
     pub(crate) shards: usize,
     pub(crate) policy: BackpressurePolicy,
     pub(crate) ring_capacity: usize,
     pub(crate) epoch_len: u64,
     pub(crate) watchdog_deadline: u64,
-    pub(crate) sram: AtomicCounterArray,
-    pub(crate) kmap: KCounterMap,
+    /// Shared (`Arc`) so the detached-thread runtime's workers can
+    /// reach them while this engine's state runs under threads.
+    pub(crate) sram: Arc<AtomicCounterArray>,
+    pub(crate) kmap: Arc<KCounterMap>,
     pub(crate) entries: Vec<usize>,
     pub(crate) lanes: Vec<Lane>,
     pub(crate) epoch: u64,
@@ -459,8 +326,8 @@ impl OnlineCaesar {
             ring_capacity,
             epoch_len: DEFAULT_EPOCH_LEN,
             watchdog_deadline: DEFAULT_WATCHDOG_DEADLINE,
-            sram,
-            kmap,
+            sram: Arc::new(sram),
+            kmap: Arc::new(kmap),
             entries,
             lanes,
             epoch: 0,
@@ -533,7 +400,7 @@ impl OnlineCaesar {
     }
 
     /// Which shard a flow routes to.
-    fn route(&self, flow: u64) -> usize {
+    pub(crate) fn route(&self, flow: u64) -> usize {
         if self.shards == 1 {
             0
         } else {
@@ -554,8 +421,7 @@ impl OnlineCaesar {
                 break;
             }
             if self.lanes[shard].tx.try_push(flow).is_ok() {
-                self.lanes[shard].in_ring += 1;
-                if self.lanes[shard].in_ring >= STREAM_CHUNK as u64 {
+                if self.lanes[shard].in_flight() >= STREAM_CHUNK as u64 {
                     // A full chunk is ready: pump it through the worker
                     // so ring occupancy stays bounded by one chunk on a
                     // healthy lane.
@@ -577,8 +443,8 @@ impl OnlineCaesar {
                     break;
                 }
                 BackpressurePolicy::DropOldest => {
-                    if self.lanes[shard].rx.try_pop().is_some() {
-                        self.lanes[shard].in_ring -= 1;
+                    let rx = self.lanes[shard].rx.as_mut().expect("the pump holds every ring");
+                    if rx.try_pop().is_some() {
                         self.lanes[shard].ledger.dropped += 1;
                     }
                     continue; // admit the new packet into the freed slot
@@ -620,11 +486,11 @@ impl OnlineCaesar {
     fn drain_chunk(&mut self, shard: usize) -> u64 {
         let lane = &mut self.lanes[shard];
         lane.buf.clear();
-        let n = lane.rx.pop_batch(&mut lane.buf, STREAM_CHUNK);
+        let rx = lane.rx.as_mut().expect("the pump holds every ring");
+        let n = rx.pop_batch(&mut lane.buf, STREAM_CHUNK);
         if n == 0 {
             return 0;
         }
-        lane.in_ring -= n as u64;
         self.drain_step(shard);
         n as u64
     }
@@ -638,9 +504,9 @@ impl OnlineCaesar {
         self.drain_step(shard);
     }
 
-    /// The supervised drain step: apply `lane.buf` to the worker under
-    /// [`ShardWorker::apply_supervised`]. On a panic the applied prefix
-    /// counts as recorded and the lane's ledger services the fault
+    /// The supervised drain step: apply `lane.buf` through the lane's
+    /// supervised step ([`crate::lane::LaneShared::apply`]). On a panic
+    /// the lane's ledger services the fault at once
     /// ([`LaneLedger::respawn_after_panic`]).
     fn drain_step(&mut self, shard: usize) {
         let Self { lanes, injector, sram, kmap, cfg, entries, epoch, .. } = self;
@@ -649,13 +515,10 @@ impl OnlineCaesar {
         // injector keeps the whole-chunk batch kernel.
         let tick = (!injector.is_inert())
             .then_some(|| injector.tick(FaultSite::WorkerPanic, shard));
-        match lane.worker.apply_supervised(&lane.buf, sram, kmap, tick) {
-            Ok(()) => lane.recorded += lane.buf.len() as u64,
-            Err(panic) => {
-                lane.recorded += panic.applied;
-                let fresh = ShardWorker::staged(cfg, shard, entries[shard]);
-                lane.ledger.respawn_after_panic(&mut lane.worker, fresh, sram, kmap, *epoch, panic);
-            }
+        let mut cell = lane.shared.lock();
+        if let Err(panic) = lane.shared.apply(&mut cell, &lane.buf, sram, kmap, tick) {
+            let fresh = ShardWorker::staged(cfg, shard, entries[shard]);
+            lane.ledger.respawn_after_panic(&mut cell.worker, fresh, sram, kmap, *epoch, panic);
         }
     }
 
@@ -700,16 +563,7 @@ impl OnlineCaesar {
     /// continues.
     fn rotate_epoch(&mut self) {
         for shard in 0..self.shards {
-            loop {
-                if self.lanes[shard].in_ring == 0 {
-                    break;
-                }
-                if self.injector.is_stalled(shard) {
-                    self.failover(shard);
-                    continue;
-                }
-                self.drain_chunk(shard);
-            }
+            self.drain_dry(shard);
             // Deterministic saturation-degradation seam: one tick per
             // shard per epoch boundary.
             if self.injector.tick(FaultSite::ForceSaturation, shard) {
@@ -718,12 +572,24 @@ impl OnlineCaesar {
         }
         let Self { lanes, sram, .. } = self;
         for lane in lanes.iter_mut() {
-            lane.worker.flush_writeback(sram);
+            lane.shared.lock().worker.flush_writeback(sram);
             lane.inline_fallback = false;
             lane.stalled_attempts = 0;
         }
         self.epoch += 1;
         self.merges += 1;
+    }
+
+    /// Drain `shard`'s ring dry, failing the lane over if it is still
+    /// wedged.
+    fn drain_dry(&mut self, shard: usize) {
+        while self.lanes[shard].in_flight() != 0 {
+            if self.injector.is_stalled(shard) {
+                self.failover(shard);
+            } else {
+                self.drain_chunk(shard);
+            }
+        }
     }
 
     /// Force an epoch rotation now (drain + merge), without waiting
@@ -736,7 +602,7 @@ impl OnlineCaesar {
     pub fn stats(&self) -> OnlineStats {
         let mut st = OnlineStats::empty(self.offered_total, self.epoch, self.merges);
         for lane in &self.lanes {
-            lane.ledger.fold_into(&mut st, lane.recorded, lane.in_ring);
+            lane.fold_into(&mut st);
         }
         st
     }
@@ -746,8 +612,7 @@ impl OnlineCaesar {
     /// # Panics
     /// Panics if `shard >= shards`.
     pub fn lane_stats(&self, shard: usize) -> LaneStats {
-        let lane = &self.lanes[shard];
-        lane.ledger.lane_stats(shard, lane.recorded, lane.in_ring, lane.inline_fallback)
+        self.lanes[shard].stats(shard)
     }
 
     /// The shard's fault history.
@@ -790,7 +655,10 @@ impl OnlineCaesar {
     pub fn unmerged_units(&self) -> u64 {
         self.lanes
             .iter()
-            .map(|l| l.worker.resident_units() + l.worker.staged_units())
+            .map(|l| {
+                let cell = l.shared.lock();
+                cell.worker.resident_units() + cell.worker.staged_units()
+            })
             .sum()
     }
 
@@ -801,26 +669,23 @@ impl OnlineCaesar {
     /// fault-tolerance suite).
     pub fn finish(mut self) -> ConcurrentCaesar {
         for shard in 0..self.shards {
-            loop {
-                if self.lanes[shard].in_ring == 0 {
-                    break;
-                }
-                if self.injector.is_stalled(shard) {
-                    self.failover(shard);
-                    continue;
-                }
-                self.drain_chunk(shard);
-            }
+            self.drain_dry(shard);
         }
         let Self { cfg, shards, sram, kmap, lanes, .. } = self;
         let per_shard: Vec<IngestStats> = lanes
-            .into_iter()
+            .iter()
             .map(|lane| {
                 let mut st = lane.ledger.retired;
-                st.merge(&lane.worker.finish(&sram, &kmap));
+                st.merge(&lane.shared.lock().worker.finish(&sram, &kmap));
                 st
             })
             .collect();
+        // A worker thread fenced off at a failover may still hold the
+        // arrays; it never writes them again, so copy them out.
+        let sram = Arc::try_unwrap(sram).unwrap_or_else(|arc| {
+            AtomicCounterArray::restore(arc.bits(), &arc.snapshot(), &arc.tally_snapshot())
+        });
+        let kmap = Arc::unwrap_or_clone(kmap);
         ConcurrentCaesar::assemble(cfg, shards, sram, kmap, per_shard)
     }
 
@@ -852,63 +717,13 @@ impl OnlineCaesar {
     /// instead of growing a fresh `Vec` every epoch.
     pub fn snapshot_into(&mut self, buf: &mut Vec<u8>) {
         buf.clear();
-        encode_snapshot_prelude(buf, &self.header(), &self.sram);
-        self.encode_lanes(buf);
+        encode_snapshot_prelude(buf, self);
+        encode_lanes(buf, &mut self.lanes);
         seal(buf);
         // This blob is now the chain anchor: future deltas diff against
         // it, so the dirty baseline resets here.
         self.chain = Some((hashkit::fnv::fnv1a64(buf), 0));
         let _ = self.sram.take_dirty_blocks();
-    }
-
-    /// The scalar engine header shared by full snapshots and delta
-    /// frames (see [`EngineHeader`]).
-    pub(crate) fn header(&self) -> EngineHeader<'_> {
-        EngineHeader {
-            cfg: &self.cfg,
-            shards: self.shards,
-            policy: self.policy,
-            ring_capacity: self.ring_capacity,
-            epoch_len: self.epoch_len,
-            watchdog_deadline: self.watchdog_deadline,
-            epoch: self.epoch,
-            merges: self.merges,
-            offered_total: self.offered_total,
-        }
-    }
-
-    /// Per-lane dynamic state, shared verbatim by full snapshots and
-    /// delta frames (the lane tail is O(cache + staged) — small and
-    /// epoch-churned, so deltas carry it whole). Drains and re-queues
-    /// each ring to serialize its contents; observably side-effect
-    /// free.
-    fn encode_lanes(&mut self, buf: &mut Vec<u8>) {
-        for shard in 0..self.shards {
-            // Drain the ring to serialize its contents, then re-queue
-            // them in order (the ring is empty in between, so pushes
-            // cannot fail).
-            let mut pending: Vec<u64> = Vec::with_capacity(self.lanes[shard].in_ring as usize);
-            while let Some(f) = self.lanes[shard].rx.try_pop() {
-                pending.push(f);
-            }
-            debug_assert_eq!(pending.len() as u64, self.lanes[shard].in_ring);
-            let lane = &mut self.lanes[shard];
-            encode_lane_section(
-                buf,
-                &LaneEncodeParts {
-                    ledger: &lane.ledger,
-                    recorded: lane.recorded,
-                    inline_fallback: lane.inline_fallback,
-                    stalled_attempts: lane.stalled_attempts,
-                    pending: &pending,
-                    state: &lane.worker.snapshot_state(),
-                },
-            );
-            for f in pending {
-                let pushed = lane.tx.try_push(f).is_ok();
-                debug_assert!(pushed, "re-queue into an emptied ring cannot fail");
-            }
-        }
     }
 
     /// Emit a sealed `CDLT` delta-checkpoint frame: everything that
@@ -942,8 +757,8 @@ impl OnlineCaesar {
     pub fn checkpoint_delta_into(&mut self, buf: &mut Vec<u8>) -> Result<(), DeltaError> {
         let (chain_id, seq) = self.chain.ok_or(DeltaError::NoBase)?;
         buf.clear();
-        encode_delta_prelude(buf, &self.header(), &self.sram, chain_id, seq + 1);
-        self.encode_lanes(buf);
+        encode_delta_prelude(buf, self, chain_id, seq + 1);
+        encode_lanes(buf, &mut self.lanes);
         seal(buf);
         self.chain = Some((chain_id, seq + 1));
         Ok(())
@@ -1050,6 +865,9 @@ impl OnlineCaesar {
         }
         if r.remaining() != 0 {
             return Err(DeltaError::Corrupt("trailing bytes"));
+        }
+        if !offers_reconcile(&lanes, offered_total) {
+            return Err(DeltaError::Corrupt("lane offers do not sum to the engine's"));
         }
         // Everything validated — apply.
         self.epoch = epoch;
@@ -1181,6 +999,9 @@ impl OnlineCaesar {
         if r.remaining() != 0 {
             return Err(RestoreError::Corrupt("trailing bytes"));
         }
+        if !offers_reconcile(&lanes, offered_total) {
+            return Err(RestoreError::Corrupt("lane offers do not sum to the engine's"));
+        }
         Ok(Self {
             cfg,
             shards,
@@ -1188,8 +1009,8 @@ impl OnlineCaesar {
             ring_capacity,
             epoch_len,
             watchdog_deadline,
-            sram,
-            kmap,
+            sram: Arc::new(sram),
+            kmap: Arc::new(kmap),
             entries,
             lanes,
             epoch,
@@ -1432,36 +1253,17 @@ impl std::error::Error for ChainError {}
 // Codec helpers
 // ---------------------------------------------------------------------
 
-/// The scalar engine state every checkpoint frame carries — shared
-/// between [`OnlineCaesar`] and the detached-thread runtime
-/// ([`crate::threaded`]) so both emit **byte-identical** layouts from
-/// one encoder instead of two hand-kept copies.
-pub(crate) struct EngineHeader<'a> {
-    pub(crate) cfg: &'a CaesarConfig,
-    pub(crate) shards: usize,
-    pub(crate) policy: BackpressurePolicy,
-    pub(crate) ring_capacity: usize,
-    pub(crate) epoch_len: u64,
-    pub(crate) watchdog_deadline: u64,
-    pub(crate) epoch: u64,
-    pub(crate) merges: u64,
-    pub(crate) offered_total: u64,
-}
-
 /// Full-snapshot prelude: layout version, fingerprint, config, engine
 /// scalars, then the complete SRAM (words + tally stripes). The lane
 /// sections and the seal footer follow.
-pub(crate) fn encode_snapshot_prelude(
-    buf: &mut Vec<u8>,
-    h: &EngineHeader<'_>,
-    sram: &AtomicCounterArray,
-) {
+fn encode_snapshot_prelude(buf: &mut Vec<u8>, h: &OnlineCaesar) {
+    let sram = &h.sram;
     buf.put_u16_le(SNAP_VERSION);
     // The sketch identity leads the blob so a peer can check merge
     // compatibility (see [`SketchFingerprint`]) without decoding —
     // or trusting — the rest of the state.
-    SketchFingerprint::of(h.cfg).encode_into(buf);
-    encode_config(buf, h.cfg);
+    SketchFingerprint::of(&h.cfg).encode_into(buf);
+    encode_config(buf, &h.cfg);
     buf.put_u64_le(h.shards as u64);
     buf.put_slice(&[h.policy.to_u8()]);
     buf.put_u64_le(h.ring_capacity as u64);
@@ -1491,16 +1293,11 @@ pub(crate) fn encode_snapshot_prelude(
 /// read-modify-write, no saturation bookkeeping to re-derive) plus the
 /// full tally stripes (O(shards), tiny). Consumes the dirty baseline
 /// via [`AtomicCounterArray::take_dirty_blocks`].
-pub(crate) fn encode_delta_prelude(
-    buf: &mut Vec<u8>,
-    h: &EngineHeader<'_>,
-    sram: &AtomicCounterArray,
-    chain_id: u64,
-    next_seq: u64,
-) {
+fn encode_delta_prelude(buf: &mut Vec<u8>, h: &OnlineCaesar, chain_id: u64, next_seq: u64) {
+    let sram = &h.sram;
     buf.put_slice(DELTA_MAGIC);
     buf.put_u16_le(DELTA_VERSION);
-    SketchFingerprint::of(h.cfg).encode_into(buf);
+    SketchFingerprint::of(&h.cfg).encode_into(buf);
     buf.put_u64_le(chain_id);
     buf.put_u64_le(next_seq);
     buf.put_u64_le(h.epoch);
@@ -1527,42 +1324,50 @@ pub(crate) fn encode_delta_prelude(
     }
 }
 
-/// Everything one per-lane section serializes, borrowed from whichever
-/// runtime owns the lane (the pump's [`Lane`] or a thread lane's
-/// locked worker cell).
-pub(crate) struct LaneEncodeParts<'a> {
-    pub(crate) ledger: &'a LaneLedger,
-    pub(crate) recorded: u64,
-    pub(crate) inline_fallback: bool,
-    pub(crate) stalled_attempts: u64,
-    pub(crate) pending: &'a [u64],
-    pub(crate) state: &'a ShardWorkerState,
-}
-
-/// One lane's dynamic state, shared verbatim by full snapshots and
+/// Every lane's dynamic state, shared verbatim by full snapshots and
 /// delta frames (the lane tail is O(cache + staged) — small and
-/// epoch-churned, so deltas carry it whole).
-pub(crate) fn encode_lane_section(buf: &mut Vec<u8>, parts: &LaneEncodeParts<'_>) {
-    let ledger = parts.ledger;
-    buf.put_u64_le(ledger.offered);
-    buf.put_u64_le(parts.recorded);
-    buf.put_u64_le(ledger.dropped);
-    buf.put_u64_le(ledger.quarantined);
-    buf.put_u64_le(ledger.respawns);
-    buf.put_slice(&[u8::from(parts.inline_fallback)]);
-    buf.put_u64_le(parts.stalled_attempts);
-    buf.put_u64_le(parts.pending.len() as u64);
-    for &f in parts.pending {
-        buf.put_u64_le(f);
+/// epoch-churned, so deltas carry it whole) and by both runtimes,
+/// whose engines are the same [`OnlineCaesar`] state. A
+/// ring the engine holds is drained to serialize its contents, then
+/// re-queued in order (it is empty in between, so the pushes cannot
+/// fail): observably side-effect free. A worker thread's ring is empty
+/// here, because the threaded runtime quiesces first.
+fn encode_lanes(buf: &mut Vec<u8>, lanes: &mut [Lane]) {
+    for lane in lanes {
+        let mut pending = Vec::new();
+        if let Some(rx) = lane.rx.as_mut() {
+            while let Some(f) = rx.try_pop() {
+                pending.push(f);
+            }
+        }
+        debug_assert_eq!(pending.len() as u64, lane.in_flight());
+        let ledger = &lane.ledger;
+        buf.put_u64_le(ledger.offered);
+        buf.put_u64_le(lane.recorded());
+        buf.put_u64_le(ledger.dropped);
+        buf.put_u64_le(ledger.quarantined);
+        buf.put_u64_le(ledger.respawns);
+        buf.put_slice(&[u8::from(lane.inline_fallback)]);
+        buf.put_u64_le(lane.stalled_attempts);
+        buf.put_u64_le(pending.len() as u64);
+        for &f in &pending {
+            buf.put_u64_le(f);
+        }
+        encode_ingest_stats(buf, &ledger.retired);
+        encode_worker_state(buf, &lane.shared.lock().worker.snapshot_state());
+        encode_fault_log(buf, &ledger.log);
+        for f in pending {
+            let pushed = lane.tx.try_push(f).is_ok();
+            debug_assert!(pushed, "re-queue into an emptied ring cannot fail");
+        }
     }
-    encode_ingest_stats(buf, &ledger.retired);
-    encode_worker_state(buf, parts.state);
-    encode_fault_log(buf, &ledger.log);
 }
 
-/// Decode one lane's dynamic state — the exact inverse of the per-lane
-/// section [`OnlineCaesar`]'s `encode_lanes` writes, shared by
-/// [`OnlineCaesar::restore`] and [`OnlineCaesar::apply_delta`].
+/// Decode one lane's dynamic state — the exact inverse of one lane of
+/// [`encode_lanes`], shared by [`OnlineCaesar::restore`] and
+/// [`OnlineCaesar::apply_delta`]. The lane's counts must reconcile:
+/// both runtimes derive in-flight from them, so a section claiming
+/// more settled packets than it was offered is refused here.
 fn decode_lane(
     r: &mut ByteReader<'_>,
     cfg: &CaesarConfig,
@@ -1592,6 +1397,12 @@ fn decode_lane(
     for _ in 0..n_pending {
         pending.push(r.get_u64_le().ok_or(RestoreError::Truncated)?);
     }
+    let settled = [dropped, quarantined, n_pending as u64]
+        .into_iter()
+        .try_fold(recorded, u64::checked_add);
+    if settled != Some(offered) {
+        return Err(RestoreError::Corrupt("lane counts do not reconcile"));
+    }
     let retired = decode_ingest_stats(r)?;
     let state = decode_worker_state(r)?;
     if state.memo.len() != entries * cfg.k {
@@ -1602,23 +1413,19 @@ fn decode_lane(
     }
     let log = decode_fault_log(r)?;
     let worker = ShardWorker::restore_state(cfg, shard, entries, state);
-    let (mut tx, rx) = spsc::ring::<u64>(ring_capacity);
-    let in_ring = pending.len() as u64;
-    for f in pending {
-        let pushed = tx.try_push(f).is_ok();
-        debug_assert!(pushed, "capacity checked above");
-    }
-    Ok(Lane {
-        tx,
-        rx,
-        worker,
-        buf: Vec::with_capacity(STREAM_CHUNK),
-        recorded,
-        in_ring,
-        inline_fallback,
-        stalled_attempts,
-        ledger: LaneLedger { offered, dropped, quarantined, respawns, retired, log },
-    })
+    let ledger = LaneLedger { offered, dropped, quarantined, respawns, retired, log };
+    let mut lane = Lane::with_parts(ring_capacity, worker, recorded, ledger, &pending);
+    lane.inline_fallback = inline_fallback;
+    lane.stalled_attempts = stalled_attempts;
+    Ok(lane)
+}
+
+/// Whether the lanes' offered counts sum exactly to the engine's.
+fn offers_reconcile(lanes: &[Lane], offered_total: u64) -> bool {
+    lanes
+        .iter()
+        .try_fold(0u64, |sum, lane| sum.checked_add(lane.ledger.offered))
+        == Some(offered_total)
 }
 
 fn get_u8(r: &mut ByteReader<'_>) -> Result<u8, RestoreError> {

@@ -6,22 +6,34 @@
 //! workers itself at deterministic points, so every schedule — and
 //! every injected fault — is a pure function of the offered stream.
 //! [`ThreadedCaesar`] is the same machinery deployed the way a line
-//! card actually runs it: each shard worker is a **real detached OS
-//! thread** draining its bounded [`support::spsc`] ring through the
-//! same batch hot path, supervised by **wall-clock heartbeats**
-//! instead of logical pump-attempt ticks.
+//! card actually runs it: both engines hold the same lanes (the
+//! crate-private `lane::Lane`), and here each lane's worker is a **real
+//! detached OS thread** draining its bounded [`support::spsc`] ring
+//! through the same supervised step, supervised by **wall-clock
+//! heartbeats** instead of logical pump-attempt ticks.
 //!
 //! * **Heartbeat slots.** Each worker publishes progress through a
 //!   cache-line-padded atomic slot ([`support::spsc::CachePadded`]):
-//!   a monotonic beat counter, the cumulative drained count, the
-//!   engine epoch it has observed, and the last flush (checkpoint)
-//!   sequence it acknowledged. The slot is the *only* state the
-//!   supervisor reads without a lock.
+//!   a monotonic beat counter, the lane's recorded count, the engine
+//!   epoch it has observed, the last flush (checkpoint) sequence it
+//!   acknowledged, and its lifecycle state. The slot is the *only*
+//!   state the supervisor reads without a lock.
+//! * **Woken, not polled.** A worker with nothing to do — ring empty
+//!   and idle, parked for a snapshot, or waiting out a panic's
+//!   service — publishes a non-running state and parks its thread.
+//!   The engine wakes it after every command it stores (resume, flush,
+//!   park, stop, failover, drop), and a producer whose push finds the
+//!   worker idle wakes it once a chunk is queued. That check is one
+//!   plain load on the offer path, with no fence: a wake lost to the
+//!   race, or a tail shorter than a chunk, is caught by a later push,
+//!   by any supervisor wait (each wakes the worker before it waits), or
+//!   by the idle wait's heartbeat-interval timeout.
 //! * **A monitor thread** wakes a few times per heartbeat interval and
-//!   compares each worker's beat against a wall-clock deadline. A
-//!   worker whose beat has not moved for **two consecutive heartbeat
-//!   deadlines** is declared hung: the monitor publishes a verdict the
-//!   engine consumes at its next service point.
+//!   compares each running worker's beat against a wall-clock
+//!   deadline. A worker whose beat has not moved for **two consecutive
+//!   heartbeat deadlines** is declared hung: the monitor publishes a
+//!   verdict the engine consumes at its next service point. It waits
+//!   on a condition variable, so stopping it never waits out a poll.
 //! * **Crash failover.** A hung worker's ring is sealed, the lane's
 //!   in-flight packets are **quarantined** (counted exactly, recorded
 //!   in the lane's [`FaultLog`]), whatever accumulator state can be
@@ -35,7 +47,7 @@
 //!   serviced by the engine exactly like the pump does it: applied
 //!   prefix counted recorded, remainder quarantined, surviving cache
 //!   mass salvaged, worker respawned *in place* (same thread, fresh
-//!   state machine).
+//!   state machine), worker woken.
 //!
 //! The mass-accounting invariant is preserved **exactly** at every
 //! observation point, fault or no fault:
@@ -55,30 +67,32 @@
 //! with acknowledgement waits — the same order the pump merges, so
 //! even the saturation tallies match. Snapshots are taken at a
 //! **quiesced** point (all accepted packets applied, workers parked)
-//! and reuse the pump's exact encoders, so a quiesced threaded
-//! snapshot is byte-identical to the pump's at the same boundary.
+//! through the pump's own encoders over the same lanes, so a quiesced
+//! threaded snapshot is byte-identical to the pump's at the same
+//! boundary.
 //!
 //! The pump remains the test oracle precisely because it is
 //! deterministic; this module is the thing it is an oracle *for*.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::atomic_sram::AtomicCounterArray;
-use crate::concurrent::{BatchPanic, ConcurrentCaesar, ShardWorker, STREAM_CHUNK};
+use crate::concurrent::{ConcurrentCaesar, ShardWorker, STREAM_CHUNK};
 use crate::config::CaesarConfig;
+use crate::lane::{
+    Lane, LaneShared, HB_EXITED, HB_IDLE, HB_PANICKED, HB_PARKED, HB_RUNNING,
+};
 use crate::merge::{SketchFingerprint, SketchPayload};
 use crate::online::{
-    encode_delta_prelude, encode_lane_section, encode_snapshot_prelude, BackpressurePolicy,
-    ChainError, DeltaError, EngineHeader, FaultKind, FaultLog, FaultRecord, Lane, LaneEncodeParts,
-    LaneLedger, LaneStats, OnlineCaesar, OnlineStats, RestoreError,
+    BackpressurePolicy, ChainError, DeltaError, FaultKind, FaultLog, FaultRecord, LaneStats,
+    OnlineCaesar, OnlineStats, RestoreError,
 };
 use crate::query::SketchRead;
 use hashkit::KCounterMap;
-use support::bytesx::seal;
-use support::spsc::{self, CachePadded};
+use support::spsc;
 use support::testkit::{FaultInjector, FaultSite};
 
 /// Default heartbeat interval of a new engine, in milliseconds.
@@ -88,181 +102,17 @@ use support::testkit::{FaultInjector, FaultSite};
 /// [`ThreadedCaesar::with_heartbeat_interval`].
 pub const DEFAULT_HEARTBEAT_MS: u64 = 250;
 
-// Worker lifecycle states published through the heartbeat slot.
-const HB_RUNNING: u8 = 0;
-const HB_PARKED: u8 = 1;
-const HB_PANICKED: u8 = 2;
-const HB_EXITED: u8 = 3;
-
-/// The per-worker heartbeat slot: everything the supervisor learns
-/// about a worker without taking a lock. Each field sits on its own
-/// cache line so the worker's stores never bounce the monitor's reads
-/// into the ingest hot path.
-struct Heartbeat {
-    /// Monotonic liveness counter: bumped once per worker loop
-    /// iteration. The monitor judges *this* against the wall clock.
-    beat: CachePadded<AtomicU64>,
-    /// Cumulative packets applied by the current worker cell.
-    recorded: CachePadded<AtomicU64>,
-    /// The engine epoch the worker last observed (mirrored from the
-    /// control word; diagnostic).
-    epoch: CachePadded<AtomicU64>,
-    /// Last flush / delta-checkpoint sequence the worker acknowledged.
-    ckpt_seq: CachePadded<AtomicU64>,
-    /// Lifecycle state (`HB_*`).
-    state: CachePadded<AtomicU8>,
-    /// Monitor verdict: non-zero means "missed two heartbeat
-    /// deadlines"; the engine consumes it at its next service point.
-    verdict: CachePadded<AtomicU8>,
-}
-
-impl Heartbeat {
-    fn new() -> Self {
-        Self {
-            beat: CachePadded(AtomicU64::new(0)),
-            recorded: CachePadded(AtomicU64::new(0)),
-            epoch: CachePadded(AtomicU64::new(0)),
-            ckpt_seq: CachePadded(AtomicU64::new(0)),
-            state: CachePadded(AtomicU8::new(HB_RUNNING)),
-            verdict: CachePadded(AtomicU8::new(0)),
-        }
-    }
-}
-
-/// Engine → worker control word.
-struct Control {
-    /// Generation fence: a worker that observes a generation other
-    /// than the one it was spawned with exits immediately and never
-    /// touches shared state again. Bumped exactly once, at failover.
-    gen: AtomicU64,
-    /// Park request (quiesce): the worker drains its ring dry, then
-    /// idles at `HB_PARKED` until cleared.
-    park: AtomicBool,
-    /// Stop request: the worker exits once its ring is empty.
-    stop: AtomicBool,
-    /// Flush command sequence: when it advances past the worker's
-    /// acknowledged sequence, the worker flushes its writeback segment
-    /// into the shared SRAM and acks via `Heartbeat::ckpt_seq`.
-    flush_seq: AtomicU64,
-    /// Current engine epoch (workers mirror it into their heartbeat).
-    epoch: AtomicU64,
-}
-
-impl Control {
-    fn new() -> Self {
-        Self {
-            gen: AtomicU64::new(0),
-            park: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
-            flush_seq: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
-        }
-    }
-}
-
-/// The mutable worker state, owned by whichever side holds the lock:
-/// the worker thread while applying a batch, the engine while
-/// salvaging, snapshotting, or respawning.
-struct WorkerCell {
-    worker: ShardWorker,
-    /// Packets applied by this cell's workers since the cell was
-    /// created (survives in-place panic respawns; reset only by
-    /// failover, which folds it into the lane's `recorded_base`).
-    recorded: u64,
-    panic_info: Option<BatchPanic>,
-}
-
-/// Everything one worker thread and the engine share for a lane.
-struct LaneShared {
-    hb: Heartbeat,
-    ctrl: Control,
-    cell: Mutex<WorkerCell>,
-}
-
-impl LaneShared {
-    fn new(worker: ShardWorker) -> Self {
-        Self {
-            hb: Heartbeat::new(),
-            ctrl: Control::new(),
-            cell: Mutex::new(WorkerCell { worker, recorded: 0, panic_info: None }),
-        }
-    }
-}
-
-/// Engine-side lane state: the producer endpoint, the shared slot,
-/// the thread handle, and the exact accounting the worker does not
-/// own.
-struct ThreadLane {
-    tx: spsc::Producer<u64>,
-    /// The consumer endpoint, held until the worker thread is spawned
-    /// (and returned by the thread when it exits).
-    boot: Option<spsc::Consumer<u64>>,
-    shared: Arc<LaneShared>,
-    handle: Option<JoinHandle<spsc::Consumer<u64>>>,
-    /// Recorded count carried over from before the current worker cell
-    /// existed (prior failovers, or the pump engine this lane was
-    /// built from). Lane total = `recorded_base + hb.recorded`.
-    recorded_base: u64,
-    /// Flush commands issued to the current worker cell (reset by
-    /// failover along with the control word).
-    flush_issued: u64,
-    ledger: LaneLedger,
-}
-
-impl ThreadLane {
-    fn new(cfg: &CaesarConfig, shard: usize, entries: usize, ring_capacity: usize) -> Self {
-        let (tx, rx) = spsc::ring::<u64>(ring_capacity);
-        Self {
-            tx,
-            boot: Some(rx),
-            shared: Arc::new(LaneShared::new(ShardWorker::staged(cfg, shard, entries))),
-            handle: None,
-            recorded_base: 0,
-            flush_issued: 0,
-            ledger: LaneLedger::default(),
-        }
-    }
-
-    fn from_pump_lane(lane: Lane) -> Self {
-        let Lane { tx, rx, worker, recorded, ledger, .. } = lane;
-        // The pump's transient watchdog state (`inline_fallback`,
-        // `stalled_attempts`) does not transfer: the threaded runtime
-        // has its own supervision. In-ring packets stay in the ring —
-        // the worker drains them once spawned.
-        Self {
-            tx,
-            boot: Some(rx),
-            shared: Arc::new(LaneShared::new(worker)),
-            handle: None,
-            recorded_base: recorded,
-            flush_issued: 0,
-            ledger,
-        }
-    }
-
-    /// Lane total recorded: carried-over base plus the live cell's
-    /// published count.
-    fn recorded(&self) -> u64 {
-        self.recorded_base + self.shared.hb.recorded.0.load(Ordering::Acquire)
-    }
-
-    /// Packets accepted but not yet applied (in the ring, or popped
-    /// and mid-batch). Derived, so the mass invariant holds at every
-    /// instant by construction.
-    fn in_flight(&self) -> u64 {
-        self.ledger.unsettled(self.recorded())
-    }
-}
-
-/// Monitor-thread shared state: the stop flag and the registry of
+/// Monitor-thread shared state: the stop flag with the condition
+/// variable the monitor waits on between polls, and the registry of
 /// heartbeat slots to watch (slots are replaced on failover).
 struct MonitorShared {
-    stop: AtomicBool,
+    stop: Mutex<bool>,
+    wake: Condvar,
     lanes: Mutex<Vec<Arc<LaneShared>>>,
 }
 
-/// The supervisor monitor: stops and joins its thread on drop, so a
-/// dropped engine never leaks it.
+/// The supervisor monitor: stops, wakes and joins its thread on drop,
+/// so a dropped engine never leaks it and never waits out a poll.
 struct Monitor {
     shared: Arc<MonitorShared>,
     handle: Option<JoinHandle<()>>,
@@ -270,7 +120,8 @@ struct Monitor {
 
 impl Drop for Monitor {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
+        *self.shared.stop.lock().expect("monitor stop lock") = true;
+        self.shared.wake.notify_all();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -300,27 +151,14 @@ impl Drop for Monitor {
 /// assert_eq!(sketch.sram().total_added(), 10_000);
 /// ```
 pub struct ThreadedCaesar {
-    cfg: CaesarConfig,
-    shards: usize,
-    policy: BackpressurePolicy,
-    ring_capacity: usize,
-    epoch_len: u64,
-    /// Not used by this runtime (supervision is wall-clock), but
-    /// carried and serialized so snapshots stay byte-compatible with
-    /// the pump's layout.
-    watchdog_deadline: u64,
+    /// The engine state the pump runs on: configuration, counters,
+    /// lanes, epoch and chain position. Its own injector stays inert
+    /// while the workers run; the live schedule is `injector`.
+    engine: OnlineCaesar,
     heartbeat: Duration,
     pin_workers: bool,
-    sram: Arc<AtomicCounterArray>,
-    kmap: Arc<KCounterMap>,
-    entries: Vec<usize>,
-    lanes: Vec<ThreadLane>,
-    epoch: u64,
-    merges: u64,
-    offered_total: u64,
     injector: Arc<Mutex<FaultInjector>>,
     injector_live: bool,
-    chain: Option<(u64, u64)>,
     monitor: Option<Monitor>,
     started: bool,
     quiesced: bool,
@@ -338,97 +176,44 @@ impl ThreadedCaesar {
     /// # Panics
     /// Panics if `shards == 0` or the configuration is invalid.
     pub fn new(cfg: CaesarConfig, shards: usize) -> Self {
-        let (sram, kmap, entries) = ConcurrentCaesar::scaffold(&cfg, shards);
-        let ring_capacity = crate::DEFAULT_RING_CAPACITY;
-        let lanes = (0..shards)
-            .map(|shard| ThreadLane::new(&cfg, shard, entries[shard], ring_capacity))
-            .collect();
-        Self {
-            cfg,
-            shards,
-            policy: BackpressurePolicy::Block,
-            ring_capacity,
-            epoch_len: crate::DEFAULT_EPOCH_LEN,
-            watchdog_deadline: crate::DEFAULT_WATCHDOG_DEADLINE,
-            heartbeat: Duration::from_millis(DEFAULT_HEARTBEAT_MS),
-            pin_workers: false,
-            sram: Arc::new(sram),
-            kmap: Arc::new(kmap),
-            entries,
-            lanes,
-            epoch: 0,
-            merges: 0,
-            offered_total: 0,
-            injector: Arc::new(Mutex::new(FaultInjector::none())),
-            injector_live: false,
-            chain: None,
-            monitor: None,
-            started: false,
-            quiesced: false,
-        }
+        Self::from_online(OnlineCaesar::new(cfg, shards))
     }
 
     /// Take over a pump engine's complete state — counters, worker
     /// state machines, ring contents, fault logs, chain position —
-    /// without a codec round trip. The inverse of
+    /// without a codec round trip: both runtimes run the same engine
+    /// state over the same lanes, so this moves it, and the worker
+    /// threads spawn on first use. The inverse of
     /// [`ThreadedCaesar::into_online`].
     ///
     /// # Panics
     /// Panics if the pump is configured with
     /// [`BackpressurePolicy::DropOldest`], which requires consumer-side
     /// ownership the threaded runtime hands to its workers.
-    pub fn from_online(online: OnlineCaesar) -> Self {
-        let OnlineCaesar {
-            cfg,
-            shards,
-            policy,
-            ring_capacity,
-            epoch_len,
-            watchdog_deadline,
-            sram,
-            kmap,
-            entries,
-            lanes,
-            epoch,
-            merges,
-            offered_total,
-            injector,
-            chain,
-        } = online;
+    pub fn from_online(mut engine: OnlineCaesar) -> Self {
         assert!(
-            policy != BackpressurePolicy::DropOldest,
+            engine.policy != BackpressurePolicy::DropOldest,
             "DropOldest needs the consumer endpoint, which threaded workers own"
         );
-        let injector_live = !injector.is_inert();
-        let lanes: Vec<ThreadLane> =
-            lanes.into_iter().map(ThreadLane::from_pump_lane).collect();
-        let engine = Self {
-            cfg,
-            shards,
-            policy,
-            ring_capacity,
-            epoch_len,
-            watchdog_deadline,
+        let injector = std::mem::replace(&mut engine.injector, FaultInjector::none());
+        for lane in &mut engine.lanes {
+            // The pump's watchdog state does not transfer: this runtime
+            // supervises by heartbeat. In-ring packets stay in the ring
+            // for the worker to drain once spawned.
+            lane.inline_fallback = false;
+            lane.stalled_attempts = 0;
+            lane.shared.ctrl.epoch.store(engine.epoch, Ordering::Release);
+        }
+        Self {
+            engine,
             heartbeat: Duration::from_millis(DEFAULT_HEARTBEAT_MS),
             pin_workers: false,
-            sram: Arc::new(sram),
-            kmap: Arc::new(kmap),
-            entries,
-            lanes,
-            epoch,
-            merges,
-            offered_total,
+            injector_live: !injector.is_inert(),
             injector: Arc::new(Mutex::new(injector)),
-            injector_live,
-            chain,
             monitor: None,
             started: false,
             quiesced: false,
-        };
-        for lane in &engine.lanes {
-            lane.shared.ctrl.epoch.store(engine.epoch, Ordering::Release);
         }
-        engine
     }
 
     /// Set the backpressure policy (builder-style; call before
@@ -443,7 +228,7 @@ impl ThreadedCaesar {
             policy != BackpressurePolicy::DropOldest,
             "DropOldest needs the consumer endpoint, which threaded workers own"
         );
-        self.policy = policy;
+        self.engine.policy = policy;
         self
     }
 
@@ -452,25 +237,17 @@ impl ThreadedCaesar {
     ///
     /// # Panics
     /// Panics if `capacity == 0` or packets have been offered.
-    pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity >= 1, "ring capacity must be at least 1");
-        assert_eq!(self.offered_total, 0, "set ring capacity before offering");
+    pub fn with_ring_capacity(self, capacity: usize) -> Self {
         assert!(!self.started, "set ring capacity before workers spawn");
-        self.ring_capacity = capacity;
-        for (shard, lane) in self.lanes.iter_mut().enumerate() {
-            *lane = ThreadLane::new(&self.cfg, shard, self.entries[shard], capacity);
-        }
-        self
+        Self { engine: self.engine.with_ring_capacity(capacity), ..self }
     }
 
     /// Set the epoch length in offered packets (`>= 1`).
     ///
     /// # Panics
     /// Panics if `epoch_len == 0`.
-    pub fn with_epoch_len(mut self, epoch_len: u64) -> Self {
-        assert!(epoch_len >= 1, "epoch length must be at least 1");
-        self.epoch_len = epoch_len;
-        self
+    pub fn with_epoch_len(self, epoch_len: u64) -> Self {
+        Self { engine: self.engine.with_epoch_len(epoch_len), ..self }
     }
 
     /// Set the wall-clock heartbeat interval. The monitor declares a
@@ -503,10 +280,11 @@ impl ThreadedCaesar {
     /// Thread-aware sites: [`FaultSite::WorkerPanic`] panics the
     /// worker *on its own thread* between two packets;
     /// [`FaultSite::WorkerHang`] stops the worker's heartbeat entirely
-    /// (until the failover fence releases it);
-    /// [`FaultSite::SlowDrain`] delays one iteration by one heartbeat
+    /// with a popped batch in hand (until the failover fence releases
+    /// it); [`FaultSite::SlowDrain`] stalls one batch for one heartbeat
     /// interval — visible to the monitor but inside the two-deadline
-    /// budget, so it must **not** trip failover.
+    /// budget, so it must **not** trip failover. Both tick once per
+    /// popped batch.
     /// [`FaultSite::RingStall`] has no meaning here (there are no pump
     /// attempts) and never fires.
     ///
@@ -528,12 +306,13 @@ impl ThreadedCaesar {
             return;
         }
         self.started = true;
-        for shard in 0..self.shards {
+        for shard in 0..self.engine.shards {
             self.spawn_worker(shard);
         }
         let shared = Arc::new(MonitorShared {
-            stop: AtomicBool::new(false),
-            lanes: Mutex::new(self.lanes.iter().map(|l| Arc::clone(&l.shared)).collect()),
+            stop: Mutex::new(false),
+            wake: Condvar::new(),
+            lanes: Mutex::new(self.engine.lanes.iter().map(|l| Arc::clone(&l.shared)).collect()),
         });
         let for_thread = Arc::clone(&shared);
         let interval = self.heartbeat;
@@ -545,15 +324,16 @@ impl ThreadedCaesar {
     }
 
     fn spawn_worker(&mut self, shard: usize) {
-        let lane = &mut self.lanes[shard];
-        let rx = lane.boot.take().expect("consumer endpoint available to spawn");
+        let lane = &mut self.engine.lanes[shard];
+        let rx = lane.rx.take().expect("consumer endpoint available to spawn");
+        lane.shared.hb.state.0.store(HB_RUNNING, Ordering::Release);
         let shared = Arc::clone(&lane.shared);
-        let sram = Arc::clone(&self.sram);
-        let kmap = Arc::clone(&self.kmap);
+        let sram = Arc::clone(&self.engine.sram);
+        let kmap = Arc::clone(&self.engine.kmap);
         let injector = if self.injector_live { Some(Arc::clone(&self.injector)) } else { None };
         let ctx = WorkerCtx {
             shard,
-            shards: self.shards,
+            shards: self.engine.shards,
             interval: self.heartbeat,
             pin: self.pin_workers,
         };
@@ -568,10 +348,10 @@ impl ThreadedCaesar {
     /// first (cheap respawn-in-place), then a monitor verdict (full
     /// failover). Called on every offer and inside every wait loop.
     fn service_lane(&mut self, shard: usize) {
-        if self.lanes[shard].shared.hb.state.0.load(Ordering::Acquire) == HB_PANICKED {
+        if self.engine.lanes[shard].shared.hb.state.0.load(Ordering::Acquire) == HB_PANICKED {
             self.service_panic(shard);
         }
-        if self.lanes[shard].shared.hb.verdict.0.load(Ordering::Acquire) != 0 {
+        if self.engine.lanes[shard].shared.hb.verdict.0.load(Ordering::Acquire) != 0 {
             self.heartbeat_failover(shard);
         }
     }
@@ -581,10 +361,10 @@ impl ThreadedCaesar {
     /// thread — the worker is waiting, not racing us), respawn the
     /// state machine in place, log the fault, release the worker.
     fn service_panic(&mut self, shard: usize) {
-        let epoch = self.epoch;
-        let Self { lanes, sram, kmap, cfg, entries, .. } = self;
+        let epoch = self.engine.epoch;
+        let OnlineCaesar { lanes, sram, kmap, cfg, entries, .. } = &mut self.engine;
         let lane = &mut lanes[shard];
-        let mut cell = lane.shared.cell.lock().expect("worker cell lock");
+        let mut cell = lane.shared.lock();
         let Some(panic) = cell.panic_info.take() else {
             return;
         };
@@ -594,6 +374,7 @@ impl ThreadedCaesar {
         // Releasing the state releases the worker thread, which loops
         // straight back into draining against the fresh state machine.
         lane.shared.hb.state.0.store(HB_RUNNING, Ordering::Release);
+        lane.wake();
     }
 
     /// The monitor found a worker that missed two heartbeat deadlines.
@@ -603,38 +384,38 @@ impl ThreadedCaesar {
     /// ring.
     fn heartbeat_failover(&mut self, shard: usize) {
         let interval = self.heartbeat;
-        let epoch = self.epoch;
+        let epoch = self.engine.epoch;
         {
-            let Self { lanes, sram, kmap, cfg, entries, ring_capacity, quiesced, .. } = self;
+            let OnlineCaesar { lanes, sram, kmap, cfg, entries, ring_capacity, .. } =
+                &mut self.engine;
             let lane = &mut lanes[shard];
             // Seal first: nothing new enters the wedged ring, and a
             // zombie that wakes up sees a closed, abandoned ring.
             lane.tx.seal();
-            let old = Arc::clone(&lane.shared);
+            let old = &lane.shared;
             old.ctrl.gen.fetch_add(1, Ordering::Release);
             let (exact, salvaged_units) = match old.cell.try_lock() {
                 Ok(mut cell) => {
                     // Hung at a batch boundary (the injected form):
-                    // the cell is free, so the applied count is final
-                    // and the accumulator is safe to salvage.
-                    lane.recorded_base += cell.recorded;
+                    // the cell is free, so the accumulator is safe to
+                    // salvage.
                     let salvaged = cell.worker.drain_cache(sram, kmap);
                     cell.worker.flush_writeback(sram);
                     lane.ledger.retired.merge(&cell.worker.ingest_stats());
                     (true, salvaged)
                 }
-                Err(_) => {
-                    // Genuinely wedged mid-batch: the zombie owns the
-                    // cell. Its published prefix counts as recorded,
-                    // but its staged mass is stranded in an orphaned
-                    // accumulator the fence will never let it flush.
-                    // Flagged inexact, like a genuine mid-record panic.
-                    lane.recorded_base += old.hb.recorded.0.load(Ordering::Acquire);
-                    (false, 0)
-                }
+                // Genuinely wedged mid-batch: the zombie owns the cell.
+                // Its published prefix counts as recorded, but its
+                // staged mass is stranded in an orphaned accumulator the
+                // fence will never let it flush. Flagged inexact, like a
+                // genuine mid-record panic.
+                Err(_) => (false, 0),
             };
+            // Final either way: the fence keeps the zombie off the
+            // fresh lane's slot.
+            let recorded = lane.recorded();
             let ledger = &mut lane.ledger;
-            let residual = ledger.unsettled(lane.recorded_base);
+            let residual = ledger.unsettled(recorded);
             ledger.quarantined += residual;
             ledger.respawns += 1;
             ledger.log.records.push(FaultRecord {
@@ -649,23 +430,19 @@ impl ThreadedCaesar {
                 ),
                 exact,
             });
-            // Fresh ring, fresh shared slot, fresh state machine. The
-            // old thread handle is dropped (detached); the zombie
-            // exits on its next fence or closed-ring check.
-            let (tx, rx) = spsc::ring::<u64>(*ring_capacity);
-            lane.tx = tx;
-            lane.boot = Some(rx);
-            lane.shared =
-                Arc::new(LaneShared::new(ShardWorker::staged(cfg, shard, entries[shard])));
+            // Fresh ring, fresh shared slot, fresh state machine.
+            // Dropping the old lane wakes the zombie into its fence;
+            // its thread is detached, not joined.
+            let worker = ShardWorker::staged(cfg, shard, entries[shard]);
+            let ledger = std::mem::take(&mut lane.ledger);
+            *lane = Lane::with_parts(*ring_capacity, worker, recorded, ledger, &[]);
             lane.shared.ctrl.epoch.store(epoch, Ordering::Release);
-            lane.shared.ctrl.park.store(*quiesced, Ordering::Release);
-            lane.flush_issued = 0;
-            let _zombie = lane.handle.take();
+            lane.shared.ctrl.park.store(self.quiesced, Ordering::Release);
         }
         if self.started {
             if let Some(mon) = &self.monitor {
                 let mut registry = mon.shared.lanes.lock().expect("monitor registry lock");
-                registry[shard] = Arc::clone(&self.lanes[shard].shared);
+                registry[shard] = Arc::clone(&self.engine.lanes[shard].shared);
             }
             self.spawn_worker(shard);
         }
@@ -675,22 +452,13 @@ impl ThreadedCaesar {
     // Ingest
     // -----------------------------------------------------------------
 
-    /// Which shard a flow routes to.
-    fn route(&self, flow: u64) -> usize {
-        if self.shards == 1 {
-            0
-        } else {
-            ConcurrentCaesar::shard_of(flow, self.shards, self.cfg.seed)
-        }
-    }
-
     /// Offer one packet of `flow` to the engine. Never blocks the
     /// caller indefinitely: a wedged worker is bounded by the
     /// two-deadline heartbeat verdict, which fails the lane over.
     pub fn offer(&mut self, flow: u64) {
         self.ensure_started();
-        let shard = self.route(flow);
-        self.offered_total += 1;
+        let shard = self.engine.route(flow);
+        self.engine.offered_total += 1;
         self.service_lane(shard);
         // The lane's `offered` counter moves only once the packet's
         // fate is settled (queued or shed). A failover can fire while
@@ -701,19 +469,33 @@ impl ThreadedCaesar {
         // in-flight figure.
         let mut backoff = spsc::Backoff::new();
         loop {
-            if self.lanes[shard].tx.try_push(flow).is_ok() {
-                self.lanes[shard].ledger.offered += 1;
+            let lane = &mut self.engine.lanes[shard];
+            if lane.tx.try_push(flow).is_ok() {
+                lane.ledger.offered += 1;
+                // Wake an idle worker once a chunk (or half a small
+                // ring) waits for it, as the pump drains one. The check
+                // is a plain load, no fence: a wake lost to the race,
+                // like a short tail, waits for a later push or the next
+                // supervisor wait (each wakes the worker first), never
+                // loses a packet.
+                if lane.shared.hb.state.0.load(Ordering::Relaxed) == HB_IDLE {
+                    let queued = lane.tx.in_flight();
+                    if queued >= STREAM_CHUNK || 2 * queued >= lane.tx.capacity() {
+                        lane.wake();
+                    }
+                }
                 break;
             }
-            // Ring full: the worker is behind (or wedged — the monitor
-            // decides which).
-            match self.policy {
+            // Ring full: the worker is behind, idle past a lost wake, or
+            // wedged (the monitor decides).
+            lane.wake();
+            match self.engine.policy {
                 BackpressurePolicy::Block => {
                     self.service_lane(shard);
                     backoff.wait();
                 }
                 BackpressurePolicy::DropNewest => {
-                    let ledger = &mut self.lanes[shard].ledger;
+                    let ledger = &mut self.engine.lanes[shard].ledger;
                     ledger.offered += 1;
                     ledger.dropped += 1;
                     break;
@@ -723,7 +505,7 @@ impl ThreadedCaesar {
                 }
             }
         }
-        if self.offered_total.is_multiple_of(self.epoch_len) {
+        if self.engine.offered_total.is_multiple_of(self.engine.epoch_len) {
             self.rotate_epoch();
         }
     }
@@ -736,13 +518,14 @@ impl ThreadedCaesar {
         }
     }
 
-    /// Spin (servicing worker events) until `shard` has applied every
-    /// accepted packet.
+    /// Wake `shard`'s worker, then spin (servicing worker events) until
+    /// it has applied every accepted packet.
     fn wait_drained(&mut self, shard: usize) {
+        self.engine.lanes[shard].wake();
         let mut backoff = spsc::Backoff::new();
         loop {
             self.service_lane(shard);
-            if self.lanes[shard].in_flight() == 0 {
+            if self.engine.lanes[shard].in_flight() == 0 {
                 return;
             }
             backoff.wait();
@@ -755,16 +538,17 @@ impl ThreadedCaesar {
     /// the same merge order as the pump — bit-identical saturation
     /// tallies included.
     fn command_flush(&mut self, shard: usize) {
-        self.lanes[shard].flush_issued += 1;
-        let target = self.lanes[shard].flush_issued;
-        self.lanes[shard].shared.ctrl.flush_seq.store(target, Ordering::Release);
+        self.engine.lanes[shard].flush_issued += 1;
+        let target = self.engine.lanes[shard].flush_issued;
+        self.engine.lanes[shard].shared.ctrl.flush_seq.store(target, Ordering::Release);
+        self.engine.lanes[shard].wake();
         let mut backoff = spsc::Backoff::new();
         loop {
-            if self.lanes[shard].shared.hb.ckpt_seq.0.load(Ordering::Acquire) >= target {
+            if self.engine.lanes[shard].shared.hb.ckpt_seq.0.load(Ordering::Acquire) >= target {
                 return;
             }
             self.service_lane(shard);
-            if self.lanes[shard].flush_issued == 0 {
+            if self.engine.lanes[shard].flush_issued == 0 {
                 // A failover replaced the lane mid-flush: the salvage
                 // already flushed everything the dead worker had
                 // staged, and the fresh worker has nothing staged.
@@ -780,7 +564,7 @@ impl ThreadedCaesar {
     /// advance the epoch.
     fn rotate_epoch(&mut self) {
         self.ensure_started();
-        for shard in 0..self.shards {
+        for shard in 0..self.engine.shards {
             self.wait_drained(shard);
         }
         if self.injector_live {
@@ -788,19 +572,19 @@ impl ThreadedCaesar {
             // shard per epoch boundary, engine-side (same schedule as
             // the pump).
             let mut injector = self.injector.lock().expect("injector lock");
-            for shard in 0..self.shards {
+            for shard in 0..self.engine.shards {
                 if injector.tick(FaultSite::ForceSaturation, shard) {
-                    self.sram.force_saturation(shard, 1);
+                    self.engine.sram.force_saturation(shard, 1);
                 }
             }
         }
-        for shard in 0..self.shards {
+        for shard in 0..self.engine.shards {
             self.command_flush(shard);
         }
-        self.epoch += 1;
-        self.merges += 1;
-        for lane in &self.lanes {
-            lane.shared.ctrl.epoch.store(self.epoch, Ordering::Release);
+        self.engine.epoch += 1;
+        self.engine.merges += 1;
+        for lane in &self.engine.lanes {
+            lane.shared.ctrl.epoch.store(self.engine.epoch, Ordering::Release);
         }
     }
 
@@ -815,19 +599,20 @@ impl ThreadedCaesar {
     // -----------------------------------------------------------------
 
     /// Park every worker at a checkpoint-safe point: rings drained
-    /// dry, all accepted packets applied, workers idling at
+    /// dry, all accepted packets applied, workers waiting at
     /// `HB_PARKED`. The engine then owns every cell uncontended.
     fn quiesce(&mut self) {
         self.ensure_started();
         self.quiesced = true;
-        for lane in &self.lanes {
+        for lane in &self.engine.lanes {
             lane.shared.ctrl.park.store(true, Ordering::Release);
+            lane.wake();
         }
-        for shard in 0..self.shards {
+        for shard in 0..self.engine.shards {
             let mut backoff = spsc::Backoff::new();
             loop {
                 self.service_lane(shard);
-                let lane = &self.lanes[shard];
+                let lane = &self.engine.lanes[shard];
                 if lane.shared.hb.state.0.load(Ordering::Acquire) == HB_PARKED
                     && lane.in_flight() == 0
                 {
@@ -841,47 +626,15 @@ impl ThreadedCaesar {
     /// Release parked workers back into their drain loops.
     fn resume(&mut self) {
         self.quiesced = false;
-        for lane in &self.lanes {
+        for lane in &self.engine.lanes {
             lane.shared.ctrl.park.store(false, Ordering::Release);
+            lane.wake();
         }
     }
 
     // -----------------------------------------------------------------
     // Snapshot / delta checkpoints
     // -----------------------------------------------------------------
-
-    fn header(&self) -> EngineHeader<'_> {
-        EngineHeader {
-            cfg: &self.cfg,
-            shards: self.shards,
-            policy: self.policy,
-            ring_capacity: self.ring_capacity,
-            epoch_len: self.epoch_len,
-            watchdog_deadline: self.watchdog_deadline,
-            epoch: self.epoch,
-            merges: self.merges,
-            offered_total: self.offered_total,
-        }
-    }
-
-    fn encode_lanes(&mut self, buf: &mut Vec<u8>) {
-        for lane in &self.lanes {
-            let cell = lane.shared.cell.lock().expect("worker cell lock");
-            encode_lane_section(
-                buf,
-                &LaneEncodeParts {
-                    ledger: &lane.ledger,
-                    recorded: lane.recorded_base + cell.recorded,
-                    // Quiesced: rings are empty and the pump-specific
-                    // watchdog state has no threaded counterpart.
-                    inline_fallback: false,
-                    stalled_attempts: 0,
-                    pending: &[],
-                    state: &cell.worker.snapshot_state(),
-                },
-            );
-        }
-    }
 
     /// Serialize the complete dynamic state into a sealed blob in the
     /// **same format** as [`OnlineCaesar::snapshot`] — either engine
@@ -900,12 +653,7 @@ impl ThreadedCaesar {
     /// (cleared first).
     pub fn snapshot_into(&mut self, buf: &mut Vec<u8>) {
         self.quiesce();
-        buf.clear();
-        encode_snapshot_prelude(buf, &self.header(), &self.sram);
-        self.encode_lanes(buf);
-        seal(buf);
-        self.chain = Some((hashkit::fnv::fnv1a64(buf), 0));
-        let _ = self.sram.take_dirty_blocks();
+        self.engine.snapshot_into(buf);
         self.resume();
     }
 
@@ -927,15 +675,11 @@ impl ThreadedCaesar {
     /// # Errors
     /// [`DeltaError::NoBase`] when no snapshot has anchored a chain.
     pub fn checkpoint_delta_into(&mut self, buf: &mut Vec<u8>) -> Result<(), DeltaError> {
-        let (chain_id, seq) = self.chain.ok_or(DeltaError::NoBase)?;
+        self.engine.chain.ok_or(DeltaError::NoBase)?;
         self.quiesce();
-        buf.clear();
-        encode_delta_prelude(buf, &self.header(), &self.sram, chain_id, seq + 1);
-        self.encode_lanes(buf);
-        seal(buf);
-        self.chain = Some((chain_id, seq + 1));
+        let emitted = self.engine.checkpoint_delta_into(buf);
         self.resume();
-        Ok(())
+        emitted
     }
 
     /// Rebuild a threaded engine from a snapshot blob (the pump's or
@@ -967,7 +711,7 @@ impl ThreadedCaesar {
     /// The engine's delta-chain position: `(chain id, deltas emitted
     /// since the anchoring snapshot)`, or `None` before any snapshot.
     pub fn chain_position(&self) -> Option<(u64, u64)> {
-        self.chain
+        self.engine.chain
     }
 
     // -----------------------------------------------------------------
@@ -984,89 +728,17 @@ impl ThreadedCaesar {
         // Stop the monitor first so it cannot judge a worker that is
         // mid-shutdown.
         drop(self.monitor.take());
-        for lane in &mut self.lanes {
-            lane.shared.ctrl.stop.store(true, Ordering::Release);
-            lane.shared.ctrl.park.store(false, Ordering::Release);
+        for lane in &mut self.engine.lanes {
+            lane.join_worker();
         }
-        let Self {
-            cfg,
-            shards,
-            policy,
-            ring_capacity,
-            epoch_len,
-            watchdog_deadline,
-            sram,
-            kmap,
-            entries,
-            lanes,
-            epoch,
-            merges,
-            offered_total,
-            injector,
-            injector_live,
-            mut chain,
-            ..
-        } = self;
-        let mut pump_lanes = Vec::with_capacity(shards);
-        for lane in lanes {
-            let ThreadLane { tx, boot, shared, handle, recorded_base, ledger, .. } = lane;
-            let rx = match handle {
-                Some(h) => h.join().expect("shard worker thread exits cleanly"),
-                None => boot.expect("unstarted lane retains its consumer endpoint"),
-            };
-            let shared = Arc::try_unwrap(shared)
-                .ok()
-                .expect("worker joined; engine holds the last reference");
-            let cell = shared.cell.into_inner().expect("worker cell lock unpoisoned");
-            pump_lanes.push(Lane {
-                tx,
-                rx,
-                worker: cell.worker,
-                buf: Vec::with_capacity(STREAM_CHUNK),
-                recorded: recorded_base + cell.recorded,
-                in_ring: 0,
-                inline_fallback: false,
-                stalled_attempts: 0,
-                ledger,
-            });
+        if self.injector_live {
+            // Every worker is joined; only a fenced zombie can still
+            // hold the schedule, and then it stays with the zombie.
+            if let Ok(injector) = Arc::try_unwrap(self.injector) {
+                self.engine.injector = injector.into_inner().expect("injector lock unpoisoned");
+            }
         }
-        let sram = Arc::try_unwrap(sram).unwrap_or_else(|arc| {
-            // A fenced zombie from an earlier failover still holds a
-            // reference; clone the state into a fresh array. The
-            // original's dirty-block baseline goes with it, so the
-            // delta chain (if any) must re-anchor.
-            chain = None;
-            AtomicCounterArray::restore(arc.bits(), &arc.snapshot(), &arc.tally_snapshot())
-        });
-        let kmap = Arc::try_unwrap(kmap).unwrap_or_else(|_| {
-            // Same construction the pump's restore path uses — the
-            // k-map is a pure function of the config.
-            KCounterMap::new(cfg.k, cfg.counters, cfg.seed ^ 0x5EED_5EED)
-        });
-        let injector = if injector_live {
-            Arc::try_unwrap(injector)
-                .map(|m| m.into_inner().expect("injector lock unpoisoned"))
-                .unwrap_or_else(|_| FaultInjector::none())
-        } else {
-            FaultInjector::none()
-        };
-        OnlineCaesar {
-            cfg,
-            shards,
-            policy,
-            ring_capacity,
-            epoch_len,
-            watchdog_deadline,
-            sram,
-            kmap,
-            entries,
-            lanes: pump_lanes,
-            epoch,
-            merges,
-            offered_total,
-            injector,
-            chain,
-        }
+        self.engine
     }
 
     /// End of measurement: join every worker, dump every cache, merge
@@ -1083,15 +755,7 @@ impl ThreadedCaesar {
 
     /// Aggregate accounting across all lanes.
     pub fn stats(&self) -> OnlineStats {
-        let mut st = OnlineStats::empty(self.offered_total, self.epoch, self.merges);
-        for lane in &self.lanes {
-            // One load of the worker's recorded counter per lane, so
-            // the reported snapshot satisfies the mass invariant even
-            // while the worker races ahead.
-            let recorded = lane.recorded();
-            lane.ledger.fold_into(&mut st, recorded, lane.ledger.unsettled(recorded));
-        }
-        st
+        self.engine.stats()
     }
 
     /// Per-shard accounting snapshot.
@@ -1099,9 +763,7 @@ impl ThreadedCaesar {
     /// # Panics
     /// Panics if `shard >= shards`.
     pub fn lane_stats(&self, shard: usize) -> LaneStats {
-        let ledger = &self.lanes[shard].ledger;
-        let recorded = self.lanes[shard].recorded();
-        ledger.lane_stats(shard, recorded, ledger.unsettled(recorded), false)
+        self.engine.lane_stats(shard)
     }
 
     /// The shard's fault history.
@@ -1109,7 +771,7 @@ impl ThreadedCaesar {
     /// # Panics
     /// Panics if `shard >= shards`.
     pub fn fault_log(&self, shard: usize) -> &FaultLog {
-        &self.lanes[shard].ledger.log
+        self.engine.fault_log(shard)
     }
 
     /// Inspect the fault-injection schedule (fired/pending counts).
@@ -1122,17 +784,17 @@ impl ThreadedCaesar {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.shards
+        self.engine.shards
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &CaesarConfig {
-        &self.cfg
+        &self.engine.cfg
     }
 
     /// Current epoch ordinal.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.engine.epoch
     }
 
     /// The heartbeat interval in effect.
@@ -1143,20 +805,14 @@ impl ThreadedCaesar {
     /// The shared SRAM (query-visible state as of the last merge or
     /// salvage).
     pub fn sram(&self) -> &AtomicCounterArray {
-        &self.sram
+        &self.engine.sram
     }
 
     /// Unit mass recorded but not yet query-visible: resident in shard
     /// caches or staged in writeback segments. Takes each worker's
     /// cell lock briefly.
     pub fn unmerged_units(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|l| {
-                let cell = l.shared.cell.lock().expect("worker cell lock");
-                cell.worker.resident_units() + cell.worker.staged_units()
-            })
-            .sum()
+        self.engine.unmerged_units()
     }
 
     /// Export the current visible state as a wire-transportable
@@ -1165,15 +821,16 @@ impl ThreadedCaesar {
     /// payload should include everything offered so far.
     pub fn export_sketch(&self) -> SketchPayload {
         let mut evictions = 0;
-        for lane in &self.lanes {
-            let cell = lane.shared.cell.lock().expect("worker cell lock");
+        for lane in &self.engine.lanes {
+            let cell = lane.shared.lock();
             evictions += lane.ledger.retired.evictions + cell.worker.ingest_stats().evictions;
         }
+        let sram = &self.engine.sram;
         SketchPayload {
-            fingerprint: SketchFingerprint::of(&self.cfg),
-            counters: self.sram.snapshot(),
-            total_added: self.sram.total_added(),
-            saturation_events: self.sram.saturations(),
+            fingerprint: SketchFingerprint::of(&self.engine.cfg),
+            counters: sram.snapshot(),
+            total_added: sram.total_added(),
+            saturation_events: sram.saturations(),
             evictions,
         }
     }
@@ -1185,19 +842,19 @@ impl SketchRead for ThreadedCaesar {
     type Counters = AtomicCounterArray;
 
     fn config(&self) -> &CaesarConfig {
-        &self.cfg
+        &self.engine.cfg
     }
 
     fn kmap(&self) -> &KCounterMap {
-        &self.kmap
+        &self.engine.kmap
     }
 
     fn counters(&self) -> &AtomicCounterArray {
-        &self.sram
+        &self.engine.sram
     }
 
     fn loss_fraction(&self, flow: u64) -> f64 {
-        self.lanes[self.route(flow)].ledger.loss_fraction()
+        self.engine.loss_fraction(flow)
     }
 }
 
@@ -1210,12 +867,22 @@ struct WorkerCtx {
     pin: bool,
 }
 
+/// Yields an idle worker spends on an empty ring before it waits for
+/// a wake: enough to ride out a producer's gap between two pushes
+/// without a wake round trip.
+const IDLE_SPINS: u32 = 64;
+
 /// The detached worker thread body. Returns the consumer endpoint so
-/// [`ThreadedCaesar::into_online`] can reassemble the pump's lane.
+/// [`ThreadedCaesar::into_online`] can hand the lane back to the pump.
+///
+/// Every wait is a wake, never a sleep (the injected `SlowDrain` stall
+/// is the fault itself): the idle, parked, panicked and fenced-zombie
+/// waits park the thread, the engine wakes it ([`Lane::wake`]) after
+/// every command it stores, and the producer once a chunk is queued.
 ///
 /// Exit paths: generation fence (failover), stop request with an
-/// empty ring (teardown), or a closed *and* empty ring (the engine
-/// was dropped, or sealed the ring at failover).
+/// empty ring (teardown or a dropped engine), or a closed *and* empty
+/// ring (the engine sealed the ring at failover).
 fn worker_loop(
     ctx: WorkerCtx,
     mut rx: spsc::Consumer<u64>,
@@ -1227,28 +894,84 @@ fn worker_loop(
     if ctx.pin {
         let _ = support::affinity::pin_shard(ctx.shard, ctx.shards);
     }
-    let my_gen = shared.ctrl.gen.load(Ordering::Acquire);
+    let ctrl = &shared.ctrl;
+    let state = &shared.hb.state.0;
+    let my_gen = ctrl.gen.load(Ordering::Acquire);
     let fenced = |rx: &mut spsc::Consumer<u64>| {
-        shared.ctrl.gen.load(Ordering::Acquire) != my_gen
-            || (rx.is_closed() && rx.is_empty())
+        ctrl.gen.load(Ordering::Acquire) != my_gen || (rx.is_closed() && rx.is_empty())
     };
+    let stopped = || ctrl.stop.load(Ordering::Acquire);
     let mut buf: Vec<u64> = Vec::with_capacity(STREAM_CHUNK);
-    let mut flush_ack = 0u64;
+    // Every flush commanded before this spawn was acknowledged.
+    let mut flush_ack = shared.hb.ckpt_seq.0.load(Ordering::Acquire);
     let mut idle = 0u32;
     loop {
-        if shared.ctrl.gen.load(Ordering::Acquire) != my_gen {
-            shared.hb.state.0.store(HB_EXITED, Ordering::Release);
-            return rx;
+        if ctrl.gen.load(Ordering::Acquire) != my_gen {
+            break;
         }
         shared.hb.beat.0.fetch_add(1, Ordering::Release);
-        shared
-            .hb
-            .epoch
-            .0
-            .store(shared.ctrl.epoch.load(Ordering::Acquire), Ordering::Release);
+        shared.hb.epoch.0.store(ctrl.epoch.load(Ordering::Acquire), Ordering::Release);
+        buf.clear();
+        let n = rx.pop_batch(&mut buf, STREAM_CHUNK);
+        if n == 0 {
+            let seq = ctrl.flush_seq.load(Ordering::Acquire);
+            if seq != flush_ack {
+                let mut cell = shared.lock();
+                if ctrl.gen.load(Ordering::Acquire) != my_gen {
+                    break;
+                }
+                cell.worker.flush_writeback(sram);
+                drop(cell);
+                flush_ack = seq;
+                shared.hb.ckpt_seq.0.store(seq, Ordering::Release);
+                continue;
+            }
+            if ctrl.park.load(Ordering::Acquire) {
+                // Parked until released, or until packets arrive: a
+                // resume and the next quiesce can both land before this
+                // thread runs, and the packets offered in between must
+                // still drain before the engine's quiesce can finish.
+                state.store(HB_PARKED, Ordering::Release);
+                while ctrl.park.load(Ordering::Acquire)
+                    && !stopped()
+                    && !fenced(&mut rx)
+                    && rx.is_empty()
+                {
+                    std::thread::park();
+                }
+                state.store(HB_RUNNING, Ordering::Release);
+                continue;
+            }
+            if (stopped() || rx.is_closed()) && rx.is_empty() {
+                break;
+            }
+            idle += 1;
+            if idle <= IDLE_SPINS {
+                std::thread::yield_now();
+                continue;
+            }
+            // Publish idle before the last look at the ring: a producer
+            // that pushes after this store sees it and wakes us once a
+            // chunk waits. A push that raced it, or a short tail, is
+            // caught by a later push, by any supervisor wait, or by the
+            // heartbeat-interval timeout.
+            state.store(HB_IDLE, Ordering::SeqCst);
+            if rx.is_empty() {
+                std::thread::park_timeout(ctx.interval);
+            }
+            state.store(HB_RUNNING, Ordering::Release);
+            // A wake usually brings work or a command, and a supervisor
+            // often stores its next command right after: spin again
+            // before the next wait.
+            idle = 0;
+            continue;
+        }
+        idle = 0;
         if let Some(inj) = injector {
-            // Thread-aware fault hooks, at batch boundaries so the
-            // accounting stays exact.
+            // Thread-aware fault hooks, once per popped batch: a batch
+            // boundary, so the accounting stays exact. A hung worker
+            // holds its batch unapplied, in flight for the failover to
+            // quarantine; an idle worker consumes no ticks.
             let (hang, nap) = {
                 let mut guard = inj.lock().expect("injector lock");
                 (
@@ -1259,107 +982,56 @@ fn worker_loop(
             if hang {
                 // Stop heartbeating entirely: the monitor must notice
                 // and the engine must fail the lane over. Only the
-                // fence (or an abandoned ring) releases the zombie.
-                while !fenced(&mut rx) {
-                    std::thread::sleep(Duration::from_millis(1));
+                // fence, an abandoned ring or a stop releases the
+                // zombie.
+                while !fenced(&mut rx) && !stopped() {
+                    std::thread::park();
                 }
-                shared.hb.state.0.store(HB_EXITED, Ordering::Release);
-                return rx;
+                break;
             }
             if nap {
                 // One heartbeat-interval stall: visibly late, but
                 // inside the two-deadline budget — must NOT fail over.
-                std::thread::sleep(ctx.interval);
+                std::thread::sleep(ctx.interval); // injected SlowDrain stall
             }
         }
-        buf.clear();
-        let n = rx.pop_batch(&mut buf, STREAM_CHUNK);
-        if n == 0 {
-            let seq = shared.ctrl.flush_seq.load(Ordering::Acquire);
-            if seq != flush_ack {
-                let mut cell = shared.cell.lock().expect("worker cell lock");
-                if shared.ctrl.gen.load(Ordering::Acquire) != my_gen {
-                    shared.hb.state.0.store(HB_EXITED, Ordering::Release);
-                    return rx;
-                }
-                cell.worker.flush_writeback(sram);
-                drop(cell);
-                flush_ack = seq;
-                shared.hb.ckpt_seq.0.store(seq, Ordering::Release);
-                continue;
-            }
-            if shared.ctrl.park.load(Ordering::Acquire) {
-                shared.hb.state.0.store(HB_PARKED, Ordering::Release);
-                while shared.ctrl.park.load(Ordering::Acquire)
-                    && !shared.ctrl.stop.load(Ordering::Acquire)
-                    && !fenced(&mut rx)
-                {
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                shared.hb.state.0.store(HB_RUNNING, Ordering::Release);
-                continue;
-            }
-            if (shared.ctrl.stop.load(Ordering::Acquire) || rx.is_closed()) && rx.is_empty() {
-                shared.hb.state.0.store(HB_EXITED, Ordering::Release);
-                return rx;
-            }
-            idle += 1;
-            if idle > 64 {
-                std::thread::sleep(Duration::from_micros(200));
-            } else {
-                std::thread::yield_now();
-            }
-            continue;
-        }
-        idle = 0;
-        let mut cell = shared.cell.lock().expect("worker cell lock");
-        if shared.ctrl.gen.load(Ordering::Acquire) != my_gen {
+        let mut cell = shared.lock();
+        if ctrl.gen.load(Ordering::Acquire) != my_gen {
             // Fenced between pop and apply: the popped packets are
             // part of the residual the failover quarantined. Applying
             // them now would double-count.
-            shared.hb.state.0.store(HB_EXITED, Ordering::Release);
-            return rx;
+            break;
         }
         let shard = ctx.shard;
         let tick = injector.map(|inj| {
             move || inj.lock().expect("injector lock").tick(FaultSite::WorkerPanic, shard)
         });
-        match cell.worker.apply_supervised(&buf, sram, kmap, tick) {
-            Ok(()) => {
-                cell.recorded += n as u64;
-                let recorded = cell.recorded;
-                drop(cell);
-                shared.hb.recorded.0.store(recorded, Ordering::Release);
+        let Err(panic) = shared.apply(&mut cell, &buf, sram, kmap, tick) else {
+            continue;
+        };
+        cell.panic_info = Some(panic);
+        drop(cell);
+        // Wounded, not hung: `HB_PANICKED` stops the monitor's clock
+        // while the engine salvages and respawns the state machine in
+        // place, then releases and wakes us.
+        state.store(HB_PANICKED, Ordering::Release);
+        while state.load(Ordering::Acquire) == HB_PANICKED {
+            if fenced(&mut rx) || stopped() {
+                state.store(HB_EXITED, Ordering::Release);
+                return rx;
             }
-            Err(panic) => {
-                cell.recorded += panic.applied;
-                let recorded = cell.recorded;
-                cell.panic_info = Some(panic);
-                drop(cell);
-                shared.hb.recorded.0.store(recorded, Ordering::Release);
-                shared.hb.state.0.store(HB_PANICKED, Ordering::Release);
-                // Keep beating while the engine salvages and respawns
-                // the state machine in place — a panicked worker is
-                // wounded, not hung.
-                loop {
-                    if fenced(&mut rx) {
-                        shared.hb.state.0.store(HB_EXITED, Ordering::Release);
-                        return rx;
-                    }
-                    if shared.hb.state.0.load(Ordering::Acquire) != HB_PANICKED {
-                        break;
-                    }
-                    shared.hb.beat.0.fetch_add(1, Ordering::Release);
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            }
+            std::thread::park();
         }
     }
+    state.store(HB_EXITED, Ordering::Release);
+    rx
 }
 
 /// The monitor thread body: wake a few times per heartbeat interval,
 /// compare each registered worker's beat against the wall clock, and
-/// publish a verdict when one misses two consecutive deadlines.
+/// publish a verdict when one misses two consecutive deadlines. It
+/// waits on the stop flag's condition variable, so a dropped engine
+/// releases it at once.
 fn monitor_loop(shared: &MonitorShared, interval: Duration) {
     struct Track {
         identity: usize,
@@ -1369,11 +1041,16 @@ fn monitor_loop(shared: &MonitorShared, interval: Duration) {
     let poll = (interval / 4).clamp(Duration::from_millis(1), Duration::from_millis(25));
     let deadline = interval * 2;
     let mut tracks: Vec<Option<Track>> = Vec::new();
+    let mut stop = shared.stop.lock().expect("monitor stop lock");
     loop {
-        if shared.stop.load(Ordering::Acquire) {
+        stop = shared
+            .wake
+            .wait_timeout_while(stop, poll, |stop| !*stop)
+            .expect("monitor stop lock")
+            .0;
+        if *stop {
             return;
         }
-        std::thread::sleep(poll);
         let lanes: Vec<Arc<LaneShared>> =
             shared.lanes.lock().expect("monitor registry lock").clone();
         tracks.resize_with(lanes.len(), || None);
@@ -1389,8 +1066,9 @@ fn monitor_loop(shared: &MonitorShared, interval: Duration) {
                 Some(t) if t.identity == identity && t.beat == beat
             );
             if moved || state != HB_RUNNING {
-                // Fresh slot, fresh beat, or a worker that is parked /
-                // being serviced / already exiting: restart its clock.
+                // Fresh slot, fresh beat, or a worker that is idle,
+                // parked, being serviced or already exiting: restart
+                // its clock.
                 tracks[slot] = Some(Track { identity, beat, since: now });
                 continue;
             }
@@ -1419,6 +1097,37 @@ mod tests {
         assert_eq!(engine.stats().offered, 0);
         assert!(!engine.started);
         drop(engine);
+    }
+
+    #[test]
+    fn dropped_engine_releases_every_worker() {
+        let cfg = CaesarConfig {
+            cache_entries: 32,
+            entry_capacity: 8,
+            counters: 1024,
+            k: 3,
+            ..CaesarConfig::default()
+        };
+        let mut threaded =
+            ThreadedCaesar::new(cfg, 2).with_heartbeat_interval(Duration::from_secs(60));
+        threaded.offer_batch(&(0..4_096).collect::<Vec<u64>>());
+        threaded.merge_now();
+        // Let both workers reach their idle wait, whose backstop
+        // timeout (the 60 s heartbeat) would outlast the test.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let lanes = &threaded.engine.lanes;
+        while lanes.iter().any(|l| l.shared.hb.state.0.load(Ordering::Acquire) != HB_IDLE) {
+            assert!(Instant::now() < deadline, "workers never went idle");
+            std::thread::yield_now();
+        }
+        let slots: Vec<std::sync::Weak<LaneShared>> =
+            lanes.iter().map(|l| Arc::downgrade(&l.shared)).collect();
+        drop(threaded);
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while slots.iter().any(|w| w.strong_count() > 0) {
+            assert!(Instant::now() < deadline, "a worker outlived its engine by 1 s");
+            std::thread::yield_now();
+        }
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //!
 //! Anything else (IPv6, VLAN, truncated records) is counted and
 //! skipped rather than failing the whole file — real captures are
-//! messy.
+//! messy. A record header is untrusted input: a record longer than
+//! both the file's snaplen and a 256 KiB ceiling is streamed past and
+//! counted as skipped, never buffered, and a record's buffer grows
+//! only as its bytes actually arrive.
 //!
 //! A writer is included so tests and examples can synthesize captures
 //! and round-trip them.
@@ -24,13 +27,18 @@ pub const PCAP_MAGIC_SWAPPED: u32 = 0xD4C3_B2A1;
 pub const LINKTYPE_ETHERNET: u32 = 1;
 /// Linktype for raw IP (no link-layer header).
 pub const LINKTYPE_RAW: u32 = 101;
+/// Hard ceiling on a buffered record, in bytes (4× the 65 535-byte
+/// snaplen writers use by default). A record larger than both this and
+/// the file's snaplen is undecodable and is skipped unread.
+const MAX_RECORD_BYTES: u32 = 262_144;
 
 /// Counters of what the parser saw and skipped.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ParseStats {
     /// Records parsed into packets.
     pub parsed: u64,
-    /// Records skipped (non-IPv4, unsupported transport, truncated).
+    /// Records skipped (non-IPv4, unsupported transport, truncated,
+    /// oversized).
     pub skipped: u64,
 }
 
@@ -68,6 +76,11 @@ pub struct PcapReader<R: Read> {
     inner: R,
     swapped: bool,
     raw_ip: bool,
+    /// The global header's snaplen: the largest record a well-formed
+    /// file holds.
+    snaplen: u32,
+    /// One record buffer, reused across records.
+    record: Vec<u8>,
     stats: ParseStats,
 }
 
@@ -100,6 +113,8 @@ impl<R: Read> PcapReader<R> {
             inner,
             swapped,
             raw_ip,
+            snaplen: read_u32(&hdr[16..20]),
+            record: Vec::new(),
             stats: ParseStats::default(),
         })
     }
@@ -136,14 +151,27 @@ impl<R: Read> PcapReader<R> {
             else {
                 return Ok(None);
             };
-            let mut data = vec![0u8; incl_len as usize];
-            if self.inner.read_exact(&mut data).is_err() {
-                return Ok(None);
+            let mut body = (&mut self.inner).take(u64::from(incl_len));
+            if incl_len > self.snaplen && incl_len > MAX_RECORD_BYTES {
+                // Undecodable by size alone: stream past it unread.
+                self.stats.skipped += 1;
+                match io::copy(&mut body, &mut io::sink()) {
+                    Ok(n) if n == u64::from(incl_len) => continue,
+                    _ => return Ok(None),
+                }
+            }
+            // `read_to_end` grows the buffer as bytes arrive, so a
+            // header that lies about a short file cannot force the
+            // allocation it claims.
+            self.record.clear();
+            match body.read_to_end(&mut self.record) {
+                Ok(n) if n == incl_len as usize => {}
+                _ => return Ok(None),
             }
             let decoded = if self.raw_ip {
-                decode_ipv4(&data)
+                decode_ipv4(&self.record)
             } else {
-                decode_ethernet_ipv4(&data)
+                decode_ethernet_ipv4(&self.record)
             };
             match decoded {
                 Some(tuple) => {
@@ -413,6 +441,41 @@ mod tests {
         assert!(r.next_packet().unwrap().is_some());
         assert!(r.next_packet().unwrap().is_none());
         assert_eq!(r.stats(), ParseStats { parsed: 1, skipped: 1 });
+    }
+
+    #[test]
+    fn oversized_record_is_skipped_without_allocating_it() {
+        // A 56-byte file: the global header, then one record header
+        // claiming 0xFFFF_FFF0 bytes followed by 16 real ones. Reading
+        // must neither allocate the claimed length nor fail.
+        let mut buf = Vec::new();
+        PcapWriter::new(&mut buf).unwrap().finish().unwrap();
+        for field in [0u32, 0, 0xFFFF_FFF0, 0xFFFF_FFF0] {
+            buf.extend_from_slice(&field.to_le_bytes());
+        }
+        buf.extend_from_slice(&[0xAB; 16]);
+        assert_eq!(buf.len(), 56);
+        let mut r = PcapReader::new(Cursor::new(&buf)).unwrap();
+        assert!(r.next_packet().unwrap().is_none());
+        assert_eq!(r.stats(), ParseStats { parsed: 0, skipped: 1 });
+        assert!(r.record.capacity() <= MAX_RECORD_BYTES as usize);
+
+        // An oversized record that is really there is streamed past,
+        // and the packet after it still decodes.
+        let mut buf = Vec::new();
+        PcapWriter::new(&mut buf).unwrap().finish().unwrap();
+        let big = MAX_RECORD_BYTES + 1;
+        for field in [0u32, 0, big, big] {
+            buf.extend_from_slice(&field.to_le_bytes());
+        }
+        buf.resize(buf.len() + big as usize, 0);
+        let mut w = PcapWriter { inner: &mut buf };
+        w.write_packet(&tuple(FiveTuple::UDP), 0, 64).unwrap();
+        let mut r = PcapReader::new(Cursor::new(&buf)).unwrap();
+        let (t, _) = r.next_packet().unwrap().expect("packet after the oversized record");
+        assert_eq!(t, tuple(FiveTuple::UDP));
+        assert_eq!(r.stats(), ParseStats { parsed: 1, skipped: 1 });
+        assert!(r.record.capacity() < big as usize);
     }
 
     #[test]

@@ -13,12 +13,15 @@
 #                       shards, heartbeat failover on an injected hang
 #                       with exact loss accounting, in-place panic
 #                       respawn, live quiesce-snapshot/restore, delta
-#                       chains, pump↔threads handoff) plus the thread
-#                       chaos property in tests/fault_tolerance.rs, in
-#                       release, under a hard wall-clock timeout — a
-#                       supervision bug whose symptom is "a drain wait
-#                       never returns" must fail the smoke, not wedge
-#                       it.
+#                       chains, pump↔threads handoff, finish without
+#                       waiting out the monitor) plus the thread chaos
+#                       property in tests/fault_tolerance.rs and the
+#                       runtime's unit tests (a dropped engine releases
+#                       every worker), in release, under a hard
+#                       wall-clock timeout — a supervision bug whose
+#                       symptom is "a drain wait never returns" or "a
+#                       worker never wakes" must fail the smoke, not
+#                       wedge it. Also runs the no-sleep check below.
 #   --delta-smoke       delta-checkpoint smoke mode: run the epoch-delta
 #                       acceptance suite (tests/delta_checkpoint.rs —
 #                       base+deltas replays byte-identical across random
@@ -114,8 +117,23 @@ json_min() { # json_min GROUP NAME FILE -> min_ns ("" if absent)
         | sed -n 's/.*"min_ns":\([0-9.eE+-]*\),.*/\1/p'
 }
 
+# The online runtimes wait on wakes, never on a clock: the only
+# `thread::sleep` allowed in crates/caesar/src is the injected
+# `SlowDrain` stall, whose line carries the marker comment.
+check_no_runtime_sleeps() {
+    echo "==> no thread::sleep on the runtime path (crates/caesar/src)"
+    local sleeps
+    sleeps=$(grep -rn 'thread::sleep' crates/caesar/src | grep -v 'injected SlowDrain stall' || true)
+    if [ -n "$sleeps" ]; then
+        echo "check.sh: thread::sleep on the runtime path; wait on a wake instead:"
+        echo "$sleeps"
+        exit 1
+    fi
+}
+
 if [ "${1:-}" = "--thread-smoke" ]; then
     echo "==> thread smoke: detached-thread runtime + heartbeat supervision, release build"
+    check_no_runtime_sleeps
     # `timeout` turns a wedged drain/failover wait into a failure
     # instead of a hung CI job; 300s is ~100x the healthy runtime.
     run timeout 300 cargo test --release --offline -q --test threaded_runtime
@@ -362,6 +380,8 @@ if [ "${1:-}" = "--quick-bench" ]; then
     echo "check.sh --quick-bench: all green"
     exit 0
 fi
+
+check_no_runtime_sleeps
 
 run cargo build --release --offline
 

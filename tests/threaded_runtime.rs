@@ -24,12 +24,15 @@
 //! two-deadline verdict lands in milliseconds, and every waiting loop
 //! in the engine is verdict-bounded, so nothing here can wedge.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use caesar::merge::FINGERPRINT_BYTES;
 use caesar::SketchRead;
 use caesar::{
-    CaesarConfig, ConcurrentCaesar, FaultKind, OnlineCaesar, ThreadedCaesar,
+    CaesarConfig, ChainError, ConcurrentCaesar, DeltaError, FaultKind, OnlineCaesar,
+    RestoreError, ThreadedCaesar,
 };
+use support::bytesx::{seal, unseal};
 use support::testkit::{FaultEvent, FaultInjector, FaultSite, INJECTED_PANIC};
 
 /// Heartbeat for fault-free runs: long enough that the monitor can
@@ -406,4 +409,121 @@ fn pump_to_threads_and_back_is_bit_preserving() {
         pump_again.snapshot(),
         "pump→threads→pump handoff must be bit-preserving"
     );
+}
+
+/// Threads that were joined into a pump can be started again: the
+/// lanes carry no stale stop or flush command across the round trip.
+#[test]
+fn threads_restart_after_a_round_trip_through_the_pump() {
+    const EPOCH: u64 = 1024;
+    let flows = workload(6_000);
+    let mut oracle = OnlineCaesar::new(cfg(), 2).with_epoch_len(EPOCH);
+    let mut threaded = ThreadedCaesar::new(cfg(), 2)
+        .with_epoch_len(EPOCH)
+        .with_heartbeat_interval(QUIET);
+    for (i, chunk) in flows.chunks(1_500).enumerate() {
+        oracle.offer_batch(chunk);
+        threaded.offer_batch(chunk);
+        if i % 2 == 1 {
+            threaded = ThreadedCaesar::from_online(threaded.into_online())
+                .with_heartbeat_interval(QUIET);
+        }
+    }
+    oracle.merge_now();
+    threaded.merge_now();
+    assert_eq!(oracle.stats(), threaded.stats());
+    assert_eq!(oracle.snapshot(), threaded.snapshot());
+}
+
+/// `finish()` on a drained engine costs its joins, not a poll: the
+/// monitor waits on a condition variable its drop signals, and every
+/// worker wait is a wake. With a 60 s heartbeat the monitor polls
+/// every 25 ms, which a polling `finish` would wait out.
+#[test]
+fn finish_does_not_wait_out_the_monitor() {
+    let flows = workload(4_096);
+    let mut times = Vec::new();
+    for _ in 0..9 {
+        let mut engine =
+            ThreadedCaesar::new(cfg(), 2).with_heartbeat_interval(Duration::from_secs(60));
+        engine.offer_batch(&flows);
+        engine.merge_now();
+        let started = Instant::now();
+        let sketch = engine.finish();
+        times.push(started.elapsed());
+        assert_eq!(sketch.sram().total_added(), flows.len() as u64);
+    }
+    times.sort();
+    assert!(
+        times[4] < Duration::from_millis(5),
+        "median finish {:?} over {times:?}",
+        times[4]
+    );
+}
+
+/// Overwrite the little-endian u64 at `at` in a sealed blob's payload,
+/// checking the value it replaces, and re-seal, so only the decoder's
+/// own checks can refuse the result.
+fn forge(blob: &[u8], at: usize, was: u64, value: u64) -> Vec<u8> {
+    let mut payload = unseal(blob).expect("pristine blob").to_vec();
+    assert_eq!(read_u64(&payload, at), was, "field at payload offset {at}");
+    payload[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    seal(&mut payload);
+    payload
+}
+
+fn read_u64(payload: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(payload[at..at + 8].try_into().expect("eight bytes"))
+}
+
+/// A lane section whose counts do not reconcile, or lanes whose offers
+/// do not sum to the engine's, must come back as a typed error from
+/// both engines' restore and from delta replay. Both runtimes derive
+/// in-flight from these counts: accepted, a forged `recorded` above
+/// `offered` underflows that derivation, and a drain wait on it never
+/// returns.
+#[test]
+fn forged_lane_counts_are_refused_by_both_restores() {
+    let counters = cfg().counters;
+    let mut engine = ThreadedCaesar::new(cfg(), 1).with_heartbeat_interval(QUIET);
+    engine.offer_batch(&workload(777));
+    let blob = engine.snapshot();
+    engine.offer_batch(&workload(100));
+    let delta = engine.checkpoint_delta().expect("anchored chain");
+
+    // Snapshot payload: layout version, fingerprint, config, engine
+    // scalars (offered last), SRAM width and words, one tally stripe,
+    // then the lane: offered, recorded, ...
+    let config_end = 2 + FINGERPRINT_BYTES + 46;
+    let offered_total = config_end + 57 - 8;
+    let lane = config_end + 57 + 4 + 8 + 8 * counters + 8 + 16;
+    let payload = unseal(&blob).expect("pristine blob");
+    assert_eq!(read_u64(payload, lane), 777, "lane offered");
+
+    let recorded_above_offered = forge(&blob, lane + 8, 777, 782);
+    let offers_off_by_one = forge(&blob, offered_total, 777, 778);
+    for forged in [&recorded_above_offered, &offers_off_by_one] {
+        assert!(matches!(OnlineCaesar::restore(forged), Err(RestoreError::Corrupt(_))));
+        assert!(matches!(ThreadedCaesar::restore(forged), Err(RestoreError::Corrupt(_))));
+    }
+    assert!(ThreadedCaesar::restore(&blob).is_ok(), "the pristine blob restores");
+
+    // Delta payload: magic, version, fingerprint, chain id, sequence,
+    // epoch, merges, offered, shards, SRAM width and length, the dirty
+    // blocks, one tally stripe, then the lane.
+    let n_blocks_at = 4 + 2 + FINGERPRINT_BYTES + 6 * 8 + 4 + 8;
+    let payload = unseal(&delta).expect("pristine delta");
+    let n_blocks = read_u64(payload, n_blocks_at) as usize;
+    let block = 8 + 8 * caesar::DIRTY_BLOCK_COUNTERS;
+    let lane = n_blocks_at + 8 + n_blocks * block + 8 + 16;
+    assert_eq!(read_u64(payload, lane), 877, "lane offered");
+    let forged = forge(&delta, lane + 8, 877, 882);
+    let mut replica = OnlineCaesar::restore(&blob).expect("base restores");
+    assert!(matches!(replica.apply_delta(&forged), Err(DeltaError::Corrupt(_))));
+    assert!(matches!(
+        ThreadedCaesar::restore_chain(&blob, &[&forged]),
+        Err(ChainError::Delta { index: 0, source: DeltaError::Corrupt(_) })
+    ));
+    replica.apply_delta(&delta).expect("the pristine delta applies");
+    assert_eq!(replica.stats(), engine.stats());
 }

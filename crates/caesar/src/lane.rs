@@ -1,17 +1,20 @@
-//! One shard lane, driven by either online runtime.
+//! One shard lane, driven by either driver of the online engine.
 //!
 //! A [`Lane`] is everything one shard of an online engine owns: the
 //! bounded [`support::spsc`] ring, the [`ShardWorker`] behind its lock,
 //! the exact accounting ([`LaneLedger`]), the pump's watchdog fields,
 //! and what a detached worker thread needs (heartbeat slot, control
-//! word, join handle). [`crate::OnlineCaesar`] holds `Vec<Lane>`, and
-//! [`crate::ThreadedCaesar`] runs that same engine state, so handing an
-//! engine between runtimes moves it; only the driver changes:
+//! word, join handle). [`crate::online::OnlineEngine`] holds
+//! `Vec<Lane>` under either driver, so handing an engine from the pump
+//! to the thread runtime and back moves its lanes and swaps only the
+//! driver:
 //!
-//! * the **pump** holds the consumer endpoint and drains the lane on
-//!   the caller's thread at deterministic points;
-//! * a **worker thread** takes the consumer endpoint and drains the
-//!   lane on its own, woken by [`Lane::wake`] instead of polling.
+//! * the **pump** ([`crate::online::Pump`]) holds the consumer endpoint
+//!   and drains the lane on the caller's thread at deterministic
+//!   points;
+//! * a **worker thread** ([`crate::threaded::Threads`]) takes the
+//!   consumer endpoint and drains the lane on its own, woken by
+//!   [`Lane::wake`] instead of polling.
 //!
 //! Both apply a popped batch through one supervised step,
 //! [`LaneShared::apply`]. The recorded count lives in the heartbeat

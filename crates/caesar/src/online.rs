@@ -1,56 +1,69 @@
-//! Fault-tolerant **online** (non-terminating) ingest runtime.
+//! Fault-tolerant **online** (non-terminating) ingest: one engine, two
+//! drivers.
 //!
 //! The finite builds in [`crate::concurrent`] run to completion and
 //! abort (or now, with the `try_` family, *return an error*) when a
 //! shard worker panics — acceptable for an offline trace replay,
 //! useless for a line card that must keep measuring through faults.
-//! [`OnlineCaesar`] is the supervised, long-running form of the same
-//! machinery:
+//! [`OnlineEngine`] is the supervised, long-running form of the same
+//! machinery. It holds the configuration, the shared SRAM and k-map,
+//! one shard lane per shard (the crate-private `lane::Lane`: a bounded
+//! [`support::spsc`] ring, a shard worker state machine and its exact
+//! ledger), the epoch and the delta-chain position, plus a **driver**
+//! that decides who drains the rings:
 //!
-//! * **Supervised shard workers.** Each shard lane (the crate-private
-//!   `lane::Lane`, the same type the detached-thread runtime drives)
-//!   owns a bounded [`support::spsc`] ring and a [`ShardWorker`] state
-//!   machine; here the supervisor holds both ring endpoints and drains
-//!   each lane itself. Every
-//!   drain step runs under [`std::panic::catch_unwind`]; a panicking
-//!   worker **quarantines** the unprocessed remainder of its batch
-//!   (counted exactly), has its surviving cache mass **salvaged** into
-//!   the shared SRAM (no recorded packet is lost), and is **respawned**
-//!   fresh against the shard's surviving accumulator state. Every fault
-//!   is appended to the lane's [`FaultLog`].
+//! * [`OnlineCaesar`] (`OnlineEngine<`[`Pump`]`>`) drains every lane on
+//!   the caller's thread at deterministic points, so the whole
+//!   schedule, including every injected fault, is a pure function of
+//!   the offered stream: the bit-identity oracle;
+//! * [`crate::ThreadedCaesar`] (`OnlineEngine<`[`crate::threaded::Threads`]`>`)
+//!   runs each lane's worker on a detached OS thread, supervised by
+//!   wall-clock heartbeats.
+//!
+//! `offer`, the epoch rotation, snapshots and delta checkpoints,
+//! `finish`, restore, the accounting and the query surface are written
+//! once, here; the driver supplies the hooks in between (DESIGN §4n).
+//! Every hook is a static call on the concrete driver: the per-packet
+//! path has no `dyn` and no branch on the driver. The engine provides:
+//!
+//! * **Supervised shard workers.** Every drain step runs under
+//!   [`std::panic::catch_unwind`]; a panicking worker **quarantines**
+//!   the unprocessed remainder of its batch (counted exactly), has its
+//!   surviving cache mass **salvaged** into the shared SRAM (no
+//!   recorded packet is lost), and is **respawned** fresh against the
+//!   shard's surviving accumulator state. Every fault is appended to
+//!   the lane's [`FaultLog`].
 //! * **Loss-accounted backpressure.** A full ring is first relieved by
-//!   pumping the consumer; only when the consumer makes no progress
-//!   does the configured [`BackpressurePolicy`] apply — `Block` keeps
-//!   pumping (bounded by the watchdog), `DropNewest`/`DropOldest` shed
-//!   with exact per-shard loss counters that
-//!   [`OnlineCaesar::query_health`] folds into query-time confidence.
-//! * **Watchdog failover.** A lane whose consumer makes no progress for
-//!   [`OnlineCaesar::with_watchdog_deadline`] consecutive pump attempts
-//!   is declared hung: the supervisor drains the wedged ring inline,
-//!   marks the lane `inline_fallback`, and serves it on the supervisor
-//!   thread until the next epoch boundary re-arms the ring path.
+//!   the driver (the pump pumps the consumer; the thread runtime wakes
+//!   the worker and backs off); only then does the configured
+//!   [`BackpressurePolicy`] apply — `Block` retries (a hung consumer is
+//!   bounded by the watchdog or the heartbeat verdict),
+//!   `DropNewest`/`DropOldest` shed with exact per-shard loss counters
+//!   that [`SketchRead::query_health`] folds into query-time confidence.
+//! * **Watchdog failover (pump).** A lane whose consumer makes no
+//!   progress for [`OnlineCaesar::with_watchdog_deadline`] consecutive
+//!   pump attempts is declared hung: the pump drains the wedged ring
+//!   inline, marks the lane `inline_fallback`, and serves it on the
+//!   caller's thread until the next epoch boundary re-arms the ring
+//!   path.
 //! * **Epoch-aligned merges.** Workers stage evictions in shard-local
-//!   [`crate::WRITEBACK_ACCUMULATE_ALL`] segments; at every epoch boundary
-//!   ([`OnlineCaesar::with_epoch_len`] offered packets) all lanes are
-//!   drained dry and their segments merged into the shared SRAM in
-//!   ascending shard order. Queries read the SRAM at any time — a
-//!   consistent (merge-aligned) snapshot — without stopping ingest.
-//! * **Crash-consistent snapshot/restore.** [`OnlineCaesar::snapshot`]
+//!   [`crate::WRITEBACK_ACCUMULATE_ALL`] segments; at every epoch
+//!   boundary ([`OnlineEngine::with_epoch_len`] offered packets) all
+//!   lanes are drained dry and their segments merged into the shared
+//!   SRAM in ascending shard order. Queries read the SRAM at any time —
+//!   a consistent (merge-aligned) snapshot — without stopping ingest.
+//! * **Crash-consistent snapshot/restore.** [`OnlineEngine::snapshot`]
 //!   serializes the complete dynamic state (config, per-lane cache
 //!   slots + memoized k-maps + RNG streams, staged writeback segments,
 //!   SRAM words + tally stripes, in-ring packets, loss counters and
 //!   fault logs) through [`support::bytesx`] and seals it with a
-//!   checksum footer; [`OnlineCaesar::restore`] refuses truncated or
+//!   checksum footer; [`OnlineEngine::restore`] refuses truncated or
 //!   bit-flipped blobs, and a restored engine **resumes byte-identical**
 //!   to the uninterrupted run (pinned by `tests/fault_tolerance.rs`).
+//!   Both drivers write and read the same format.
 //!
-//! Determinism: the runtime is a single-owner engine — the supervisor
-//! holds both ring endpoints and pumps workers itself at deterministic
-//! points (ring occupancy reaching a chunk, backpressure, epoch
-//! boundaries), so the whole schedule, including every injected fault
-//! from a [`FaultInjector`] plan, is a pure function of the offered
-//! stream. A fault-free run's [`OnlineCaesar::finish`] is bit-identical
-//! to [`ConcurrentCaesar::build`] on the same stream.
+//! A fault-free run's [`OnlineEngine::finish`] is bit-identical to
+//! [`ConcurrentCaesar::build`] on the same stream, under either driver.
 //!
 //! Mass accounting invariant (checked by the property suite):
 //!
@@ -65,6 +78,7 @@
 //! left partial cache state; the lane's [`FaultRecord::exact`] flag
 //! turns `false` to say so.)
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::atomic_sram::AtomicCounterArray;
@@ -73,12 +87,15 @@ use crate::concurrent::{
 };
 use crate::config::{CaesarConfig, Estimator};
 use crate::lane::{Lane, LaneLedger};
-use crate::merge::{MergeError, SketchFingerprint};
+use crate::merge::{MergeError, SketchFingerprint, SketchPayload};
 use crate::query::SketchRead;
 use cachesim::{CachePolicy, CacheStats, CacheTableState};
 use hashkit::{KCounterMap, K_MAX};
 use support::bytesx::{seal, unseal, ByteReader, PutBytes, SealError};
+use support::spsc::Backoff;
 use support::testkit::{FaultInjector, FaultSite};
+
+pub(crate) use drive::Drive;
 
 /// Default epoch length in offered packets: a few ring-chunks per lane
 /// between merges — frequent enough that queries lag ingest by a small
@@ -96,7 +113,7 @@ pub const DEFAULT_WATCHDOG_DEADLINE: u64 = 8;
 /// pumped first, so a drop can only happen under genuine backpressure).
 ///
 /// Every shed packet is counted exactly in the lane's `dropped`
-/// counter; [`OnlineCaesar::query_health`] folds the loss fraction
+/// counter; [`SketchRead::query_health`] folds the loss fraction
 /// into the reported confidence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackpressurePolicy {
@@ -257,8 +274,111 @@ impl OnlineStats {
     }
 }
 
-/// The supervised online ingest engine. See the module docs for the
-/// architecture; the short version:
+
+/// The scheduler seam of [`OnlineEngine`]: everything the pump and the
+/// thread runtime do differently. It lives in a private module, so no
+/// driver outside this crate can exist.
+mod drive {
+    use super::{BackpressurePolicy, OnlineCaesar, OnlineEngine};
+    use support::spsc::Backoff;
+    use support::testkit::FaultSite;
+
+    /// Who drains an [`OnlineEngine`]'s rings. The engine calls these
+    /// hooks as static functions on the concrete driver; see DESIGN
+    /// §4n for the order they run in.
+    pub trait Drive: Default + Sized {
+        /// `Err(why)` when this driver cannot run `policy`.
+        fn check_policy(policy: BackpressurePolicy) -> Result<(), &'static str>;
+
+        /// Take over a pump engine's complete state (a restore, or a
+        /// handoff between drivers). The policy has passed
+        /// [`Drive::check_policy`].
+        fn adopt(engine: OnlineCaesar) -> OnlineEngine<Self>;
+
+        /// A packet for `shard` arrives, before its first push.
+        fn admit(engine: &mut OnlineEngine<Self>, shard: usize);
+
+        /// Serve the packet without the ring; `true` when it was.
+        fn bypass(engine: &mut OnlineEngine<Self>, shard: usize, flow: u64) -> bool;
+
+        /// The packet's fate is settled: queued, or shed by
+        /// `DropNewest`.
+        fn settled(engine: &mut OnlineEngine<Self>, shard: usize);
+
+        /// The packet was queued.
+        fn pushed(engine: &mut OnlineEngine<Self>, shard: usize);
+
+        /// The push found the ring full: relieve it. `true` retries
+        /// the push before the policy applies.
+        fn ring_full(engine: &mut OnlineEngine<Self>, shard: usize, backoff: &mut Backoff) -> bool;
+
+        /// One engine-side fault-injection tick at `site` on `shard`.
+        fn fault_tick(engine: &mut OnlineEngine<Self>, site: FaultSite, shard: usize) -> bool;
+
+        /// Apply every packet accepted on `shard`.
+        fn drain_dry(engine: &mut OnlineEngine<Self>, shard: usize);
+
+        /// Merge `shard`'s staged writeback into the shared SRAM.
+        fn flush(engine: &mut OnlineEngine<Self>, shard: usize);
+
+        /// Hold every lane at a checkpoint-safe point: all accepted
+        /// packets applied, no worker touching its state.
+        fn quiesce(_engine: &mut OnlineEngine<Self>) {}
+
+        /// Release what [`Drive::quiesce`] held.
+        fn resume(_engine: &mut OnlineEngine<Self>) {}
+
+        /// Stop driving for good: every accepted packet applied and
+        /// no worker thread left, so the lanes can be finished or
+        /// handed to another driver.
+        fn retire(engine: &mut OnlineEngine<Self>);
+    }
+}
+
+/// The supervised online ingest engine over shard lanes, drained by
+/// the driver `D`. Name it through its two drivers, [`OnlineCaesar`]
+/// and [`crate::ThreadedCaesar`]; see the module docs for the
+/// architecture.
+#[derive(Debug)]
+pub struct OnlineEngine<D> {
+    pub(crate) cfg: CaesarConfig,
+    pub(crate) shards: usize,
+    pub(crate) policy: BackpressurePolicy,
+    pub(crate) ring_capacity: usize,
+    pub(crate) epoch_len: u64,
+    /// The pump's watchdog deadline. Kept here, not in [`Pump`],
+    /// because snapshots carry it whichever driver writes them.
+    pub(crate) watchdog_deadline: u64,
+    /// Shared (`Arc`) so detached worker threads can reach them.
+    pub(crate) sram: Arc<AtomicCounterArray>,
+    pub(crate) kmap: Arc<KCounterMap>,
+    pub(crate) entries: Vec<usize>,
+    pub(crate) lanes: Vec<Lane>,
+    pub(crate) epoch: u64,
+    pub(crate) merges: u64,
+    pub(crate) offered_total: u64,
+    /// Delta-checkpoint chain position: `(chain id, deltas emitted)`.
+    /// The chain id is the FNV-1a digest of the anchoring full
+    /// snapshot's sealed bytes, so an uninterrupted engine and one
+    /// restored from that same blob agree on it without coordination.
+    /// `None` until the first [`OnlineEngine::snapshot`] anchors a
+    /// chain.
+    pub(crate) chain: Option<(u64, u64)>,
+    pub(crate) driver: D,
+}
+
+/// The deterministic driver: the caller's thread holds both ring
+/// endpoints and drains each lane itself at deterministic points (ring
+/// occupancy reaching a chunk, backpressure, epoch boundaries), so the
+/// schedule and every injected fault are a pure function of the
+/// offered stream.
+#[derive(Debug, Default)]
+pub struct Pump {
+    pub(crate) injector: FaultInjector,
+}
+
+/// The single-owner pump engine, the bit-identity oracle for
+/// [`crate::ThreadedCaesar`]:
 ///
 /// ```
 /// use caesar::{CaesarConfig, OnlineCaesar};
@@ -274,42 +394,17 @@ impl OnlineStats {
 /// let sketch = online.finish(); // drain + merge: now a finished ConcurrentCaesar
 /// assert_eq!(sketch.sram().total_added(), 10_000);
 /// ```
-#[derive(Debug)]
-pub struct OnlineCaesar {
-    // Fields are `pub(crate)` so [`crate::threaded`] — the detached-
-    // thread form of this same engine, over the same lanes — can take
-    // one over and hand it back without going through the snapshot
-    // codec.
-    pub(crate) cfg: CaesarConfig,
-    pub(crate) shards: usize,
-    pub(crate) policy: BackpressurePolicy,
-    pub(crate) ring_capacity: usize,
-    pub(crate) epoch_len: u64,
-    pub(crate) watchdog_deadline: u64,
-    /// Shared (`Arc`) so the detached-thread runtime's workers can
-    /// reach them while this engine's state runs under threads.
-    pub(crate) sram: Arc<AtomicCounterArray>,
-    pub(crate) kmap: Arc<KCounterMap>,
-    pub(crate) entries: Vec<usize>,
-    pub(crate) lanes: Vec<Lane>,
-    pub(crate) epoch: u64,
-    pub(crate) merges: u64,
-    pub(crate) offered_total: u64,
-    pub(crate) injector: FaultInjector,
-    /// Delta-checkpoint chain position: `(chain id, deltas emitted)`.
-    /// The chain id is the FNV-1a digest of the anchoring full
-    /// snapshot's sealed bytes, so an uninterrupted engine and one
-    /// restored from that same blob agree on it without coordination.
-    /// `None` until the first [`OnlineCaesar::snapshot`] anchors a
-    /// chain.
-    pub(crate) chain: Option<(u64, u64)>,
-}
+pub type OnlineCaesar = OnlineEngine<Pump>;
 
-impl OnlineCaesar {
-    /// A fresh engine with the default policy ([`BackpressurePolicy::Block`]),
-    /// ring capacity ([`crate::DEFAULT_RING_CAPACITY`]), epoch length
-    /// ([`DEFAULT_EPOCH_LEN`]) and watchdog deadline
-    /// ([`DEFAULT_WATCHDOG_DEADLINE`]).
+impl<D: Drive> OnlineEngine<D> {
+    /// A fresh engine with the default policy
+    /// ([`BackpressurePolicy::Block`]), ring capacity
+    /// ([`crate::DEFAULT_RING_CAPACITY`]), epoch length
+    /// ([`DEFAULT_EPOCH_LEN`]), watchdog deadline
+    /// ([`DEFAULT_WATCHDOG_DEADLINE`]) and, on the thread runtime,
+    /// heartbeat interval ([`crate::DEFAULT_HEARTBEAT_MS`]). The thread
+    /// runtime spawns its workers lazily on first use, so an engine
+    /// that is built and dropped costs nothing.
     ///
     /// # Panics
     /// Panics if `shards == 0` or the configuration is invalid.
@@ -333,14 +428,20 @@ impl OnlineCaesar {
             epoch: 0,
             merges: 0,
             offered_total: 0,
-            injector: FaultInjector::none(),
             chain: None,
+            driver: D::default(),
         }
     }
 
     /// Set the backpressure policy (builder-style; call before
     /// offering packets).
+    ///
+    /// # Panics
+    /// Panics if the driver cannot run `policy`: the thread runtime
+    /// refuses [`BackpressurePolicy::DropOldest`], since head drop
+    /// needs the consumer endpoint its workers own.
     pub fn with_policy(mut self, policy: BackpressurePolicy) -> Self {
+        D::check_policy(policy).unwrap_or_else(|why| panic!("{why}"));
         self.policy = policy;
         self
     }
@@ -349,10 +450,15 @@ impl OnlineCaesar {
     /// rings, so call before offering packets.
     ///
     /// # Panics
-    /// Panics if `capacity == 0`.
+    /// Panics if `capacity == 0`, or once packets were offered or
+    /// worker threads spawned.
     pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
         assert!(capacity >= 1, "ring capacity must be at least 1");
         assert_eq!(self.offered_total, 0, "set ring capacity before offering");
+        assert!(
+            self.lanes.iter().all(|lane| lane.handle.is_none()),
+            "set ring capacity before workers spawn"
+        );
         self.ring_capacity = capacity;
         for (shard, lane) in self.lanes.iter_mut().enumerate() {
             *lane = Lane::new(&self.cfg, shard, self.entries[shard], capacity);
@@ -370,35 +476,6 @@ impl OnlineCaesar {
         self
     }
 
-    /// Set the watchdog deadline in consecutive no-progress pump
-    /// attempts (`>= 1`).
-    ///
-    /// The pump's hang verdict counts **ticks, not time**: a lane is
-    /// declared hung after `deadline` pump attempts that moved
-    /// nothing, a count independent of scheduler jitter or host load.
-    /// That determinism is what keeps this runtime the bit-identity
-    /// oracle for the detached-thread runtime
-    /// ([`crate::ThreadedCaesar`]), whose supervision must instead use
-    /// wall-clock heartbeats ([`crate::ThreadedCaesar::with_heartbeat_interval`])
-    /// because a hung OS thread makes no observable "attempts" to
-    /// count.
-    ///
-    /// # Panics
-    /// Panics if `deadline == 0`.
-    pub fn with_watchdog_deadline(mut self, deadline: u64) -> Self {
-        assert!(deadline >= 1, "watchdog deadline must be at least 1");
-        self.watchdog_deadline = deadline;
-        self
-    }
-
-    /// Attach a deterministic fault-injection schedule (testing).
-    /// [`FaultInjector::none`] — the default — adds zero overhead to
-    /// the batch drain path.
-    pub fn with_injector(mut self, injector: FaultInjector) -> Self {
-        self.injector = injector;
-        self
-    }
-
     /// Which shard a flow routes to.
     pub(crate) fn route(&self, flow: u64) -> usize {
         if self.shards == 1 {
@@ -409,43 +486,38 @@ impl OnlineCaesar {
     }
 
     /// Offer one packet of `flow` to the engine. Never blocks the
-    /// caller indefinitely: a wedged lane is bounded by the watchdog.
+    /// caller indefinitely: a wedged lane is bounded by the pump's
+    /// watchdog or the thread runtime's heartbeat verdict, either of
+    /// which fails the lane over.
     pub fn offer(&mut self, flow: u64) {
         let shard = self.route(flow);
         self.offered_total += 1;
-        self.lanes[shard].ledger.offered += 1;
+        D::admit(self, shard);
+        let mut backoff = Backoff::new();
         loop {
-            if self.lanes[shard].inline_fallback {
-                // Failed-over lane: the supervisor serves it directly.
-                self.ingest_inline(shard, flow);
+            if D::bypass(self, shard, flow) {
                 break;
             }
             if self.lanes[shard].tx.try_push(flow).is_ok() {
-                if self.lanes[shard].in_flight() >= STREAM_CHUNK as u64 {
-                    // A full chunk is ready: pump it through the worker
-                    // so ring occupancy stays bounded by one chunk on a
-                    // healthy lane.
-                    self.pump(shard);
-                }
+                D::settled(self, shard);
+                D::pushed(self, shard);
                 break;
             }
-            // Ring full. A healthy consumer is always pumped first —
-            // drops can only happen when it makes no progress.
-            if self.pump(shard) > 0 || self.lanes[shard].inline_fallback {
+            if D::ring_full(self, shard, &mut backoff) {
                 continue;
             }
             match self.policy {
-                // Keep pumping: each retry is one watchdog tick, so a
-                // hung consumer fails over after the deadline.
                 BackpressurePolicy::Block => continue,
                 BackpressurePolicy::DropNewest => {
+                    D::settled(self, shard);
                     self.lanes[shard].ledger.dropped += 1;
                     break;
                 }
                 BackpressurePolicy::DropOldest => {
-                    let rx = self.lanes[shard].rx.as_mut().expect("the pump holds every ring");
+                    let lane = &mut self.lanes[shard];
+                    let rx = lane.rx.as_mut().expect("only the pump runs DropOldest");
                     if rx.try_pop().is_some() {
-                        self.lanes[shard].ledger.dropped += 1;
+                        lane.ledger.dropped += 1;
                     }
                     continue; // admit the new packet into the freed slot
                 }
@@ -456,139 +528,34 @@ impl OnlineCaesar {
         }
     }
 
-    /// Offer a batch of packets (`for` loop over [`OnlineCaesar::offer`]).
+    /// Offer a batch of packets (`for` loop over [`OnlineEngine::offer`]).
     pub fn offer_batch(&mut self, flows: &[u64]) {
         for &flow in flows {
             self.offer(flow);
         }
     }
 
-    /// One supervised pump attempt on `shard`: returns the number of
-    /// packets consumed from the ring (0 = no progress, which feeds
-    /// the watchdog).
-    fn pump(&mut self, shard: usize) -> u64 {
-        // Every pump attempt is a RingStall tick: a scheduled stall
-        // wedges the consumer at a deterministic pump ordinal.
-        self.injector.tick(FaultSite::RingStall, shard);
-        if self.injector.is_stalled(shard) {
-            self.lanes[shard].stalled_attempts += 1;
-            if self.lanes[shard].stalled_attempts >= self.watchdog_deadline {
-                return self.failover(shard);
-            }
-            return 0;
-        }
-        self.lanes[shard].stalled_attempts = 0;
-        self.drain_chunk(shard)
-    }
-
-    /// Pop one chunk off `shard`'s ring and run the supervised drain
-    /// step. Returns packets popped.
-    fn drain_chunk(&mut self, shard: usize) -> u64 {
-        let lane = &mut self.lanes[shard];
-        lane.buf.clear();
-        let rx = lane.rx.as_mut().expect("the pump holds every ring");
-        let n = rx.pop_batch(&mut lane.buf, STREAM_CHUNK);
-        if n == 0 {
-            return 0;
-        }
-        self.drain_step(shard);
-        n as u64
-    }
-
-    /// Feed a single packet through the supervised drain step (the
-    /// inline-fallback path).
-    fn ingest_inline(&mut self, shard: usize, flow: u64) {
-        let lane = &mut self.lanes[shard];
-        lane.buf.clear();
-        lane.buf.push(flow);
-        self.drain_step(shard);
-    }
-
-    /// The supervised drain step: apply `lane.buf` through the lane's
-    /// supervised step ([`crate::lane::LaneShared::apply`]). On a panic
-    /// the lane's ledger services the fault at once
-    /// ([`LaneLedger::respawn_after_panic`]).
-    fn drain_step(&mut self, shard: usize) {
-        let Self { lanes, injector, sram, kmap, cfg, entries, epoch, .. } = self;
-        let lane = &mut lanes[shard];
-        // Per-packet fault ticks only under a live schedule: the inert
-        // injector keeps the whole-chunk batch kernel.
-        let tick = (!injector.is_inert())
-            .then_some(|| injector.tick(FaultSite::WorkerPanic, shard));
-        let mut cell = lane.shared.lock();
-        if let Err(panic) = lane.shared.apply(&mut cell, &lane.buf, sram, kmap, tick) {
-            let fresh = ShardWorker::staged(cfg, shard, entries[shard]);
-            lane.ledger.respawn_after_panic(&mut cell.worker, fresh, sram, kmap, *epoch, panic);
-        }
-    }
-
-    /// Watchdog failover: the lane's consumer is declared hung. The
-    /// supervisor takes ownership — drains the wedged ring inline and
-    /// serves the lane on the calling thread until the next epoch
-    /// boundary re-arms the ring path. Returns packets drained.
-    fn failover(&mut self, shard: usize) -> u64 {
-        // In the deterministic runtime the "hung consumer" is the
-        // injector's sticky stall; failover clears it because the
-        // supervisor, not the consumer loop, now drives the worker.
-        self.injector.clear_stall(shard);
-        let deadline = self.watchdog_deadline;
-        let lane = &mut self.lanes[shard];
-        lane.inline_fallback = true;
-        lane.stalled_attempts = 0;
-        lane.ledger.log.records.push(FaultRecord {
-            kind: FaultKind::WatchdogFailover,
-            epoch: self.epoch,
-            at_offered: lane.ledger.offered,
-            quarantined: 0,
-            salvaged_units: 0,
-            payload: format!("no consumer progress within {deadline} pump attempts"),
-            exact: true,
-        });
-        let mut drained = 0;
-        loop {
-            let n = self.drain_chunk(shard);
-            if n == 0 {
-                break;
-            }
-            drained += n;
-        }
-        drained
-    }
-
-    /// Epoch boundary: drain every lane dry (failing over lanes still
-    /// wedged), merge every shard-local writeback segment into the
-    /// shared SRAM in ascending shard order, re-arm failed-over lanes,
-    /// and advance the epoch. Queries between merges read the SRAM as
-    /// of the last merge — a consistent snapshot — while ingest
-    /// continues.
+    /// Epoch boundary: drain every lane dry, tick the deterministic
+    /// saturation-degradation seam once per shard, merge every
+    /// shard-local writeback segment into the shared SRAM in ascending
+    /// shard order (so the merge order, saturation tallies included,
+    /// is the same under both drivers), and advance the epoch. Queries
+    /// between merges read the SRAM as of the last merge — a
+    /// consistent snapshot — while ingest continues.
     fn rotate_epoch(&mut self) {
         for shard in 0..self.shards {
-            self.drain_dry(shard);
-            // Deterministic saturation-degradation seam: one tick per
-            // shard per epoch boundary.
-            if self.injector.tick(FaultSite::ForceSaturation, shard) {
+            D::drain_dry(self, shard);
+            if D::fault_tick(self, FaultSite::ForceSaturation, shard) {
                 self.sram.force_saturation(shard, 1);
             }
         }
-        let Self { lanes, sram, .. } = self;
-        for lane in lanes.iter_mut() {
-            lane.shared.lock().worker.flush_writeback(sram);
-            lane.inline_fallback = false;
-            lane.stalled_attempts = 0;
+        for shard in 0..self.shards {
+            D::flush(self, shard);
         }
         self.epoch += 1;
         self.merges += 1;
-    }
-
-    /// Drain `shard`'s ring dry, failing the lane over if it is still
-    /// wedged.
-    fn drain_dry(&mut self, shard: usize) {
-        while self.lanes[shard].in_flight() != 0 {
-            if self.injector.is_stalled(shard) {
-                self.failover(shard);
-            } else {
-                self.drain_chunk(shard);
-            }
+        for lane in &self.lanes {
+            lane.shared.ctrl.epoch.store(self.epoch, Ordering::Release);
         }
     }
 
@@ -623,11 +590,6 @@ impl OnlineCaesar {
         &self.lanes[shard].ledger.log
     }
 
-    /// The attached fault injector (fired/pending schedule).
-    pub fn injector(&self) -> &FaultInjector {
-        &self.injector
-    }
-
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.shards
@@ -652,6 +614,7 @@ impl OnlineCaesar {
     /// Unit mass recorded but not yet query-visible: resident in shard
     /// caches or staged in writeback segments (rings hold *packets*
     /// that are not recorded yet — see [`OnlineStats::in_flight`]).
+    /// Takes each lane's worker lock briefly.
     pub fn unmerged_units(&self) -> u64 {
         self.lanes
             .iter()
@@ -662,15 +625,32 @@ impl OnlineCaesar {
             .sum()
     }
 
-    /// End of measurement: drain every ring, dump every cache, merge
-    /// every segment — then hand back a finished [`ConcurrentCaesar`].
-    /// On a fault-free run this is **bit-identical** to
-    /// [`ConcurrentCaesar::build`] over the same stream (pinned by the
-    /// fault-tolerance suite).
-    pub fn finish(mut self) -> ConcurrentCaesar {
-        for shard in 0..self.shards {
-            self.drain_dry(shard);
+    /// Export the current visible state as a wire-transportable
+    /// [`SketchPayload`] — what a supervised measurement tap pushes to
+    /// an aggregator. Call [`OnlineEngine::merge_now`] first if the
+    /// payload should include everything offered so far.
+    pub fn export_sketch(&self) -> SketchPayload {
+        let mut evictions = 0;
+        for lane in &self.lanes {
+            let cell = lane.shared.lock();
+            evictions += lane.ledger.retired.evictions + cell.worker.ingest_stats().evictions;
         }
+        SketchPayload {
+            fingerprint: SketchFingerprint::of(&self.cfg),
+            counters: self.sram.snapshot(),
+            total_added: self.sram.total_added(),
+            saturation_events: self.sram.saturations(),
+            evictions,
+        }
+    }
+
+    /// End of measurement: apply every accepted packet (joining any
+    /// worker threads), dump every cache, merge every segment — then
+    /// hand back a finished [`ConcurrentCaesar`]. On a fault-free run
+    /// this is **bit-identical** to [`ConcurrentCaesar::build`] over
+    /// the same stream (pinned by the fault-tolerance suite).
+    pub fn finish(mut self) -> ConcurrentCaesar {
+        D::retire(&mut self);
         let Self { cfg, shards, sram, kmap, lanes, .. } = self;
         let per_shard: Vec<IngestStats> = lanes
             .iter()
@@ -694,16 +674,20 @@ impl OnlineCaesar {
     // -----------------------------------------------------------------
 
     /// Serialize the complete dynamic state into a sealed,
-    /// self-validating blob (see [`support::bytesx::seal`]).
+    /// self-validating blob (see [`support::bytesx::seal`]). Both
+    /// drivers write the same format, and either restores the other's
+    /// blobs.
     ///
-    /// Takes `&mut self` because the in-ring packets are drained and
-    /// re-queued (order-preserving) to serialize them; the engine's
-    /// observable state is unchanged. The attached [`FaultInjector`]
-    /// is test scaffolding and is **not** serialized — a restored
-    /// engine gets an inert injector.
+    /// The driver quiesces first (a no-op on the pump; the thread
+    /// runtime applies every accepted packet and parks its workers)
+    /// and resumes before this returns. Takes `&mut self` because the
+    /// in-ring packets are drained and re-queued (order-preserving) to
+    /// serialize them; the engine's observable state is unchanged. The
+    /// attached fault injector is test scaffolding and is **not**
+    /// serialized — a restored engine gets an inert injector.
     ///
     /// A full snapshot **anchors a delta-checkpoint chain**: subsequent
-    /// [`OnlineCaesar::checkpoint_delta`] frames name this blob (by
+    /// [`OnlineEngine::checkpoint_delta`] frames name this blob (by
     /// digest) as their base and serialize only the SRAM blocks that
     /// changed since, so checkpoint cost drops from O(L) to O(changed).
     pub fn snapshot(&mut self) -> Vec<u8> {
@@ -712,10 +696,11 @@ impl OnlineCaesar {
         buf
     }
 
-    /// [`OnlineCaesar::snapshot`] into a caller-owned buffer (cleared
+    /// [`OnlineEngine::snapshot`] into a caller-owned buffer (cleared
     /// first), so a periodic checkpoint loop reuses one allocation
     /// instead of growing a fresh `Vec` every epoch.
     pub fn snapshot_into(&mut self, buf: &mut Vec<u8>) {
+        D::quiesce(self);
         buf.clear();
         encode_snapshot_prelude(buf, self);
         encode_lanes(buf, &mut self.lanes);
@@ -724,6 +709,7 @@ impl OnlineCaesar {
         // it, so the dirty baseline resets here.
         self.chain = Some((hashkit::fnv::fnv1a64(buf), 0));
         let _ = self.sram.take_dirty_blocks();
+        D::resume(self);
     }
 
     /// Emit a sealed `CDLT` delta-checkpoint frame: everything that
@@ -731,19 +717,19 @@ impl OnlineCaesar {
     /// is **sparse** — only the [`crate::DIRTY_BLOCK_COUNTERS`]-counter
     /// blocks the dirty bitmap reports — so at large `L` with low
     /// per-epoch churn the frame is a small fraction of a full
-    /// [`OnlineCaesar::snapshot`]. The lane tail (caches, RNG streams,
+    /// [`OnlineEngine::snapshot`]. The lane tail (caches, RNG streams,
     /// staged writeback, rings, loss counters, fault logs) is carried
     /// whole: it is O(cache), independent of `L`, and churns fully
-    /// every epoch anyway.
+    /// every epoch anyway. Quiesces and resumes like a snapshot.
     ///
     /// Chain discipline: a full snapshot anchors the chain (its digest
     /// is the chain id); each delta carries the chain id and a 1-based
-    /// sequence number. [`OnlineCaesar::restore_chain`] replays
+    /// sequence number. [`OnlineEngine::restore_chain`] replays
     /// `base + deltas` to a state **byte-identical** to the
     /// uninterrupted engine at the moment this frame was emitted.
     ///
     /// # Errors
-    /// [`DeltaError::NoBase`] when no [`OnlineCaesar::snapshot`] has
+    /// [`DeltaError::NoBase`] when no [`OnlineEngine::snapshot`] has
     /// anchored a chain yet.
     pub fn checkpoint_delta(&mut self) -> Result<Vec<u8>, DeltaError> {
         let mut buf = Vec::new();
@@ -751,21 +737,133 @@ impl OnlineCaesar {
         Ok(buf)
     }
 
-    /// [`OnlineCaesar::checkpoint_delta`] into a caller-owned buffer
+    /// [`OnlineEngine::checkpoint_delta`] into a caller-owned buffer
     /// (cleared first) — the zero-realloc form for a periodic
     /// checkpoint loop.
+    ///
+    /// # Errors
+    /// [`DeltaError::NoBase`] when no snapshot has anchored a chain.
     pub fn checkpoint_delta_into(&mut self, buf: &mut Vec<u8>) -> Result<(), DeltaError> {
         let (chain_id, seq) = self.chain.ok_or(DeltaError::NoBase)?;
+        D::quiesce(self);
         buf.clear();
         encode_delta_prelude(buf, self, chain_id, seq + 1);
         encode_lanes(buf, &mut self.lanes);
         seal(buf);
         self.chain = Some((chain_id, seq + 1));
+        D::resume(self);
         Ok(())
     }
 
+    /// Rebuild an engine from a [`OnlineEngine::snapshot`] blob written
+    /// under either driver. The restored engine **resumes
+    /// byte-identical** to the uninterrupted run: every RNG stream,
+    /// cache slot, memo row, staged writeback segment, ring packet and
+    /// counter continues exactly. The thread runtime spawns its
+    /// workers on first use.
+    ///
+    /// # Errors
+    /// Rejects truncated, bit-flipped, version-mismatched or
+    /// internally inconsistent blobs, and a blob whose backpressure
+    /// policy this driver cannot run ([`RestoreError::Corrupt`]; the
+    /// thread runtime refuses [`BackpressurePolicy::DropOldest`]).
+    pub fn restore(bytes: &[u8]) -> Result<Self, RestoreError> {
+        let engine = OnlineCaesar::decode(bytes)?;
+        D::check_policy(engine.policy).map_err(RestoreError::Corrupt)?;
+        Ok(D::adopt(engine))
+    }
+
+    /// Rebuild an engine from a full-snapshot anchor plus its ordered
+    /// delta frames, replayed on the pump and then handed to this
+    /// driver. The result is **byte-identical** (its next
+    /// [`OnlineEngine::snapshot`] emits the same bytes) to the
+    /// uninterrupted engine at the moment the last delta was emitted —
+    /// and it can keep extending the same chain, since restore
+    /// re-derives the chain id from the base blob.
+    ///
+    /// # Errors
+    /// [`ChainError::Base`] if the anchor fails to restore under this
+    /// driver; [`ChainError::Delta`] (naming the offending index) if a
+    /// delta is damaged, foreign, or out of sequence.
+    pub fn restore_chain<B: AsRef<[u8]>>(base: &[u8], deltas: &[B]) -> Result<Self, ChainError> {
+        let mut engine = OnlineCaesar::decode(base).map_err(ChainError::Base)?;
+        D::check_policy(engine.policy)
+            .map_err(|why| ChainError::Base(RestoreError::Corrupt(why)))?;
+        for (index, delta) in deltas.iter().enumerate() {
+            engine
+                .apply_delta(delta.as_ref())
+                .map_err(|source| ChainError::Delta { index, source })?;
+        }
+        Ok(D::adopt(engine))
+    }
+
+    /// The engine's delta-chain position: `(chain id, deltas emitted
+    /// since the anchoring snapshot)`, or `None` before any snapshot.
+    pub fn chain_position(&self) -> Option<(u64, u64)> {
+        self.chain
+    }
+
+    /// The same engine state under another driver.
+    pub(crate) fn with_driver<E>(self, driver: E) -> OnlineEngine<E> {
+        OnlineEngine {
+            cfg: self.cfg,
+            shards: self.shards,
+            policy: self.policy,
+            ring_capacity: self.ring_capacity,
+            epoch_len: self.epoch_len,
+            watchdog_deadline: self.watchdog_deadline,
+            sram: self.sram,
+            kmap: self.kmap,
+            entries: self.entries,
+            lanes: self.lanes,
+            epoch: self.epoch,
+            merges: self.merges,
+            offered_total: self.offered_total,
+            chain: self.chain,
+            driver,
+        }
+    }
+}
+
+impl OnlineCaesar {
+    /// Set the watchdog deadline in consecutive no-progress pump
+    /// attempts (`>= 1`).
+    ///
+    /// The pump's hang verdict counts **ticks, not time**: a lane is
+    /// declared hung after `deadline` pump attempts that moved
+    /// nothing, a count independent of scheduler jitter or host load.
+    /// That determinism is what keeps the pump the bit-identity oracle
+    /// for the thread runtime ([`crate::ThreadedCaesar`]), whose
+    /// supervision must instead use wall-clock heartbeats
+    /// ([`crate::ThreadedCaesar::with_heartbeat_interval`]) because a
+    /// hung OS thread makes no observable "attempts" to count.
+    ///
+    /// # Panics
+    /// Panics if `deadline == 0`.
+    pub fn with_watchdog_deadline(mut self, deadline: u64) -> Self {
+        assert!(deadline >= 1, "watchdog deadline must be at least 1");
+        self.watchdog_deadline = deadline;
+        self
+    }
+
+    /// Attach a deterministic fault-injection schedule (testing).
+    /// [`FaultInjector::none`] — the default — adds zero overhead to
+    /// the batch drain path.
+    pub fn with_injector(mut self, injector: FaultInjector) -> Self {
+        self.driver.injector = injector;
+        self
+    }
+
+    /// The attached fault injector (fired/pending schedule).
+    pub fn injector(&self) -> &FaultInjector {
+        &self.driver.injector
+    }
+
     /// Apply one `CDLT` delta frame emitted by
-    /// [`OnlineCaesar::checkpoint_delta`] on the uninterrupted engine.
+    /// [`OnlineEngine::checkpoint_delta`] on the uninterrupted engine
+    /// (under either driver). Pump only: it replaces the lanes, which a
+    /// running worker thread owns; [`OnlineEngine::restore_chain`]
+    /// replays here, then hands the engine to its driver.
     /// The frame is fully decoded and validated **before** any state is
     /// touched, so a rejected delta leaves the engine unchanged.
     ///
@@ -885,43 +983,9 @@ impl OnlineCaesar {
         Ok(())
     }
 
-    /// Rebuild an engine from a full-snapshot anchor plus its ordered
-    /// delta frames. The result is **byte-identical** (its next
-    /// [`OnlineCaesar::snapshot`] emits the same bytes) to the
-    /// uninterrupted engine at the moment the last delta was emitted —
-    /// and it can keep extending the same chain, since
-    /// [`OnlineCaesar::restore`] re-derives the chain id from the base
-    /// blob.
-    ///
-    /// # Errors
-    /// [`ChainError::Base`] if the anchor fails to restore;
-    /// [`ChainError::Delta`] (naming the offending index) if a delta is
-    /// damaged, foreign, or out of sequence.
-    pub fn restore_chain<B: AsRef<[u8]>>(base: &[u8], deltas: &[B]) -> Result<Self, ChainError> {
-        let mut engine = Self::restore(base).map_err(ChainError::Base)?;
-        for (index, delta) in deltas.iter().enumerate() {
-            engine
-                .apply_delta(delta.as_ref())
-                .map_err(|source| ChainError::Delta { index, source })?;
-        }
-        Ok(engine)
-    }
-
-    /// The engine's delta-chain position: `(chain id, deltas emitted
-    /// since the anchoring snapshot)`, or `None` before any snapshot.
-    pub fn chain_position(&self) -> Option<(u64, u64)> {
-        self.chain
-    }
-
-    /// Rebuild an engine from a [`OnlineCaesar::snapshot`] blob. The
-    /// restored engine **resumes byte-identical** to the uninterrupted
-    /// run: every RNG stream, cache slot, memo row, staged writeback
-    /// segment, ring packet and counter continues exactly.
-    ///
-    /// # Errors
-    /// Rejects truncated, bit-flipped, version-mismatched or
-    /// internally inconsistent blobs.
-    pub fn restore(bytes: &[u8]) -> Result<Self, RestoreError> {
+    /// Decode a snapshot blob into a pump engine (the body of
+    /// [`OnlineEngine::restore`], before the driver adopts it).
+    fn decode(bytes: &[u8]) -> Result<Self, RestoreError> {
         let payload = unseal(bytes)?;
         let mut r = ByteReader::new(payload);
         let version = r.get_u16_le().ok_or(RestoreError::Truncated)?;
@@ -1016,17 +1080,17 @@ impl OnlineCaesar {
             epoch,
             merges,
             offered_total,
-            injector: FaultInjector::none(),
             // Re-deriving the chain id from the blob's own bytes means a
             // restored engine continues the chain the blob anchored:
             // both sides hashed the same bytes.
             chain: Some((hashkit::fnv::fnv1a64(bytes), 0)),
+            driver: Pump::default(),
         })
     }
 
     /// Read just the [`SketchFingerprint`] embedded in a snapshot blob
     /// — the cheap compatibility probe an aggregator runs before
-    /// committing to a full [`OnlineCaesar::restore`] of a peer node's
+    /// committing to a full [`OnlineEngine::restore`] of a peer node's
     /// state. Validates the seal, so a truncated or bit-flipped blob
     /// is rejected here too.
     pub fn snapshot_fingerprint(bytes: &[u8]) -> Result<SketchFingerprint, RestoreError> {
@@ -1039,7 +1103,7 @@ impl OnlineCaesar {
         SketchFingerprint::decode_from(&mut r).ok_or(RestoreError::Truncated)
     }
 
-    /// [`OnlineCaesar::restore`] gated on merge compatibility: the
+    /// [`OnlineEngine::restore`] gated on merge compatibility: the
     /// blob's embedded fingerprint must match `expected` (typically
     /// the local sketch's [`ConcurrentCaesar::fingerprint`]), so a
     /// node cannot accidentally restore-and-merge a peer snapshot
@@ -1055,11 +1119,176 @@ impl OnlineCaesar {
             .map_err(RestoreError::Incompatible)?;
         Self::restore(bytes)
     }
+
+    /// One supervised pump attempt on `shard`: returns the number of
+    /// packets consumed from the ring (0 = no progress, which feeds
+    /// the watchdog).
+    fn pump(&mut self, shard: usize) -> u64 {
+        // Every pump attempt is a RingStall tick: a scheduled stall
+        // wedges the consumer at a deterministic pump ordinal.
+        let injector = &mut self.driver.injector;
+        injector.tick(FaultSite::RingStall, shard);
+        if injector.is_stalled(shard) {
+            self.lanes[shard].stalled_attempts += 1;
+            if self.lanes[shard].stalled_attempts >= self.watchdog_deadline {
+                return self.failover(shard);
+            }
+            return 0;
+        }
+        self.lanes[shard].stalled_attempts = 0;
+        self.drain_chunk(shard)
+    }
+
+    /// Pop one chunk off `shard`'s ring and run the supervised drain
+    /// step. Returns packets popped.
+    fn drain_chunk(&mut self, shard: usize) -> u64 {
+        let lane = &mut self.lanes[shard];
+        lane.buf.clear();
+        let rx = lane.rx.as_mut().expect("the pump holds every ring");
+        let n = rx.pop_batch(&mut lane.buf, STREAM_CHUNK);
+        if n == 0 {
+            return 0;
+        }
+        self.drain_step(shard);
+        n as u64
+    }
+
+    /// The supervised drain step: apply `lane.buf` through the lane's
+    /// supervised step ([`crate::lane::LaneShared::apply`]). On a panic
+    /// the lane's ledger services the fault at once
+    /// ([`LaneLedger::respawn_after_panic`]).
+    fn drain_step(&mut self, shard: usize) {
+        let Self { lanes, driver, sram, kmap, cfg, entries, epoch, .. } = self;
+        let lane = &mut lanes[shard];
+        let injector = &mut driver.injector;
+        // Per-packet fault ticks only under a live schedule: the inert
+        // injector keeps the whole-chunk batch kernel.
+        let tick = (!injector.is_inert())
+            .then_some(|| injector.tick(FaultSite::WorkerPanic, shard));
+        let mut cell = lane.shared.lock();
+        if let Err(panic) = lane.shared.apply(&mut cell, &lane.buf, sram, kmap, tick) {
+            let fresh = ShardWorker::staged(cfg, shard, entries[shard]);
+            lane.ledger.respawn_after_panic(&mut cell.worker, fresh, sram, kmap, *epoch, panic);
+        }
+    }
+
+    /// Watchdog failover: the lane's consumer is declared hung. The
+    /// pump takes ownership — drains the wedged ring inline and serves
+    /// the lane on the calling thread until the next epoch boundary
+    /// re-arms the ring path. Returns packets drained.
+    fn failover(&mut self, shard: usize) -> u64 {
+        // In the deterministic runtime the "hung consumer" is the
+        // injector's sticky stall; failover clears it because the
+        // pump, not the consumer loop, now drives the worker.
+        self.driver.injector.clear_stall(shard);
+        let deadline = self.watchdog_deadline;
+        let lane = &mut self.lanes[shard];
+        lane.inline_fallback = true;
+        lane.stalled_attempts = 0;
+        lane.ledger.log.records.push(FaultRecord {
+            kind: FaultKind::WatchdogFailover,
+            epoch: self.epoch,
+            at_offered: lane.ledger.offered,
+            quarantined: 0,
+            salvaged_units: 0,
+            payload: format!("no consumer progress within {deadline} pump attempts"),
+            exact: true,
+        });
+        let mut drained = 0;
+        loop {
+            let n = self.drain_chunk(shard);
+            if n == 0 {
+                break;
+            }
+            drained += n;
+        }
+        drained
+    }
+}
+
+/// The pump counts a packet offered on arrival, before any pump
+/// attempt, so a fault that attempt fires includes the packet in hand
+/// in its `at_offered`.
+impl Drive for Pump {
+    fn check_policy(_: BackpressurePolicy) -> Result<(), &'static str> {
+        Ok(())
+    }
+
+    fn adopt(engine: OnlineCaesar) -> OnlineCaesar {
+        engine
+    }
+
+    #[inline]
+    fn admit(engine: &mut OnlineCaesar, shard: usize) {
+        engine.lanes[shard].ledger.offered += 1;
+    }
+
+    /// A failed-over lane is served inline until the next epoch.
+    #[inline]
+    fn bypass(engine: &mut OnlineCaesar, shard: usize, flow: u64) -> bool {
+        let lane = &mut engine.lanes[shard];
+        if !lane.inline_fallback {
+            return false;
+        }
+        lane.buf.clear();
+        lane.buf.push(flow);
+        engine.drain_step(shard);
+        true
+    }
+
+    #[inline]
+    fn settled(_: &mut OnlineCaesar, _: usize) {}
+
+    /// A full chunk is ready: pump it through the worker, so ring
+    /// occupancy stays bounded by one chunk on a healthy lane.
+    #[inline]
+    fn pushed(engine: &mut OnlineCaesar, shard: usize) {
+        if engine.lanes[shard].in_flight() >= STREAM_CHUNK as u64 {
+            engine.pump(shard);
+        }
+    }
+
+    /// One pump attempt, which is one watchdog tick: a healthy
+    /// consumer is always pumped before the policy can drop, and a
+    /// hung one fails over after the deadline.
+    fn ring_full(engine: &mut OnlineCaesar, shard: usize, _: &mut Backoff) -> bool {
+        engine.pump(shard) > 0 || engine.lanes[shard].inline_fallback
+    }
+
+    fn fault_tick(engine: &mut OnlineCaesar, site: FaultSite, shard: usize) -> bool {
+        engine.driver.injector.tick(site, shard)
+    }
+
+    /// Drain the ring dry, failing the lane over if it is still
+    /// wedged.
+    fn drain_dry(engine: &mut OnlineCaesar, shard: usize) {
+        while engine.lanes[shard].in_flight() != 0 {
+            if engine.driver.injector.is_stalled(shard) {
+                engine.failover(shard);
+            } else {
+                engine.drain_chunk(shard);
+            }
+        }
+    }
+
+    /// Flush on the caller's thread and re-arm a failed-over lane.
+    fn flush(engine: &mut OnlineCaesar, shard: usize) {
+        let lane = &mut engine.lanes[shard];
+        lane.shared.lock().worker.flush_writeback(&engine.sram);
+        lane.inline_fallback = false;
+        lane.stalled_attempts = 0;
+    }
+
+    fn retire(engine: &mut OnlineCaesar) {
+        for shard in 0..engine.shards {
+            Self::drain_dry(engine, shard);
+        }
+    }
 }
 
 /// Queries read the visible (merged) state; ingest continues
 /// unaffected. A flow's health carries its shard's exact loss ratio.
-impl SketchRead for OnlineCaesar {
+impl<D: Drive> SketchRead for OnlineEngine<D> {
     type Counters = AtomicCounterArray;
 
     fn config(&self) -> &CaesarConfig {
@@ -1083,7 +1312,7 @@ impl SketchRead for OnlineCaesar {
 /// footer's own version is managed by [`support::bytesx`]).
 const SNAP_VERSION: u16 = 2;
 
-/// Why [`OnlineCaesar::restore`] rejected a blob.
+/// Why [`OnlineEngine::restore`] rejected a blob.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RestoreError {
     /// The sealed envelope failed validation (truncation, bad magic,
@@ -1134,7 +1363,7 @@ const DELTA_MAGIC: &[u8; 4] = b"CDLT";
 const DELTA_VERSION: u16 = 1;
 
 /// Why [`OnlineCaesar::apply_delta`] (or
-/// [`OnlineCaesar::checkpoint_delta`]) rejected a frame or refused to
+/// [`OnlineEngine::checkpoint_delta`]) rejected a frame or refused to
 /// emit one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeltaError {
@@ -1220,7 +1449,7 @@ impl std::fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
-/// Why [`OnlineCaesar::restore_chain`] failed, locating the offending
+/// Why [`OnlineEngine::restore_chain`] failed, locating the offending
 /// link.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChainError {
@@ -1256,7 +1485,7 @@ impl std::error::Error for ChainError {}
 /// Full-snapshot prelude: layout version, fingerprint, config, engine
 /// scalars, then the complete SRAM (words + tally stripes). The lane
 /// sections and the seal footer follow.
-fn encode_snapshot_prelude(buf: &mut Vec<u8>, h: &OnlineCaesar) {
+fn encode_snapshot_prelude<D>(buf: &mut Vec<u8>, h: &OnlineEngine<D>) {
     let sram = &h.sram;
     buf.put_u16_le(SNAP_VERSION);
     // The sketch identity leads the blob so a peer can check merge
@@ -1293,7 +1522,7 @@ fn encode_snapshot_prelude(buf: &mut Vec<u8>, h: &OnlineCaesar) {
 /// read-modify-write, no saturation bookkeeping to re-derive) plus the
 /// full tally stripes (O(shards), tiny). Consumes the dirty baseline
 /// via [`AtomicCounterArray::take_dirty_blocks`].
-fn encode_delta_prelude(buf: &mut Vec<u8>, h: &OnlineCaesar, chain_id: u64, next_seq: u64) {
+fn encode_delta_prelude<D>(buf: &mut Vec<u8>, h: &OnlineEngine<D>, chain_id: u64, next_seq: u64) {
     let sram = &h.sram;
     buf.put_slice(DELTA_MAGIC);
     buf.put_u16_le(DELTA_VERSION);
@@ -1326,12 +1555,11 @@ fn encode_delta_prelude(buf: &mut Vec<u8>, h: &OnlineCaesar, chain_id: u64, next
 
 /// Every lane's dynamic state, shared verbatim by full snapshots and
 /// delta frames (the lane tail is O(cache + staged) — small and
-/// epoch-churned, so deltas carry it whole) and by both runtimes,
-/// whose engines are the same [`OnlineCaesar`] state. A
+/// epoch-churned, so deltas carry it whole) under both drivers. A
 /// ring the engine holds is drained to serialize its contents, then
 /// re-queued in order (it is empty in between, so the pushes cannot
 /// fail): observably side-effect free. A worker thread's ring is empty
-/// here, because the threaded runtime quiesces first.
+/// here, because the thread driver quiesces first.
 fn encode_lanes(buf: &mut Vec<u8>, lanes: &mut [Lane]) {
     for lane in lanes {
         let mut pending = Vec::new();
@@ -1364,7 +1592,7 @@ fn encode_lanes(buf: &mut Vec<u8>, lanes: &mut [Lane]) {
 }
 
 /// Decode one lane's dynamic state — the exact inverse of one lane of
-/// [`encode_lanes`], shared by [`OnlineCaesar::restore`] and
+/// [`encode_lanes`], shared by [`OnlineEngine::restore`] and
 /// [`OnlineCaesar::apply_delta`]. The lane's counts must reconcile:
 /// both runtimes derive in-flight from them, so a section claiming
 /// more settled packets than it was offered is refused here.
@@ -2127,3 +2355,4 @@ mod tests {
         assert_eq!(view.sram().total_added() as usize, flows.len());
     }
 }
+

@@ -1,16 +1,18 @@
-//! Detached-thread online runtime with heartbeat supervision and
-//! crash failover.
+//! The detached-thread driver of the online engine, with heartbeat
+//! supervision and crash failover.
 //!
-//! [`crate::online::OnlineCaesar`] is the **deterministic oracle**: a
-//! single-owner engine that holds both ring endpoints and pumps shard
-//! workers itself at deterministic points, so every schedule — and
-//! every injected fault — is a pure function of the offered stream.
-//! [`ThreadedCaesar`] is the same machinery deployed the way a line
-//! card actually runs it: both engines hold the same lanes (the
-//! crate-private `lane::Lane`), and here each lane's worker is a **real
-//! detached OS thread** draining its bounded [`support::spsc`] ring
-//! through the same supervised step, supervised by **wall-clock
-//! heartbeats** instead of logical pump-attempt ticks.
+//! [`crate::online::OnlineEngine`] is one engine with two drivers.
+//! Under the pump ([`crate::OnlineCaesar`]) the caller's thread drains
+//! every lane at deterministic points, so every schedule — and every
+//! injected fault — is a pure function of the offered stream: the
+//! **deterministic oracle**. [`ThreadedCaesar`] is the same engine
+//! driven by [`Threads`], the way a line card actually runs it: each
+//! lane's worker is a **real detached OS thread** draining its bounded
+//! [`support::spsc`] ring through the same supervised step, supervised
+//! by **wall-clock heartbeats** instead of logical pump-attempt ticks.
+//! `offer`, the epoch rotation, checkpoints, restore and the read
+//! surface are the engine's; this module holds only what is about
+//! threads:
 //!
 //! * **Heartbeat slots.** Each worker publishes progress through a
 //!   cache-line-padded atomic slot ([`support::spsc::CachePadded`]):
@@ -36,7 +38,7 @@
 //!   on a condition variable, so stopping it never waits out a poll.
 //! * **Crash failover.** A hung worker's ring is sealed, the lane's
 //!   in-flight packets are **quarantined** (counted exactly, recorded
-//!   in the lane's [`FaultLog`]), whatever accumulator state can be
+//!   in the lane's [`crate::FaultLog`]), whatever accumulator state can be
 //!   reached without racing the zombie is **salvaged** into the shared
 //!   SRAM, and a fresh worker thread is respawned on a fresh ring. A
 //!   generation fence keeps the zombie from ever touching shared state
@@ -56,23 +58,26 @@
 //! offered == recorded + dropped + quarantined + in_flight
 //! ```
 //!
+//! A lane counts a packet offered only once its fate is settled
+//! (queued or shed): a failover can fire while the packet is still in
+//! the producer's hand, and a pre-counted packet would be covered by
+//! the failover's residual quarantine *and* queued into the fresh ring.
+//!
 //! **Bit-identity.** On a fault-free run a `ThreadedCaesar` is
 //! bit-identical to the pump oracle at every epoch boundary, and its
-//! [`ThreadedCaesar::finish`] equals [`ConcurrentCaesar::build`]. This
-//! is by construction, not luck: workers stage all evictions in
-//! shard-local [`crate::WRITEBACK_ACCUMULATE_ALL`] segments (no
-//! mid-epoch writes to shared SRAM), the batch kernel is
-//! chunk-boundary-insensitive, and epoch rotation drains every lane
-//! dry then serializes the per-shard flushes in ascending shard order
-//! with acknowledgement waits — the same order the pump merges, so
-//! even the saturation tallies match. Snapshots are taken at a
-//! **quiesced** point (all accepted packets applied, workers parked)
-//! through the pump's own encoders over the same lanes, so a quiesced
+//! `finish` equals [`ConcurrentCaesar::build`]. This is by
+//! construction, not luck: workers stage all evictions in shard-local
+//! [`crate::WRITEBACK_ACCUMULATE_ALL`] segments (no mid-epoch writes to
+//! shared SRAM), the batch kernel is chunk-boundary-insensitive, and
+//! the engine's epoch rotation drains every lane dry then flushes the
+//! shards in ascending order with acknowledgement waits — the same
+//! order the pump merges, so even the saturation tallies match.
+//! Snapshots are taken at a **quiesced** point (all accepted packets
+//! applied, workers parked) by the engine's one encoder, so a quiesced
 //! threaded snapshot is byte-identical to the pump's at the same
 //! boundary.
 //!
-//! The pump remains the test oracle precisely because it is
-//! deterministic; this module is the thing it is an oracle *for*.
+//! [`ConcurrentCaesar::build`]: crate::ConcurrentCaesar::build
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
@@ -80,19 +85,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::atomic_sram::AtomicCounterArray;
-use crate::concurrent::{ConcurrentCaesar, ShardWorker, STREAM_CHUNK};
-use crate::config::CaesarConfig;
+use crate::concurrent::{ShardWorker, STREAM_CHUNK};
 use crate::lane::{
     Lane, LaneShared, HB_EXITED, HB_IDLE, HB_PANICKED, HB_PARKED, HB_RUNNING,
 };
-use crate::merge::{SketchFingerprint, SketchPayload};
 use crate::online::{
-    BackpressurePolicy, ChainError, DeltaError, FaultKind, FaultLog, FaultRecord, LaneStats,
-    OnlineCaesar, OnlineStats, RestoreError,
+    BackpressurePolicy, Drive, FaultKind, FaultRecord, OnlineCaesar, OnlineEngine, Pump,
 };
-use crate::query::SketchRead;
 use hashkit::KCounterMap;
-use support::spsc;
+use support::spsc::{self, Backoff};
 use support::testkit::{FaultInjector, FaultSite};
 
 /// Default heartbeat interval of a new engine, in milliseconds.
@@ -128,11 +129,37 @@ impl Drop for Monitor {
     }
 }
 
-/// The heartbeat-supervised detached-thread online engine. See the
-/// module docs for the architecture; the API mirrors
-/// [`OnlineCaesar`] — same accounting, same snapshot format, same
-/// finish semantics — with wall-clock supervision in place of logical
-/// watchdog ticks.
+/// The detached-thread driver: one worker thread per lane plus a
+/// heartbeat monitor, all spawned on first use.
+pub struct Threads {
+    heartbeat: Duration,
+    pin_workers: bool,
+    /// The live fault schedule, shared with the worker threads.
+    injector: Arc<Mutex<FaultInjector>>,
+    injector_live: bool,
+    monitor: Option<Monitor>,
+    started: bool,
+    quiesced: bool,
+}
+
+impl Default for Threads {
+    fn default() -> Self {
+        Self {
+            heartbeat: Duration::from_millis(DEFAULT_HEARTBEAT_MS),
+            pin_workers: false,
+            injector: Arc::default(),
+            injector_live: false,
+            monitor: None,
+            started: false,
+            quiesced: false,
+        }
+    }
+}
+
+/// The heartbeat-supervised detached-thread online engine: the same
+/// engine, accounting, snapshot format and finish semantics as
+/// [`crate::OnlineCaesar`], with worker threads and wall-clock
+/// supervision in place of the pump and its logical watchdog ticks.
 ///
 /// ```
 /// use caesar::{CaesarConfig, ThreadedCaesar};
@@ -150,104 +177,35 @@ impl Drop for Monitor {
 /// let sketch = online.finish(); // joins workers, then drains + merges
 /// assert_eq!(sketch.sram().total_added(), 10_000);
 /// ```
-pub struct ThreadedCaesar {
-    /// The engine state the pump runs on: configuration, counters,
-    /// lanes, epoch and chain position. Its own injector stays inert
-    /// while the workers run; the live schedule is `injector`.
-    engine: OnlineCaesar,
-    heartbeat: Duration,
-    pin_workers: bool,
-    injector: Arc<Mutex<FaultInjector>>,
-    injector_live: bool,
-    monitor: Option<Monitor>,
-    started: bool,
-    quiesced: bool,
-}
+pub type ThreadedCaesar = OnlineEngine<Threads>;
 
 impl ThreadedCaesar {
-    /// A fresh engine with the default policy
-    /// ([`BackpressurePolicy::Block`]), ring capacity
-    /// ([`crate::DEFAULT_RING_CAPACITY`]), epoch length
-    /// ([`crate::DEFAULT_EPOCH_LEN`]) and heartbeat interval
-    /// ([`DEFAULT_HEARTBEAT_MS`]). Worker threads spawn lazily on the
-    /// first offer (or rotation/snapshot), so an engine that is built
-    /// and dropped costs nothing.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0` or the configuration is invalid.
-    pub fn new(cfg: CaesarConfig, shards: usize) -> Self {
-        Self::from_online(OnlineCaesar::new(cfg, shards))
-    }
-
     /// Take over a pump engine's complete state — counters, worker
-    /// state machines, ring contents, fault logs, chain position —
-    /// without a codec round trip: both runtimes run the same engine
-    /// state over the same lanes, so this moves it, and the worker
-    /// threads spawn on first use. The inverse of
-    /// [`ThreadedCaesar::into_online`].
+    /// state machines, ring contents, fault logs, chain position,
+    /// fault schedule — without a codec round trip: only the driver
+    /// changes, and the worker threads spawn on first use. The inverse
+    /// of [`ThreadedCaesar::into_online`].
     ///
     /// # Panics
     /// Panics if the pump is configured with
     /// [`BackpressurePolicy::DropOldest`], which requires consumer-side
     /// ownership the threaded runtime hands to its workers.
-    pub fn from_online(mut engine: OnlineCaesar) -> Self {
-        assert!(
-            engine.policy != BackpressurePolicy::DropOldest,
-            "DropOldest needs the consumer endpoint, which threaded workers own"
-        );
-        let injector = std::mem::replace(&mut engine.injector, FaultInjector::none());
-        for lane in &mut engine.lanes {
-            // The pump's watchdog state does not transfer: this runtime
-            // supervises by heartbeat. In-ring packets stay in the ring
-            // for the worker to drain once spawned.
-            lane.inline_fallback = false;
-            lane.stalled_attempts = 0;
-            lane.shared.ctrl.epoch.store(engine.epoch, Ordering::Release);
-        }
-        Self {
-            engine,
-            heartbeat: Duration::from_millis(DEFAULT_HEARTBEAT_MS),
-            pin_workers: false,
-            injector_live: !injector.is_inert(),
-            injector: Arc::new(Mutex::new(injector)),
-            monitor: None,
-            started: false,
-            quiesced: false,
-        }
+    pub fn from_online(engine: OnlineCaesar) -> Self {
+        Threads::check_policy(engine.policy).unwrap_or_else(|why| panic!("{why}"));
+        Threads::adopt(engine)
     }
 
-    /// Set the backpressure policy (builder-style; call before
-    /// offering packets). [`BackpressurePolicy::DropOldest`] is not
-    /// supported here: head drop needs the consumer endpoint, which
-    /// the worker threads own.
-    ///
-    /// # Panics
-    /// Panics on [`BackpressurePolicy::DropOldest`].
-    pub fn with_policy(mut self, policy: BackpressurePolicy) -> Self {
-        assert!(
-            policy != BackpressurePolicy::DropOldest,
-            "DropOldest needs the consumer endpoint, which threaded workers own"
-        );
-        self.engine.policy = policy;
-        self
-    }
-
-    /// Set the per-shard ring capacity (`>= 1`). Rebuilds the (empty)
-    /// rings, so call before offering packets.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0` or packets have been offered.
-    pub fn with_ring_capacity(self, capacity: usize) -> Self {
-        assert!(!self.started, "set ring capacity before workers spawn");
-        Self { engine: self.engine.with_ring_capacity(capacity), ..self }
-    }
-
-    /// Set the epoch length in offered packets (`>= 1`).
-    ///
-    /// # Panics
-    /// Panics if `epoch_len == 0`.
-    pub fn with_epoch_len(self, epoch_len: u64) -> Self {
-        Self { engine: self.engine.with_epoch_len(epoch_len), ..self }
+    /// Quiesce, stop the monitor and every worker thread, join them,
+    /// and hand the complete state back to the pump. Bit-preserving:
+    /// the pump's subsequent snapshots, queries and `finish` behave
+    /// exactly as if it had run the whole stream itself (fault-free).
+    pub fn into_online(mut self) -> OnlineCaesar {
+        Threads::retire(&mut self);
+        // Every worker is joined; only a fenced zombie can still hold
+        // the schedule, and then it stays with the zombie.
+        let injector = Arc::try_unwrap(std::mem::take(&mut self.driver.injector))
+            .map_or_else(|_| FaultInjector::none(), |m| m.into_inner().expect("injector lock"));
+        self.with_driver(Pump { injector })
     }
 
     /// Set the wall-clock heartbeat interval. The monitor declares a
@@ -259,8 +217,8 @@ impl ThreadedCaesar {
     /// Panics if `interval` is zero or workers already spawned.
     pub fn with_heartbeat_interval(mut self, interval: Duration) -> Self {
         assert!(!interval.is_zero(), "heartbeat interval must be non-zero");
-        assert!(!self.started, "set the heartbeat interval before workers spawn");
-        self.heartbeat = interval;
+        assert!(!self.driver.started, "set the heartbeat interval before workers spawn");
+        self.driver.heartbeat = interval;
         self
     }
 
@@ -271,8 +229,8 @@ impl ThreadedCaesar {
     /// # Panics
     /// Panics if workers already spawned.
     pub fn with_pinning(mut self, pin: bool) -> Self {
-        assert!(!self.started, "set pinning before workers spawn");
-        self.pin_workers = pin;
+        assert!(!self.driver.started, "set pinning before workers spawn");
+        self.driver.pin_workers = pin;
         self
     }
 
@@ -291,51 +249,70 @@ impl ThreadedCaesar {
     /// # Panics
     /// Panics if workers already spawned.
     pub fn with_injector(mut self, injector: FaultInjector) -> Self {
-        assert!(!self.started, "attach the injector before workers spawn");
-        self.injector_live = !injector.is_inert();
-        self.injector = Arc::new(Mutex::new(injector));
+        assert!(!self.driver.started, "attach the injector before workers spawn");
+        self.driver.injector_live = !injector.is_inert();
+        self.driver.injector = Arc::new(Mutex::new(injector));
         self
+    }
+
+    /// Inspect the fault-injection schedule (fired/pending counts).
+    /// Unlike the pump's [`OnlineCaesar::injector`], the threaded
+    /// injector is shared with the worker threads behind a mutex, so
+    /// this borrows it to `f` under a brief lock.
+    pub fn with_injector_state<R>(&self, f: impl FnOnce(&FaultInjector) -> R) -> R {
+        f(&self.driver.injector.lock().expect("fault injector lock"))
+    }
+
+    /// The heartbeat interval in effect.
+    pub fn heartbeat_interval(&self) -> Duration {
+        self.driver.heartbeat
     }
 
     // -----------------------------------------------------------------
     // Thread lifecycle
     // -----------------------------------------------------------------
 
+    #[inline]
     fn ensure_started(&mut self) {
-        if self.started {
-            return;
+        if !self.driver.started {
+            self.start();
         }
-        self.started = true;
-        for shard in 0..self.engine.shards {
+    }
+
+    fn start(&mut self) {
+        self.driver.started = true;
+        for shard in 0..self.shards {
             self.spawn_worker(shard);
         }
         let shared = Arc::new(MonitorShared {
             stop: Mutex::new(false),
             wake: Condvar::new(),
-            lanes: Mutex::new(self.engine.lanes.iter().map(|l| Arc::clone(&l.shared)).collect()),
+            lanes: Mutex::new(self.lanes.iter().map(|l| Arc::clone(&l.shared)).collect()),
         });
         let for_thread = Arc::clone(&shared);
-        let interval = self.heartbeat;
+        let interval = self.driver.heartbeat;
         let handle = std::thread::Builder::new()
             .name("caesar-monitor".into())
             .spawn(move || monitor_loop(&for_thread, interval))
             .expect("spawn heartbeat monitor thread");
-        self.monitor = Some(Monitor { shared, handle: Some(handle) });
+        self.driver.monitor = Some(Monitor { shared, handle: Some(handle) });
     }
 
     fn spawn_worker(&mut self, shard: usize) {
-        let lane = &mut self.engine.lanes[shard];
+        let lane = &mut self.lanes[shard];
         let rx = lane.rx.take().expect("consumer endpoint available to spawn");
+        lane.shared.ctrl.epoch.store(self.epoch, Ordering::Release);
         lane.shared.hb.state.0.store(HB_RUNNING, Ordering::Release);
         let shared = Arc::clone(&lane.shared);
-        let sram = Arc::clone(&self.engine.sram);
-        let kmap = Arc::clone(&self.engine.kmap);
-        let injector = if self.injector_live { Some(Arc::clone(&self.injector)) } else { None };
+        let sram = Arc::clone(&self.sram);
+        let kmap = Arc::clone(&self.kmap);
+        let driver = &self.driver;
+        let injector = driver.injector_live.then(|| Arc::clone(&driver.injector));
         let ctx = WorkerCtx {
             shard,
-            shards: self.engine.shards,
-            interval: self.heartbeat,
-            pin: self.pin_workers,
+            shards: self.shards,
+            interval: driver.heartbeat,
+            pin: driver.pin_workers,
         };
         let handle = std::thread::Builder::new()
             .name(format!("caesar-worker-{shard}"))
@@ -347,11 +324,12 @@ impl ThreadedCaesar {
     /// Consume any pending worker event on `shard`: a surfaced panic
     /// first (cheap respawn-in-place), then a monitor verdict (full
     /// failover). Called on every offer and inside every wait loop.
+    #[inline]
     fn service_lane(&mut self, shard: usize) {
-        if self.engine.lanes[shard].shared.hb.state.0.load(Ordering::Acquire) == HB_PANICKED {
+        if self.lanes[shard].shared.hb.state.0.load(Ordering::Acquire) == HB_PANICKED {
             self.service_panic(shard);
         }
-        if self.engine.lanes[shard].shared.hb.verdict.0.load(Ordering::Acquire) != 0 {
+        if self.lanes[shard].shared.hb.verdict.0.load(Ordering::Acquire) != 0 {
             self.heartbeat_failover(shard);
         }
     }
@@ -361,15 +339,14 @@ impl ThreadedCaesar {
     /// thread — the worker is waiting, not racing us), respawn the
     /// state machine in place, log the fault, release the worker.
     fn service_panic(&mut self, shard: usize) {
-        let epoch = self.engine.epoch;
-        let OnlineCaesar { lanes, sram, kmap, cfg, entries, .. } = &mut self.engine;
+        let Self { lanes, sram, kmap, cfg, entries, epoch, .. } = self;
         let lane = &mut lanes[shard];
         let mut cell = lane.shared.lock();
         let Some(panic) = cell.panic_info.take() else {
             return;
         };
         let fresh = ShardWorker::staged(cfg, shard, entries[shard]);
-        lane.ledger.respawn_after_panic(&mut cell.worker, fresh, sram, kmap, epoch, panic);
+        lane.ledger.respawn_after_panic(&mut cell.worker, fresh, sram, kmap, *epoch, panic);
         drop(cell);
         // Releasing the state releases the worker thread, which loops
         // straight back into draining against the fresh state machine.
@@ -383,172 +360,171 @@ impl ThreadedCaesar {
     /// exact in-flight residue, and respawn a fresh worker on a fresh
     /// ring.
     fn heartbeat_failover(&mut self, shard: usize) {
-        let interval = self.heartbeat;
-        let epoch = self.engine.epoch;
-        {
-            let OnlineCaesar { lanes, sram, kmap, cfg, entries, ring_capacity, .. } =
-                &mut self.engine;
-            let lane = &mut lanes[shard];
-            // Seal first: nothing new enters the wedged ring, and a
-            // zombie that wakes up sees a closed, abandoned ring.
-            lane.tx.seal();
-            let old = &lane.shared;
-            old.ctrl.gen.fetch_add(1, Ordering::Release);
-            let (exact, salvaged_units) = match old.cell.try_lock() {
-                Ok(mut cell) => {
-                    // Hung at a batch boundary (the injected form):
-                    // the cell is free, so the accumulator is safe to
-                    // salvage.
-                    let salvaged = cell.worker.drain_cache(sram, kmap);
-                    cell.worker.flush_writeback(sram);
-                    lane.ledger.retired.merge(&cell.worker.ingest_stats());
-                    (true, salvaged)
-                }
-                // Genuinely wedged mid-batch: the zombie owns the cell.
-                // Its published prefix counts as recorded, but its
-                // staged mass is stranded in an orphaned accumulator the
-                // fence will never let it flush. Flagged inexact, like a
-                // genuine mid-record panic.
-                Err(_) => (false, 0),
-            };
-            // Final either way: the fence keeps the zombie off the
-            // fresh lane's slot.
-            let recorded = lane.recorded();
-            let ledger = &mut lane.ledger;
-            let residual = ledger.unsettled(recorded);
-            ledger.quarantined += residual;
-            ledger.respawns += 1;
-            ledger.log.records.push(FaultRecord {
-                kind: FaultKind::WatchdogFailover,
-                epoch,
-                at_offered: ledger.offered,
-                quarantined: residual,
-                salvaged_units,
-                payload: format!(
-                    "worker heartbeat missed two {}ms deadlines; lane failed over",
-                    interval.as_millis()
-                ),
-                exact,
-            });
-            // Fresh ring, fresh shared slot, fresh state machine.
-            // Dropping the old lane wakes the zombie into its fence;
-            // its thread is detached, not joined.
-            let worker = ShardWorker::staged(cfg, shard, entries[shard]);
-            let ledger = std::mem::take(&mut lane.ledger);
-            *lane = Lane::with_parts(*ring_capacity, worker, recorded, ledger, &[]);
-            lane.shared.ctrl.epoch.store(epoch, Ordering::Release);
-            lane.shared.ctrl.park.store(self.quiesced, Ordering::Release);
-        }
-        if self.started {
-            if let Some(mon) = &self.monitor {
-                let mut registry = mon.shared.lanes.lock().expect("monitor registry lock");
-                registry[shard] = Arc::clone(&self.engine.lanes[shard].shared);
+        let Self { lanes, sram, kmap, cfg, entries, ring_capacity, epoch, driver, .. } = self;
+        let lane = &mut lanes[shard];
+        // Seal first: nothing new enters the wedged ring, and a
+        // zombie that wakes up sees a closed, abandoned ring.
+        lane.tx.seal();
+        let old = &lane.shared;
+        old.ctrl.gen.fetch_add(1, Ordering::Release);
+        let (exact, salvaged_units) = match old.cell.try_lock() {
+            Ok(mut cell) => {
+                // Hung at a batch boundary (the injected form): the
+                // cell is free, so the accumulator is safe to salvage.
+                let salvaged = cell.worker.drain_cache(sram, kmap);
+                cell.worker.flush_writeback(sram);
+                lane.ledger.retired.merge(&cell.worker.ingest_stats());
+                (true, salvaged)
             }
+            // Genuinely wedged mid-batch: the zombie owns the cell. Its
+            // published prefix counts as recorded, but its staged mass
+            // is stranded in an orphaned accumulator the fence will
+            // never let it flush. Flagged inexact, like a genuine
+            // mid-record panic.
+            Err(_) => (false, 0),
+        };
+        // Final either way: the fence keeps the zombie off the fresh
+        // lane's slot.
+        let recorded = lane.recorded();
+        let ledger = &mut lane.ledger;
+        let residual = ledger.unsettled(recorded);
+        ledger.quarantined += residual;
+        ledger.respawns += 1;
+        ledger.log.records.push(FaultRecord {
+            kind: FaultKind::WatchdogFailover,
+            epoch: *epoch,
+            at_offered: ledger.offered,
+            quarantined: residual,
+            salvaged_units,
+            payload: format!(
+                "worker heartbeat missed two {}ms deadlines; lane failed over",
+                driver.heartbeat.as_millis()
+            ),
+            exact,
+        });
+        // Fresh ring, fresh shared slot, fresh state machine. Dropping
+        // the old lane wakes the zombie into its fence; its thread is
+        // detached, not joined.
+        let worker = ShardWorker::staged(cfg, shard, entries[shard]);
+        let ledger = std::mem::take(&mut lane.ledger);
+        *lane = Lane::with_parts(*ring_capacity, worker, recorded, ledger, &[]);
+        lane.shared.ctrl.park.store(driver.quiesced, Ordering::Release);
+        if let Some(mon) = &driver.monitor {
+            let mut registry = mon.shared.lanes.lock().expect("monitor registry lock");
+            registry[shard] = Arc::clone(&lane.shared);
+        }
+        if driver.started {
             self.spawn_worker(shard);
         }
     }
+}
 
-    // -----------------------------------------------------------------
-    // Ingest
-    // -----------------------------------------------------------------
-
-    /// Offer one packet of `flow` to the engine. Never blocks the
-    /// caller indefinitely: a wedged worker is bounded by the
-    /// two-deadline heartbeat verdict, which fails the lane over.
-    pub fn offer(&mut self, flow: u64) {
-        self.ensure_started();
-        let shard = self.engine.route(flow);
-        self.engine.offered_total += 1;
-        self.service_lane(shard);
-        // The lane's `offered` counter moves only once the packet's
-        // fate is settled (queued or shed). A failover can fire while
-        // this packet is still in our hand — if it were pre-counted,
-        // the failover's residual quarantine would cover it AND the
-        // retry would queue it into the fresh ring, double-counting
-        // one packet and wedging every drain wait on an underflowed
-        // in-flight figure.
-        let mut backoff = spsc::Backoff::new();
-        loop {
-            let lane = &mut self.engine.lanes[shard];
-            if lane.tx.try_push(flow).is_ok() {
-                lane.ledger.offered += 1;
-                // Wake an idle worker once a chunk (or half a small
-                // ring) waits for it, as the pump drains one. The check
-                // is a plain load, no fence: a wake lost to the race,
-                // like a short tail, waits for a later push or the next
-                // supervisor wait (each wakes the worker first), never
-                // loses a packet.
-                if lane.shared.hb.state.0.load(Ordering::Relaxed) == HB_IDLE {
-                    let queued = lane.tx.in_flight();
-                    if queued >= STREAM_CHUNK || 2 * queued >= lane.tx.capacity() {
-                        lane.wake();
-                    }
-                }
-                break;
+/// The thread runtime counts a packet offered only once its fate is
+/// settled (see the module docs), and relieves a full ring by waking
+/// the worker and backing off, never by draining it itself.
+impl Drive for Threads {
+    fn check_policy(policy: BackpressurePolicy) -> Result<(), &'static str> {
+        match policy {
+            BackpressurePolicy::DropOldest => {
+                Err("DropOldest needs the consumer endpoint, which threaded workers own")
             }
-            // Ring full: the worker is behind, idle past a lost wake, or
-            // wedged (the monitor decides).
-            lane.wake();
-            match self.engine.policy {
-                BackpressurePolicy::Block => {
-                    self.service_lane(shard);
-                    backoff.wait();
-                }
-                BackpressurePolicy::DropNewest => {
-                    let ledger = &mut self.engine.lanes[shard].ledger;
-                    ledger.offered += 1;
-                    ledger.dropped += 1;
-                    break;
-                }
-                BackpressurePolicy::DropOldest => {
-                    unreachable!("rejected by with_policy/from_online")
-                }
-            }
-        }
-        if self.engine.offered_total.is_multiple_of(self.engine.epoch_len) {
-            self.rotate_epoch();
+            BackpressurePolicy::Block | BackpressurePolicy::DropNewest => Ok(()),
         }
     }
 
-    /// Offer a batch of packets (`for` loop over
-    /// [`ThreadedCaesar::offer`]).
-    pub fn offer_batch(&mut self, flows: &[u64]) {
-        for &flow in flows {
-            self.offer(flow);
+    fn adopt(mut engine: OnlineCaesar) -> ThreadedCaesar {
+        let injector = std::mem::take(&mut engine.driver.injector);
+        for lane in &mut engine.lanes {
+            // The pump's watchdog state does not transfer: this runtime
+            // supervises by heartbeat. In-ring packets stay in the ring
+            // for the worker to drain once spawned.
+            lane.inline_fallback = false;
+            lane.stalled_attempts = 0;
+        }
+        engine.with_driver(Threads {
+            injector_live: !injector.is_inert(),
+            injector: Arc::new(Mutex::new(injector)),
+            ..Threads::default()
+        })
+    }
+
+    #[inline]
+    fn admit(engine: &mut ThreadedCaesar, shard: usize) {
+        engine.ensure_started();
+        engine.service_lane(shard);
+    }
+
+    #[inline]
+    fn bypass(_: &mut ThreadedCaesar, _: usize, _: u64) -> bool {
+        false
+    }
+
+    #[inline]
+    fn settled(engine: &mut ThreadedCaesar, shard: usize) {
+        engine.lanes[shard].ledger.offered += 1;
+    }
+
+    /// Wake an idle worker once a chunk (or half a small ring) waits
+    /// for it, as the pump drains one. The check is a plain load, no
+    /// fence: a wake lost to the race, like a short tail, waits for a
+    /// later push or the next supervisor wait (each wakes the worker
+    /// first), never loses a packet.
+    #[inline]
+    fn pushed(engine: &mut ThreadedCaesar, shard: usize) {
+        let lane = &mut engine.lanes[shard];
+        if lane.shared.hb.state.0.load(Ordering::Relaxed) == HB_IDLE {
+            let queued = lane.tx.in_flight();
+            if queued >= STREAM_CHUNK || 2 * queued >= lane.tx.capacity() {
+                lane.wake();
+            }
         }
     }
 
-    /// Wake `shard`'s worker, then spin (servicing worker events) until
-    /// it has applied every accepted packet.
-    fn wait_drained(&mut self, shard: usize) {
-        self.engine.lanes[shard].wake();
-        let mut backoff = spsc::Backoff::new();
+    /// The worker is behind, idle past a lost wake, or wedged (the
+    /// monitor decides): wake it, consume any verdict, back off.
+    fn ring_full(engine: &mut ThreadedCaesar, shard: usize, backoff: &mut Backoff) -> bool {
+        engine.lanes[shard].wake();
+        engine.service_lane(shard);
+        backoff.wait();
+        false
+    }
+
+    fn fault_tick(engine: &mut ThreadedCaesar, site: FaultSite, shard: usize) -> bool {
+        let driver = &engine.driver;
+        driver.injector_live && driver.injector.lock().expect("injector lock").tick(site, shard)
+    }
+
+    /// Wake the worker, then wait (servicing worker events) until it
+    /// has applied every accepted packet.
+    fn drain_dry(engine: &mut ThreadedCaesar, shard: usize) {
+        engine.ensure_started();
+        engine.lanes[shard].wake();
+        let mut backoff = Backoff::new();
         loop {
-            self.service_lane(shard);
-            if self.engine.lanes[shard].in_flight() == 0 {
+            engine.service_lane(shard);
+            if engine.lanes[shard].in_flight() == 0 {
                 return;
             }
             backoff.wait();
         }
     }
 
-    /// Command `shard`'s worker to flush its writeback segment and
-    /// wait for the acknowledgement. Serialized per lane: the caller
-    /// runs these in ascending shard order, so the shared SRAM sees
-    /// the same merge order as the pump — bit-identical saturation
-    /// tallies included.
-    fn command_flush(&mut self, shard: usize) {
-        self.engine.lanes[shard].flush_issued += 1;
-        let target = self.engine.lanes[shard].flush_issued;
-        self.engine.lanes[shard].shared.ctrl.flush_seq.store(target, Ordering::Release);
-        self.engine.lanes[shard].wake();
-        let mut backoff = spsc::Backoff::new();
+    /// Command the worker to flush its writeback segment and wait for
+    /// the acknowledgement. The engine calls this in ascending shard
+    /// order, so the shared SRAM sees the pump's merge order.
+    fn flush(engine: &mut ThreadedCaesar, shard: usize) {
+        let lane = &mut engine.lanes[shard];
+        lane.flush_issued += 1;
+        let target = lane.flush_issued;
+        lane.shared.ctrl.flush_seq.store(target, Ordering::Release);
+        lane.wake();
+        let mut backoff = Backoff::new();
         loop {
-            if self.engine.lanes[shard].shared.hb.ckpt_seq.0.load(Ordering::Acquire) >= target {
+            if engine.lanes[shard].shared.hb.ckpt_seq.0.load(Ordering::Acquire) >= target {
                 return;
             }
-            self.service_lane(shard);
-            if self.engine.lanes[shard].flush_issued == 0 {
+            engine.service_lane(shard);
+            if engine.lanes[shard].flush_issued == 0 {
                 // A failover replaced the lane mid-flush: the salvage
                 // already flushed everything the dead worker had
                 // staged, and the fresh worker has nothing staged.
@@ -558,61 +534,21 @@ impl ThreadedCaesar {
         }
     }
 
-    /// Epoch boundary: drain every lane dry, then flush every lane's
-    /// staged writeback into the shared SRAM in ascending shard order
-    /// (each flush acknowledged before the next is commanded), and
-    /// advance the epoch.
-    fn rotate_epoch(&mut self) {
-        self.ensure_started();
-        for shard in 0..self.engine.shards {
-            self.wait_drained(shard);
-        }
-        if self.injector_live {
-            // Deterministic saturation-degradation seam: one tick per
-            // shard per epoch boundary, engine-side (same schedule as
-            // the pump).
-            let mut injector = self.injector.lock().expect("injector lock");
-            for shard in 0..self.engine.shards {
-                if injector.tick(FaultSite::ForceSaturation, shard) {
-                    self.engine.sram.force_saturation(shard, 1);
-                }
-            }
-        }
-        for shard in 0..self.engine.shards {
-            self.command_flush(shard);
-        }
-        self.engine.epoch += 1;
-        self.engine.merges += 1;
-        for lane in &self.engine.lanes {
-            lane.shared.ctrl.epoch.store(self.engine.epoch, Ordering::Release);
-        }
-    }
-
-    /// Force an epoch rotation now (drain + merge), without waiting
-    /// for the packet-count boundary.
-    pub fn merge_now(&mut self) {
-        self.rotate_epoch();
-    }
-
-    // -----------------------------------------------------------------
-    // Quiesce (for snapshots)
-    // -----------------------------------------------------------------
-
     /// Park every worker at a checkpoint-safe point: rings drained
     /// dry, all accepted packets applied, workers waiting at
     /// `HB_PARKED`. The engine then owns every cell uncontended.
-    fn quiesce(&mut self) {
-        self.ensure_started();
-        self.quiesced = true;
-        for lane in &self.engine.lanes {
+    fn quiesce(engine: &mut ThreadedCaesar) {
+        engine.ensure_started();
+        engine.driver.quiesced = true;
+        for lane in &engine.lanes {
             lane.shared.ctrl.park.store(true, Ordering::Release);
             lane.wake();
         }
-        for shard in 0..self.engine.shards {
-            let mut backoff = spsc::Backoff::new();
+        for shard in 0..engine.shards {
+            let mut backoff = Backoff::new();
             loop {
-                self.service_lane(shard);
-                let lane = &self.engine.lanes[shard];
+                engine.service_lane(shard);
+                let lane = &engine.lanes[shard];
                 if lane.shared.hb.state.0.load(Ordering::Acquire) == HB_PARKED
                     && lane.in_flight() == 0
                 {
@@ -624,237 +560,23 @@ impl ThreadedCaesar {
     }
 
     /// Release parked workers back into their drain loops.
-    fn resume(&mut self) {
-        self.quiesced = false;
-        for lane in &self.engine.lanes {
+    fn resume(engine: &mut ThreadedCaesar) {
+        engine.driver.quiesced = false;
+        for lane in &engine.lanes {
             lane.shared.ctrl.park.store(false, Ordering::Release);
             lane.wake();
         }
     }
 
-    // -----------------------------------------------------------------
-    // Snapshot / delta checkpoints
-    // -----------------------------------------------------------------
-
-    /// Serialize the complete dynamic state into a sealed blob in the
-    /// **same format** as [`OnlineCaesar::snapshot`] — either engine
-    /// restores the other's blobs. The engine is quiesced first (all
-    /// accepted packets applied, workers parked), so the snapshot is
-    /// taken at a boundary-equivalent point; ingest resumes before
-    /// this returns. Anchors a delta-checkpoint chain, exactly like
-    /// the pump.
-    pub fn snapshot(&mut self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.snapshot_into(&mut buf);
-        buf
-    }
-
-    /// [`ThreadedCaesar::snapshot`] into a caller-owned buffer
-    /// (cleared first).
-    pub fn snapshot_into(&mut self, buf: &mut Vec<u8>) {
-        self.quiesce();
-        self.engine.snapshot_into(buf);
-        self.resume();
-    }
-
-    /// Emit a sealed `CDLT` delta-checkpoint frame (see
-    /// [`OnlineCaesar::checkpoint_delta`] — same format, same chain
-    /// discipline). Quiesces, emits, resumes.
-    ///
-    /// # Errors
-    /// [`DeltaError::NoBase`] when no snapshot has anchored a chain.
-    pub fn checkpoint_delta(&mut self) -> Result<Vec<u8>, DeltaError> {
-        let mut buf = Vec::new();
-        self.checkpoint_delta_into(&mut buf)?;
-        Ok(buf)
-    }
-
-    /// [`ThreadedCaesar::checkpoint_delta`] into a caller-owned buffer
-    /// (cleared first).
-    ///
-    /// # Errors
-    /// [`DeltaError::NoBase`] when no snapshot has anchored a chain.
-    pub fn checkpoint_delta_into(&mut self, buf: &mut Vec<u8>) -> Result<(), DeltaError> {
-        self.engine.chain.ok_or(DeltaError::NoBase)?;
-        self.quiesce();
-        let emitted = self.engine.checkpoint_delta_into(buf);
-        self.resume();
-        emitted
-    }
-
-    /// Rebuild a threaded engine from a snapshot blob (the pump's or
-    /// this runtime's — same format). Workers spawn lazily on the
-    /// first offer.
-    ///
-    /// # Errors
-    /// Everything [`OnlineCaesar::restore`] rejects.
-    ///
-    /// # Panics
-    /// Panics if the blob encodes [`BackpressurePolicy::DropOldest`]
-    /// (unsupported here — restore through [`OnlineCaesar`] instead).
-    pub fn restore(bytes: &[u8]) -> Result<Self, RestoreError> {
-        OnlineCaesar::restore(bytes).map(Self::from_online)
-    }
-
-    /// Rebuild a threaded engine from a full-snapshot anchor plus its
-    /// ordered delta frames (see [`OnlineCaesar::restore_chain`]).
-    ///
-    /// # Errors
-    /// [`ChainError::Base`] / [`ChainError::Delta`] as the pump.
-    ///
-    /// # Panics
-    /// Panics if the chain encodes [`BackpressurePolicy::DropOldest`].
-    pub fn restore_chain<B: AsRef<[u8]>>(base: &[u8], deltas: &[B]) -> Result<Self, ChainError> {
-        OnlineCaesar::restore_chain(base, deltas).map(Self::from_online)
-    }
-
-    /// The engine's delta-chain position: `(chain id, deltas emitted
-    /// since the anchoring snapshot)`, or `None` before any snapshot.
-    pub fn chain_position(&self) -> Option<(u64, u64)> {
-        self.engine.chain
-    }
-
-    // -----------------------------------------------------------------
-    // Teardown
-    // -----------------------------------------------------------------
-
-    /// Quiesce, stop the monitor and every worker thread, join them,
-    /// and hand the complete state back as a deterministic pump
-    /// engine. Bit-preserving: the pump's subsequent snapshots,
-    /// queries and [`OnlineCaesar::finish`] behave exactly as if it
-    /// had run the whole stream itself (fault-free).
-    pub fn into_online(mut self) -> OnlineCaesar {
-        self.quiesce();
-        // Stop the monitor first so it cannot judge a worker that is
-        // mid-shutdown.
-        drop(self.monitor.take());
-        for lane in &mut self.engine.lanes {
+    /// Quiesce, then stop the monitor first (so it cannot judge a
+    /// worker that is mid-shutdown) and join every worker, which hands
+    /// each consumer endpoint back to its lane.
+    fn retire(engine: &mut ThreadedCaesar) {
+        Self::quiesce(engine);
+        drop(engine.driver.monitor.take());
+        for lane in &mut engine.lanes {
             lane.join_worker();
         }
-        if self.injector_live {
-            // Every worker is joined; only a fenced zombie can still
-            // hold the schedule, and then it stays with the zombie.
-            if let Ok(injector) = Arc::try_unwrap(self.injector) {
-                self.engine.injector = injector.into_inner().expect("injector lock unpoisoned");
-            }
-        }
-        self.engine
-    }
-
-    /// End of measurement: join every worker, dump every cache, merge
-    /// every segment — then hand back a finished [`ConcurrentCaesar`].
-    /// On a fault-free run this is **bit-identical** to
-    /// [`ConcurrentCaesar::build`] over the same stream.
-    pub fn finish(self) -> ConcurrentCaesar {
-        self.into_online().finish()
-    }
-
-    // -----------------------------------------------------------------
-    // Observability (mirrors the pump's API)
-    // -----------------------------------------------------------------
-
-    /// Aggregate accounting across all lanes.
-    pub fn stats(&self) -> OnlineStats {
-        self.engine.stats()
-    }
-
-    /// Per-shard accounting snapshot.
-    ///
-    /// # Panics
-    /// Panics if `shard >= shards`.
-    pub fn lane_stats(&self, shard: usize) -> LaneStats {
-        self.engine.lane_stats(shard)
-    }
-
-    /// The shard's fault history.
-    ///
-    /// # Panics
-    /// Panics if `shard >= shards`.
-    pub fn fault_log(&self, shard: usize) -> &FaultLog {
-        self.engine.fault_log(shard)
-    }
-
-    /// Inspect the fault-injection schedule (fired/pending counts).
-    /// Unlike the pump's [`OnlineCaesar::injector`], the threaded
-    /// injector is shared with the worker threads behind a mutex, so
-    /// this borrows it to `f` under a brief lock.
-    pub fn with_injector_state<R>(&self, f: impl FnOnce(&FaultInjector) -> R) -> R {
-        f(&self.injector.lock().expect("fault injector lock"))
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.engine.shards
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &CaesarConfig {
-        &self.engine.cfg
-    }
-
-    /// Current epoch ordinal.
-    pub fn epoch(&self) -> u64 {
-        self.engine.epoch
-    }
-
-    /// The heartbeat interval in effect.
-    pub fn heartbeat_interval(&self) -> Duration {
-        self.heartbeat
-    }
-
-    /// The shared SRAM (query-visible state as of the last merge or
-    /// salvage).
-    pub fn sram(&self) -> &AtomicCounterArray {
-        &self.engine.sram
-    }
-
-    /// Unit mass recorded but not yet query-visible: resident in shard
-    /// caches or staged in writeback segments. Takes each worker's
-    /// cell lock briefly.
-    pub fn unmerged_units(&self) -> u64 {
-        self.engine.unmerged_units()
-    }
-
-    /// Export the current visible state as a wire-transportable
-    /// [`SketchPayload`] — what a supervised measurement tap pushes to
-    /// an aggregator. Call [`ThreadedCaesar::merge_now`] first if the
-    /// payload should include everything offered so far.
-    pub fn export_sketch(&self) -> SketchPayload {
-        let mut evictions = 0;
-        for lane in &self.engine.lanes {
-            let cell = lane.shared.lock();
-            evictions += lane.ledger.retired.evictions + cell.worker.ingest_stats().evictions;
-        }
-        let sram = &self.engine.sram;
-        SketchPayload {
-            fingerprint: SketchFingerprint::of(&self.engine.cfg),
-            counters: sram.snapshot(),
-            total_added: sram.total_added(),
-            saturation_events: sram.saturations(),
-            evictions,
-        }
-    }
-}
-
-/// Queries read the visible (merged) state; ingest continues
-/// unaffected. A flow's health carries its shard's exact loss ratio.
-impl SketchRead for ThreadedCaesar {
-    type Counters = AtomicCounterArray;
-
-    fn config(&self) -> &CaesarConfig {
-        &self.engine.cfg
-    }
-
-    fn kmap(&self) -> &KCounterMap {
-        &self.engine.kmap
-    }
-
-    fn counters(&self) -> &AtomicCounterArray {
-        &self.engine.sram
-    }
-
-    fn loss_fraction(&self, flow: u64) -> f64 {
-        self.engine.loss_fraction(flow)
     }
 }
 
@@ -1083,6 +805,7 @@ fn monitor_loop(shared: &MonitorShared, interval: Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CaesarConfig;
 
     #[test]
     fn unstarted_engine_builds_and_drops_without_spawning() {
@@ -1095,7 +818,7 @@ mod tests {
         };
         let engine = ThreadedCaesar::new(cfg, 2);
         assert_eq!(engine.stats().offered, 0);
-        assert!(!engine.started);
+        assert!(!engine.driver.started);
         drop(engine);
     }
 
@@ -1115,7 +838,7 @@ mod tests {
         // Let both workers reach their idle wait, whose backstop
         // timeout (the 60 s heartbeat) would outlast the test.
         let deadline = Instant::now() + Duration::from_secs(10);
-        let lanes = &threaded.engine.lanes;
+        let lanes = &threaded.lanes;
         while lanes.iter().any(|l| l.shared.hb.state.0.load(Ordering::Acquire) != HB_IDLE) {
             assert!(Instant::now() < deadline, "workers never went idle");
             std::thread::yield_now();

@@ -26,6 +26,8 @@
 //! `f64::to_bits` so a TCP round-trip is **bit-identical** to an
 //! in-process query.
 
+use std::io::Read;
+
 use caesar::{QueryHealth, SketchDelta, SketchFingerprint, SketchPayload};
 use support::bytesx::{seal, unseal, ByteReader, PutBytes, SealError};
 
@@ -33,6 +35,10 @@ use support::bytesx::{seal, unseal, ByteReader, PutBytes, SealError};
 /// counters is ~8 MB; 64 MB leaves an order of magnitude of headroom
 /// while still refusing nonsense lengths before allocating.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
+
+/// What [`read_frame`] reserves before a frame body arrives; past it,
+/// the buffer grows only as bytes come in.
+const FRAME_READ_CHUNK: usize = 64 << 10;
 
 /// Why a frame or message failed to parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -457,10 +463,22 @@ pub fn read_frame(r: &mut impl std::io::Read) -> Result<Option<Vec<u8>>, ProtoEr
     if len > MAX_FRAME_BYTES {
         return Err(ProtoError::Oversized(len as u64));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    let payload = unseal(&body)?;
-    Ok(Some(payload.to_vec()))
+    // Grow with the bytes that arrive, not with the declared length: a
+    // header alone reserves at most FRAME_READ_CHUNK, not up to
+    // MAX_FRAME_BYTES. The first chunk is reserved so a typical frame
+    // arrives in one read, not in a run of small probe reads.
+    let mut body = Vec::with_capacity(len.min(FRAME_READ_CHUNK));
+    r.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(ProtoError::Io(format!(
+            "frame body truncated: {} of {len} bytes arrived",
+            body.len()
+        )));
+    }
+    // The seal footer is a suffix: strip it in place.
+    let payload_len = unseal(&body)?.len();
+    body.truncate(payload_len);
+    Ok(Some(body))
 }
 
 #[cfg(test)]
@@ -578,6 +596,13 @@ mod tests {
             read_frame(&mut &huge[..]),
             Err(ProtoError::Oversized(_))
         ));
+    }
+
+    #[test]
+    fn hostile_length_header_then_eof_is_an_io_error() {
+        let mut wire = (MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&[0xA5; 16]);
+        assert!(matches!(read_frame(&mut &wire[..]), Err(ProtoError::Io(_))));
     }
 
     #[test]

@@ -421,4 +421,8 @@ else
     echo "==> cargo clippy unavailable; skipping lint step"
 fi
 
+# Rustdoc with -D warnings: a broken or private intra-doc link fails
+# tier-1 the way a lint does.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
 echo "check.sh: all green"

@@ -17,7 +17,9 @@ use caesar::{ConcurrentCaesar, Estimator, SketchRead};
 use experiments::zoo::{stress_plan, zoo_config};
 use flowtrace::zoo::{standard_zoo, ZOO_SEED};
 use flowtrace::FlowId;
-use service::{InProcess, MeasurementClient, MeasurementService, TcpServer, TcpTransport};
+use service::{
+    InProcess, MeasurementClient, MeasurementService, TcpServer, TcpTransport, MAX_FRAME_BYTES,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -177,4 +179,39 @@ fn tcp_round_trip_is_bit_identical_for_every_zoo_family() {
 
         server.stop();
     }
+}
+
+/// One connection that declares a maximal frame, sends 16 body bytes
+/// and closes must cost the server only what arrived: the server keeps
+/// serving, and a fresh connection gets the same estimates over TCP as
+/// in process.
+#[test]
+fn hostile_frame_header_does_not_disturb_later_connections() {
+    use std::io::Write;
+
+    let zoo = standard_zoo(ZOO_FLOWS).expect("standard zoo parameters are valid");
+    let (trace, truth) = zoo[0].generate(ZOO_SEED);
+    let cfg = zoo_config(&trace);
+    let packets: Vec<u64> = trace.packets.iter().map(|p| p.flow).collect();
+    let svc = Arc::new(MeasurementService::new(cfg));
+    let server = TcpServer::spawn(Arc::clone(&svc), "127.0.0.1:0").expect("bind loopback");
+
+    let mut hostile = std::net::TcpStream::connect(server.addr()).expect("connect");
+    hostile.write_all(&(MAX_FRAME_BYTES as u32).to_le_bytes()).expect("send header");
+    hostile.write_all(&[0xA5; 16]).expect("send partial body");
+    drop(hostile);
+
+    let fp = svc.fingerprint();
+    let mut tcp = MeasurementClient::connect(TcpTransport::connect(server.addr()).unwrap(), &fp)
+        .expect("a fresh connection handshakes");
+    tcp.push_sketch(&ConcurrentCaesar::build(cfg, 2, &packets).export_sketch())
+        .expect("push");
+    let mut targets: Vec<u64> = truth.keys().copied().take(32).collect();
+    targets.sort_unstable();
+    let (_, over_tcp) = tcp.query(&targets).expect("query over TCP");
+    let mut local = MeasurementClient::connect(InProcess::new(&svc), &fp).unwrap();
+    let (_, in_process) = local.query(&targets).unwrap();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&over_tcp), bits(&in_process));
+    server.stop();
 }

@@ -16,7 +16,7 @@
 
 use caesar::SketchRead;
 use caesar::{
-    BackpressurePolicy, CaesarConfig, ConcurrentCaesar, FaultKind, OnlineCaesar,
+    BackpressurePolicy, CaesarConfig, ConcurrentCaesar, FaultKind, FaultRecord, OnlineCaesar,
     ThreadedCaesar,
 };
 use cachesim::CachePolicy;
@@ -402,4 +402,89 @@ fn shed_packets_surface_as_reduced_confidence() {
     assert_eq!(tally.queries(), 1);
     assert!(tally.degraded_fraction() > 0.99);
     assert!(tally.mean_confidence() < 1.0);
+}
+
+/// The pump's fault history is a pure function of the offered stream
+/// and the schedule, so it is pinned field by field. `at_offered`
+/// includes the packet in hand: the pump counts a packet offered
+/// *before* the pump attempt that fails its lane over. The injector's
+/// firing order is pinned with it.
+#[test]
+fn pump_fault_log_is_pinned_under_a_fixed_schedule() {
+    let cfg = CaesarConfig {
+        cache_entries: 48,
+        entry_capacity: 8,
+        counters: 1024,
+        k: 3,
+        ..CaesarConfig::default()
+    };
+    let flows: Vec<u64> = (0..6_000u64).map(|i| hashkit::mix::mix64(i % 211)).collect();
+    let event = |site, shard, at_tick| FaultEvent { site, shard, at_tick };
+    let failover = |epoch, at_offered| FaultRecord {
+        kind: FaultKind::WatchdogFailover,
+        epoch,
+        at_offered,
+        quarantined: 0,
+        salvaged_units: 0,
+        payload: "no consumer progress within 4 pump attempts".to_owned(),
+        exact: true,
+    };
+    let panic = |epoch, at_offered, quarantined, salvaged_units| FaultRecord {
+        kind: FaultKind::WorkerPanic,
+        epoch,
+        at_offered,
+        quarantined,
+        salvaged_units,
+        payload: INJECTED_PANIC.to_owned(),
+        exact: true,
+    };
+    for shards in [1usize, 2] {
+        let mut events = vec![
+            event(FaultSite::RingStall, 0, 4),
+            event(FaultSite::WorkerPanic, 0, 900),
+        ];
+        if shards == 2 {
+            events.push(event(FaultSite::WorkerPanic, 1, 1_300));
+            events.push(event(FaultSite::RingStall, 1, 11));
+        }
+        let mut online = OnlineCaesar::new(cfg, shards)
+            .with_ring_capacity(64)
+            .with_watchdog_deadline(4)
+            .with_epoch_len(1_024)
+            .with_injector(FaultInjector::with_events(events));
+        online.offer_batch(&flows);
+        online.merge_now();
+        let logs: Vec<Vec<FaultRecord>> =
+            (0..shards).map(|s| online.fault_log(s).records.clone()).collect();
+        let fired: Vec<FaultEvent> = online.injector().fired().iter().map(|f| f.event).collect();
+        if shards == 1 {
+            assert_eq!(
+                logs,
+                [vec![failover(0, 321), panic(0, 901, 1, 48)]],
+                "one-shard fault log"
+            );
+            assert_eq!(
+                fired,
+                [event(FaultSite::RingStall, 0, 4), event(FaultSite::WorkerPanic, 0, 900)]
+            );
+        } else {
+            assert_eq!(
+                logs,
+                [
+                    vec![failover(0, 321), panic(1, 934, 33, 24)],
+                    vec![failover(1, 796), panic(2, 1_336, 35, 24)],
+                ],
+                "two-shard fault logs"
+            );
+            assert_eq!(
+                fired,
+                [
+                    event(FaultSite::RingStall, 0, 4),
+                    event(FaultSite::RingStall, 1, 11),
+                    event(FaultSite::WorkerPanic, 0, 900),
+                    event(FaultSite::WorkerPanic, 1, 1_300),
+                ]
+            );
+        }
+    }
 }

@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 use caesar::merge::FINGERPRINT_BYTES;
 use caesar::SketchRead;
 use caesar::{
-    CaesarConfig, ChainError, ConcurrentCaesar, DeltaError, FaultKind, OnlineCaesar,
-    RestoreError, ThreadedCaesar,
+    BackpressurePolicy, CaesarConfig, ChainError, ConcurrentCaesar, DeltaError, FaultKind,
+    OnlineCaesar, RestoreError, ThreadedCaesar,
 };
 use support::bytesx::{seal, unseal};
 use support::testkit::{FaultEvent, FaultInjector, FaultSite, INJECTED_PANIC};
@@ -89,6 +89,11 @@ fn fault_free_threaded_matches_pump_oracle_bitwise() {
             threaded.snapshot(),
             "snapshot divergence at interior epoch boundary, shards={shards}"
         );
+        assert_eq!(
+            pump.export_sketch(),
+            threaded.export_sketch(),
+            "exported sketch divergence at interior epoch boundary, shards={shards}"
+        );
 
         for &f in &flows[half..] {
             pump.offer(f);
@@ -99,6 +104,11 @@ fn fault_free_threaded_matches_pump_oracle_bitwise() {
             pump.snapshot(),
             threaded.snapshot(),
             "final snapshot divergence, shards={shards}"
+        );
+        assert_eq!(
+            pump.export_sketch(),
+            threaded.export_sketch(),
+            "final exported sketch divergence, shards={shards}"
         );
 
         let from_pump = pump.finish();
@@ -526,4 +536,27 @@ fn forged_lane_counts_are_refused_by_both_restores() {
     ));
     replica.apply_delta(&delta).expect("the pristine delta applies");
     assert_eq!(replica.stats(), engine.stats());
+}
+
+/// A well-formed snapshot taken under `DropOldest` restores on the
+/// pump. The thread runtime cannot head-drop (its workers own the
+/// consumer endpoints), so it refuses the blob with a typed error
+/// through both restore paths instead of panicking.
+#[test]
+fn drop_oldest_snapshot_is_refused_typed_by_the_thread_runtime() {
+    let mut pump = OnlineCaesar::new(cfg(), 2).with_policy(BackpressurePolicy::DropOldest);
+    pump.offer_batch(&workload(500));
+    let blob = pump.snapshot();
+    pump.offer_batch(&workload(300));
+    let delta = pump.checkpoint_delta().expect("anchored chain emits");
+    assert!(OnlineCaesar::restore(&blob).is_ok(), "the pump restores its own blob");
+    assert!(OnlineCaesar::restore_chain(&blob, &[&delta]).is_ok());
+    assert!(matches!(
+        ThreadedCaesar::restore(&blob),
+        Err(RestoreError::Corrupt(why)) if why.contains("DropOldest")
+    ));
+    assert!(matches!(
+        ThreadedCaesar::restore_chain(&blob, &[&delta]),
+        Err(ChainError::Base(RestoreError::Corrupt(why))) if why.contains("DropOldest")
+    ));
 }

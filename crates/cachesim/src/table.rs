@@ -536,30 +536,41 @@ impl CacheTable {
     /// order (see [`drain_with`](Self::drain_with)), the restored table
     /// continues the original's behavior exactly.
     ///
+    /// # Errors
+    /// The state comes from outside the program, so every invariant
+    /// the table's operations index by is checked, and a violation is
+    /// named instead of panicking later: more slots than entries, a
+    /// count a `record` could never leave behind (`>= entry_capacity`),
+    /// a duplicate flow, or a recency list that is not one chain
+    /// through every slot. An `entries` the allocator refuses is an
+    /// error too.
+    ///
     /// # Panics
-    /// Panics if the snapshot is inconsistent with `cfg` (more slots
-    /// than entries, duplicate flows, or dangling list links).
-    pub fn restore(cfg: CacheConfig, state: &CacheTableState) -> Self {
+    /// Panics if `cfg` itself is invalid (see [`CacheTable::new`]).
+    pub fn restore(cfg: CacheConfig, state: &CacheTableState) -> Result<Self, &'static str> {
         assert!(cfg.entries > 0, "cache needs at least one entry");
         assert!(cfg.entry_capacity >= 2, "entry capacity y must be >= 2");
-        assert!(
-            state.slots.len() <= cfg.entries,
-            "snapshot has {} slots but cfg allows {}",
-            state.slots.len(),
-            cfg.entries
-        );
-        let n = state.slots.len() as u32;
-        let ok = |link: u32| link == NIL || link < n;
-        assert!(ok(state.head) && ok(state.tail), "dangling list head/tail");
-        let mut slots = Vec::with_capacity(cfg.entries);
-        let mut index = FlowSlotMap::with_capacity(cfg.entries);
+        if state.slots.len() > cfg.entries {
+            return Err("more cache slots than entries");
+        }
+        // `entries` comes with the state, so its tables are sized
+        // fallibly: a size the allocator refuses is an error, not an
+        // abort.
+        const TOO_LARGE: &str = "cache too large to allocate";
+        let mut slots = Vec::new();
+        slots.try_reserve_exact(cfg.entries).map_err(|_| TOO_LARGE)?;
+        let mut index = FlowSlotMap::try_with_capacity(cfg.entries).ok_or(TOO_LARGE)?;
         for (i, &(flow, count, prev, next)) in state.slots.iter().enumerate() {
-            assert!(ok(prev) && ok(next), "dangling link at slot {i}");
-            let dup = index.insert(flow, i as u32);
-            assert!(dup.is_none(), "duplicate flow {flow:#x} in snapshot");
+            if count >= cfg.entry_capacity {
+                return Err("cache slot count at or above the entry capacity");
+            }
+            if index.insert(flow, i as u32).is_some() {
+                return Err("duplicate flow in the cache");
+            }
             slots.push(Slot { flow, count, prev, next });
         }
-        Self {
+        check_recency_list(&slots, state.head, state.tail)?;
+        Ok(Self {
             cfg,
             slots,
             index,
@@ -568,7 +579,7 @@ impl CacheTable {
             free: Vec::new(),
             rng: StdRng::from_state(state.rng),
             stats: state.stats,
-        }
+        })
     }
 
     /// Software-prefetch the table state for an upcoming
@@ -690,6 +701,31 @@ impl CacheTable {
             assert!(seen.contains(&slot));
         }
     }
+}
+
+/// The recency list must be one chain from `head` to `tail` through
+/// every slot exactly once, with each `prev` naming the slot before:
+/// `touch` and `unlink` follow these links without checking them.
+fn check_recency_list(slots: &[Slot], head: u32, tail: u32) -> Result<(), &'static str> {
+    let mut seen = vec![false; slots.len()];
+    let (mut prev, mut cur) = (NIL, head);
+    while cur != NIL {
+        let slot = slots.get(cur as usize).ok_or("dangling recency link")?;
+        if std::mem::replace(&mut seen[cur as usize], true) {
+            return Err("recency list revisits a slot");
+        }
+        if slot.prev != prev {
+            return Err("recency list back link disagrees");
+        }
+        (prev, cur) = (cur, slot.next);
+    }
+    if prev != tail {
+        return Err("recency list does not end at its tail");
+    }
+    if seen.iter().any(|&s| !s) {
+        return Err("recency list misses a slot");
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1051,7 +1087,7 @@ mod tests {
                 a.record(x % 31);
             }
             let snap = a.snapshot_state();
-            let mut b = CacheTable::restore(cfg, &snap);
+            let mut b = CacheTable::restore(cfg, &snap).expect("a snapshot restores");
             assert_eq!(a.stats(), b.stats());
             assert_eq!(a.len(), b.len());
             // Identical futures: same evictions, same random victims,
@@ -1078,14 +1114,13 @@ mod tests {
             c.record(f);
         }
         let snap = c.snapshot_state();
-        let r = CacheTable::restore(cfg, &snap);
+        let r = CacheTable::restore(cfg, &snap).expect("a snapshot restores");
         assert_eq!(r.snapshot_state(), snap, "restore → snapshot is the identity");
         // iter() is slot-ordered, hence identical too.
         assert_eq!(c.iter().collect::<Vec<_>>(), r.iter().collect::<Vec<_>>());
     }
 
     #[test]
-    #[should_panic(expected = "duplicate flow")]
     fn restore_rejects_duplicate_flows() {
         let cfg = CacheConfig::lru(4, 9);
         let state = CacheTableState {
@@ -1095,7 +1130,7 @@ mod tests {
             rng: [1, 2, 3, 4],
             stats: CacheStats::default(),
         };
-        CacheTable::restore(cfg, &state);
+        assert_eq!(CacheTable::restore(cfg, &state).err(), Some("duplicate flow in the cache"));
     }
 
     #[test]

@@ -265,7 +265,8 @@ impl AtomicCounterArray {
 
     /// Saturating adds that lost precision, summed over tally stripes.
     pub fn saturations(&self) -> u64 {
-        self.tallies.iter().map(|t| t.saturations.load(Ordering::Relaxed)).sum()
+        let sats = self.tallies.iter().map(|t| t.saturations.load(Ordering::Relaxed));
+        sats.fold(0, u64::wrapping_add)
     }
 
     /// Fraction of counters pinned at the capacity `l` (see
@@ -418,16 +419,14 @@ impl AtomicCounterArray {
 /// Plain-data snapshot of a [`WritebackBuffer`]'s staged-but-unflushed
 /// state, captured by [`WritebackBuffer::state`] and consumed by
 /// [`WritebackBuffer::restore`]. `pending` preserves first-touch order
-/// so a restored buffer's next flush stages the identical batch.
+/// so a restored buffer's next flush stages the identical batch. The
+/// buffer's shape (capacity and stripe) is not state: the buffer a
+/// snapshot restores into already has it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WritebackState {
     /// Staged `(counter index, pending increment)` pairs in
     /// first-touch (dirty-list) order.
     pub pending: Vec<(usize, u64)>,
-    /// Auto-flush capacity (may be [`WRITEBACK_ACCUMULATE_ALL`]).
-    pub capacity: usize,
-    /// Tally stripe charged by flushes.
-    pub stripe: usize,
     /// Lifetime flush count.
     pub flushes: u64,
     /// Lifetime staged-update count.
@@ -589,38 +588,43 @@ impl WritebackBuffer {
     pub fn state(&self) -> WritebackState {
         WritebackState {
             pending: self.dirty.iter().map(|&idx| (idx, self.acc[idx])).collect(),
-            capacity: self.capacity,
-            stripe: self.stripe,
             flushes: self.flushes,
             staged_updates: self.staged_updates,
             flushed_updates: self.flushed_updates,
         }
     }
 
-    /// Rebuild a buffer from a [`WritebackState`]. The dense
-    /// accumulator is sized to the highest staged index and lazily
-    /// re-extended by the next `push` (which sizes it to the target
-    /// SRAM), so restore never needs to know the SRAM length.
+    /// Load a [`WritebackState`] into this freshly built buffer, which
+    /// keeps its own capacity and stripe, for a target SRAM of `len`
+    /// counters.
+    ///
+    /// # Errors
+    /// The state comes from outside the program: a staged index
+    /// `>= len`, a zero increment or a duplicate index (none of which
+    /// `push` can leave behind) is refused before anything is sized
+    /// from it. A refused buffer holds part of the state: drop it.
     ///
     /// # Panics
-    /// Panics if `pending` contains a duplicate index or a zero
-    /// increment (both impossible in an honest snapshot).
-    pub fn restore(state: &WritebackState) -> Self {
-        let mut wb = Self::striped(state.capacity, state.stripe);
-        let max_idx = state.pending.iter().map(|&(i, _)| i).max();
-        if let Some(max_idx) = max_idx {
-            wb.acc.resize(max_idx + 1, 0);
+    /// Panics if the buffer already holds staged updates.
+    pub fn restore(&mut self, state: &WritebackState, len: usize) -> Result<(), &'static str> {
+        assert!(self.dirty.is_empty(), "restore into a fresh buffer");
+        if state.pending.iter().any(|&(idx, v)| idx >= len || v == 0) {
+            return Err("staged writeback index out of range or zero");
+        }
+        if !state.pending.is_empty() {
+            self.acc.resize(len, 0);
         }
         for &(idx, v) in &state.pending {
-            assert!(v > 0, "zero increment staged at {idx} in snapshot");
-            assert_eq!(wb.acc[idx], 0, "duplicate index {idx} in snapshot");
-            wb.acc[idx] = v;
-            wb.dirty.push(idx);
+            if self.acc[idx] != 0 {
+                return Err("duplicate staged writeback index");
+            }
+            self.acc[idx] = v;
+            self.dirty.push(idx);
         }
-        wb.flushes = state.flushes;
-        wb.staged_updates = state.staged_updates;
-        wb.flushed_updates = state.flushed_updates;
-        wb
+        self.flushes = state.flushes;
+        self.staged_updates = state.staged_updates;
+        self.flushed_updates = state.flushed_updates;
+        Ok(())
     }
 }
 
@@ -913,7 +917,8 @@ mod tests {
         }
         let state = wb.state();
         assert_eq!(state.pending.len(), 11);
-        let mut restored = WritebackBuffer::restore(&state);
+        let mut restored = WritebackBuffer::striped(WRITEBACK_ACCUMULATE_ALL, 0);
+        restored.restore(&state, 32).expect("an honest state restores");
         assert_eq!(restored.state(), state, "restore → state is the identity");
         // Continue both identically, flush to separate arrays.
         wb.push(30, 7, &a);

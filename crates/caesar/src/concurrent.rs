@@ -203,16 +203,16 @@ pub(crate) struct ShardWorker<S = WritebackBuffer> {
 }
 
 /// Serializable dynamic state of a staging [`ShardWorker`], for the
-/// online runtime's crash-consistent snapshots. Everything a worker
-/// will ever consult again is here: the cache (slots, recency list,
-/// victim RNG), the remainder-scatter RNG, the memoized per-slot
-/// counter rows, the staged-but-unflushed writeback segment, and the
-/// eviction count.
+/// online runtime's crash-consistent snapshots: the cache (slots,
+/// recency list, victim RNG), the remainder-scatter RNG, the
+/// staged-but-unflushed writeback segment, and the eviction count.
+/// Only what a restore cannot recompute is here: the memo rows are a
+/// function of the resident flows, and the writeback segment's shape
+/// is the one [`ShardWorker::staged`] gives every lane.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct ShardWorkerState {
     pub(crate) cache: CacheTableState,
     pub(crate) rng: [u64; 4],
-    pub(crate) memo: Vec<usize>,
     pub(crate) wb: WritebackState,
     pub(crate) evictions: u64,
 }
@@ -237,10 +237,22 @@ impl<S: EvictionSink> ShardWorker<S> {
     /// A fresh worker for `shard` with `entries` cache entries,
     /// sending its evictions to `sink`.
     pub(crate) fn new(cfg: &CaesarConfig, shard: usize, entries: usize, sink: S) -> Self {
+        let cache = CacheTable::new(cache_config(cfg, shard, entries));
+        Self::with_parts(cfg, shard, cache, vec![0usize; entries * cfg.k], sink)
+    }
+
+    /// A fresh worker for `shard` around a built cache and memo.
+    fn with_parts(
+        cfg: &CaesarConfig,
+        shard: usize,
+        cache: CacheTable,
+        memo: Vec<usize>,
+        sink: S,
+    ) -> Self {
         Self {
-            cache: CacheTable::new(cache_config(cfg, shard, entries)),
+            cache,
             rng: StdRng::seed_from_u64(rng_seed(cfg, shard)),
-            memo: vec![0usize; entries * cfg.k],
+            memo,
             k: cfg.k,
             sink,
             prefetch_sram: cfg.counters * 8 >= SRAM_PREFETCH_MIN_BYTES,
@@ -371,7 +383,7 @@ impl<S: EvictionSink> ShardWorker<S> {
     /// Unit mass currently resident in the cache (recorded packets not
     /// yet evicted) — the supervisor's salvage-consistency oracle.
     pub(crate) fn resident_units(&self) -> u64 {
-        self.cache.iter().map(|(_, count)| count).sum()
+        self.cache.iter().fold(0u64, |sum, (_, count)| sum.wrapping_add(count))
     }
 }
 
@@ -392,7 +404,9 @@ impl ShardWorker<WritebackBuffer> {
     /// Unit mass staged in the writeback buffer (evicted but not yet
     /// merged into the shared SRAM).
     pub(crate) fn staged_units(&self) -> u64 {
-        self.sink.state().pending.iter().map(|&(_, v)| v).sum()
+        // Wrapping, like the SRAM's `total_added`: a restored segment's
+        // increments are only checked to be nonzero.
+        self.sink.state().pending.iter().fold(0u64, |sum, &(_, v)| sum.wrapping_add(v))
     }
 
     /// Ingest statistics so far (the mid-stream form of the report
@@ -412,42 +426,47 @@ impl ShardWorker<WritebackBuffer> {
         ShardWorkerState {
             cache: self.cache.snapshot_state(),
             rng: self.rng.state(),
-            memo: self.memo.clone(),
             wb: self.sink.state(),
             evictions: self.evictions,
         }
     }
 
     /// Rebuild a worker from a [`ShardWorkerState`] snapshot taken
-    /// under the same `(cfg, shard, entries)`. Byte-identical
-    /// continuation: the cache (including its victim RNG), the scatter
-    /// RNG, the memo rows, and the staged writeback all resume exactly.
+    /// under the same `(cfg, shard, entries)`: the worker
+    /// [`ShardWorker::staged`] builds, with the state loaded and each
+    /// resident slot's memo row recomputed from its flow. Every other
+    /// row stays zero, as in a fresh worker; no path reads a row whose
+    /// slot is not resident. Byte-identical continuation: the cache
+    /// (including its victim RNG), the scatter RNG and the staged
+    /// writeback all resume exactly.
     ///
-    /// # Panics
-    /// Panics if the memo geometry disagrees with `entries * cfg.k`.
+    /// # Errors
+    /// A state no run can produce (see [`CacheTable::restore`] and
+    /// [`WritebackBuffer::restore`]), named; and an `entries` whose
+    /// cache or memo the allocator refuses, since it comes with the
+    /// state.
     pub(crate) fn restore_state(
         cfg: &CaesarConfig,
         shard: usize,
         entries: usize,
-        state: ShardWorkerState,
-    ) -> Self {
-        assert_eq!(
-            state.memo.len(),
-            entries * cfg.k,
-            "snapshot memo geometry mismatch"
-        );
-        let sink = WritebackBuffer::restore(&state.wb);
-        Self {
-            cache: CacheTable::restore(cache_config(cfg, shard, entries), &state.cache),
-            rng: StdRng::from_state(state.rng),
-            memo: state.memo,
-            k: cfg.k,
-            sram_writes: sink.staged_updates(),
-            sink,
-            prefetch_sram: cfg.counters * 8 >= SRAM_PREFETCH_MIN_BYTES,
-            base_buf: Vec::new(),
-            evictions: state.evictions,
+        kmap: &KCounterMap,
+        state: &ShardWorkerState,
+    ) -> Result<Self, &'static str> {
+        let cache = CacheTable::restore(cache_config(cfg, shard, entries), &state.cache)?;
+        let rows = entries.saturating_mul(cfg.k);
+        let mut memo = Vec::new();
+        memo.try_reserve_exact(rows).map_err(|_| "memo rows too large to allocate")?;
+        memo.resize(rows, 0);
+        for (row, &(flow, ..)) in memo.chunks_exact_mut(cfg.k).zip(&state.cache.slots) {
+            kmap.fill_indices(flow, row);
         }
+        let mut sink = WritebackBuffer::striped(WRITEBACK_ACCUMULATE_ALL, shard);
+        sink.restore(&state.wb, cfg.counters)?;
+        let mut worker = Self::with_parts(cfg, shard, cache, memo, sink);
+        worker.rng = StdRng::from_state(state.rng);
+        worker.evictions = state.evictions;
+        worker.sram_writes = worker.sink.staged_updates();
+        Ok(worker)
     }
 
     /// The supervised drain step both online runtimes run: apply
@@ -680,13 +699,26 @@ impl ConcurrentCaesar {
         bucket(mix64(flow ^ seed), shards)
     }
 
+    /// What [`ConcurrentCaesar::scaffold`] requires of `cfg` and
+    /// `shards`, as a `Result`: a restore refuses what a build would
+    /// panic on.
+    pub(crate) fn check_shape(cfg: &CaesarConfig, shards: usize) -> Result<(), &'static str> {
+        if shards == 0 {
+            return Err("need at least one shard");
+        }
+        if cfg.k > K_MAX {
+            return Err("concurrent build supports k up to hashkit::K_MAX");
+        }
+        cfg.check()
+    }
+
     pub(crate) fn scaffold(
         cfg: &CaesarConfig,
         shards: usize,
     ) -> (AtomicCounterArray, KCounterMap, Vec<usize>) {
-        assert!(shards >= 1, "need at least one shard");
-        assert!(cfg.k <= K_MAX, "concurrent build supports k up to {K_MAX}");
-        cfg.validate();
+        if let Err(why) = Self::check_shape(cfg, shards) {
+            panic!("{why}");
+        }
         // One tally stripe per shard: the offered-units/saturation RMWs
         // land on private padded lines instead of ping-ponging one.
         let sram = AtomicCounterArray::with_stripes(cfg.counters, cfg.counter_bits, shards);

@@ -73,22 +73,37 @@ impl CaesarConfig {
         ((kb * 1024.0 * 8.0) / counter_bits as f64).floor() as usize
     }
 
-    /// Validate invariants, panicking with a clear message otherwise.
+    /// Validate invariants, panicking with [`CaesarConfig::check`]'s
+    /// message otherwise.
     pub fn validate(&self) {
-        assert!(self.cache_entries > 0, "cache_entries (M) must be positive");
-        assert!(self.entry_capacity >= 2, "entry_capacity (y) must be >= 2");
-        assert!(self.counters > 0, "counters (L) must be positive");
-        assert!(self.k >= 1, "k must be at least 1");
-        assert!(
-            self.k <= self.counters,
-            "k ({}) cannot exceed the number of counters L ({})",
-            self.k,
-            self.counters
-        );
-        assert!(
-            (1..=63).contains(&self.counter_bits),
-            "counter_bits must be in 1..=63"
-        );
+        if let Err(why) = self.check() {
+            panic!("{why}");
+        }
+    }
+
+    /// The invariants [`CaesarConfig::validate`] enforces, as a
+    /// `Result`: a configuration decoded from outside the program is
+    /// refused with the first broken one named.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.cache_entries == 0 {
+            return Err("cache_entries (M) must be positive");
+        }
+        if self.entry_capacity < 2 {
+            return Err("entry_capacity (y) must be >= 2");
+        }
+        if self.counters == 0 {
+            return Err("counters (L) must be positive");
+        }
+        if self.k == 0 {
+            return Err("k must be at least 1");
+        }
+        if self.k > self.counters {
+            return Err("k cannot exceed the number of counters L");
+        }
+        if !(1..=63).contains(&self.counter_bits) {
+            return Err("counter_bits must be in 1..=63");
+        }
+        Ok(())
     }
 }
 

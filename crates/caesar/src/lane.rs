@@ -157,7 +157,7 @@ impl LaneShared {
 
 /// The per-lane accounting: every count the lane's driver does not
 /// publish itself. It moves with the lane between runtimes.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct LaneLedger {
     /// Packets routed to this shard.
     pub(crate) offered: u64,
@@ -255,23 +255,26 @@ impl Lane {
     pub(crate) fn new(cfg: &CaesarConfig, shard: usize, entries: usize, capacity: usize) -> Self {
         let worker = ShardWorker::staged(cfg, shard, entries);
         Self::with_parts(capacity, worker, 0, LaneLedger::default(), &[])
+            .expect("ring too large to allocate")
     }
 
     /// A lane around an existing worker and ledger, its ring holding
-    /// `pending` (at most `ring_capacity` packets).
+    /// `pending` (at most `ring_capacity` packets); `None` when the
+    /// allocator refuses the ring (a restored capacity comes from
+    /// outside the program).
     pub(crate) fn with_parts(
         ring_capacity: usize,
         worker: ShardWorker,
         recorded: u64,
         ledger: LaneLedger,
         pending: &[u64],
-    ) -> Self {
-        let (mut tx, rx) = spsc::ring::<u64>(ring_capacity);
+    ) -> Option<Self> {
+        let (mut tx, rx) = spsc::try_ring::<u64>(ring_capacity)?;
         for &f in pending {
             let pushed = tx.try_push(f).is_ok();
             debug_assert!(pushed, "pending packets fit the ring");
         }
-        Self {
+        Some(Self {
             tx,
             rx: Some(rx),
             shared: Arc::new(LaneShared::new(worker, recorded)),
@@ -281,7 +284,7 @@ impl Lane {
             stalled_attempts: 0,
             buf: Vec::new(),
             ledger,
-        }
+        })
     }
 
     /// Packets fully applied to the lane's worker.

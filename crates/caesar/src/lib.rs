@@ -48,6 +48,7 @@
 #![warn(missing_docs)]
 
 pub mod atomic_sram;
+mod checkpoint;
 pub mod concurrent;
 pub mod config;
 pub mod epochs;

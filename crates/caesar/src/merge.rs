@@ -23,6 +23,7 @@
 //! wire-transportable form of a sketch is [`SketchPayload`] — what a
 //! measurement node pushes to an aggregator (see the `service` crate).
 
+use crate::checkpoint::{get_blocks, put_blocks, BlockError};
 use crate::config::{CaesarConfig, Estimator};
 use support::bytesx::{ByteReader, PutBytes};
 
@@ -437,13 +438,7 @@ impl SketchDelta {
         buf.put_u64_le(self.total_added_delta);
         buf.put_u64_le(self.saturation_events_delta);
         buf.put_u64_le(self.evictions_delta);
-        buf.put_u64_le(self.blocks.len() as u64);
-        for (block, increments) in &self.blocks {
-            buf.put_u64_le(*block as u64);
-            for &v in increments {
-                buf.put_u64_le(v);
-            }
-        }
+        put_blocks(&mut buf, self.blocks.iter().map(|(b, v)| (*b, v.iter().copied())));
         buf
     }
 
@@ -459,7 +454,6 @@ impl SketchDelta {
     /// structure (in-range, strictly ascending, correct span length)
     /// so a decoded delta is always safe to apply.
     pub fn decode(data: &[u8]) -> Result<Self, PayloadError> {
-        let span = crate::sram::DIRTY_BLOCK_COUNTERS;
         let mut r = ByteReader::new(data);
         let magic = r.get_array::<4>().ok_or(PayloadError::BadMagic)?;
         if &magic != DELTA_PAYLOAD_MAGIC {
@@ -475,36 +469,10 @@ impl SketchDelta {
         let total_added_delta = r.get_u64_le().ok_or(PayloadError::Truncated)?;
         let saturation_events_delta = r.get_u64_le().ok_or(PayloadError::Truncated)?;
         let evictions_delta = r.get_u64_le().ok_or(PayloadError::Truncated)?;
-        let n_blocks_total = fingerprint.counters.div_ceil(span);
-        let num = r.get_u64_le().ok_or(PayloadError::Truncated)? as usize;
-        if num > n_blocks_total {
-            return Err(PayloadError::Malformed("more changed blocks than blocks"));
-        }
-        // `n_blocks_total` trusts the sender's fingerprint, so it bounds
-        // nothing; the input does. Every block is an index plus at
-        // least one increment.
-        if num > r.remaining() / 16 {
-            return Err(PayloadError::Truncated);
-        }
-        let mut blocks = Vec::with_capacity(num);
-        let mut prev_block = None;
-        for _ in 0..num {
-            let block = r.get_u64_le().ok_or(PayloadError::Truncated)? as usize;
-            if block >= n_blocks_total {
-                return Err(PayloadError::Malformed("block index out of range"));
-            }
-            if prev_block.is_some_and(|p| block <= p) {
-                return Err(PayloadError::Malformed("blocks not strictly ascending"));
-            }
-            prev_block = Some(block);
-            let start = block * span;
-            let count = span.min(fingerprint.counters - start);
-            let mut increments = Vec::with_capacity(count);
-            for _ in 0..count {
-                increments.push(r.get_u64_le().ok_or(PayloadError::Truncated)?);
-            }
-            blocks.push((block, increments));
-        }
+        let blocks = get_blocks(&mut r, fingerprint.counters, None).map_err(|e| match e {
+            BlockError::Truncated => PayloadError::Truncated,
+            BlockError::Malformed(why) => PayloadError::Malformed(why),
+        })?;
         if r.remaining() != 0 {
             return Err(PayloadError::Malformed("trailing bytes"));
         }

@@ -53,14 +53,18 @@
 //!   SRAM in ascending shard order. Queries read the SRAM at any time —
 //!   a consistent (merge-aligned) snapshot — without stopping ingest.
 //! * **Crash-consistent snapshot/restore.** [`OnlineEngine::snapshot`]
-//!   serializes the complete dynamic state (config, per-lane cache
-//!   slots + memoized k-maps + RNG streams, staged writeback segments,
-//!   SRAM words + tally stripes, in-ring packets, loss counters and
-//!   fault logs) through [`support::bytesx`] and seals it with a
-//!   checksum footer; [`OnlineEngine::restore`] refuses truncated or
-//!   bit-flipped blobs, and a restored engine **resumes byte-identical**
-//!   to the uninterrupted run (pinned by `tests/fault_tolerance.rs`).
-//!   Both drivers write and read the same format.
+//!   serializes the irreducible dynamic state (settings, per-lane cache
+//!   slots + RNG streams, staged writeback segments, SRAM words + tally
+//!   stripes, in-ring packets, loss counters and fault logs) through
+//!   [`support::bytesx`] and seals it with a checksum footer; restore
+//!   recomputes everything else, such as the memoized counter rows.
+//!   Snapshots and delta links share one frame layout and one
+//!   validating decoder (the crate-private `checkpoint` module, DESIGN
+//!   §4j). [`OnlineEngine::restore`] refuses truncated, bit-flipped or
+//!   forged blobs with typed errors, and a restored engine **resumes
+//!   byte-identical** to the uninterrupted run (pinned by
+//!   `tests/fault_tolerance.rs`). Both drivers write and read the same
+//!   format.
 //!
 //! A fault-free run's [`OnlineEngine::finish`] is bit-identical to
 //! [`ConcurrentCaesar::build`] on the same stream, under either driver.
@@ -82,16 +86,14 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::atomic_sram::AtomicCounterArray;
-use crate::concurrent::{
-    ConcurrentCaesar, IngestStats, ShardWorker, ShardWorkerState, STREAM_CHUNK,
-};
-use crate::config::{CaesarConfig, Estimator};
-use crate::lane::{Lane, LaneLedger};
+use crate::checkpoint;
+use crate::concurrent::{ConcurrentCaesar, IngestStats, ShardWorker, STREAM_CHUNK};
+use crate::config::CaesarConfig;
+use crate::lane::Lane;
 use crate::merge::{MergeError, SketchFingerprint, SketchPayload};
 use crate::query::SketchRead;
-use cachesim::{CachePolicy, CacheStats, CacheTableState};
-use hashkit::{KCounterMap, K_MAX};
-use support::bytesx::{seal, unseal, ByteReader, PutBytes, SealError};
+use hashkit::KCounterMap;
+use support::bytesx::SealError;
 use support::spsc::Backoff;
 use support::testkit::{FaultInjector, FaultSite};
 
@@ -131,7 +133,7 @@ pub enum BackpressurePolicy {
 }
 
 impl BackpressurePolicy {
-    fn to_u8(self) -> u8 {
+    pub(crate) fn to_u8(self) -> u8 {
         match self {
             BackpressurePolicy::Block => 0,
             BackpressurePolicy::DropNewest => 1,
@@ -139,7 +141,7 @@ impl BackpressurePolicy {
         }
     }
 
-    fn from_u8(v: u8) -> Option<Self> {
+    pub(crate) fn from_u8(v: u8) -> Option<Self> {
         match v {
             0 => Some(BackpressurePolicy::Block),
             1 => Some(BackpressurePolicy::DropNewest),
@@ -620,9 +622,9 @@ impl<D: Drive> OnlineEngine<D> {
             .iter()
             .map(|l| {
                 let cell = l.shared.lock();
-                cell.worker.resident_units() + cell.worker.staged_units()
+                cell.worker.resident_units().wrapping_add(cell.worker.staged_units())
             })
-            .sum()
+            .fold(0, u64::wrapping_add)
     }
 
     /// Export the current visible state as a wire-transportable
@@ -701,10 +703,7 @@ impl<D: Drive> OnlineEngine<D> {
     /// instead of growing a fresh `Vec` every epoch.
     pub fn snapshot_into(&mut self, buf: &mut Vec<u8>) {
         D::quiesce(self);
-        buf.clear();
-        encode_snapshot_prelude(buf, self);
-        encode_lanes(buf, &mut self.lanes);
-        seal(buf);
+        checkpoint::encode_frame(buf, self, None);
         // This blob is now the chain anchor: future deltas diff against
         // it, so the dirty baseline resets here.
         self.chain = Some((hashkit::fnv::fnv1a64(buf), 0));
@@ -746,10 +745,7 @@ impl<D: Drive> OnlineEngine<D> {
     pub fn checkpoint_delta_into(&mut self, buf: &mut Vec<u8>) -> Result<(), DeltaError> {
         let (chain_id, seq) = self.chain.ok_or(DeltaError::NoBase)?;
         D::quiesce(self);
-        buf.clear();
-        encode_delta_prelude(buf, self, chain_id, seq + 1);
-        encode_lanes(buf, &mut self.lanes);
-        seal(buf);
+        checkpoint::encode_frame(buf, self, Some((chain_id, seq + 1)));
         self.chain = Some((chain_id, seq + 1));
         D::resume(self);
         Ok(())
@@ -758,8 +754,9 @@ impl<D: Drive> OnlineEngine<D> {
     /// Rebuild an engine from a [`OnlineEngine::snapshot`] blob written
     /// under either driver. The restored engine **resumes
     /// byte-identical** to the uninterrupted run: every RNG stream,
-    /// cache slot, memo row, staged writeback segment, ring packet and
-    /// counter continues exactly. The thread runtime spawns its
+    /// cache slot, staged writeback segment, ring packet and counter
+    /// continues exactly, and each resident slot's memoized counter row
+    /// is recomputed from its flow. The thread runtime spawns its
     /// workers on first use.
     ///
     /// # Errors
@@ -768,7 +765,7 @@ impl<D: Drive> OnlineEngine<D> {
     /// policy this driver cannot run ([`RestoreError::Corrupt`]; the
     /// thread runtime refuses [`BackpressurePolicy::DropOldest`]).
     pub fn restore(bytes: &[u8]) -> Result<Self, RestoreError> {
-        let engine = OnlineCaesar::decode(bytes)?;
+        let engine = checkpoint::restore(bytes)?;
         D::check_policy(engine.policy).map_err(RestoreError::Corrupt)?;
         Ok(D::adopt(engine))
     }
@@ -786,7 +783,7 @@ impl<D: Drive> OnlineEngine<D> {
     /// driver; [`ChainError::Delta`] (naming the offending index) if a
     /// delta is damaged, foreign, or out of sequence.
     pub fn restore_chain<B: AsRef<[u8]>>(base: &[u8], deltas: &[B]) -> Result<Self, ChainError> {
-        let mut engine = OnlineCaesar::decode(base).map_err(ChainError::Base)?;
+        let mut engine = checkpoint::restore(base).map_err(ChainError::Base)?;
         D::check_policy(engine.policy)
             .map_err(|why| ChainError::Base(RestoreError::Corrupt(why)))?;
         for (index, delta) in deltas.iter().enumerate() {
@@ -874,218 +871,10 @@ impl OnlineCaesar {
     /// ([`DeltaError::Incompatible`]), deltas from another chain
     /// ([`DeltaError::ForeignChain`]), gaps / replays / out-of-order
     /// application ([`DeltaError::Sequence`]), and internal
-    /// inconsistencies ([`DeltaError::Corrupt`]).
+    /// inconsistencies or settings that differ from the engine's
+    /// ([`DeltaError::Corrupt`]).
     pub fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), DeltaError> {
-        let (chain_id, seq) = self.chain.ok_or(DeltaError::NoBase)?;
-        let payload = unseal(bytes)?;
-        let mut r = ByteReader::new(payload);
-        let magic = r.get_array::<4>().ok_or(DeltaError::Truncated)?;
-        if &magic != DELTA_MAGIC {
-            return Err(DeltaError::BadMagic);
-        }
-        let version = r.get_u16_le().ok_or(DeltaError::Truncated)?;
-        if version != DELTA_VERSION {
-            return Err(DeltaError::UnsupportedVersion(version));
-        }
-        let fingerprint = SketchFingerprint::decode_from(&mut r).ok_or(DeltaError::Truncated)?;
-        SketchFingerprint::of(&self.cfg)
-            .expect_matches(&fingerprint)
-            .map_err(DeltaError::Incompatible)?;
-        let found_chain = r.get_u64_le().ok_or(DeltaError::Truncated)?;
-        if found_chain != chain_id {
-            return Err(DeltaError::ForeignChain { expected: chain_id, found: found_chain });
-        }
-        let found_seq = r.get_u64_le().ok_or(DeltaError::Truncated)?;
-        if found_seq != seq + 1 {
-            return Err(DeltaError::Sequence { expected: seq + 1, found: found_seq });
-        }
-        let epoch = r.get_u64_le().ok_or(DeltaError::Truncated)?;
-        let merges = r.get_u64_le().ok_or(DeltaError::Truncated)?;
-        let offered_total = r.get_u64_le().ok_or(DeltaError::Truncated)?;
-        let shards = r.get_u64_le().ok_or(DeltaError::Truncated)? as usize;
-        if shards != self.shards {
-            return Err(DeltaError::Corrupt("shard count disagrees with engine"));
-        }
-        let bits = r.get_u32_le().ok_or(DeltaError::Truncated)?;
-        if bits != self.cfg.counter_bits {
-            return Err(DeltaError::Corrupt("SRAM width disagrees with config"));
-        }
-        let counters = r.get_u64_le().ok_or(DeltaError::Truncated)? as usize;
-        if counters != self.cfg.counters {
-            return Err(DeltaError::Corrupt("SRAM length disagrees with config"));
-        }
-        let n_blocks_total = counters.div_ceil(crate::sram::DIRTY_BLOCK_COUNTERS);
-        let max = self.sram.max_value();
-        let n_blocks = r.get_u64_le().ok_or(DeltaError::Truncated)? as usize;
-        if n_blocks > n_blocks_total {
-            return Err(DeltaError::Corrupt("more dirty blocks than blocks"));
-        }
-        let mut blocks: Vec<(usize, Vec<u64>)> = Vec::with_capacity(n_blocks);
-        let mut prev_block = None;
-        for _ in 0..n_blocks {
-            let b = r.get_u64_le().ok_or(DeltaError::Truncated)? as usize;
-            if b >= n_blocks_total {
-                return Err(DeltaError::Corrupt("dirty block index out of range"));
-            }
-            if prev_block.is_some_and(|p| b <= p) {
-                return Err(DeltaError::Corrupt("dirty blocks not strictly ascending"));
-            }
-            prev_block = Some(b);
-            let start = b * crate::sram::DIRTY_BLOCK_COUNTERS;
-            let end = (start + crate::sram::DIRTY_BLOCK_COUNTERS).min(counters);
-            let mut values = Vec::with_capacity(end - start);
-            for _ in start..end {
-                let v = r.get_u64_le().ok_or(DeltaError::Truncated)?;
-                if v > max {
-                    return Err(DeltaError::Corrupt("counter exceeds width"));
-                }
-                values.push(v);
-            }
-            blocks.push((start, values));
-        }
-        let n_tallies = r.get_u64_le().ok_or(DeltaError::Truncated)? as usize;
-        if n_tallies != self.shards {
-            return Err(DeltaError::Corrupt("tally stripe count disagrees with shards"));
-        }
-        let mut tallies = Vec::with_capacity(n_tallies);
-        for _ in 0..n_tallies {
-            let added = r.get_u64_le().ok_or(DeltaError::Truncated)?;
-            let sat = r.get_u64_le().ok_or(DeltaError::Truncated)?;
-            tallies.push((added, sat));
-        }
-        let mut lanes = Vec::with_capacity(self.shards);
-        #[allow(clippy::needless_range_loop)] // shard indexes `entries` AND names the lane
-        for shard in 0..self.shards {
-            lanes.push(
-                decode_lane(&mut r, &self.cfg, shard, self.entries[shard], self.ring_capacity)
-                    .map_err(DeltaError::from)?,
-            );
-        }
-        if r.remaining() != 0 {
-            return Err(DeltaError::Corrupt("trailing bytes"));
-        }
-        if !offers_reconcile(&lanes, offered_total) {
-            return Err(DeltaError::Corrupt("lane offers do not sum to the engine's"));
-        }
-        // Everything validated — apply.
-        self.epoch = epoch;
-        self.merges = merges;
-        self.offered_total = offered_total;
-        for (start, values) in &blocks {
-            self.sram.store_counters(*start, values);
-        }
-        self.sram.restore_tallies(&tallies);
-        self.lanes = lanes;
-        self.chain = Some((chain_id, found_seq));
-        // Replayed state is the new baseline, exactly as it was on the
-        // emitting engine the instant after its drain.
-        let _ = self.sram.take_dirty_blocks();
-        Ok(())
-    }
-
-    /// Decode a snapshot blob into a pump engine (the body of
-    /// [`OnlineEngine::restore`], before the driver adopts it).
-    fn decode(bytes: &[u8]) -> Result<Self, RestoreError> {
-        let payload = unseal(bytes)?;
-        let mut r = ByteReader::new(payload);
-        let version = r.get_u16_le().ok_or(RestoreError::Truncated)?;
-        if version != SNAP_VERSION {
-            return Err(RestoreError::UnsupportedVersion(version));
-        }
-        let fingerprint = SketchFingerprint::decode_from(&mut r).ok_or(RestoreError::Truncated)?;
-        let cfg = decode_config(&mut r)?;
-        if fingerprint != SketchFingerprint::of(&cfg) {
-            return Err(RestoreError::Corrupt("fingerprint disagrees with config"));
-        }
-        let shards = get_usize(&mut r)?;
-        if shards == 0 {
-            return Err(RestoreError::Corrupt("zero shards"));
-        }
-        let policy = BackpressurePolicy::from_u8(get_u8(&mut r)?)
-            .ok_or(RestoreError::Corrupt("backpressure policy"))?;
-        let ring_capacity = get_usize(&mut r)?;
-        if ring_capacity == 0 {
-            return Err(RestoreError::Corrupt("zero ring capacity"));
-        }
-        let epoch_len = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-        if epoch_len == 0 {
-            return Err(RestoreError::Corrupt("zero epoch length"));
-        }
-        let watchdog_deadline = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-        if watchdog_deadline == 0 {
-            return Err(RestoreError::Corrupt("zero watchdog deadline"));
-        }
-        let epoch = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-        let merges = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-        let offered_total = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-        // SRAM.
-        let bits = r.get_u32_le().ok_or(RestoreError::Truncated)?;
-        if bits != cfg.counter_bits {
-            return Err(RestoreError::Corrupt("SRAM width disagrees with config"));
-        }
-        let n_words = get_usize(&mut r)?;
-        if n_words != cfg.counters {
-            return Err(RestoreError::Corrupt("SRAM length disagrees with config"));
-        }
-        if n_words > r.remaining() / 8 {
-            return Err(RestoreError::Truncated);
-        }
-        let max = if bits >= 64 { u64::MAX } else { (1u64 << bits) - 1 };
-        let mut words = Vec::with_capacity(n_words);
-        for _ in 0..n_words {
-            let w = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-            if w > max {
-                return Err(RestoreError::Corrupt("counter exceeds width"));
-            }
-            words.push(w);
-        }
-        let n_tallies = get_usize(&mut r)?;
-        if n_tallies != shards {
-            return Err(RestoreError::Corrupt("tally stripe count disagrees with shards"));
-        }
-        if n_tallies > r.remaining() / 16 {
-            return Err(RestoreError::Truncated);
-        }
-        let mut tallies = Vec::with_capacity(n_tallies);
-        for _ in 0..n_tallies {
-            let added = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-            let sat = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-            tallies.push((added, sat));
-        }
-        let sram = AtomicCounterArray::restore(bits, &words, &tallies);
-        let kmap = KCounterMap::new(cfg.k, cfg.counters, cfg.seed ^ 0x5EED_5EED);
-        let entries = crate::concurrent::per_shard_entries(cfg.cache_entries, shards);
-        let mut lanes = Vec::with_capacity(shards);
-        #[allow(clippy::needless_range_loop)] // shard indexes `entries` AND names the lane
-        for shard in 0..shards {
-            lanes.push(decode_lane(&mut r, &cfg, shard, entries[shard], ring_capacity)?);
-        }
-        if r.remaining() != 0 {
-            return Err(RestoreError::Corrupt("trailing bytes"));
-        }
-        if !offers_reconcile(&lanes, offered_total) {
-            return Err(RestoreError::Corrupt("lane offers do not sum to the engine's"));
-        }
-        Ok(Self {
-            cfg,
-            shards,
-            policy,
-            ring_capacity,
-            epoch_len,
-            watchdog_deadline,
-            sram: Arc::new(sram),
-            kmap: Arc::new(kmap),
-            entries,
-            lanes,
-            epoch,
-            merges,
-            offered_total,
-            // Re-deriving the chain id from the blob's own bytes means a
-            // restored engine continues the chain the blob anchored:
-            // both sides hashed the same bytes.
-            chain: Some((hashkit::fnv::fnv1a64(bytes), 0)),
-            driver: Pump::default(),
-        })
+        checkpoint::apply_delta(self, bytes)
     }
 
     /// Read just the [`SketchFingerprint`] embedded in a snapshot blob
@@ -1094,13 +883,7 @@ impl OnlineCaesar {
     /// state. Validates the seal, so a truncated or bit-flipped blob
     /// is rejected here too.
     pub fn snapshot_fingerprint(bytes: &[u8]) -> Result<SketchFingerprint, RestoreError> {
-        let payload = unseal(bytes)?;
-        let mut r = ByteReader::new(payload);
-        let version = r.get_u16_le().ok_or(RestoreError::Truncated)?;
-        if version != SNAP_VERSION {
-            return Err(RestoreError::UnsupportedVersion(version));
-        }
-        SketchFingerprint::decode_from(&mut r).ok_or(RestoreError::Truncated)
+        checkpoint::snapshot_fingerprint(bytes)
     }
 
     /// [`OnlineEngine::restore`] gated on merge compatibility: the
@@ -1308,10 +1091,6 @@ impl<D: Drive> SketchRead for OnlineEngine<D> {
     }
 }
 
-/// Snapshot payload layout version (bump on layout changes; the sealed
-/// footer's own version is managed by [`support::bytesx`]).
-const SNAP_VERSION: u16 = 2;
-
 /// Why [`OnlineEngine::restore`] rejected a blob.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RestoreError {
@@ -1353,14 +1132,6 @@ impl std::fmt::Display for RestoreError {
 }
 
 impl std::error::Error for RestoreError {}
-
-/// Delta-frame payload magic: distinguishes a `CDLT` delta from a full
-/// snapshot at the first four bytes, so feeding one to the other's
-/// decoder fails typed, not garbled.
-const DELTA_MAGIC: &[u8; 4] = b"CDLT";
-
-/// Delta-frame payload layout version (bump on layout changes).
-const DELTA_VERSION: u16 = 1;
 
 /// Why [`OnlineCaesar::apply_delta`] (or
 /// [`OnlineEngine::checkpoint_delta`]) rejected a frame or refused to
@@ -1477,443 +1248,6 @@ impl std::fmt::Display for ChainError {
 }
 
 impl std::error::Error for ChainError {}
-
-// ---------------------------------------------------------------------
-// Codec helpers
-// ---------------------------------------------------------------------
-
-/// Full-snapshot prelude: layout version, fingerprint, config, engine
-/// scalars, then the complete SRAM (words + tally stripes). The lane
-/// sections and the seal footer follow.
-fn encode_snapshot_prelude<D>(buf: &mut Vec<u8>, h: &OnlineEngine<D>) {
-    let sram = &h.sram;
-    buf.put_u16_le(SNAP_VERSION);
-    // The sketch identity leads the blob so a peer can check merge
-    // compatibility (see [`SketchFingerprint`]) without decoding —
-    // or trusting — the rest of the state.
-    SketchFingerprint::of(&h.cfg).encode_into(buf);
-    encode_config(buf, &h.cfg);
-    buf.put_u64_le(h.shards as u64);
-    buf.put_slice(&[h.policy.to_u8()]);
-    buf.put_u64_le(h.ring_capacity as u64);
-    buf.put_u64_le(h.epoch_len);
-    buf.put_u64_le(h.watchdog_deadline);
-    buf.put_u64_le(h.epoch);
-    buf.put_u64_le(h.merges);
-    buf.put_u64_le(h.offered_total);
-    // SRAM: counter words + per-stripe tallies.
-    buf.put_u32_le(sram.bits());
-    let words = sram.snapshot();
-    buf.put_u64_le(words.len() as u64);
-    for w in &words {
-        buf.put_u64_le(*w);
-    }
-    let tallies = sram.tally_snapshot();
-    buf.put_u64_le(tallies.len() as u64);
-    for &(added, sat) in &tallies {
-        buf.put_u64_le(added);
-        buf.put_u64_le(sat);
-    }
-}
-
-/// Delta-frame prelude: magic, chain discipline fields, engine
-/// scalars, then the **sparse** SRAM section — absolute counter values
-/// of every dirty block (replay is a plain store — no
-/// read-modify-write, no saturation bookkeeping to re-derive) plus the
-/// full tally stripes (O(shards), tiny). Consumes the dirty baseline
-/// via [`AtomicCounterArray::take_dirty_blocks`].
-fn encode_delta_prelude<D>(buf: &mut Vec<u8>, h: &OnlineEngine<D>, chain_id: u64, next_seq: u64) {
-    let sram = &h.sram;
-    buf.put_slice(DELTA_MAGIC);
-    buf.put_u16_le(DELTA_VERSION);
-    SketchFingerprint::of(&h.cfg).encode_into(buf);
-    buf.put_u64_le(chain_id);
-    buf.put_u64_le(next_seq);
-    buf.put_u64_le(h.epoch);
-    buf.put_u64_le(h.merges);
-    buf.put_u64_le(h.offered_total);
-    buf.put_u64_le(h.shards as u64);
-    buf.put_u32_le(sram.bits());
-    buf.put_u64_le(sram.len() as u64);
-    let blocks = sram.take_dirty_blocks();
-    buf.put_u64_le(blocks.len() as u64);
-    for &b in &blocks {
-        buf.put_u64_le(b as u64);
-        let start = b * crate::sram::DIRTY_BLOCK_COUNTERS;
-        let end = (start + crate::sram::DIRTY_BLOCK_COUNTERS).min(sram.len());
-        for idx in start..end {
-            buf.put_u64_le(sram.get(idx));
-        }
-    }
-    let tallies = sram.tally_snapshot();
-    buf.put_u64_le(tallies.len() as u64);
-    for &(added, sat) in &tallies {
-        buf.put_u64_le(added);
-        buf.put_u64_le(sat);
-    }
-}
-
-/// Every lane's dynamic state, shared verbatim by full snapshots and
-/// delta frames (the lane tail is O(cache + staged) — small and
-/// epoch-churned, so deltas carry it whole) under both drivers. A
-/// ring the engine holds is drained to serialize its contents, then
-/// re-queued in order (it is empty in between, so the pushes cannot
-/// fail): observably side-effect free. A worker thread's ring is empty
-/// here, because the thread driver quiesces first.
-fn encode_lanes(buf: &mut Vec<u8>, lanes: &mut [Lane]) {
-    for lane in lanes {
-        let mut pending = Vec::new();
-        if let Some(rx) = lane.rx.as_mut() {
-            while let Some(f) = rx.try_pop() {
-                pending.push(f);
-            }
-        }
-        debug_assert_eq!(pending.len() as u64, lane.in_flight());
-        let ledger = &lane.ledger;
-        buf.put_u64_le(ledger.offered);
-        buf.put_u64_le(lane.recorded());
-        buf.put_u64_le(ledger.dropped);
-        buf.put_u64_le(ledger.quarantined);
-        buf.put_u64_le(ledger.respawns);
-        buf.put_slice(&[u8::from(lane.inline_fallback)]);
-        buf.put_u64_le(lane.stalled_attempts);
-        buf.put_u64_le(pending.len() as u64);
-        for &f in &pending {
-            buf.put_u64_le(f);
-        }
-        encode_ingest_stats(buf, &ledger.retired);
-        encode_worker_state(buf, &lane.shared.lock().worker.snapshot_state());
-        encode_fault_log(buf, &ledger.log);
-        for f in pending {
-            let pushed = lane.tx.try_push(f).is_ok();
-            debug_assert!(pushed, "re-queue into an emptied ring cannot fail");
-        }
-    }
-}
-
-/// Decode one lane's dynamic state — the exact inverse of one lane of
-/// [`encode_lanes`], shared by [`OnlineEngine::restore`] and
-/// [`OnlineCaesar::apply_delta`]. The lane's counts must reconcile:
-/// both runtimes derive in-flight from them, so a section claiming
-/// more settled packets than it was offered is refused here.
-fn decode_lane(
-    r: &mut ByteReader<'_>,
-    cfg: &CaesarConfig,
-    shard: usize,
-    entries: usize,
-    ring_capacity: usize,
-) -> Result<Lane, RestoreError> {
-    let offered = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-    let recorded = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-    let dropped = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-    let quarantined = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-    let respawns = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-    let inline_fallback = match get_u8(r)? {
-        0 => false,
-        1 => true,
-        _ => return Err(RestoreError::Corrupt("inline flag")),
-    };
-    let stalled_attempts = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-    let n_pending = get_usize(r)?;
-    if n_pending > ring_capacity {
-        return Err(RestoreError::Corrupt("ring contents exceed capacity"));
-    }
-    if n_pending > r.remaining() / 8 {
-        return Err(RestoreError::Truncated);
-    }
-    let mut pending = Vec::with_capacity(n_pending);
-    for _ in 0..n_pending {
-        pending.push(r.get_u64_le().ok_or(RestoreError::Truncated)?);
-    }
-    let settled = [dropped, quarantined, n_pending as u64]
-        .into_iter()
-        .try_fold(recorded, u64::checked_add);
-    if settled != Some(offered) {
-        return Err(RestoreError::Corrupt("lane counts do not reconcile"));
-    }
-    let retired = decode_ingest_stats(r)?;
-    let state = decode_worker_state(r)?;
-    if state.memo.len() != entries * cfg.k {
-        return Err(RestoreError::Corrupt("memo geometry"));
-    }
-    if state.cache.slots.len() > entries {
-        return Err(RestoreError::Corrupt("cache slot count"));
-    }
-    let log = decode_fault_log(r)?;
-    let worker = ShardWorker::restore_state(cfg, shard, entries, state);
-    let ledger = LaneLedger { offered, dropped, quarantined, respawns, retired, log };
-    let mut lane = Lane::with_parts(ring_capacity, worker, recorded, ledger, &pending);
-    lane.inline_fallback = inline_fallback;
-    lane.stalled_attempts = stalled_attempts;
-    Ok(lane)
-}
-
-/// Whether the lanes' offered counts sum exactly to the engine's.
-fn offers_reconcile(lanes: &[Lane], offered_total: u64) -> bool {
-    lanes
-        .iter()
-        .try_fold(0u64, |sum, lane| sum.checked_add(lane.ledger.offered))
-        == Some(offered_total)
-}
-
-fn get_u8(r: &mut ByteReader<'_>) -> Result<u8, RestoreError> {
-    r.get_array::<1>().map(|[b]| b).ok_or(RestoreError::Truncated)
-}
-
-fn get_usize(r: &mut ByteReader<'_>) -> Result<usize, RestoreError> {
-    let v = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-    usize::try_from(v).map_err(|_| RestoreError::Corrupt("length exceeds usize"))
-}
-
-/// An element count the remaining input can hold at `width` bytes per
-/// element (see [`ByteReader::get_count`]).
-fn get_count(r: &mut ByteReader<'_>, width: usize) -> Result<usize, RestoreError> {
-    r.get_count(width).ok_or(RestoreError::Truncated)
-}
-
-fn policy_to_u8(p: CachePolicy) -> u8 {
-    match p {
-        CachePolicy::Lru => 0,
-        CachePolicy::Random => 1,
-        CachePolicy::Fifo => 2,
-    }
-}
-
-fn policy_from_u8(v: u8) -> Option<CachePolicy> {
-    match v {
-        0 => Some(CachePolicy::Lru),
-        1 => Some(CachePolicy::Random),
-        2 => Some(CachePolicy::Fifo),
-        _ => None,
-    }
-}
-
-fn encode_config(buf: &mut Vec<u8>, cfg: &CaesarConfig) {
-    buf.put_u64_le(cfg.cache_entries as u64);
-    buf.put_u64_le(cfg.entry_capacity);
-    buf.put_slice(&[policy_to_u8(cfg.policy)]);
-    buf.put_u64_le(cfg.counters as u64);
-    buf.put_u64_le(cfg.k as u64);
-    buf.put_u32_le(cfg.counter_bits);
-    buf.put_slice(&[match cfg.estimator {
-        Estimator::Csm => 0,
-        Estimator::Mlm => 1,
-    }]);
-    buf.put_u64_le(cfg.seed);
-}
-
-fn decode_config(r: &mut ByteReader<'_>) -> Result<CaesarConfig, RestoreError> {
-    let cache_entries = get_usize(r)?;
-    let entry_capacity = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-    let policy = policy_from_u8(get_u8(r)?).ok_or(RestoreError::Corrupt("cache policy"))?;
-    let counters = get_usize(r)?;
-    let k = get_usize(r)?;
-    let counter_bits = r.get_u32_le().ok_or(RestoreError::Truncated)?;
-    let estimator = match get_u8(r)? {
-        0 => Estimator::Csm,
-        1 => Estimator::Mlm,
-        _ => return Err(RestoreError::Corrupt("estimator")),
-    };
-    let seed = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-    let cfg = CaesarConfig {
-        cache_entries,
-        entry_capacity,
-        policy,
-        counters,
-        k,
-        counter_bits,
-        estimator,
-        seed,
-    };
-    // Manual validation (CaesarConfig::validate panics; restore must
-    // surface bad data as an error).
-    if cache_entries == 0
-        || entry_capacity < 2
-        || counters == 0
-        || k == 0
-        || k > K_MAX
-        || k > counters
-        || !(1..=63).contains(&counter_bits)
-    {
-        return Err(RestoreError::Corrupt("config out of range"));
-    }
-    Ok(cfg)
-}
-
-fn encode_ingest_stats(buf: &mut Vec<u8>, st: &IngestStats) {
-    buf.put_u64_le(st.evictions);
-    buf.put_u64_le(st.staged_updates);
-    buf.put_u64_le(st.flushed_updates);
-    buf.put_u64_le(st.flushes);
-}
-
-fn decode_ingest_stats(r: &mut ByteReader<'_>) -> Result<IngestStats, RestoreError> {
-    Ok(IngestStats {
-        evictions: r.get_u64_le().ok_or(RestoreError::Truncated)?,
-        staged_updates: r.get_u64_le().ok_or(RestoreError::Truncated)?,
-        flushed_updates: r.get_u64_le().ok_or(RestoreError::Truncated)?,
-        flushes: r.get_u64_le().ok_or(RestoreError::Truncated)?,
-    })
-}
-
-fn encode_worker_state(buf: &mut Vec<u8>, st: &ShardWorkerState) {
-    // Cache.
-    buf.put_u64_le(st.cache.slots.len() as u64);
-    for &(flow, count, prev, next) in &st.cache.slots {
-        buf.put_u64_le(flow);
-        buf.put_u64_le(count);
-        buf.put_u32_le(prev);
-        buf.put_u32_le(next);
-    }
-    buf.put_u32_le(st.cache.head);
-    buf.put_u32_le(st.cache.tail);
-    for &s in &st.cache.rng {
-        buf.put_u64_le(s);
-    }
-    buf.put_u64_le(st.cache.stats.hits);
-    buf.put_u64_le(st.cache.stats.misses);
-    buf.put_u64_le(st.cache.stats.overflow_evictions);
-    buf.put_u64_le(st.cache.stats.replacement_evictions);
-    buf.put_u64_le(st.cache.stats.final_dump_entries);
-    // Scatter RNG.
-    for &s in &st.rng {
-        buf.put_u64_le(s);
-    }
-    // Memo rows.
-    buf.put_u64_le(st.memo.len() as u64);
-    for &m in &st.memo {
-        buf.put_u64_le(m as u64);
-    }
-    // Writeback segment.
-    buf.put_u64_le(st.wb.pending.len() as u64);
-    for &(idx, v) in &st.wb.pending {
-        buf.put_u64_le(idx as u64);
-        buf.put_u64_le(v);
-    }
-    buf.put_u64_le(st.wb.capacity as u64);
-    buf.put_u64_le(st.wb.stripe as u64);
-    buf.put_u64_le(st.wb.flushes);
-    buf.put_u64_le(st.wb.staged_updates);
-    buf.put_u64_le(st.wb.flushed_updates);
-    buf.put_u64_le(st.evictions);
-}
-
-fn get_rng_state(r: &mut ByteReader<'_>) -> Result<[u64; 4], RestoreError> {
-    let mut s = [0u64; 4];
-    for slot in &mut s {
-        *slot = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-    }
-    Ok(s)
-}
-
-fn decode_worker_state(r: &mut ByteReader<'_>) -> Result<ShardWorkerState, RestoreError> {
-    let n_slots = get_count(r, 24)?;
-    let mut slots = Vec::with_capacity(n_slots);
-    for _ in 0..n_slots {
-        let flow = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-        let count = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-        let prev = r.get_u32_le().ok_or(RestoreError::Truncated)?;
-        let next = r.get_u32_le().ok_or(RestoreError::Truncated)?;
-        slots.push((flow, count, prev, next));
-    }
-    let head = r.get_u32_le().ok_or(RestoreError::Truncated)?;
-    let tail = r.get_u32_le().ok_or(RestoreError::Truncated)?;
-    let cache_rng = get_rng_state(r)?;
-    let stats = CacheStats {
-        hits: r.get_u64_le().ok_or(RestoreError::Truncated)?,
-        misses: r.get_u64_le().ok_or(RestoreError::Truncated)?,
-        overflow_evictions: r.get_u64_le().ok_or(RestoreError::Truncated)?,
-        replacement_evictions: r.get_u64_le().ok_or(RestoreError::Truncated)?,
-        final_dump_entries: r.get_u64_le().ok_or(RestoreError::Truncated)?,
-    };
-    let rng = get_rng_state(r)?;
-    let n_memo = get_count(r, 8)?;
-    let mut memo = Vec::with_capacity(n_memo);
-    for _ in 0..n_memo {
-        memo.push(get_usize(r)?);
-    }
-    let n_pending = get_count(r, 16)?;
-    let mut pending = Vec::with_capacity(n_pending);
-    for _ in 0..n_pending {
-        let idx = get_usize(r)?;
-        let v = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-        pending.push((idx, v));
-    }
-    let capacity = get_usize(r)?;
-    let stripe = get_usize(r)?;
-    let flushes = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-    let staged_updates = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-    let flushed_updates = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-    let evictions = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-    Ok(ShardWorkerState {
-        cache: CacheTableState { slots, head, tail, rng: cache_rng, stats },
-        rng,
-        memo,
-        wb: crate::atomic_sram::WritebackState {
-            pending,
-            capacity,
-            stripe,
-            flushes,
-            staged_updates,
-            flushed_updates,
-        },
-        evictions,
-    })
-}
-
-fn encode_fault_log(buf: &mut Vec<u8>, log: &FaultLog) {
-    buf.put_u64_le(log.records.len() as u64);
-    for rec in &log.records {
-        buf.put_slice(&[match rec.kind {
-            FaultKind::WorkerPanic => 0,
-            FaultKind::WatchdogFailover => 1,
-        }]);
-        buf.put_u64_le(rec.epoch);
-        buf.put_u64_le(rec.at_offered);
-        buf.put_u64_le(rec.quarantined);
-        buf.put_u64_le(rec.salvaged_units);
-        buf.put_slice(&[u8::from(rec.exact)]);
-        buf.put_u64_le(rec.payload.len() as u64);
-        buf.put_slice(rec.payload.as_bytes());
-    }
-}
-
-fn decode_fault_log(r: &mut ByteReader<'_>) -> Result<FaultLog, RestoreError> {
-    // A record is at least its kind, four u64s, the exact flag and the
-    // payload length.
-    let n = get_count(r, 1 + 4 * 8 + 1 + 8)?;
-    let mut records = Vec::with_capacity(n);
-    for _ in 0..n {
-        let kind = match get_u8(r)? {
-            0 => FaultKind::WorkerPanic,
-            1 => FaultKind::WatchdogFailover,
-            _ => return Err(RestoreError::Corrupt("fault kind")),
-        };
-        let epoch = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-        let at_offered = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-        let quarantined = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-        let salvaged_units = r.get_u64_le().ok_or(RestoreError::Truncated)?;
-        let exact = match get_u8(r)? {
-            0 => false,
-            1 => true,
-            _ => return Err(RestoreError::Corrupt("exact flag")),
-        };
-        let len = get_count(r, 1)?;
-        let bytes = r.get_slice(len).ok_or(RestoreError::Truncated)?;
-        let payload = String::from_utf8(bytes.to_vec())
-            .map_err(|_| RestoreError::Corrupt("payload utf-8"))?;
-        records.push(FaultRecord {
-            kind,
-            epoch,
-            at_offered,
-            quarantined,
-            salvaged_units,
-            payload,
-            exact,
-        });
-    }
-    Ok(FaultLog { records })
-}
 
 #[cfg(test)]
 mod tests {
@@ -2272,24 +1606,18 @@ mod tests {
 
     #[test]
     fn forged_sram_length_is_truncation_not_an_allocation() {
-        use crate::merge::FINGERPRINT_BYTES;
+        use support::bytesx::{seal, unseal};
         let mut online = OnlineCaesar::new(cfg(), 1);
         online.offer_batch(&workload(2_000));
         let mut payload = unseal(&online.snapshot()).unwrap().to_vec();
-        // Field offsets in the payload: layout version, fingerprint
-        // (counters first), then the config (cache entries, entry
-        // capacity, policy, counters, k, width, estimator, seed), the
-        // engine scalars (shards, policy, ring capacity, epoch length,
-        // watchdog, epoch, merges, offered) and the SRAM width.
-        let fp_counters = 2;
-        let cfg_counters = fp_counters + FINGERPRINT_BYTES + 8 + 8 + 1;
-        let n_words = cfg_counters + 8 + 8 + 4 + 1 + 8 + (8 + 1 + 6 * 8) + 4;
+        // Field offsets in the payload: magic and layout version, then
+        // the fingerprint (counters first), the only field that
+        // carries the SRAM length.
+        let at = 4 + 2;
         let huge = (1u64 << 44).to_le_bytes();
-        for at in [fp_counters, cfg_counters, n_words] {
-            let field: [u8; 8] = payload[at..at + 8].try_into().unwrap();
-            assert_eq!(u64::from_le_bytes(field), cfg().counters as u64, "offset {at}");
-            payload[at..at + 8].copy_from_slice(&huge);
-        }
+        let field: [u8; 8] = payload[at..at + 8].try_into().unwrap();
+        assert_eq!(u64::from_le_bytes(field), cfg().counters as u64, "offset {at}");
+        payload[at..at + 8].copy_from_slice(&huge);
         // Consistent and re-sealed: only the input length can refuse
         // the 2^44-word SRAM, and it must before allocating for it.
         seal(&mut payload);

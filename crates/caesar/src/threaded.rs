@@ -407,7 +407,8 @@ impl ThreadedCaesar {
         // detached, not joined.
         let worker = ShardWorker::staged(cfg, shard, entries[shard]);
         let ledger = std::mem::take(&mut lane.ledger);
-        *lane = Lane::with_parts(*ring_capacity, worker, recorded, ledger, &[]);
+        *lane = Lane::with_parts(*ring_capacity, worker, recorded, ledger, &[])
+            .expect("the lane's own ring capacity allocates");
         lane.shared.ctrl.park.store(driver.quiesced, Ordering::Release);
         if let Some(mon) = &driver.monitor {
             let mut registry = mon.shared.lanes.lock().expect("monitor registry lock");

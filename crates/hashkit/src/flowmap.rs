@@ -59,13 +59,27 @@ impl FlowSlotMap {
     /// capacity (rounded up to a power of two), keeping probe chains
     /// near length one at every legal fill level — the table trades a
     /// few KiB of memory for a hot path that almost never probes twice.
+    ///
+    /// # Panics
+    /// Panics if the table cannot be allocated (see
+    /// [`try_with_capacity`](Self::try_with_capacity)).
     pub fn with_capacity(max_entries: usize) -> Self {
-        let cap = (max_entries.max(1) * 4).next_power_of_two();
-        Self {
-            buckets: vec![VACANT; cap].into_boxed_slice(),
+        Self::try_with_capacity(max_entries).expect("flow index too large to allocate")
+    }
+
+    /// [`with_capacity`](Self::with_capacity), or `None` when the table
+    /// size overflows or the allocator refuses it: for capacities that
+    /// come from outside the program.
+    pub fn try_with_capacity(max_entries: usize) -> Option<Self> {
+        let cap = max_entries.max(1).checked_mul(4)?.checked_next_power_of_two()?;
+        let mut buckets = Vec::new();
+        buckets.try_reserve_exact(cap).ok()?;
+        buckets.resize(cap, VACANT);
+        Some(Self {
+            buckets: buckets.into_boxed_slice(),
             shift: 64 - cap.trailing_zeros(),
             len: 0,
-        }
+        })
     }
 
     /// Number of live bindings.

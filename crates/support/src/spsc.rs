@@ -149,10 +149,25 @@ impl<T> std::fmt::Debug for Consumer<T> {
 /// # Panics
 /// Panics if `capacity == 0`.
 pub fn ring<T: Send>(capacity: usize) -> (Producer<T>, Consumer<T>) {
+    try_ring(capacity).expect("spsc ring too large to allocate")
+}
+
+/// [`ring`], or `None` when the storage size overflows or the
+/// allocator refuses it: for capacities that come from outside the
+/// program. The storage is reserved, not written.
+///
+/// # Panics
+/// Panics if `capacity == 0`.
+pub fn try_ring<T: Send>(capacity: usize) -> Option<(Producer<T>, Consumer<T>)> {
     assert!(capacity >= 1, "spsc ring needs capacity >= 1");
-    let storage = capacity.next_power_of_two();
-    let buf: Box<[UnsafeCell<MaybeUninit<T>>]> =
-        (0..storage).map(|_| UnsafeCell::new(MaybeUninit::uninit())).collect();
+    let storage = capacity.checked_next_power_of_two()?;
+    let mut buf: Vec<UnsafeCell<MaybeUninit<T>>> = Vec::new();
+    buf.try_reserve_exact(storage).ok()?;
+    // SAFETY: the capacity is reserved, and a slot is an uninitialized
+    // `MaybeUninit`, which needs no initialization. No slot is written,
+    // so an unused ring costs address space, not memory.
+    unsafe { buf.set_len(storage) };
+    let buf = buf.into_boxed_slice();
     let ring = Arc::new(Ring {
         buf,
         cap_mask: storage - 1,
@@ -161,10 +176,10 @@ pub fn ring<T: Send>(capacity: usize) -> (Producer<T>, Consumer<T>) {
         tail: CachePadded(AtomicUsize::new(0)),
         closed: AtomicBool::new(false),
     });
-    (
+    Some((
         Producer { ring: Arc::clone(&ring), tail: 0, head_cache: 0 },
         Consumer { ring, head: 0, tail_cache: 0 },
-    )
+    ))
 }
 
 /// Adaptive wait used by the blocking push/pop paths: brief on-core

@@ -30,6 +30,15 @@
 #                       chains, dirty-bitmap soundness on every SRAM
 #                       flavor) in release, plus the delta-push unit
 #                       tests in the caesar and service crates, then the
+#                       forged-frame tests (the caesar unit tests named
+#                       `forged*`: re-sealed snapshots, CDLT links and
+#                       CSKD frames with forged fields must be refused
+#                       typed or restore a working engine) again from
+#                       their release binary under `ulimit -v` 4 GiB,
+#                       so an allocation sized from forged input fails
+#                       at once instead of eating the host — including
+#                       the ignored ones whose forged sizes only the
+#                       address limit makes safe to ask for —, then the
 #                       tiny-scale cluster-view sweep whose rows now
 #                       carry measured full-vs-delta wire bytes.
 #   --simd-smoke        lane-kernel smoke mode: run the lane bit-identity
@@ -160,6 +169,14 @@ if [ "${1:-}" = "--delta-smoke" ]; then
     run cargo test --release --offline -q --test delta_checkpoint
     run cargo test --release --offline -q -p caesar --lib -- delta
     run cargo test --release --offline -q -p service
+    BIN="$(cargo test --release --offline -q -p caesar --lib --no-run --message-format=json \
+        | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' | head -1)"
+    if [ -z "$BIN" ]; then
+        echo "check.sh --delta-smoke: no caesar unit-test binary to run"
+        exit 1
+    fi
+    echo "==> ulimit -v 4194304; $BIN forged --include-ignored"
+    (ulimit -v 4194304 && "$BIN" -q forged --include-ignored)
     OUT="$(mktemp -d)"
     trap 'rm -rf "$OUT"' EXIT
     echo "==> caesar-experiments cluster --scale tiny --out $OUT (output suppressed)"

@@ -501,12 +501,14 @@ fn forged_lane_counts_are_refused_by_both_restores() {
     engine.offer_batch(&workload(100));
     let delta = engine.checkpoint_delta().expect("anchored chain");
 
-    // Snapshot payload: layout version, fingerprint, config, engine
-    // scalars (offered last), SRAM width and words, one tally stripe,
-    // then the lane: offered, recorded, ...
-    let config_end = 2 + FINGERPRINT_BYTES + 46;
-    let offered_total = config_end + 57 - 8;
-    let lane = config_end + 57 + 4 + 8 + 8 * counters + 8 + 16;
+    // Snapshot payload: magic, layout version, fingerprint, chain id
+    // and sequence, settings, engine scalars (offered last), the SRAM
+    // blocks (count, then an index and 64 words per block), one tally
+    // stripe, then the lane: offered, recorded, ...
+    let settings_end = 4 + 2 + FINGERPRINT_BYTES + 16 + 42;
+    let offered_total = settings_end + 24 - 8;
+    let n_words_blocks = counters / caesar::DIRTY_BLOCK_COUNTERS;
+    let lane = settings_end + 24 + 8 + 8 * n_words_blocks + 8 * counters + 16;
     let payload = unseal(&blob).expect("pristine blob");
     assert_eq!(read_u64(payload, lane), 777, "lane offered");
 
@@ -518,14 +520,12 @@ fn forged_lane_counts_are_refused_by_both_restores() {
     }
     assert!(ThreadedCaesar::restore(&blob).is_ok(), "the pristine blob restores");
 
-    // Delta payload: magic, version, fingerprint, chain id, sequence,
-    // epoch, merges, offered, shards, SRAM width and length, the dirty
-    // blocks, one tally stripe, then the lane.
-    let n_blocks_at = 4 + 2 + FINGERPRINT_BYTES + 6 * 8 + 4 + 8;
+    // Delta payload: the same layout, listing only the dirty blocks.
+    let n_blocks_at = settings_end + 24;
     let payload = unseal(&delta).expect("pristine delta");
     let n_blocks = read_u64(payload, n_blocks_at) as usize;
     let block = 8 + 8 * caesar::DIRTY_BLOCK_COUNTERS;
-    let lane = n_blocks_at + 8 + n_blocks * block + 8 + 16;
+    let lane = n_blocks_at + 8 + n_blocks * block + 16;
     assert_eq!(read_u64(payload, lane), 877, "lane offered");
     let forged = forge(&delta, lane + 8, 877, 882);
     let mut replica = OnlineCaesar::restore(&blob).expect("base restores");

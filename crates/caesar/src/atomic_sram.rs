@@ -9,7 +9,7 @@
 //! weakest ordering the algorithm admits.)
 
 use crate::merge::MergeError;
-use crate::sram::{dirty_words_for, DIRTY_BLOCK_SHIFT};
+use crate::sram::DIRTY_BLOCK_COUNTERS;
 use std::sync::atomic::{AtomicU64, Ordering};
 use support::spsc::CachePadded;
 
@@ -36,13 +36,16 @@ pub struct AtomicCounterArray {
     /// Per-stripe tallies; writers pick a stripe (their shard id), the
     /// read accessors sum over all stripes.
     tallies: Box<[CachePadded<Tally>]>,
-    /// Dirty-block bitmap (one bit per
-    /// [`DIRTY_BLOCK_COUNTERS`](crate::sram::DIRTY_BLOCK_COUNTERS)
-    /// counters). Writers test-then-or with relaxed atomics — within an
-    /// epoch almost every write hits an already-set bit, so the hot
-    /// path pays a load, not a locked RMW.
+    /// Dirty bitmap, one bit per counter: word `b` is block `b`'s
+    /// change mask (a block is [`DIRTY_BLOCK_COUNTERS`] = 64 counters).
+    /// Writers test-then-or with relaxed atomics — within an epoch
+    /// almost every write hits an already-set bit, so the hot path pays
+    /// a load, not a locked RMW.
     dirty: Vec<AtomicU64>,
 }
+
+// A block's change mask is one `u64` word.
+const _: () = assert!(DIRTY_BLOCK_COUNTERS == u64::BITS as usize);
 
 impl AtomicCounterArray {
     /// `len` counters of `bits` bits, all zero, with a single tally
@@ -59,70 +62,107 @@ impl AtomicCounterArray {
     /// the hot offered-units/saturation RMWs never contend.
     ///
     /// # Panics
+    /// Panics if `len == 0`, `bits` is outside `1..=63`,
+    /// `stripes == 0`, or the allocator refuses `len` counters.
+    pub fn with_stripes(len: usize, bits: u32, stripes: usize) -> Self {
+        Self::try_with_stripes(len, bits, stripes)
+            .unwrap_or_else(|| panic!("{len} counters are too many to allocate"))
+    }
+
+    /// [`AtomicCounterArray::with_stripes`], or `None` when the
+    /// allocator refuses the `len` counters — the form a restore uses,
+    /// whose `len` comes from outside the program.
+    ///
+    /// # Panics
     /// Panics if `len == 0`, `bits` is outside `1..=63`, or
     /// `stripes == 0`.
-    pub fn with_stripes(len: usize, bits: u32, stripes: usize) -> Self {
+    pub(crate) fn try_with_stripes(len: usize, bits: u32, stripes: usize) -> Option<Self> {
         assert!(len > 0, "counter array cannot be empty");
         assert!((1..=63).contains(&bits), "counter bits must be in 1..=63");
         assert!(stripes >= 1, "need at least one tally stripe");
-        Self {
-            counters: (0..len).map(|_| AtomicU64::new(0)).collect(),
+        let zeroed = |n: usize| {
+            let mut words = Vec::new();
+            words.try_reserve_exact(n).ok()?;
+            words.resize_with(n, || AtomicU64::new(0));
+            Some(words)
+        };
+        Some(Self {
+            counters: zeroed(len)?,
             max_value: (1u64 << bits) - 1,
             bits,
             tallies: (0..stripes).map(|_| CachePadded::<Tally>::default()).collect(),
-            dirty: (0..dirty_words_for(len)).map(|_| AtomicU64::new(0)).collect(),
-        }
+            dirty: zeroed(len.div_ceil(DIRTY_BLOCK_COUNTERS))?,
+        })
     }
 
-    /// Mark the block holding counter `idx` dirty. Test-then-or: the
-    /// locked RMW only fires the first time a block dirties between
-    /// drains, so steady-state writes pay one relaxed load.
+    /// Mark counter `idx` dirty. Test-then-or: the locked RMW only
+    /// fires the first time a counter dirties between drains, so
+    /// steady-state writes pay one relaxed load.
     #[inline(always)]
     fn mark_dirty(&self, idx: usize) {
-        let block = idx >> DIRTY_BLOCK_SHIFT;
-        let word = &self.dirty[block >> 6];
-        let bit = 1u64 << (block & 63);
+        let word = &self.dirty[idx / DIRTY_BLOCK_COUNTERS];
+        let bit = 1u64 << (idx % DIRTY_BLOCK_COUNTERS);
         if word.load(Ordering::Relaxed) & bit == 0 {
             word.fetch_or(bit, Ordering::Relaxed);
         }
     }
 
-    /// Drain the dirty-block bitmap: ascending indices of every block
-    /// written since the last drain, then mark everything clean. Same
-    /// contract as [`crate::CounterArray::take_dirty_blocks`]
-    /// (over-approximates change, never misses a changed counter) —
-    /// **provided the caller drains at a quiescent point**: a writer
-    /// racing the drain may have its mark consumed while its counter
-    /// store lands after the caller reads the block, so the delta
-    /// checkpoint machinery only drains at epoch boundaries, after the
-    /// lane rings and writeback buffers have been flushed.
-    pub fn take_dirty_blocks(&self) -> Vec<usize> {
-        let mut blocks = Vec::new();
-        for (w, word) in self.dirty.iter().enumerate() {
-            let mut bits = word.swap(0, Ordering::Relaxed);
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                blocks.push(w * 64 + b);
-                bits &= bits - 1;
+    /// Drain the dirty bitmap: `(block, change mask)` for every block
+    /// with a counter written since the last drain, ascending, then
+    /// mark everything clean. Bit `i` of a mask is counter
+    /// `block * DIRTY_BLOCK_COUNTERS + i`. Clean words are read, not
+    /// swapped. The masks over-approximate change and never miss a
+    /// changed counter — **provided the caller drains at a quiescent
+    /// point**: a writer racing the drain may have its mark consumed
+    /// while its counter store lands after the caller reads the
+    /// counter, so the delta checkpoint machinery only drains at epoch
+    /// boundaries, after the lane rings and writeback buffers have been
+    /// flushed.
+    pub fn take_dirty_masks(&self) -> Vec<(usize, u64)> {
+        let mut masks = Vec::new();
+        for (block, word) in self.dirty.iter().enumerate() {
+            if word.load(Ordering::Relaxed) != 0 {
+                masks.push((block, word.swap(0, Ordering::Relaxed)));
             }
         }
-        blocks
+        masks
     }
 
-    /// Overwrite counters `start .. start + values.len()` with absolute
-    /// values (relaxed stores, no tallies, no dirty marks) — the block
+    /// Drain the dirty bitmap down to its blocks: ascending indices of
+    /// every [`DIRTY_BLOCK_COUNTERS`]-counter block written since the
+    /// last drain (the blocks whose mask is nonzero; see
+    /// [`AtomicCounterArray::take_dirty_masks`]). Same contract as
+    /// [`crate::CounterArray::take_dirty_blocks`].
+    pub fn take_dirty_blocks(&self) -> Vec<usize> {
+        self.take_dirty_masks().into_iter().map(|(block, _)| block).collect()
+    }
+
+    /// `(block, mask)` for every [`DIRTY_BLOCK_COUNTERS`]-counter block
+    /// holding a nonzero counter, ascending; bit `i` of a mask is set
+    /// when the block's counter `i` is nonzero.
+    pub(crate) fn nonzero_masks(&self) -> Vec<(usize, u64)> {
+        let nonzero = |block: &[AtomicU64]| {
+            let bits = block.iter().map(|c| u64::from(c.load(Ordering::Relaxed) != 0));
+            bits.enumerate().fold(0u64, |mask, (i, bit)| mask | bit << i)
+        };
+        (self.counters.chunks(DIRTY_BLOCK_COUNTERS).enumerate())
+            .filter_map(|(b, block)| Some((b, nonzero(block))).filter(|&(_, m)| m != 0))
+            .collect()
+    }
+
+    /// Overwrite counters with absolute values, given as `(index,
+    /// value)` pairs (relaxed stores, no tallies, no dirty marks) — the
     /// replay primitive of delta-checkpoint restore, where the values
     /// come from a frame that already carries the matching tallies and
     /// the rewritten state re-baselines the dirty bitmap.
     ///
     /// # Panics
-    /// Panics if the range is out of bounds or any value exceeds the
+    /// Panics if an index is out of bounds or a value exceeds the
     /// `bits` cap (callers validate first to report typed errors).
-    pub fn store_counters(&self, start: usize, values: &[u64]) {
-        assert!(start + values.len() <= self.counters.len(), "block out of range");
-        for (c, &v) in self.counters[start..].iter().zip(values) {
+    pub fn store_counters(&self, values: impl IntoIterator<Item = (usize, u64)>) {
+        for (idx, v) in values {
             assert!(v <= self.max_value, "stored counter exceeds {}-bit cap", self.bits);
-            c.store(v, Ordering::Relaxed);
+            self.counters[idx].store(v, Ordering::Relaxed);
         }
     }
 
@@ -602,7 +642,9 @@ impl WritebackBuffer {
     /// The state comes from outside the program: a staged index
     /// `>= len`, a zero increment or a duplicate index (none of which
     /// `push` can leave behind) is refused before anything is sized
-    /// from it. A refused buffer holds part of the state: drop it.
+    /// from it, and an accumulator of `len` counters the allocator
+    /// refuses is refused too. A refused buffer holds part of the
+    /// state: drop it.
     ///
     /// # Panics
     /// Panics if the buffer already holds staged updates.
@@ -612,6 +654,11 @@ impl WritebackBuffer {
             return Err("staged writeback index out of range or zero");
         }
         if !state.pending.is_empty() {
+            // `len` is the restored SRAM's, itself from outside: size
+            // the accumulator fallibly too.
+            let grow = len.saturating_sub(self.acc.len());
+            (self.acc.try_reserve_exact(grow))
+                .map_err(|_| "staged writeback accumulator too large to allocate")?;
             self.acc.resize(len, 0);
         }
         for &(idx, v) in &state.pending {
@@ -936,9 +983,13 @@ mod tests {
         let a = AtomicCounterArray::with_stripes(DIRTY_BLOCK_COUNTERS * 3 + 5, 16, 2);
         assert!(a.take_dirty_blocks().is_empty(), "fresh array is clean");
         a.add(0, 1);
-        a.add_batch_striped(1, &[(DIRTY_BLOCK_COUNTERS * 3 + 4, 9)]);
-        assert_eq!(a.take_dirty_blocks(), vec![0, 3]);
-        assert!(a.take_dirty_blocks().is_empty(), "drain clears");
+        a.add_batch_striped(1, &[(DIRTY_BLOCK_COUNTERS * 3 + 4, 9), (2, 3)]);
+        // One bit per counter: the masks name exactly the written ones.
+        assert_eq!(a.take_dirty_masks(), vec![(0, 0b101), (3, 1 << 4)]);
+        assert!(a.take_dirty_masks().is_empty(), "drain clears");
+        assert_eq!(a.nonzero_masks(), vec![(0, 0b101), (3, 1 << 4)]);
+        a.add(DIRTY_BLOCK_COUNTERS * 3, 1);
+        assert_eq!(a.take_dirty_blocks(), vec![3]);
         a.merge_counters(&{
             let mut v = vec![0u64; DIRTY_BLOCK_COUNTERS * 3 + 5];
             v[DIRTY_BLOCK_COUNTERS + 1] = 7;
@@ -949,7 +1000,7 @@ mod tests {
         // Restore and store_counters re-baseline: no marks.
         let r = AtomicCounterArray::restore(a.bits(), &a.snapshot(), &a.tally_snapshot());
         assert!(r.take_dirty_blocks().is_empty());
-        r.store_counters(DIRTY_BLOCK_COUNTERS, &[3, 4, 5]);
+        r.store_counters([(DIRTY_BLOCK_COUNTERS, 3), (DIRTY_BLOCK_COUNTERS + 1, 4)]);
         assert!(r.take_dirty_blocks().is_empty());
         assert_eq!(r.get(DIRTY_BLOCK_COUNTERS + 1), 4);
     }
@@ -965,9 +1016,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
+    #[should_panic(expected = "out of bounds")]
     fn store_counters_rejects_out_of_range() {
-        AtomicCounterArray::new(4, 8).store_counters(2, &[1, 2, 3]);
+        AtomicCounterArray::new(4, 8).store_counters([(2, 1), (4, 3)]);
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! resident flows. So a forged copy of derived state cannot be
 //! expressed. Decoding checks seal, magic, version, fingerprint,
 //! chain, sequence, then structure, and bounds every count by the
-//! bytes left before anything is sized from it.
+//! bytes left before anything is sized from it. The counter section is
+//! sparse (a snapshot lists the nonzero counters, a link the written
+//! ones), so the input does not bound `L`: the SRAM a snapshot sizes
+//! from it is allocated fallibly.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -26,20 +29,32 @@ use crate::online::{
 use crate::sram::DIRTY_BLOCK_COUNTERS;
 use cachesim::{CachePolicy, CacheStats, CacheTableState};
 use hashkit::KCounterMap;
-use support::bytesx::{seal, unseal, ByteReader, PutBytes};
+use support::bytesx::{seal, unseal, ByteReader, PutBytes, VarintError};
 
 const SNAPSHOT_MAGIC: &[u8; 4] = b"CSNP";
 const DELTA_MAGIC: &[u8; 4] = b"CDLT";
 
 /// Frame layout version, shared by snapshots and deltas (bump on
 /// layout changes; the sealed footer's own version is managed by
-/// [`support::bytesx`]). Version 3 unified the two kinds; earlier
-/// frames are refused, not read.
-const FRAME_VERSION: u16 = 3;
+/// [`support::bytesx`]). Version 3 unified the two kinds, version 4
+/// made the counter-block section sparse; earlier frames are refused,
+/// not read.
+const FRAME_VERSION: u16 = 4;
 
 // ---------------------------------------------------------------------
 // Counter-block section (shared with `CSKD`)
 // ---------------------------------------------------------------------
+
+/// Tag of a block listed by its 64-bit change mask.
+const TAG_MASK: u8 = 0;
+/// Tag of a block listed by a position count and in-block positions.
+const TAG_POSITIONS: u8 = 1;
+/// The most listed counters the positions form is used for: beyond
+/// it, `1 + n` position bytes are no smaller than the 8-byte mask.
+const POSITIONS_MAX: u32 = 6;
+/// The fewest bytes a listed block takes: its gap, tag, a position
+/// count of one, the position and one value.
+const BLOCK_MIN_BYTES: usize = 5;
 
 /// Why a counter-block section was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,84 +65,168 @@ pub(crate) enum BlockError {
     Malformed(&'static str),
 }
 
-/// The counters of block `block` in an array of `len`: a full
-/// [`DIRTY_BLOCK_COUNTERS`] span, or the short tail.
-fn block_span(block: usize, len: usize) -> Range<usize> {
-    let start = block * DIRTY_BLOCK_COUNTERS;
-    start..(start + DIRTY_BLOCK_COUNTERS).min(len)
-}
-
-/// Write a counter-block section: the block count, then per block its
-/// index and one `u64` per counter in its span. `blocks` must be
-/// strictly ascending, each with its span's number of values.
-pub(crate) fn put_blocks<I, V>(buf: &mut Vec<u8>, blocks: I)
-where
-    I: ExactSizeIterator<Item = (usize, V)>,
-    V: IntoIterator<Item = u64>,
-{
-    buf.put_u64_le(blocks.len() as u64);
-    for (block, values) in blocks {
-        buf.put_u64_le(block as u64);
-        for v in values {
-            buf.put_u64_le(v);
+impl From<VarintError> for BlockError {
+    fn from(e: VarintError) -> Self {
+        match e {
+            VarintError::Truncated => BlockError::Truncated,
+            VarintError::Overlong => BlockError::Malformed("overlong varint"),
+            VarintError::Overflow => BlockError::Malformed("varint exceeds 64 bits"),
         }
     }
 }
 
-/// The section of `blocks` read straight from `sram`, without copying
-/// the array.
-fn put_sram_blocks(
-    buf: &mut Vec<u8>,
-    sram: &AtomicCounterArray,
-    blocks: impl ExactSizeIterator<Item = usize>,
-) {
-    let len = sram.len();
-    put_blocks(buf, blocks.map(|b| (b, block_span(b, len).map(|i| sram.get(i)))));
+/// The counters of block `block < len.div_ceil(DIRTY_BLOCK_COUNTERS)`
+/// in an array of `len`: a full [`DIRTY_BLOCK_COUNTERS`] span, or the
+/// short tail. Saturating, for a `len` from outside near `usize::MAX`.
+pub(crate) fn block_span(block: usize, len: usize) -> Range<usize> {
+    let start = block * DIRTY_BLOCK_COUNTERS;
+    start..start.saturating_add(DIRTY_BLOCK_COUNTERS).min(len)
 }
 
-/// Read a [`put_blocks`] section for an array of `len` counters:
-/// indices in range and strictly ascending, each block its span's
-/// length, every value at most `max` (`None` for increments, which are
-/// unbounded).
+/// The in-block positions of `mask`'s set bits, ascending.
+pub(crate) fn positions(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let at = (mask != 0).then(|| mask.trailing_zeros() as usize);
+        mask &= mask.wrapping_sub(1);
+        at
+    })
+}
+
+/// Write a sparse counter-block section: a LEB128 count of listed
+/// blocks, then per block its index gap (LEB128: the index minus the
+/// previous block's plus one; the first block's index itself), a tag
+/// byte choosing the smaller form — [`TAG_MASK`] and the 64-bit change
+/// mask, or [`TAG_POSITIONS`], a position count and one byte per
+/// position — and one LEB128 value per listed counter, in position
+/// order. `blocks` yields `(index, mask, value)`, strictly ascending,
+/// each mask nonzero, with `value(i)` the block's counter `i`.
+pub(crate) fn put_blocks<B, I, F>(buf: &mut B, blocks: I)
+where
+    B: PutBytes,
+    I: ExactSizeIterator<Item = (usize, u64, F)>,
+    F: Fn(usize) -> u64,
+{
+    buf.put_uvarint(blocks.len() as u64);
+    let mut next = 0usize;
+    for (block, mask, value) in blocks {
+        debug_assert!(mask != 0, "a listed block lists a counter");
+        // Wrapping: a misordered block (a hand-built `SketchDelta`'s)
+        // encodes to a gap the decoder refuses, not a panic here.
+        buf.put_uvarint(block.wrapping_sub(next) as u64);
+        next = block.wrapping_add(1);
+        let n = mask.count_ones();
+        if n <= POSITIONS_MAX {
+            buf.put_u8(TAG_POSITIONS);
+            buf.put_u8(n as u8);
+            for i in positions(mask) {
+                buf.put_u8(i as u8);
+            }
+        } else {
+            buf.put_u8(TAG_MASK);
+            buf.put_u64_le(mask);
+        }
+        for i in positions(mask) {
+            buf.put_uvarint(value(i));
+        }
+    }
+}
+
+/// The section listing `masks`' counters of `sram`, read straight from
+/// the array without copying it.
+fn put_sram_blocks(buf: &mut Vec<u8>, sram: &AtomicCounterArray, masks: &[(usize, u64)]) {
+    let value = |block: usize| move |i| sram.get(block * DIRTY_BLOCK_COUNTERS + i);
+    put_blocks(buf, masks.iter().map(|&(block, mask)| (block, mask, value(block))));
+}
+
+/// A decoded counter-block section: the listed blocks as `(index,
+/// change mask)` pairs, strictly ascending, each mask nonzero and
+/// inside its block's span, and one value per set mask bit, block by
+/// block in position order.
+#[derive(Debug)]
+pub(crate) struct Blocks {
+    pub(crate) masks: Vec<(usize, u64)>,
+    pub(crate) values: Vec<u64>,
+}
+
+impl Blocks {
+    /// `(counter index, value)` for every listed counter, ascending.
+    pub(crate) fn counters(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let index = |block: usize| move |i| block * DIRTY_BLOCK_COUNTERS + i;
+        let indices = (self.masks.iter()).flat_map(move |&(b, mask)| positions(mask).map(index(b)));
+        indices.zip(self.values.iter().copied())
+    }
+}
+
+/// Read a [`put_blocks`] section for an array of `len` counters, every
+/// value at most `max` (`None` for increments, which are unbounded).
+/// Refused: a block past the array, an empty block (mask zero), a
+/// position outside the block's span, positions not strictly
+/// ascending, an unknown tag, a non-canonical varint. What it
+/// allocates is bounded by the input, not by `len`: each listed block
+/// takes [`BLOCK_MIN_BYTES`] and each value a byte.
 pub(crate) fn get_blocks(
     r: &mut ByteReader<'_>,
     len: usize,
     max: Option<u64>,
-) -> Result<Vec<(usize, Vec<u64>)>, BlockError> {
+) -> Result<Blocks, BlockError> {
     let total = len.div_ceil(DIRTY_BLOCK_COUNTERS);
     let max = max.unwrap_or(u64::MAX);
-    let count = r.get_u64_le().ok_or(BlockError::Truncated)?;
+    let count = r.get_uvarint()?;
     if count > total as u64 {
         return Err(BlockError::Malformed("more changed blocks than blocks"));
     }
     // `total` trusts the sender's `len`, so it bounds nothing; the
-    // input does. Every block is an index plus at least one value.
+    // input does.
     let count = count as usize;
-    if count > r.remaining() / 16 {
+    if count > r.remaining() / BLOCK_MIN_BYTES {
         return Err(BlockError::Truncated);
     }
-    let mut blocks: Vec<(usize, Vec<u64>)> = Vec::with_capacity(count);
+    let mut masks = Vec::with_capacity(count);
+    let mut values = Vec::new();
+    let mut next = 0usize;
     for _ in 0..count {
-        let block = r.get_u64_le().ok_or(BlockError::Truncated)?;
-        if block >= total as u64 {
-            return Err(BlockError::Malformed("block index out of range"));
+        let gap = r.get_uvarint()?;
+        let block = usize::try_from(gap).ok().and_then(|gap| next.checked_add(gap));
+        let block = (block.filter(|&b| b < total))
+            .ok_or(BlockError::Malformed("block index out of range"))?;
+        let span = block_span(block, len).len();
+        let mask = match r.get_u8().ok_or(BlockError::Truncated)? {
+            TAG_MASK => r.get_u64_le().ok_or(BlockError::Truncated)?,
+            TAG_POSITIONS => {
+                let n = r.get_u8().ok_or(BlockError::Truncated)?;
+                if n == 0 || usize::from(n) > span {
+                    return Err(BlockError::Malformed("position count"));
+                }
+                let at = r.get_slice(usize::from(n)).ok_or(BlockError::Truncated)?;
+                if at.windows(2).any(|w| w[0] >= w[1]) {
+                    return Err(BlockError::Malformed("positions not strictly ascending"));
+                }
+                // Ascending, so the last is the largest: checking it
+                // bounds the shifts below.
+                if usize::from(at[at.len() - 1]) >= span {
+                    return Err(BlockError::Malformed("position outside block"));
+                }
+                at.iter().fold(0u64, |mask, &i| mask | 1 << i)
+            }
+            _ => return Err(BlockError::Malformed("block tag")),
+        };
+        if mask == 0 {
+            return Err(BlockError::Malformed("empty block"));
         }
-        let block = block as usize;
-        if blocks.last().is_some_and(|&(prev, _)| block <= prev) {
-            return Err(BlockError::Malformed("blocks not strictly ascending"));
+        if span < DIRTY_BLOCK_COUNTERS && mask >> span != 0 {
+            return Err(BlockError::Malformed("position outside block"));
         }
-        let span = block_span(block, len);
-        let mut values = Vec::with_capacity(span.len());
-        for _ in span {
-            let v = r.get_u64_le().ok_or(BlockError::Truncated)?;
+        for _ in 0..mask.count_ones() {
+            let v = r.get_uvarint()?;
             if v > max {
                 return Err(BlockError::Malformed("counter exceeds width"));
             }
             values.push(v);
         }
-        blocks.push((block, values));
+        masks.push((block, mask));
+        next = block + 1;
     }
-    Ok(blocks)
+    Ok(Blocks { masks, values })
 }
 
 impl From<BlockError> for DeltaError {
@@ -208,11 +307,13 @@ impl Settings {
 
     /// The scaffold of the engine `fp` and these settings describe, or
     /// why none can be built. `remaining` is the input left after the
-    /// frame's scalars: a snapshot carries all `L` counters, and a
-    /// tally pair and a lane section per shard, so the input bounds
-    /// both before anything is sized from them.
+    /// frame's scalars: a snapshot carries a tally pair and a lane
+    /// section per shard, so the input bounds the shard count before
+    /// anything is sized from it. `L` it cannot bound (a snapshot
+    /// lists only nonzero counters), so the SRAM is sized fallibly: a
+    /// size the allocator refuses is `Corrupt`, not an abort.
     fn scaffold(&self, fp: &SketchFingerprint, remaining: usize) -> Result<Scaffold, DeltaError> {
-        if fp.counters > remaining / 8 || self.shards > remaining / (16 + LANE_SECTION_MIN) {
+        if self.shards > remaining / (16 + LANE_SECTION_MIN) {
             return Err(DeltaError::Truncated);
         }
         let cfg = CaesarConfig {
@@ -229,7 +330,8 @@ impl Settings {
         if self.ring_capacity == 0 || self.epoch_len == 0 || self.watchdog_deadline == 0 {
             return Err(DeltaError::Corrupt("zero ring capacity, epoch length or watchdog"));
         }
-        let (sram, kmap, entries) = ConcurrentCaesar::scaffold(&cfg, self.shards);
+        let (sram, kmap, entries) =
+            ConcurrentCaesar::try_scaffold(&cfg, self.shards).map_err(DeltaError::Corrupt)?;
         Ok(Scaffold { cfg, settings: *self, sram: Arc::new(sram), kmap: Arc::new(kmap), entries })
     }
 }
@@ -278,10 +380,10 @@ impl Scaffold {
 }
 
 /// Seal a frame of `e`'s state into `buf`: a snapshot listing every
-/// counter block when `link` is `None`, else the `CDLT` link
-/// `(chain id, sequence)` listing the blocks dirtied since the last
-/// checkpoint (consuming the dirty baseline). The caller has
-/// quiesced the driver.
+/// nonzero counter when `link` is `None`, else the `CDLT` link
+/// `(chain id, sequence)` listing every counter written since the last
+/// checkpoint (consuming the dirty baseline). The caller has quiesced
+/// the driver.
 pub(crate) fn encode_frame<D>(
     buf: &mut Vec<u8>,
     e: &mut OnlineEngine<D>,
@@ -302,10 +404,12 @@ pub(crate) fn encode_frame<D>(
     buf.put_u64_le(e.merges);
     buf.put_u64_le(e.offered_total);
     let sram = &e.sram;
-    match link {
-        None => put_sram_blocks(buf, sram, 0..sram.len().div_ceil(DIRTY_BLOCK_COUNTERS)),
-        Some(_) => put_sram_blocks(buf, sram, sram.take_dirty_blocks().into_iter()),
-    }
+    let masks = match link {
+        // An absent counter is zero in the restore's zeroed scaffold.
+        None => sram.nonzero_masks(),
+        Some(_) => sram.take_dirty_masks(),
+    };
+    put_sram_blocks(buf, sram, &masks);
     for (added, sat) in sram.tally_snapshot() {
         buf.put_u64_le(added);
         buf.put_u64_le(sat);
@@ -341,7 +445,7 @@ struct Body {
     epoch: u64,
     merges: u64,
     offered_total: u64,
-    blocks: Vec<(usize, Vec<u64>)>,
+    blocks: Blocks,
     tallies: Vec<(u64, u64)>,
     lanes: Vec<Lane>,
 }
@@ -350,9 +454,7 @@ impl Body {
     /// Install the body on `e`, on the chain `chain_id`.
     fn apply(self, e: &mut OnlineCaesar, chain_id: u64) {
         // Plain stores: the values are absolute.
-        for (block, values) in &self.blocks {
-            e.sram.store_counters(block * DIRTY_BLOCK_COUNTERS, values);
-        }
+        e.sram.store_counters(self.blocks.counters());
         e.sram.restore_tallies(&self.tallies);
         e.epoch = self.epoch;
         e.merges = self.merges;
@@ -406,9 +508,6 @@ fn decode_frame(bytes: &[u8], base: Option<&OnlineCaesar>) -> Result<(Scaffold, 
     };
     let len = scaffold.cfg.counters;
     let blocks = get_blocks(&mut r, len, Some(scaffold.sram.max_value()))?;
-    if snapshot && blocks.len() != len.div_ceil(DIRTY_BLOCK_COUNTERS) {
-        return Err(DeltaError::Corrupt("snapshot omits counter blocks"));
-    }
     let tallies = (0..settings.shards)
         .map(|_| Ok((get_u64(&mut r)?, get_u64(&mut r)?)))
         .collect::<Result<Vec<_>, DeltaError>>()?;
@@ -751,6 +850,130 @@ fn decode_fault_log(r: &mut ByteReader<'_>) -> Result<FaultLog, DeltaError> {
     Ok(FaultLog { records })
 }
 
+/// A counter-block section taken apart into its fields, each forgeable
+/// apart from the others: the hostile-input tests of both the frame
+/// and the `CSKD` codec re-encode sections through it.
+#[cfg(test)]
+pub(crate) mod raw {
+    use super::*;
+    use support::rand::rngs::StdRng;
+    use support::rand::Rng;
+
+    /// One listed block, field by field.
+    #[derive(Debug, Clone)]
+    pub(crate) struct RawBlock {
+        pub(crate) gap: u64,
+        pub(crate) tag: u8,
+        pub(crate) mask: u64,
+        pub(crate) count: u8,
+        pub(crate) positions: Vec<u8>,
+        pub(crate) values: Vec<u64>,
+    }
+
+    /// A section, field by field. [`RawSection::put`] writes an honest
+    /// one byte for byte as [`put_blocks`] does.
+    #[derive(Debug, Clone)]
+    pub(crate) struct RawSection {
+        pub(crate) count: u64,
+        pub(crate) blocks: Vec<RawBlock>,
+    }
+
+    /// The section fields the forging tests set, one per case.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) enum SectionField {
+        Count,
+        Gap,
+        Tag,
+        Mask,
+        PositionCount,
+        Position,
+        Value,
+    }
+
+    pub(crate) const SECTION_FIELDS: [SectionField; 7] = [
+        SectionField::Count,
+        SectionField::Gap,
+        SectionField::Tag,
+        SectionField::Mask,
+        SectionField::PositionCount,
+        SectionField::Position,
+        SectionField::Value,
+    ];
+
+    impl RawSection {
+        /// Read a pristine section.
+        pub(crate) fn get(r: &mut ByteReader<'_>, len: usize) -> Self {
+            let blocks = get_blocks(r, len, None).expect("pristine blocks");
+            let mut values = blocks.values.iter().copied();
+            let mut next = 0;
+            let raw = (blocks.masks.iter())
+                .map(|&(block, mask)| {
+                    let gap = (block - next) as u64;
+                    next = block + 1;
+                    let n = mask.count_ones();
+                    RawBlock {
+                        gap,
+                        tag: if n <= POSITIONS_MAX { TAG_POSITIONS } else { TAG_MASK },
+                        mask,
+                        count: n as u8,
+                        positions: positions(mask).map(|i| i as u8).collect(),
+                        values: values.by_ref().take(n as usize).collect(),
+                    }
+                })
+                .collect();
+            Self { count: blocks.masks.len() as u64, blocks: raw }
+        }
+
+        pub(crate) fn put(&self, buf: &mut Vec<u8>) {
+            buf.put_uvarint(self.count);
+            for b in &self.blocks {
+                buf.put_uvarint(b.gap);
+                buf.push(b.tag);
+                if b.tag == TAG_MASK {
+                    buf.put_u64_le(b.mask);
+                } else {
+                    buf.push(b.count);
+                    buf.extend_from_slice(&b.positions);
+                }
+                for &v in &b.values {
+                    buf.put_uvarint(v);
+                }
+            }
+        }
+
+        /// Set `field` to `value` (truncated to the field's width) in a
+        /// random block, switching the block to the form that writes
+        /// the field. `false` when there is no block to forge.
+        pub(crate) fn forge(&mut self, field: SectionField, value: u64, rng: &mut StdRng) -> bool {
+            if let SectionField::Count = field {
+                self.count = value;
+                return true;
+            }
+            if self.blocks.is_empty() {
+                return false;
+            }
+            let at = rng.gen_range(0..self.blocks.len());
+            let b = &mut self.blocks[at];
+            match field {
+                SectionField::Count => unreachable!("handled above"),
+                SectionField::Gap => b.gap = value,
+                SectionField::Tag => b.tag = value as u8,
+                SectionField::Mask => (b.tag, b.mask) = (TAG_MASK, value),
+                SectionField::PositionCount => (b.tag, b.count) = (TAG_POSITIONS, value as u8),
+                SectionField::Position => {
+                    let j = rng.gen_range(0..b.positions.len());
+                    (b.tag, b.positions[j]) = (TAG_POSITIONS, value as u8);
+                }
+                SectionField::Value => {
+                    let j = rng.gen_range(0..b.values.len());
+                    b.values[j] = value;
+                }
+            }
+            true
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -758,6 +981,7 @@ mod tests {
     use support::rand::rngs::StdRng;
     use support::rand::Rng;
     use support::testkit::{for_each_seed_n, GenExt};
+    use raw::{RawSection, SectionField, SECTION_FIELDS};
 
     /// Payload bytes before the settings: magic, version, fingerprint,
     /// chain id and sequence.
@@ -779,7 +1003,7 @@ mod tests {
         head: Vec<u8>,
         settings: Settings,
         scalars: Vec<u8>,
-        blocks: Vec<(usize, Vec<u64>)>,
+        blocks: RawSection,
         tallies: Vec<u8>,
         lanes: Vec<LaneSection>,
     }
@@ -788,7 +1012,7 @@ mod tests {
         fn of(frame: &[u8], len: usize, shards: usize) -> Self {
             let payload = unseal(frame).expect("pristine frame");
             let mut r = ByteReader::new(&payload[PRELUDE..]);
-            let blocks = get_blocks(&mut r, len, None).expect("pristine blocks");
+            let blocks = RawSection::get(&mut r, len);
             let tallies = r.get_slice(16 * shards).expect("pristine tallies").to_vec();
             let lanes =
                 (0..shards).map(|_| LaneSection::get(&mut r).expect("pristine lane")).collect();
@@ -810,18 +1034,15 @@ mod tests {
             let mut buf = self.head.clone();
             self.settings.put(&mut buf);
             buf.extend_from_slice(&self.scalars);
-            put_blocks(&mut buf, self.blocks.iter().map(|(b, v)| (*b, v.iter().copied())));
+            self.blocks.put(&mut buf);
             buf.extend_from_slice(&self.tallies);
             let mut lane_at = Vec::new();
             for lane in &self.lanes {
                 lane_at.push(buf.len());
                 lane.put(&mut buf);
             }
-            if let Some((at, value)) = raw {
-                let at = match at {
-                    Raw::BlockCount => PRELUDE,
-                    Raw::RingLen(lane) => lane_at[lane] + RING_LEN_AT,
-                };
+            if let Some((Raw::RingLen(lane), value)) = raw {
+                let at = lane_at[lane] + RING_LEN_AT;
                 buf[at..at + 8].copy_from_slice(&value.to_le_bytes());
             }
             seal(&mut buf);
@@ -831,7 +1052,6 @@ mod tests {
 
     #[derive(Debug, Clone, Copy)]
     enum Raw {
-        BlockCount,
         RingLen(usize),
     }
 
@@ -893,6 +1113,40 @@ mod tests {
     }
 
     #[test]
+    fn snapshots_list_nonzero_counters_and_deltas_written_ones() {
+        // Epochs short enough that the SRAM fills between frames, over
+        // ~9 written counters per block: some blocks take each form.
+        let cfg = CaesarConfig { counters: 4096, ..cfg() };
+        let mut live = OnlineCaesar::new(cfg, 1).with_epoch_len(500);
+        // A fresh engine's snapshot lists no counter at all.
+        let fresh = Parts::of(&live.snapshot(), cfg.counters, 1);
+        assert_eq!(fresh.blocks.count, 0);
+        live.offer_batch(&traffic(0, 3_000));
+        let base = live.snapshot();
+        let sram = live.sram().snapshot();
+        let listed = Parts::of(&base, cfg.counters, 1).blocks;
+        let nonzero = sram.iter().filter(|&&v| v != 0).count();
+        assert_eq!(listed.blocks.iter().map(|b| b.values.len()).sum::<usize>(), nonzero);
+        let forms: std::collections::BTreeSet<u8> = listed.blocks.iter().map(|b| b.tag).collect();
+        assert_eq!(forms.len(), 2, "blocks are listed in both forms");
+        // A delta lists exactly the counters written since the anchor,
+        // at their absolute values.
+        live.offer_batch(&traffic(1, 2_000));
+        let delta = live.checkpoint_delta().expect("anchored chain");
+        let now = live.sram().snapshot();
+        let payload = unseal(&delta).expect("pristine");
+        let mut r = ByteReader::new(&payload[PRELUDE..]);
+        let blocks = get_blocks(&mut r, cfg.counters, None).expect("pristine blocks");
+        let written: Vec<(usize, u64)> = blocks.counters().collect();
+        for (i, (&was, &is)) in sram.iter().zip(&now).enumerate() {
+            if was != is {
+                assert!(written.contains(&(i, is)), "counter {i} changed but is not listed");
+            }
+        }
+        assert!(written.iter().all(|&(i, v)| now[i] == v));
+    }
+
+    #[test]
     fn earlier_layouts_are_refused_typed() {
         let (base, delta) = frames();
         // A version-2 snapshot began with its version, then the
@@ -904,12 +1158,19 @@ mod tests {
             OnlineCaesar::restore(&old).err(),
             Some(RestoreError::Corrupt("not a snapshot frame"))
         );
-        // A version-1 `CDLT` link keeps its magic.
-        let mut old = unseal(&delta).expect("pristine").to_vec();
-        old[4..6].copy_from_slice(&1u16.to_le_bytes());
-        seal(&mut old);
+        // A version-1 `CDLT` link keeps its magic; version 3, the
+        // dense counter-block layout, shares it with the snapshot.
         let mut replica = OnlineCaesar::restore(&base).expect("base restores");
-        assert_eq!(replica.apply_delta(&old), Err(DeltaError::UnsupportedVersion(1)));
+        for version in [1u16, 3] {
+            let mut old = unseal(&delta).expect("pristine").to_vec();
+            old[4..6].copy_from_slice(&version.to_le_bytes());
+            seal(&mut old);
+            assert_eq!(replica.apply_delta(&old), Err(DeltaError::UnsupportedVersion(version)));
+        }
+        let mut old = unseal(&base).expect("pristine").to_vec();
+        old[4..6].copy_from_slice(&3u16.to_le_bytes());
+        seal(&mut old);
+        assert_eq!(OnlineCaesar::restore(&old).err(), Some(RestoreError::UnsupportedVersion(3)));
     }
 
     #[test]
@@ -972,6 +1233,27 @@ mod tests {
         }
     }
 
+    /// Forge the fingerprint's `L` in both frames: the snapshot must be
+    /// refused typed (its SRAM is sized from `L`, which a sparse
+    /// section no longer bounds), the delta as incompatible.
+    fn assert_length_refused(counters: usize) {
+        let (base, delta) = frames();
+        for frame in [&base, &delta] {
+            let mut parts = Parts::of(frame, cfg().counters, 1);
+            parts.head[6..14].copy_from_slice(&(counters as u64).to_le_bytes());
+            let forged = parts.seal(None);
+            if frame == &delta {
+                let mut replica = OnlineCaesar::restore(&base).expect("base restores");
+                let refused = replica.apply_delta(&forged);
+                assert!(matches!(refused, Err(DeltaError::Incompatible(_))), "{refused:?}");
+            } else {
+                let refused = OnlineCaesar::restore(&forged).err();
+                let why = "counter array too large to allocate";
+                assert_eq!(refused, Some(RestoreError::Corrupt(why)));
+            }
+        }
+    }
+
     #[test]
     fn forged_settings_are_refused_before_anything_is_sized_from_them() {
         // Sizes whose tables overflow or exceed `isize::MAX` bytes are
@@ -979,6 +1261,9 @@ mod tests {
         for n in [0, 1 << 62, usize::MAX] {
             assert_settings_refused(|s| s.cache_entries = n);
             assert_settings_refused(|s| s.ring_capacity = n);
+        }
+        for n in [1 << 62, usize::MAX] {
+            assert_length_refused(n);
         }
         // The input bounds the shard count: each shard needs a tally
         // pair and a lane section.
@@ -999,6 +1284,7 @@ mod tests {
             assert_settings_refused(|s| s.cache_entries = n);
             assert_settings_refused(|s| s.ring_capacity = n);
         }
+        assert_length_refused(1 << 40);
     }
 
     #[test]
@@ -1051,11 +1337,10 @@ mod tests {
         Dropped,
         Quarantined,
         RingLen,
-        BlockIndex,
-        BlockCount,
+        Section(SectionField),
     }
 
-    const FIELDS: [Field; 15] = [
+    const FIELDS: [Field; 20] = [
         Field::SlotFlow,
         Field::SlotCount,
         Field::SlotPrev,
@@ -1069,8 +1354,13 @@ mod tests {
         Field::Dropped,
         Field::Quarantined,
         Field::RingLen,
-        Field::BlockIndex,
-        Field::BlockCount,
+        Field::Section(SECTION_FIELDS[0]),
+        Field::Section(SECTION_FIELDS[1]),
+        Field::Section(SECTION_FIELDS[2]),
+        Field::Section(SECTION_FIELDS[3]),
+        Field::Section(SECTION_FIELDS[4]),
+        Field::Section(SECTION_FIELDS[5]),
+        Field::Section(SECTION_FIELDS[6]),
     ];
 
     /// Set `field` to `value` (truncated to the field's width) at a
@@ -1102,11 +1392,7 @@ mod tests {
             Field::Dropped => section.ledger.dropped = value,
             Field::Quarantined => section.ledger.quarantined = value,
             Field::RingLen => return Some(Some((Raw::RingLen(lane), value))),
-            Field::BlockIndex => {
-                let at = (!parts.blocks.is_empty()).then(|| rng.gen_range(0..parts.blocks.len()));
-                parts.blocks[at?].0 = value as usize;
-            }
-            Field::BlockCount => return Some(Some((Raw::BlockCount, value))),
+            Field::Section(field) => parts.blocks.forge(field, value, rng).then_some(())?,
         }
         Some(None)
     }
@@ -1161,7 +1447,10 @@ mod tests {
             live.offer_batch(&second);
             let delta = live.checkpoint_delta().expect("anchored chain");
             let (l, y) = (counters as u64, cfg.entry_capacity);
-            let values = [0, 1, l - 1, l, y - 1, y, u64::from(u32::MAX), 1 << 50, u64::MAX];
+            // 6/7 and 63/64 straddle the positions-form limit and the
+            // block edge.
+            let values =
+                [0, 1, 6, 7, 63, 64, l - 1, l, y - 1, y, u64::from(u32::MAX), 1 << 50, u64::MAX];
             for field in FIELDS {
                 let value = if rng.gen_bool(0.75) { rng.pick(&values) } else { rng.gen() };
                 let is_delta = rng.gen_bool(0.5);

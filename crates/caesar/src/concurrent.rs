@@ -716,15 +716,24 @@ impl ConcurrentCaesar {
         cfg: &CaesarConfig,
         shards: usize,
     ) -> (AtomicCounterArray, KCounterMap, Vec<usize>) {
-        if let Err(why) = Self::check_shape(cfg, shards) {
-            panic!("{why}");
-        }
+        Self::try_scaffold(cfg, shards).unwrap_or_else(|why| panic!("{why}"))
+    }
+
+    /// [`ConcurrentCaesar::scaffold`], refusing a bad shape or an SRAM
+    /// the allocator will not grant with the reason instead of a panic
+    /// or an abort: the form a restore from outside bytes uses.
+    pub(crate) fn try_scaffold(
+        cfg: &CaesarConfig,
+        shards: usize,
+    ) -> Result<(AtomicCounterArray, KCounterMap, Vec<usize>), &'static str> {
+        Self::check_shape(cfg, shards)?;
         // One tally stripe per shard: the offered-units/saturation RMWs
         // land on private padded lines instead of ping-ponging one.
-        let sram = AtomicCounterArray::with_stripes(cfg.counters, cfg.counter_bits, shards);
+        let sram = AtomicCounterArray::try_with_stripes(cfg.counters, cfg.counter_bits, shards)
+            .ok_or("counter array too large to allocate")?;
         let kmap = KCounterMap::new(cfg.k, cfg.counters, cfg.seed ^ 0x5EED_5EED);
         let entries = per_shard_entries(cfg.cache_entries, shards);
-        (sram, kmap, entries)
+        Ok((sram, kmap, entries))
     }
 
     pub(crate) fn assemble(
@@ -1028,12 +1037,24 @@ impl ConcurrentCaesar {
     pub fn merge_delta(&mut self, delta: &SketchDelta) -> Result<(), MergeError> {
         self.fingerprint().expect_matches(&delta.fingerprint)?;
         let span = crate::sram::DIRTY_BLOCK_COUNTERS;
-        let updates: Vec<(usize, u64)> = delta
-            .blocks
-            .iter()
+        // Every listed block must lie inside the array, zeros or not;
+        // only then are its nonzero increments gathered.
+        let len = self.sram.len();
+        let end = |(block, increments): &(usize, Vec<u64>)| {
+            block.checked_mul(span).and_then(|start| start.checked_add(increments.len()))
+        };
+        if let Some(past) = delta.blocks.iter().map(end).find(|e| e.is_none_or(|e| e > len)) {
+            return Err(MergeError::Geometry {
+                field: "counters",
+                ours: len as u64,
+                theirs: past.map_or(u64::MAX, |e| e as u64 - 1),
+            });
+        }
+        let updates: Vec<(usize, u64)> = (delta.blocks.iter())
             .flat_map(|(block, increments)| {
                 let start = block * span;
-                increments.iter().enumerate().map(move |(i, &v)| (start + i, v))
+                let listed = increments.iter().enumerate().filter(|&(_, &v)| v != 0);
+                listed.map(move |(i, &v)| (start + i, v))
             })
             .collect();
         self.sram.merge_counters_sparse(

@@ -23,9 +23,9 @@
 //! wire-transportable form of a sketch is [`SketchPayload`] — what a
 //! measurement node pushes to an aggregator (see the `service` crate).
 
-use crate::checkpoint::{get_blocks, put_blocks, BlockError};
+use crate::checkpoint::{block_span, get_blocks, positions, put_blocks, BlockError};
 use crate::config::{CaesarConfig, Estimator};
-use support::bytesx::{ByteReader, PutBytes};
+use support::bytesx::{ByteCount, ByteReader, PutBytes};
 
 /// Everything two sketches must share for their counter arrays to be
 /// summable *and* for the merged view to answer queries identically:
@@ -108,13 +108,13 @@ impl SketchFingerprint {
     }
 
     /// Append the fixed-width encoding ([`FINGERPRINT_BYTES`] bytes).
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+    pub fn encode_into(&self, buf: &mut impl PutBytes) {
         buf.put_u64_le(self.counters as u64);
         buf.put_u32_le(self.counter_bits);
         buf.put_u64_le(self.k as u64);
         buf.put_u64_le(self.entry_capacity);
         buf.put_u64_le(self.seed);
-        buf.push(match self.estimator {
+        buf.put_u8(match self.estimator {
             Estimator::Csm => 0,
             Estimator::Mlm => 1,
         });
@@ -250,9 +250,17 @@ impl SketchPayload {
     /// ```
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Append [`SketchPayload::encode`]'s bytes to `buf` — the form a
+    /// caller framing the payload in a larger buffer uses.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        buf.reserve(self.encoded_len());
         buf.put_slice(PAYLOAD_MAGIC);
         buf.put_u16_le(PAYLOAD_VERSION);
-        self.fingerprint.encode_into(&mut buf);
+        self.fingerprint.encode_into(buf);
         buf.put_u64_le(self.total_added);
         buf.put_u64_le(self.saturation_events);
         buf.put_u64_le(self.evictions);
@@ -260,7 +268,6 @@ impl SketchPayload {
         for &c in &self.counters {
             buf.put_u64_le(c);
         }
-        buf
     }
 
     /// Exact size of [`SketchPayload::encode`]'s output in bytes —
@@ -296,8 +303,10 @@ impl SketchPayload {
 
 /// Magic prefix of an encoded [`SketchDelta`].
 pub const DELTA_PAYLOAD_MAGIC: &[u8; 4] = b"CSKD";
-/// Current delta payload encoding version.
-pub const DELTA_PAYLOAD_VERSION: u16 = 1;
+/// Current delta payload encoding version. Version 2 lists only the
+/// nonzero increments (the sparse counter-block section); version 1,
+/// whole blocks at 8 bytes per counter, is refused, not read.
+pub const DELTA_PAYLOAD_VERSION: u16 = 2;
 
 /// The **incremental** wire form of a sketch push: only the counter
 /// blocks that grew since the tap's previous push, plus the tally
@@ -305,12 +314,14 @@ pub const DELTA_PAYLOAD_VERSION: u16 = 1;
 /// non-decreasing (saturating adds never shrink one), so the diff of
 /// two consecutive [`SketchPayload`]s is itself a mergeable sketch —
 /// applying it to the view is counter-wise addition, exactly like
-/// [`SketchPayload`] but O(changed blocks) on the wire instead of
+/// [`SketchPayload`] but O(changed counters) on the wire instead of
 /// O(L).
 ///
 /// Blocks are [`crate::DIRTY_BLOCK_COUNTERS`]-counter spans — the same
 /// granularity the SRAM layer's dirty bitmap tracks — identified by
-/// block index, carrying one increment per counter in the span.
+/// block index, carrying one increment per counter in the span. That
+/// is the in-memory form; on the wire only the nonzero increments are
+/// listed (see [`SketchDelta::encode`]).
 ///
 /// `base_epoch` is the aggregator view epoch this delta diffs against:
 /// the server only applies a delta whose base matches its current
@@ -361,7 +372,9 @@ impl SketchDelta {
             .zip(prev.counters[..len].chunks(span))
             .enumerate()
         {
-            if c != p {
+            // Listed only when some counter grew: a block whose
+            // increments are all zero is not expressible on the wire.
+            if c != p && c.iter().zip(p).any(|(cv, pv)| cv > pv) {
                 blocks.push((
                     block,
                     c.iter().zip(p).map(|(&cv, &pv)| cv.saturating_sub(pv)).collect(),
@@ -418,43 +431,65 @@ impl SketchDelta {
         }
     }
 
-    /// Binary encoding, little-endian throughout:
+    /// Binary encoding:
     ///
     /// ```text
-    /// magic "CSKD", version u16
+    /// magic "CSKD", version u16 (little-endian, as every fixed field)
     /// fingerprint (FINGERPRINT_BYTES)
     /// base_epoch u64
     /// total_added_delta u64, saturation_events_delta u64, evictions_delta u64
-    /// num_blocks u64, then per block: block_index u64 + one u64 per
-    ///   counter in the span (the span is derived from the
-    ///   fingerprint's L, so it is not stored)
+    /// the sparse counter-block section (DESIGN §4j), listing each
+    ///   block with a nonzero increment and in it only those:
+    ///   block count     LEB128
+    ///   per block:      index gap LEB128 (index − previous index − 1;
+    ///                   the first block's index itself)
+    ///                   tag u8: 0 = change mask u64,
+    ///                           1 = position count u8, positions u8 each
+    ///                   one LEB128 increment per listed counter
     /// ```
+    ///
+    /// The span of a block is derived from the fingerprint's `L`, so it
+    /// is not stored; a listed block's unlisted counters decode as zero.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.encoded_len());
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Append [`SketchDelta::encode`]'s bytes to `buf` — the form a
+    /// caller framing the delta in a larger buffer uses, and, into a
+    /// [`ByteCount`], [`SketchDelta::encoded_len`].
+    pub fn encode_into(&self, buf: &mut impl PutBytes) {
         buf.put_slice(DELTA_PAYLOAD_MAGIC);
         buf.put_u16_le(DELTA_PAYLOAD_VERSION);
-        self.fingerprint.encode_into(&mut buf);
+        self.fingerprint.encode_into(buf);
         buf.put_u64_le(self.base_epoch);
         buf.put_u64_le(self.total_added_delta);
         buf.put_u64_le(self.saturation_events_delta);
         buf.put_u64_le(self.evictions_delta);
-        put_blocks(&mut buf, self.blocks.iter().map(|(b, v)| (*b, v.iter().copied())));
-        buf
+        let nonzero = |increments: &[u64]| {
+            let bits = increments.iter().take(64).map(|&v| u64::from(v != 0));
+            bits.enumerate().fold(0u64, |mask, (i, bit)| mask | bit << i)
+        };
+        let listed: Vec<(usize, u64, &[u64])> = (self.blocks.iter())
+            .map(|(block, increments)| (*block, nonzero(increments), increments.as_slice()))
+            .filter(|&(_, mask, _)| mask != 0)
+            .collect();
+        let blocks = listed.iter().map(|&(block, mask, inc)| (block, mask, move |i: usize| inc[i]));
+        put_blocks(buf, blocks);
     }
 
     /// Exact size of [`SketchDelta::encode`]'s output in bytes — the
-    /// wire cost of a delta push, without encoding. O(changed blocks)
-    /// where the full payload's is O(L).
+    /// wire cost of a delta push, without encoding. O(changed counters)
+    /// bytes where the full payload's is O(L).
     pub fn encoded_len(&self) -> usize {
-        let values: usize = self.blocks.iter().map(|(_, v)| v.len()).sum();
-        4 + 2 + FINGERPRINT_BYTES + 40 + self.blocks.len() * 8 + values * 8
+        let mut count = ByteCount::default();
+        self.encode_into(&mut count);
+        count.0
     }
 
-    /// Decode [`SketchDelta::encode`] output, validating block
-    /// structure (in-range, strictly ascending, correct span length)
-    /// so a decoded delta is always safe to apply.
-    pub fn decode(data: &[u8]) -> Result<Self, PayloadError> {
-        let mut r = ByteReader::new(data);
+    /// Read an encoded delta's magic, version and fingerprint.
+    fn get_head(r: &mut ByteReader<'_>) -> Result<SketchFingerprint, PayloadError> {
         let magic = r.get_array::<4>().ok_or(PayloadError::BadMagic)?;
         if &magic != DELTA_PAYLOAD_MAGIC {
             return Err(PayloadError::BadMagic);
@@ -463,19 +498,50 @@ impl SketchDelta {
         if version != DELTA_PAYLOAD_VERSION {
             return Err(PayloadError::BadVersion(version));
         }
-        let fingerprint =
-            SketchFingerprint::decode_from(&mut r).ok_or(PayloadError::Truncated)?;
+        SketchFingerprint::decode_from(r).ok_or(PayloadError::Truncated)
+    }
+
+    /// The fingerprint of an encoded delta, read without decoding its
+    /// blocks. [`SketchDelta::decode`] expands every listed block to
+    /// its full span, so a receiver checks this against its own
+    /// fingerprint first: a matching `L` bounds the expansion by the
+    /// receiver's own array.
+    pub fn decode_fingerprint(data: &[u8]) -> Result<SketchFingerprint, PayloadError> {
+        Self::get_head(&mut ByteReader::new(data))
+    }
+
+    /// Decode [`SketchDelta::encode`] output, validating block
+    /// structure (in range, strictly ascending, nonempty, positions
+    /// inside the span, canonical varints) so a decoded delta is always
+    /// safe to apply. Blocks come back span-length, zeros included.
+    /// The listed form is bounded by the input; the expansion is at
+    /// most 8 bytes per counter of the fingerprint's `L` (see
+    /// [`SketchDelta::decode_fingerprint`]).
+    pub fn decode(data: &[u8]) -> Result<Self, PayloadError> {
+        let mut r = ByteReader::new(data);
+        let fingerprint = Self::get_head(&mut r)?;
         let base_epoch = r.get_u64_le().ok_or(PayloadError::Truncated)?;
         let total_added_delta = r.get_u64_le().ok_or(PayloadError::Truncated)?;
         let saturation_events_delta = r.get_u64_le().ok_or(PayloadError::Truncated)?;
         let evictions_delta = r.get_u64_le().ok_or(PayloadError::Truncated)?;
-        let blocks = get_blocks(&mut r, fingerprint.counters, None).map_err(|e| match e {
+        let len = fingerprint.counters;
+        let section = get_blocks(&mut r, len, None).map_err(|e| match e {
             BlockError::Truncated => PayloadError::Truncated,
             BlockError::Malformed(why) => PayloadError::Malformed(why),
         })?;
         if r.remaining() != 0 {
             return Err(PayloadError::Malformed("trailing bytes"));
         }
+        let mut values = section.values.into_iter();
+        let blocks = (section.masks.iter())
+            .map(|&(block, mask)| {
+                let mut increments = vec![0; block_span(block, len).len()];
+                for (i, v) in positions(mask).zip(&mut values) {
+                    increments[i] = v;
+                }
+                (block, increments)
+            })
+            .collect();
         Ok(Self {
             fingerprint,
             base_epoch,
@@ -490,6 +556,9 @@ impl SketchDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use support::rand::rngs::StdRng;
+    use support::rand::Rng;
+    use support::testkit::{for_each_seed_n, GenExt};
 
     fn fp() -> SketchFingerprint {
         SketchFingerprint::of(&CaesarConfig::default())
@@ -627,14 +696,16 @@ mod tests {
             evictions: 0,
         };
         assert_eq!(SketchDelta::decode(&full.encode()), Err(PayloadError::BadMagic));
-        // Out-of-order and out-of-range blocks are structural errors.
+        // Out-of-order and out-of-range blocks are structural errors:
+        // a block listed before its predecessor encodes to a gap that
+        // runs past the array.
         let unordered = SketchDelta {
             blocks: vec![(1, vec![2; span]), (0, vec![1; span])],
             ..d.clone()
         };
         assert!(matches!(
             SketchDelta::decode(&unordered.encode()),
-            Err(PayloadError::Malformed("blocks not strictly ascending"))
+            Err(PayloadError::Malformed("block index out of range"))
         ));
         let out_of_range = SketchDelta { blocks: vec![(9, vec![1; span])], ..d.clone() };
         assert!(matches!(
@@ -643,25 +714,220 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn forged_delta_block_count_is_truncation_not_an_allocation() {
-        // An 83-byte frame: header only, claiming 2^41 changed blocks
-        // of a 2^47-counter sketch. The count passes the fingerprint
-        // bound, so only the input length can refuse it — before any
-        // allocation is sized from it.
-        let forged = SketchDelta {
-            fingerprint: SketchFingerprint { counters: 1 << 47, ..fp() },
+    /// A delta with no blocks under `fp`, encoded: the 75-byte head and
+    /// a one-byte block count of zero.
+    fn empty_frame(fp: SketchFingerprint) -> Vec<u8> {
+        let empty = SketchDelta {
+            fingerprint: fp,
             base_epoch: 0,
             blocks: Vec::new(),
             total_added_delta: 0,
             saturation_events_delta: 0,
             evictions_delta: 0,
         };
-        let mut frame = forged.encode();
-        assert_eq!(frame.len(), 83);
-        let count_at = frame.len() - 8;
-        frame[count_at..].copy_from_slice(&(1u64 << 41).to_le_bytes());
+        let frame = empty.encode();
+        assert_eq!(frame.len(), HEAD + 1);
+        frame
+    }
+
+    /// Bytes before a `CSKD` frame's block section.
+    const HEAD: usize = 4 + 2 + FINGERPRINT_BYTES + 32;
+
+    #[test]
+    fn forged_delta_block_count_is_truncation_not_an_allocation() {
+        // An 81-byte frame: header only, claiming 2^41 changed blocks
+        // of a 2^47-counter sketch. The count passes the fingerprint
+        // bound, so only the input length can refuse it — before any
+        // allocation is sized from it.
+        let mut frame = empty_frame(SketchFingerprint { counters: 1 << 47, ..fp() });
+        frame.truncate(HEAD);
+        frame.put_uvarint(1 << 41);
+        assert_eq!(frame.len(), 81);
         assert_eq!(SketchDelta::decode(&frame), Err(PayloadError::Truncated));
+    }
+
+    #[test]
+    fn forged_delta_varints_are_refused_typed() {
+        let frame = empty_frame(fp());
+        for (count, why) in [
+            (&[0x80, 0x00][..], "overlong varint"),
+            (&[0x81, 0x80, 0x00][..], "overlong varint"),
+            (&[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 2][..], "varint exceeds 64 bits"),
+            (&[0x80; 11][..], "varint exceeds 64 bits"),
+        ] {
+            let mut forged = frame[..HEAD].to_vec();
+            forged.extend_from_slice(count);
+            assert_eq!(SketchDelta::decode(&forged), Err(PayloadError::Malformed(why)));
+        }
+        // The same inside a block: an overlong gap, then an overlong
+        // value.
+        let mut forged = frame[..HEAD].to_vec();
+        forged.extend_from_slice(&[1, 0x80, 0x00, 1, 1, 0, 1]);
+        assert_eq!(SketchDelta::decode(&forged), Err(PayloadError::Malformed("overlong varint")));
+        let mut forged = frame[..HEAD].to_vec();
+        forged.extend_from_slice(&[1, 0, 1, 1, 0, 0x85, 0x00]);
+        assert_eq!(SketchDelta::decode(&forged), Err(PayloadError::Malformed("overlong varint")));
+    }
+
+    #[test]
+    fn forged_huge_length_with_empty_blocks_is_refused_small() {
+        // A 2^40-counter fingerprint and 10 000 listed blocks, each
+        // with an empty mask: 11 bytes a block, refused at the first.
+        let mut forged = empty_frame(SketchFingerprint { counters: 1 << 40, ..fp() });
+        forged.truncate(HEAD);
+        forged.put_uvarint(10_000);
+        for _ in 0..10_000 {
+            forged.extend_from_slice(&[0, 0]);
+            forged.put_u64_le(0);
+        }
+        assert_eq!(SketchDelta::decode(&forged), Err(PayloadError::Malformed("empty block")));
+        // One counter a block decodes: 5 input bytes to one block of
+        // 64 increments, bounded by the input (a receiver checks the
+        // fingerprint before it lets a delta expand this far).
+        let mut forged = forged[..HEAD].to_vec();
+        forged.put_uvarint(10_000);
+        for _ in 0..10_000 {
+            forged.extend_from_slice(&[0, 1, 1, 63, 1]);
+        }
+        let d = SketchDelta::decode(&forged).expect("well-formed");
+        assert_eq!(d.blocks.len(), 10_000);
+        assert_eq!(d.blocks[9_999], (9_999, (0..64).map(|i| u64::from(i == 63)).collect()));
+        assert!(matches!(
+            crate::concurrent::ConcurrentCaesar::empty(CaesarConfig::default()).merge_delta(&d),
+            Err(MergeError::Geometry { field: "counters", .. })
+        ));
+        // The last block of a `usize::MAX`-counter sketch is 63 long.
+        let mut forged = empty_frame(SketchFingerprint { counters: usize::MAX, ..fp() });
+        forged.truncate(HEAD);
+        forged.put_uvarint(1);
+        forged.put_uvarint((usize::MAX / 64) as u64);
+        forged.extend_from_slice(&[1, 1, 62, 7]);
+        let d = SketchDelta::decode(&forged).expect("well-formed");
+        assert_eq!(d.blocks, vec![(usize::MAX / 64, (0..63).map(|i| 7 * u64::from(i == 62)).collect())]);
+        forged.truncate(forged.len() - 2);
+        forged.extend_from_slice(&[63, 7]);
+        let outside = SketchDelta::decode(&forged);
+        assert_eq!(outside, Err(PayloadError::Malformed("position outside block")));
+    }
+
+    #[test]
+    fn earlier_delta_versions_are_refused_typed() {
+        let mut v1 = empty_frame(fp());
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(SketchDelta::decode(&v1), Err(PayloadError::BadVersion(1)));
+        assert_eq!(SketchDelta::decode_fingerprint(&v1), Err(PayloadError::BadVersion(1)));
+        assert_eq!(SketchDelta::decode_fingerprint(&empty_frame(fp())), Ok(fp()));
+    }
+
+    /// A random delta as `between` can produce it, under a random
+    /// geometry: exports of one tap at two points, most blocks
+    /// untouched, changed counters with increments across every varint
+    /// length, some counters shrinking (a foreign pair), some blocks
+    /// changed only by shrinking.
+    fn random_pair(rng: &mut StdRng) -> (SketchPayload, SketchPayload) {
+        // At least `k` counters, so a view of the geometry exists.
+        let counters = rng.gen_range(3usize..700);
+        let f = SketchFingerprint { counters, ..fp() };
+        let prev: Vec<u64> = (0..counters).map(|_| rng.gen_range(0..1_000)).collect();
+        let density = rng.pick(&[0.002, 0.05, 0.3, 1.0]);
+        let cur = (prev.iter())
+            .map(|&p| match rng.gen_range(0..100) {
+                _ if !rng.gen_bool(density) => p,
+                0..=4 => p.saturating_sub(rng.gen_range(1..=p.max(1))),
+                5..=9 => p + (1 << rng.gen_range(0..62)),
+                _ => p + rng.gen_range(1..300),
+            })
+            .collect();
+        let payload = |counters| SketchPayload {
+            fingerprint: f,
+            counters,
+            total_added: 10,
+            saturation_events: 1,
+            evictions: 2,
+        };
+        (payload(prev), payload(cur))
+    }
+
+    #[test]
+    fn between_deltas_roundtrip_and_encoded_len_is_exact() {
+        for_each_seed_n(200, |rng| {
+            let (prev, cur) = random_pair(rng);
+            let d = SketchDelta::between(&prev, &cur, rng.gen()).expect("one fingerprint");
+            let enc = d.encode();
+            assert_eq!(d.encoded_len(), enc.len());
+            assert_eq!(SketchDelta::decode(&enc).as_ref(), Ok(&d));
+            let mut framed = vec![0xA5];
+            d.encode_into(&mut framed);
+            assert_eq!(&framed[1..], enc.as_slice());
+            // Every listed block grew somewhere.
+            assert!(d.blocks.iter().all(|(_, inc)| inc.iter().any(|&v| v != 0)));
+        });
+    }
+
+    #[test]
+    fn encoded_len_is_exact_over_random_deltas() {
+        for_each_seed_n(200, |rng| {
+            let counters = rng.gen_range(1usize..2_000);
+            let total = counters.div_ceil(crate::sram::DIRTY_BLOCK_COUNTERS);
+            let mut blocks = Vec::new();
+            for block in 0..total {
+                if rng.gen_bool(0.3) {
+                    let span = block_span(block, counters).len();
+                    let value = |rng: &mut StdRng| rng.gen::<u64>() >> rng.gen_range(0..64);
+                    let inc = (0..span)
+                        .map(|_| if rng.gen_bool(0.5) { 0 } else { value(rng) })
+                        .collect();
+                    blocks.push((block, inc));
+                }
+            }
+            let d = SketchDelta {
+                fingerprint: SketchFingerprint { counters, ..fp() },
+                base_epoch: rng.gen(),
+                blocks,
+                total_added_delta: rng.gen(),
+                saturation_events_delta: rng.gen(),
+                evictions_delta: rng.gen(),
+            };
+            assert_eq!(d.encoded_len(), d.encode().len());
+        });
+    }
+
+    /// Forge one section field of random deltas' frames (boundary
+    /// values and random ones): each must be refused typed, or decode
+    /// to a delta whose blocks are in range, strictly ascending and
+    /// span-length, and which merges.
+    #[test]
+    fn forged_delta_sections_are_refused_typed_or_merge() {
+        use crate::checkpoint::raw::{RawSection, SECTION_FIELDS};
+        use crate::concurrent::ConcurrentCaesar;
+        for_each_seed_n(64, |rng| {
+            let (prev, cur) = random_pair(rng);
+            let d = SketchDelta::between(&prev, &cur, 3).expect("one fingerprint");
+            let enc = d.encode();
+            let len = d.fingerprint.counters as u64;
+            let values = [0, 1, 6, 7, 63, 64, 255, len - 1, len, len / 64, 1 << 50, u64::MAX];
+            for field in SECTION_FIELDS {
+                let value = if rng.gen_bool(0.75) { rng.pick(&values) } else { rng.gen() };
+                let mut raw = RawSection::get(&mut ByteReader::new(&enc[HEAD..]), len as usize);
+                if !raw.forge(field, value, rng) {
+                    continue;
+                }
+                let mut forged = enc[..HEAD].to_vec();
+                raw.put(&mut forged);
+                let Ok(back) = SketchDelta::decode(&forged) else {
+                    continue;
+                };
+                let mut next = 0;
+                for (block, inc) in &back.blocks {
+                    assert!(*block >= next, "{field:?}: blocks strictly ascending");
+                    assert_eq!(inc.len(), block_span(*block, len as usize).len(), "{field:?}");
+                    next = block + 1;
+                }
+                let cfg = CaesarConfig { counters: len as usize, ..CaesarConfig::default() };
+                let mut view = ConcurrentCaesar::empty(cfg);
+                assert_eq!(view.merge_delta(&back), Ok(()), "{field:?}");
+            }
+        });
     }
 
     #[test]

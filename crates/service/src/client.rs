@@ -60,8 +60,15 @@ impl From<ProtoError> for ServiceError {
 /// One request/response round trip; how the bytes move is the
 /// implementor's business.
 pub trait Transport {
+    /// Send one encoded request payload (see [`Request::encode`]), wait
+    /// for and return the response. The buffer is the frame's own: a
+    /// socket transport seals it in place and writes it.
+    fn exchange(&mut self, payload: Vec<u8>) -> Result<Response, ServiceError>;
+
     /// Send `request`, wait for and return the response.
-    fn round_trip(&mut self, request: &Request) -> Result<Response, ServiceError>;
+    fn round_trip(&mut self, request: &Request) -> Result<Response, ServiceError> {
+        self.exchange(request.encode())
+    }
 }
 
 /// In-process transport: drives a [`MeasurementService`] directly
@@ -79,8 +86,8 @@ impl<'a> InProcess<'a> {
 }
 
 impl Transport for InProcess<'_> {
-    fn round_trip(&mut self, request: &Request) -> Result<Response, ServiceError> {
-        let payload = self.service.handle_payload(&request.encode());
+    fn exchange(&mut self, payload: Vec<u8>) -> Result<Response, ServiceError> {
+        let payload = self.service.handle_payload(&payload);
         Ok(Response::decode(&payload)?)
     }
 }
@@ -104,8 +111,8 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn round_trip(&mut self, request: &Request) -> Result<Response, ServiceError> {
-        write_frame(&mut self.stream, &request.encode())?;
+    fn exchange(&mut self, payload: Vec<u8>) -> Result<Response, ServiceError> {
+        write_frame(&mut self.stream, payload)?;
         let payload = read_frame(&mut self.stream)?
             .ok_or(ServiceError::Proto(ProtoError::Io("server closed".into())))?;
         Ok(Response::decode(&payload)?)
@@ -171,7 +178,7 @@ impl<T: Transport> MeasurementClient<T> {
     /// (the epoch the merge created, total sketches merged, and the
     /// server-measured payload size).
     pub fn push_sketch(&mut self, sketch: &SketchPayload) -> Result<PushReceipt, ServiceError> {
-        match self.transport.round_trip(&Request::PushSketch(sketch.clone()))? {
+        match self.transport.exchange(Request::push_sketch_payload(sketch))? {
             Response::PushAck { epoch, nodes, bytes } => {
                 Ok(PushReceipt { epoch, nodes, bytes })
             }
@@ -190,7 +197,7 @@ impl<T: Transport> MeasurementClient<T> {
     /// not its cumulative sketch: payload merges are additive, so
     /// re-pushing mass the view already acked would double-count it.
     pub fn push_delta(&mut self, delta: &SketchDelta) -> Result<DeltaPush, ServiceError> {
-        match self.transport.round_trip(&Request::PushDelta(delta.clone()))? {
+        match self.transport.exchange(Request::push_delta_payload(delta))? {
             Response::PushAck { epoch, nodes, bytes } => {
                 Ok(DeltaPush::Accepted(PushReceipt { epoch, nodes, bytes }))
             }

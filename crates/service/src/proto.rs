@@ -29,7 +29,7 @@
 use std::io::Read;
 
 use caesar::{QueryHealth, SketchDelta, SketchFingerprint, SketchPayload};
-use support::bytesx::{seal, unseal, ByteReader, PutBytes, SealError};
+use support::bytesx::{seal, unseal, ByteReader, PutBytes, SealError, SEAL_FOOTER_LEN};
 
 /// Upper bound on a frame body. A `PushSketch` for one million 64-bit
 /// counters is ~8 MB; 64 MB leaves an order of magnitude of headroom
@@ -214,7 +214,41 @@ const TAG_STATS_RSP: u8 = 0x85;
 const TAG_DELTA_NACK: u8 = 0x86;
 const TAG_ERROR: u8 = 0xFF;
 
+/// An empty payload buffer with room for `len` bytes and the seal
+/// footer, so [`write_frame`] seals it without reallocating.
+fn payload_buf(len: usize) -> Vec<u8> {
+    Vec::with_capacity(len + SEAL_FOOTER_LEN)
+}
+
 impl Request {
+    /// The payload [`Request::PushSketch`] of `sketch` encodes to,
+    /// written once, straight from the borrowed sketch.
+    pub fn push_sketch_payload(sketch: &SketchPayload) -> Vec<u8> {
+        let mut buf = payload_buf(1 + sketch.encoded_len());
+        buf.push(TAG_PUSH);
+        sketch.encode_into(&mut buf);
+        buf
+    }
+
+    /// The payload [`Request::PushDelta`] of `delta` encodes to,
+    /// written once, straight from the borrowed delta.
+    pub fn push_delta_payload(delta: &SketchDelta) -> Vec<u8> {
+        let mut buf = payload_buf(0);
+        buf.push(TAG_PUSH_DELTA);
+        delta.encode_into(&mut buf);
+        buf
+    }
+
+    /// The fingerprint of an encoded `PushDelta` payload, read without
+    /// decoding its blocks; `None` for any other payload, or one whose
+    /// delta header does not decode (its full decode reports why).
+    pub fn push_delta_fingerprint(payload: &[u8]) -> Option<SketchFingerprint> {
+        match payload.split_first() {
+            Some((&TAG_PUSH_DELTA, delta)) => SketchDelta::decode_fingerprint(delta).ok(),
+            _ => None,
+        }
+    }
+
     /// Encode into a raw (unsealed) payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -223,14 +257,8 @@ impl Request {
                 buf.push(TAG_HELLO);
                 fp.encode_into(&mut buf);
             }
-            Request::PushSketch(p) => {
-                buf.push(TAG_PUSH);
-                buf.put_slice(&p.encode());
-            }
-            Request::PushDelta(d) => {
-                buf.push(TAG_PUSH_DELTA);
-                buf.put_slice(&d.encode());
-            }
+            Request::PushSketch(p) => return Self::push_sketch_payload(p),
+            Request::PushDelta(d) => return Self::push_delta_payload(d),
             Request::Query(flows) => {
                 buf.push(TAG_QUERY);
                 buf.put_u64_le(flows.len() as u64);
@@ -437,9 +465,9 @@ fn expect_drained(r: &ByteReader<'_>) -> Result<(), ProtoError> {
     Ok(())
 }
 
-/// Write one frame: seal `payload` and prefix the body length.
-pub fn write_frame(w: &mut impl std::io::Write, payload: &[u8]) -> Result<(), ProtoError> {
-    let mut body = payload.to_vec();
+/// Write one frame: seal `payload` in place and prefix the body length.
+pub fn write_frame(w: &mut impl std::io::Write, payload: Vec<u8>) -> Result<(), ProtoError> {
+    let mut body = payload;
     seal(&mut body);
     if body.len() > MAX_FRAME_BYTES {
         return Err(ProtoError::Oversized(body.len() as u64));
@@ -572,7 +600,7 @@ mod tests {
     fn frames_roundtrip_and_reject_corruption() {
         let payload = Request::Query(vec![1, 2, 3]).encode();
         let mut wire = Vec::new();
-        write_frame(&mut wire, &payload).unwrap();
+        write_frame(&mut wire, payload.clone()).unwrap();
         let mut cursor = &wire[..];
         assert_eq!(read_frame(&mut cursor).unwrap(), Some(payload.clone()));
         // Clean EOF at the boundary.

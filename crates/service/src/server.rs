@@ -65,21 +65,19 @@ impl MeasurementService {
         match request {
             Request::Hello(_) => Response::HelloAck(self.fingerprint),
             Request::PushSketch(payload) => {
+                let bytes = payload.encoded_len() as u64;
                 let mut view = self.view.write().expect("view lock");
                 match view.sketch.merge_sketch(payload) {
                     Ok(()) => {
                         view.epoch += 1;
                         view.nodes += 1;
-                        Response::PushAck {
-                            epoch: view.epoch,
-                            nodes: view.nodes,
-                            bytes: payload.encoded_len() as u64,
-                        }
+                        Response::PushAck { epoch: view.epoch, nodes: view.nodes, bytes }
                     }
                     Err(e) => Response::Error(e.to_string()),
                 }
             }
             Request::PushDelta(delta) => {
+                let bytes = delta.encoded_len() as u64;
                 let mut view = self.view.write().expect("view lock");
                 // Optimistic concurrency: the delta was diffed against
                 // a specific view epoch; if any other push landed in
@@ -94,11 +92,7 @@ impl MeasurementService {
                         // contribution; `nodes` counts sketches, so
                         // only the epoch bumps.
                         view.epoch += 1;
-                        Response::PushAck {
-                            epoch: view.epoch,
-                            nodes: view.nodes,
-                            bytes: delta.encoded_len() as u64,
-                        }
+                        Response::PushAck { epoch: view.epoch, nodes: view.nodes, bytes }
                     }
                     Err(e) => Response::Error(e.to_string()),
                 }
@@ -135,7 +129,17 @@ impl MeasurementService {
     /// payload, handle it, encode the response payload. Decode
     /// failures become [`Response::Error`] payloads, never a dropped
     /// connection.
+    ///
+    /// A `PushDelta`'s fingerprint is checked against the view's before
+    /// the delta is decoded: decoding expands every listed block to its
+    /// full span, so only a matching `L` bounds that by the view's own
+    /// array. A few bytes per block under a forged `L` are refused here.
     pub fn handle_payload(&self, payload: &[u8]) -> Vec<u8> {
+        if let Some(Err(e)) = Request::push_delta_fingerprint(payload)
+            .map(|theirs| self.fingerprint.expect_matches(&theirs))
+        {
+            return Response::Error(e.to_string()).encode();
+        }
         let response = match Request::decode(payload) {
             Ok(request) => self.handle(&request),
             Err(e) => Response::Error(e.to_string()),
@@ -233,13 +237,14 @@ fn serve_connection(service: &MeasurementService, mut stream: TcpStream) -> Resu
             return Ok(()); // peer closed between frames
         };
         let response = service.handle_payload(&payload);
-        write_frame(&mut stream, &response)?;
+        write_frame(&mut stream, response)?;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caesar::SketchDelta;
 
     fn cfg() -> CaesarConfig {
         CaesarConfig {
@@ -305,6 +310,44 @@ mod tests {
         let svc = MeasurementService::new(cfg());
         let rsp = Response::decode(&svc.handle_payload(b"\xEEgarbage")).unwrap();
         assert!(matches!(rsp, Response::Error(_)));
+    }
+
+    /// A `PushDelta` whose fingerprint claims `L` = 2^40 and lists
+    /// 9 million blocks of one counter each: 45 MB of input that would
+    /// expand to 4.6 GB of span-length blocks. The view refuses it on
+    /// its fingerprint before expanding a block, so this stays small
+    /// (under `ulimit -v` in `scripts/check.sh --delta-smoke`, an
+    /// expansion would abort the process).
+    #[test]
+    fn forged_push_delta_with_a_huge_length_is_refused_before_expansion() {
+        use support::bytesx::PutBytes;
+        let svc = MeasurementService::new(cfg());
+        let blocks = 9_000_000;
+        let head = SketchDelta {
+            fingerprint: SketchFingerprint { counters: 1 << 40, ..svc.fingerprint() },
+            base_epoch: 0,
+            blocks: Vec::new(),
+            total_added_delta: 1,
+            saturation_events_delta: 0,
+            evictions_delta: 0,
+        };
+        let mut payload = Request::push_delta_payload(&head);
+        payload.pop(); // the empty block count
+        payload.reserve(5 * blocks + 8);
+        payload.put_uvarint(blocks as u64);
+        for _ in 0..blocks {
+            // Gap 0, the positions form with one position, value 1.
+            payload.extend_from_slice(&[0, 1, 1, 0, 1]);
+        }
+        assert!(payload.len() < crate::proto::MAX_FRAME_BYTES);
+        match Response::decode(&svc.handle_payload(&payload)).unwrap() {
+            Response::Error(msg) => assert!(msg.contains("counters"), "{msg}"),
+            other => panic!("wrong variant: {other:?}"),
+        }
+        match svc.handle(&Request::Stats) {
+            Response::Stats(s) => assert_eq!((s.epoch, s.total_added), (0, 0)),
+            other => panic!("wrong variant: {other:?}"),
+        }
     }
 
     fn hash_flow(i: u64) -> u64 {

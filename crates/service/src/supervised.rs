@@ -10,7 +10,7 @@
 //!   wire) — the aggregator has never seen this tap;
 //! * every later sync diffs the engine's export against the last
 //!   state the aggregator acked and pushes the **delta**
-//!   ([`SketchDelta`], O(changed blocks));
+//!   ([`SketchDelta`], O(changed counters));
 //! * an idle epoch (empty delta) pushes **nothing**;
 //! * a [`DeltaPush::Stale`] NACK — the view epoch moved under the tap,
 //!   typically because a sibling tap pushed — recovers with

@@ -4,12 +4,17 @@
 //! Writers push onto a plain `Vec<u8>` through [`PutBytes`]; readers
 //! walk a borrowed slice with [`ByteReader`], which length-checks every
 //! read so decoders can surface truncation as an error instead of a
-//! panic.
+//! panic. Variable-length integers are canonical unsigned LEB128
+//! ([`PutBytes::put_uvarint`], [`ByteReader::get_uvarint`]).
 
 /// Appending little-endian primitives to a byte buffer.
 pub trait PutBytes {
     /// Append raw bytes.
     fn put_slice(&mut self, src: &[u8]);
+    /// Append one byte.
+    fn put_u8(&mut self, v: u8) {
+        self.put_slice(&[v]);
+    }
     /// Append a `u16`, little-endian.
     fn put_u16_le(&mut self, v: u16) {
         self.put_slice(&v.to_le_bytes());
@@ -22,13 +27,70 @@ pub trait PutBytes {
     fn put_u64_le(&mut self, v: u64) {
         self.put_slice(&v.to_le_bytes());
     }
+    /// Append `v` as unsigned LEB128: seven bits per byte, low group
+    /// first, the high bit set on every byte but the last. Always the
+    /// shortest form, which is the only form
+    /// [`ByteReader::get_uvarint`] accepts.
+    fn put_uvarint(&mut self, mut v: u64) {
+        let mut out = [0u8; UVARINT_MAX];
+        let mut n = 0;
+        while v >= 0x80 {
+            out[n] = v as u8 | 0x80;
+            v >>= 7;
+            n += 1;
+        }
+        out[n] = v as u8;
+        self.put_slice(&out[..=n]);
+    }
 }
 
 impl PutBytes for Vec<u8> {
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }
+
+    fn put_u8(&mut self, v: u8) {
+        self.push(v);
+    }
 }
+
+/// A [`PutBytes`] sink that only counts: the exact length an encoder
+/// would write, without writing it.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ByteCount(pub usize);
+
+impl PutBytes for ByteCount {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.0 += src.len();
+    }
+}
+
+/// The most bytes a `u64` takes as LEB128.
+const UVARINT_MAX: usize = 10;
+
+/// Why [`ByteReader::get_uvarint`] refused its input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VarintError {
+    /// The input ended inside the varint.
+    Truncated,
+    /// A longer encoding than the value needs (it ends in a zero
+    /// group): the value has another, canonical, encoding.
+    Overlong,
+    /// The value does not fit in 64 bits.
+    Overflow,
+}
+
+impl std::fmt::Display for VarintError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            VarintError::Truncated => "varint truncated",
+            VarintError::Overlong => "overlong varint",
+            VarintError::Overflow => "varint exceeds 64 bits",
+        })
+    }
+}
+
+impl std::error::Error for VarintError {}
 
 /// A checked cursor over a byte slice. Every `get_*` returns `None`
 /// once the input runs dry, so decoders never panic on truncated data.
@@ -100,6 +162,27 @@ impl<'a> ByteReader<'a> {
         let n = usize::try_from(self.get_u64_le()?).ok()?;
         (n <= self.remaining() / width).then_some(n)
     }
+
+    /// Read a canonical unsigned LEB128 value (see
+    /// [`PutBytes::put_uvarint`]). A refused read consumes nothing.
+    pub fn get_uvarint(&mut self) -> Result<u64, VarintError> {
+        let mut v = 0u64;
+        for (i, &b) in self.buf.iter().take(UVARINT_MAX).enumerate() {
+            // The tenth group holds bit 63 alone.
+            if i == UVARINT_MAX - 1 && b > 1 {
+                return Err(VarintError::Overflow);
+            }
+            v |= u64::from(b & 0x7F) << (7 * i);
+            if b & 0x80 == 0 {
+                if b == 0 && i > 0 {
+                    return Err(VarintError::Overlong);
+                }
+                self.buf = &self.buf[i + 1..];
+                return Ok(v);
+            }
+        }
+        Err(VarintError::Truncated)
+    }
 }
 
 /// Magic tag of a sealed buffer footer (`b"CSRB"` — CAESAR blob —
@@ -109,7 +192,8 @@ const SEAL_MAGIC: u32 = u32::from_le_bytes(*b"CSRB");
 /// payload) changes shape.
 const SEAL_VERSION: u16 = 1;
 /// Footer length: magic (4) + version (2) + payload len (8) + fnv (8).
-const SEAL_FOOTER_LEN: usize = 4 + 2 + 8 + 8;
+/// A buffer with this much spare capacity seals without reallocating.
+pub const SEAL_FOOTER_LEN: usize = 4 + 2 + 8 + 8;
 
 use hashkit::fnv::fnv1a64;
 
@@ -216,6 +300,51 @@ mod tests {
         forged.clear();
         forged.put_u64_le(u64::MAX);
         assert_eq!(ByteReader::new(&forged).get_count(8), None);
+    }
+
+    #[test]
+    fn uvarints_roundtrip_at_every_length() {
+        let mut values = vec![0, 1, 0x7F, 0x80, 0x3FFF, 0x4000, u64::MAX - 1, u64::MAX];
+        values.extend((0..64).map(|s| 1u64 << s));
+        values.extend((1..64).map(|s| (1u64 << s) - 1));
+        for v in values {
+            let mut buf = Vec::new();
+            buf.put_uvarint(v);
+            let groups = (64 - (v | 1).leading_zeros() as usize).div_ceil(7);
+            assert_eq!(buf.len(), groups, "{v:#x}: the shortest form");
+            let mut count = ByteCount::default();
+            count.put_uvarint(v);
+            assert_eq!(count.0, buf.len());
+            buf.push(0xA5);
+            let mut r = ByteReader::new(&buf);
+            assert_eq!(r.get_uvarint(), Ok(v));
+            assert_eq!(r.get_u8(), Some(0xA5), "reads exactly its own bytes");
+        }
+    }
+
+    #[test]
+    fn overlong_overflowing_and_truncated_uvarints_are_refused() {
+        let refused = |bytes: &[u8], want: VarintError| {
+            let mut r = ByteReader::new(bytes);
+            assert_eq!(r.get_uvarint(), Err(want), "{bytes:x?}");
+            assert_eq!(r.remaining(), bytes.len(), "a refused read consumes nothing");
+        };
+        // Overlong: a trailing zero group, at every length.
+        refused(&[0x80, 0x00], VarintError::Overlong);
+        refused(&[0x81, 0x80, 0x00], VarintError::Overlong);
+        let nine = [0xFF; 9];
+        refused(&[&nine[..], &[0x00]].concat(), VarintError::Overlong);
+        // Over 64 bits: bit 64 set, or an eleventh byte.
+        refused(&[&nine[..], &[0x02]].concat(), VarintError::Overflow);
+        refused(&[0x80; 10], VarintError::Overflow);
+        refused(&[0xFF; 11], VarintError::Overflow);
+        // Truncated: empty, or every byte continues.
+        refused(&[], VarintError::Truncated);
+        refused(&[0x80], VarintError::Truncated);
+        refused(&[0xFF; 9], VarintError::Truncated);
+        // The largest value in ten bytes is fine.
+        let max = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        assert_eq!(ByteReader::new(&max).get_uvarint(), Ok(u64::MAX));
     }
 
     #[test]

@@ -37,10 +37,14 @@
 #                       their release binary under `ulimit -v` 4 GiB,
 #                       so an allocation sized from forged input fails
 #                       at once instead of eating the host — including
-#                       the ignored ones whose forged sizes only the
-#                       address limit makes safe to ask for —, then the
-#                       tiny-scale cluster-view sweep whose rows now
-#                       carry measured full-vs-delta wire bytes.
+#                       the ignored ones whose forged sizes (cache,
+#                       ring and L) only the address limit makes safe
+#                       to ask for —, and likewise the service unit
+#                       tests named `forged*` (a PushDelta whose
+#                       fingerprint claims L = 2^40 must be refused
+#                       before a block expands), then the tiny-scale
+#                       cluster-view sweep whose rows now carry
+#                       measured full-vs-delta wire bytes.
 #   --simd-smoke        lane-kernel smoke mode: run the lane bit-identity
 #                       suites (tests/lane_kernels.rs — chunked CSM/MLM
 #                       sweeps ≡ scalar prepared kernels bit for bit —
@@ -169,14 +173,16 @@ if [ "${1:-}" = "--delta-smoke" ]; then
     run cargo test --release --offline -q --test delta_checkpoint
     run cargo test --release --offline -q -p caesar --lib -- delta
     run cargo test --release --offline -q -p service
-    BIN="$(cargo test --release --offline -q -p caesar --lib --no-run --message-format=json \
-        | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' | head -1)"
-    if [ -z "$BIN" ]; then
-        echo "check.sh --delta-smoke: no caesar unit-test binary to run"
-        exit 1
-    fi
-    echo "==> ulimit -v 4194304; $BIN forged --include-ignored"
-    (ulimit -v 4194304 && "$BIN" -q forged --include-ignored)
+    for crate in caesar service; do
+        BIN="$(cargo test --release --offline -q -p "$crate" --lib --no-run --message-format=json \
+            | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' | head -1)"
+        if [ -z "$BIN" ]; then
+            echo "check.sh --delta-smoke: no $crate unit-test binary to run"
+            exit 1
+        fi
+        echo "==> ulimit -v 4194304; $BIN forged --include-ignored"
+        (ulimit -v 4194304 && "$BIN" -q forged --include-ignored)
+    done
     OUT="$(mktemp -d)"
     trap 'rm -rf "$OUT"' EXIT
     echo "==> caesar-experiments cluster --scale tiny --out $OUT (output suppressed)"

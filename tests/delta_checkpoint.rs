@@ -11,7 +11,7 @@
 //! foreign chains, foreign fleets) must be refused with typed errors,
 //! never half-applied.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use caesar::{
     AtomicCounterArray, BackpressurePolicy, CaesarConfig, ChainError, CounterArray, DeltaError,
@@ -459,7 +459,20 @@ fn dirty_block_bitmaps_cover_every_changed_counter() {
         let after_atomic = atomic.snapshot();
         check("CounterArray", &before, &after_plain, &plain.take_dirty_blocks());
         check("PackedCounterArray", &before, &after_packed, &packed.take_dirty_blocks());
-        check("AtomicCounterArray", &before, &after_atomic, &atomic.take_dirty_blocks());
+        // The atomic array tracks one bit per counter: its masks cover
+        // every changed counter itself, not just its block.
+        let masks = atomic.take_dirty_masks();
+        let blocks: Vec<usize> = masks.iter().map(|&(b, _)| b).collect();
+        check("AtomicCounterArray", &before, &after_atomic, &blocks);
+        assert!(masks.iter().all(|&(_, m)| m != 0), "listed masks are nonempty");
+        let mask_of: HashMap<usize, u64> = masks.into_iter().collect();
+        for (i, (&b, &a)) in before.iter().zip(&after_atomic).enumerate() {
+            let bit = 1u64 << (i % DIRTY_BLOCK_COUNTERS);
+            if b != a {
+                let mask = mask_of.get(&(i / DIRTY_BLOCK_COUNTERS)).copied().unwrap_or(0);
+                assert!(mask & bit != 0, "counter {i} changed outside its mask (len={len})");
+            }
+        }
 
         // A drain means *drained*: nothing reported twice, and the
         // next write re-marks its block.

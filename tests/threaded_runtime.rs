@@ -486,6 +486,41 @@ fn read_u64(payload: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(payload[at..at + 8].try_into().expect("eight bytes"))
 }
 
+/// The payload offset just past the counter-block section at `at`: a
+/// LEB128 block count, then per block a LEB128 gap, a tag (0: an
+/// 8-byte change mask; 1: a position count and that many position
+/// bytes) and one LEB128 value per listed counter.
+fn skip_blocks(payload: &[u8], mut at: usize) -> usize {
+    fn varint(payload: &[u8], at: &mut usize) -> u64 {
+        let mut v = 0;
+        for shift in (0..64).step_by(7) {
+            let b = payload[*at];
+            *at += 1;
+            v |= u64::from(b & 0x7F) << shift;
+            if b < 0x80 {
+                break;
+            }
+        }
+        v
+    }
+    for _ in 0..varint(payload, &mut at) {
+        varint(payload, &mut at);
+        let (tag, form) = (payload[at], at + 1);
+        let listed = if tag == 0 {
+            at = form + 8;
+            read_u64(payload, form).count_ones()
+        } else {
+            let count = payload[form];
+            at = form + 1 + usize::from(count);
+            u32::from(count)
+        };
+        for _ in 0..listed {
+            varint(payload, &mut at);
+        }
+    }
+    at
+}
+
 /// A lane section whose counts do not reconcile, or lanes whose offers
 /// do not sum to the engine's, must come back as a typed error from
 /// both engines' restore and from delta replay. Both runtimes derive
@@ -494,7 +529,6 @@ fn read_u64(payload: &[u8], at: usize) -> u64 {
 /// returns.
 #[test]
 fn forged_lane_counts_are_refused_by_both_restores() {
-    let counters = cfg().counters;
     let mut engine = ThreadedCaesar::new(cfg(), 1).with_heartbeat_interval(QUIET);
     engine.offer_batch(&workload(777));
     let blob = engine.snapshot();
@@ -503,13 +537,12 @@ fn forged_lane_counts_are_refused_by_both_restores() {
 
     // Snapshot payload: magic, layout version, fingerprint, chain id
     // and sequence, settings, engine scalars (offered last), the SRAM
-    // blocks (count, then an index and 64 words per block), one tally
-    // stripe, then the lane: offered, recorded, ...
+    // block section (the nonzero counters), one tally stripe, then the
+    // lane: offered, recorded, ...
     let settings_end = 4 + 2 + FINGERPRINT_BYTES + 16 + 42;
     let offered_total = settings_end + 24 - 8;
-    let n_words_blocks = counters / caesar::DIRTY_BLOCK_COUNTERS;
-    let lane = settings_end + 24 + 8 + 8 * n_words_blocks + 8 * counters + 16;
     let payload = unseal(&blob).expect("pristine blob");
+    let lane = skip_blocks(payload, settings_end + 24) + 16;
     assert_eq!(read_u64(payload, lane), 777, "lane offered");
 
     let recorded_above_offered = forge(&blob, lane + 8, 777, 782);
@@ -520,12 +553,9 @@ fn forged_lane_counts_are_refused_by_both_restores() {
     }
     assert!(ThreadedCaesar::restore(&blob).is_ok(), "the pristine blob restores");
 
-    // Delta payload: the same layout, listing only the dirty blocks.
-    let n_blocks_at = settings_end + 24;
+    // Delta payload: the same layout, listing the written counters.
     let payload = unseal(&delta).expect("pristine delta");
-    let n_blocks = read_u64(payload, n_blocks_at) as usize;
-    let block = 8 + 8 * caesar::DIRTY_BLOCK_COUNTERS;
-    let lane = n_blocks_at + 8 + n_blocks * block + 16;
+    let lane = skip_blocks(payload, settings_end + 24) + 16;
     assert_eq!(read_u64(payload, lane), 877, "lane offered");
     let forged = forge(&delta, lane + 8, 877, 882);
     let mut replica = OnlineCaesar::restore(&blob).expect("base restores");

@@ -114,45 +114,29 @@ fn concurrent_and_epochs() {
     let (trace, _) = bench_trace();
     let flows: Vec<u64> = trace.packets.iter().map(|p| p.flow).collect();
     // Stable names "1"/"2"/"4" keep measuring the slice build — the
-    // single-pass partitioned pipeline; `stream_4` the ring-fed
-    // transport (worker-per-shard loops draining SPSC rings in
-    // batches, striped writeback merged once at finish).
+    // single-pass partitioned pipeline. The ring-fed transport is
+    // priced by the thread runtime rows in group "online".
     let mut g = Harness::new("concurrent_build");
     for shards in [1usize, 2, 4] {
         g.bench(&shards.to_string(), || {
             black_box(ConcurrentCaesar::build(bench_config(), shards, &flows));
         });
     }
-    g.bench("stream_4", || {
-        black_box(ConcurrentCaesar::build_stream(
-            bench_config(),
-            4,
-            flows.iter().copied(),
-        ));
-    });
     // The line-rate regime (cache sized to the working set) isolates
-    // the ingest pipeline itself: build vs stream there.
+    // the ingest pipeline itself.
     let (linerate, _) = linerate_bench_trace();
     let lflows: Vec<u64> = linerate.packets.iter().map(|p| p.flow).collect();
     g.bench("linerate_4", || {
         black_box(ConcurrentCaesar::build(bench_config(), 4, &lflows));
     });
-    g.bench("linerate_stream_4", || {
-        black_box(ConcurrentCaesar::build_stream(
-            bench_config(),
-            4,
-            lflows.iter().copied(),
-        ));
-    });
     g.finish();
 
-    // The PR 5 supervised online engine: same SPSC/striped-writeback
-    // machinery as `stream_4`, but single-owner, supervised
-    // and non-terminating. `steady_state_*` is the packet-at-a-time
-    // offer loop incl. epoch merges and the final drain — the
-    // before/after pair for the fault-tolerance tax is
-    // online/steady_state_4 vs concurrent_build/stream_4 in the same
-    // trajectory file. `snapshot_roundtrip_4` prices a mid-stream
+    // The supervised online engine: SPSC rings and striped writeback
+    // segments, single-owner, supervised and non-terminating.
+    // `steady_state_*` is the packet-at-a-time offer loop incl. epoch
+    // merges and the final drain; against concurrent_build/N in the
+    // same trajectory file it prices the streaming, supervised shape
+    // over the slice build. `snapshot_roundtrip_4` prices a mid-stream
     // checkpoint (serialize + restore + one resumed epoch).
     let mut g = Harness::new("online");
     for shards in [1usize, 4] {

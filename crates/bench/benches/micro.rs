@@ -225,7 +225,7 @@ fn sram_writeback() {
         i = i.wrapping_add(1);
         a.add((i % 64) as usize, 1);
     });
-    let mut wb = WritebackBuffer::new(1024);
+    let mut wb = WritebackBuffer::new(0);
     g.bench_n("writeback_push_hot64", 100_000, || {
         i = i.wrapping_add(1);
         wb.push((i % 64) as usize, 1, &a);

@@ -131,8 +131,8 @@ impl AtomicCounterArray {
     /// Drain the dirty bitmap down to its blocks: ascending indices of
     /// every [`DIRTY_BLOCK_COUNTERS`]-counter block written since the
     /// last drain (the blocks whose mask is nonzero; see
-    /// [`AtomicCounterArray::take_dirty_masks`]). Same contract as
-    /// [`crate::CounterArray::take_dirty_blocks`].
+    /// [`AtomicCounterArray::take_dirty_masks`], whose quiescence
+    /// contract applies).
     pub fn take_dirty_blocks(&self) -> Vec<usize> {
         self.take_dirty_masks().into_iter().map(|(block, _)| block).collect()
     }
@@ -460,8 +460,8 @@ impl AtomicCounterArray {
 /// state, captured by [`WritebackBuffer::state`] and consumed by
 /// [`WritebackBuffer::restore`]. `pending` preserves first-touch order
 /// so a restored buffer's next flush stages the identical batch. The
-/// buffer's shape (capacity and stripe) is not state: the buffer a
-/// snapshot restores into already has it.
+/// buffer's stripe is not state: the buffer a snapshot restores into
+/// already has it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WritebackState {
     /// Staged `(counter index, pending increment)` pairs in
@@ -475,10 +475,11 @@ pub struct WritebackState {
     pub flushed_updates: u64,
 }
 
-/// Per-worker eviction writeback buffer: stages `(index, increment)`
-/// updates in a dense thread-local accumulator, coalescing duplicates
-/// as they arrive, and flushes them to a shared [`AtomicCounterArray`]
-/// in batches.
+/// Per-worker eviction writeback buffer — a **shard-local SRAM
+/// segment**: stages `(index, increment)` updates in a dense
+/// thread-local accumulator, coalescing duplicates as they arrive, and
+/// merges them into a shared [`AtomicCounterArray`] when its owner
+/// flushes (at the end of construction, or at an epoch boundary).
 ///
 /// Rationale (the PriMe / additive-error-counter amortization): in a
 /// sharded construction phase every eviction touches `k` shared SRAM
@@ -493,10 +494,10 @@ pub struct WritebackState {
 /// sized to `sram.len()` on first push, so O(L) memory per worker — the
 /// same order as the SRAM itself, and typically a few KiB) plus a dirty
 /// list of touched indices. `push` is O(1) with no hashing or sorting:
-/// repeated hits on a hot counter just bump a local word. `capacity`
-/// bounds the number of *distinct* dirty counters between flushes, so a
-/// hot counter enjoys an unbounded coalescing window while the staged
-/// footprint stays bounded.
+/// repeated hits on a hot counter just bump a local word. It never
+/// flushes on its own: the accumulator is already dense O(L), so
+/// holding a shard's whole delta costs no extra memory, and the shared
+/// array sees **one** CAS sequence per distinct counter per flush.
 ///
 /// Because saturating adds commute, buffering and reordering never
 /// change the final counter values; only the transient interleaving
@@ -510,7 +511,6 @@ pub struct WritebackBuffer {
     dirty: Vec<usize>,
     /// Reusable `(index, increment)` scratch handed to `add_batch`.
     batch: Vec<(usize, u64)>,
-    capacity: usize,
     /// Tally stripe flushes charge (the owning shard's id).
     stripe: usize,
     flushes: u64,
@@ -518,39 +518,14 @@ pub struct WritebackBuffer {
     flushed_updates: u64,
 }
 
-/// Default number of distinct dirty counters per flush: big enough to
-/// amortize the shared-total RMW and give coalescing a window, small
-/// enough that a shard's dirty working set stays in L1.
-pub const DEFAULT_WRITEBACK_CAPACITY: usize = 1024;
-
-/// Capacity sentinel for the **shard-local segment** shape: never
-/// auto-flush, accumulate the shard's whole delta locally and merge it
-/// into the shared array exactly once (at end of construction / epoch
-/// boundary). The accumulator is already dense O(L) — the same order
-/// as the SRAM itself — so "unbounded" costs no extra memory, and the
-/// shared array sees **one** CAS sequence per distinct counter per
-/// shard for the entire run.
-pub const WRITEBACK_ACCUMULATE_ALL: usize = usize::MAX;
-
 impl WritebackBuffer {
-    /// A buffer that flushes automatically once `capacity` distinct
-    /// counters are dirty (`capacity >= 1`; 0 is promoted to 1 =
-    /// write-through), charging tallies to stripe 0.
-    pub fn new(capacity: usize) -> Self {
-        Self::striped(capacity, 0)
-    }
-
-    /// [`WritebackBuffer::new`] charging its flushes to tally stripe
-    /// `stripe` of the target array (see
-    /// [`AtomicCounterArray::add_batch_striped`]).
-    pub fn striped(capacity: usize, stripe: usize) -> Self {
-        let capacity = capacity.max(1);
-        let reserve = capacity.min(DEFAULT_WRITEBACK_CAPACITY);
+    /// An empty buffer whose flushes charge tally stripe `stripe` of
+    /// the target array (see [`AtomicCounterArray::add_batch_striped`]).
+    pub fn new(stripe: usize) -> Self {
         Self {
             acc: Vec::new(),
-            dirty: Vec::with_capacity(reserve),
-            batch: Vec::with_capacity(reserve),
-            capacity,
+            dirty: Vec::new(),
+            batch: Vec::new(),
             stripe,
             flushes: 0,
             staged_updates: 0,
@@ -558,7 +533,7 @@ impl WritebackBuffer {
         }
     }
 
-    /// Stage one update, flushing to `sram` if the dirty set is full.
+    /// Stage one update for `sram`.
     #[inline]
     pub fn push(&mut self, idx: usize, v: u64, sram: &AtomicCounterArray) {
         if v == 0 {
@@ -578,9 +553,6 @@ impl WritebackBuffer {
         // `add` (see add_batch).
         self.acc[idx] = self.acc[idx].saturating_add(v);
         self.staged_updates += 1;
-        if self.dirty.len() >= self.capacity {
-            self.flush(sram);
-        }
     }
 
     /// Apply the staged (already coalesced) updates to `sram` via
@@ -635,8 +607,7 @@ impl WritebackBuffer {
     }
 
     /// Load a [`WritebackState`] into this freshly built buffer, which
-    /// keeps its own capacity and stripe, for a target SRAM of `len`
-    /// counters.
+    /// keeps its own stripe, for a target SRAM of `len` counters.
     ///
     /// # Errors
     /// The state comes from outside the program: a staged index
@@ -866,15 +837,15 @@ mod tests {
     #[test]
     fn writeback_buffer_coalesces_and_conserves() {
         let a = AtomicCounterArray::new(16, 32);
-        let mut wb = WritebackBuffer::new(8);
-        // 12 updates over 3 distinct indices: the dirty set never
-        // reaches capacity, so everything coalesces into one explicit
+        let mut wb = WritebackBuffer::new(0);
+        // 12 updates over 3 distinct indices coalesce into one explicit
         // flush of exactly 3 SRAM updates.
         for i in 0..12u64 {
             wb.push((i % 3) as usize, i + 1, &a);
         }
+        wb.push(5, 0, &a); // zero increments never stage
         assert_eq!(wb.pending(), 3, "3 distinct counters staged");
-        assert_eq!(wb.flushes(), 0, "hot counters never force a flush");
+        assert_eq!(wb.flushes(), 0, "staging never flushes on its own");
         wb.flush(&a);
         assert_eq!(wb.pending(), 0);
         assert_eq!(a.total_added(), (1..=12u64).sum::<u64>());
@@ -887,43 +858,17 @@ mod tests {
             direct.add((i % 3) as usize, i + 1);
         }
         assert_eq!(a.snapshot(), direct.snapshot());
-    }
-
-    #[test]
-    fn writeback_buffer_flushes_when_dirty_set_fills() {
-        let a = AtomicCounterArray::new(8, 16);
-        let mut wb = WritebackBuffer::new(2);
-        wb.push(0, 1, &a);
-        wb.push(0, 1, &a); // same counter: still 1 dirty slot
-        assert_eq!(wb.pending(), 1);
-        wb.push(5, 4, &a); // second distinct counter: auto-flush
-        assert_eq!(wb.pending(), 0);
-        assert_eq!(wb.flushes(), 1);
-        assert_eq!(wb.flushed_updates(), 2);
-        assert_eq!(a.get(0), 2);
-        assert_eq!(a.get(5), 4);
-        // The accumulator reset: the same index dirties again cleanly.
+        // The flush reset the accumulator: an index dirties again cleanly.
         wb.push(0, 3, &a);
+        assert_eq!(wb.pending(), 1);
         wb.flush(&a);
-        assert_eq!(a.get(0), 5);
-        assert_eq!(a.total_added(), 9);
-    }
-
-    #[test]
-    fn writeback_buffer_zero_capacity_is_write_through() {
-        let a = AtomicCounterArray::new(2, 8);
-        let mut wb = WritebackBuffer::new(0);
-        wb.push(0, 7, &a);
-        assert_eq!(wb.pending(), 0, "capacity 1: flushed immediately");
-        assert_eq!(a.get(0), 7);
-        wb.push(1, 0, &a); // zero increments never stage
-        assert_eq!(wb.staged_updates(), 1);
+        assert_eq!(a.get(0), direct.get(0) + 3);
     }
 
     #[test]
     fn array_snapshot_restore_round_trips() {
         let a = AtomicCounterArray::with_stripes(16, 10, 3);
-        let mut wb = WritebackBuffer::striped(4, 2);
+        let mut wb = WritebackBuffer::new(2);
         for i in 0..40u64 {
             wb.push((i % 7) as usize, i + 1, &a);
         }
@@ -958,13 +903,13 @@ mod tests {
     fn writeback_state_restore_flushes_identically() {
         let a = AtomicCounterArray::new(32, 16);
         let b = AtomicCounterArray::new(32, 16);
-        let mut wb = WritebackBuffer::striped(WRITEBACK_ACCUMULATE_ALL, 0);
+        let mut wb = WritebackBuffer::new(0);
         for i in 0..100u64 {
             wb.push((i % 11) as usize, i % 5 + 1, &a);
         }
         let state = wb.state();
         assert_eq!(state.pending.len(), 11);
-        let mut restored = WritebackBuffer::striped(WRITEBACK_ACCUMULATE_ALL, 0);
+        let mut restored = WritebackBuffer::new(0);
         restored.restore(&state, 32).expect("an honest state restores");
         assert_eq!(restored.state(), state, "restore → state is the identity");
         // Continue both identically, flush to separate arrays.
@@ -1030,7 +975,7 @@ mod tests {
             for t in 0..threads {
                 let a = &a;
                 s.spawn(move || {
-                    let mut wb = WritebackBuffer::new(64);
+                    let mut wb = WritebackBuffer::new(0);
                     for i in 0..per_thread {
                         wb.push(((t as u64 * 31 + i) % 64) as usize, 1, a);
                     }

@@ -34,6 +34,17 @@ use hashkit::KCounterMap;
 use support::spsc::{self, CachePadded};
 use support::testkit::INJECTED_PANIC;
 
+/// Packets a worker drains per supervised batch, and the queue depth
+/// at which a producer wakes an idle worker (amortizes ring publishes
+/// over many packets while keeping offer→record latency bounded).
+pub(crate) const STREAM_CHUNK: usize = 1024;
+
+/// Default in-flight bound of each lane's SPSC ring: a few chunks of
+/// headroom so a transiently slow shard does not stall the producer,
+/// small enough that a persistently slow shard back-pressures it
+/// instead of buffering the whole trace.
+pub const DEFAULT_RING_CAPACITY: usize = 4 * STREAM_CHUNK;
+
 // Worker lifecycle states published through the heartbeat slot. Every
 // state but `HB_RUNNING` tells the monitor the worker is not expected
 // to beat, so quiet is never read as a hang.

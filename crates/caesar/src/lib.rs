@@ -66,12 +66,11 @@ pub mod theory;
 pub mod threaded;
 pub mod update;
 
-pub use atomic_sram::{AtomicCounterArray, WritebackBuffer, WRITEBACK_ACCUMULATE_ALL};
-pub use concurrent::{
-    per_shard_entries, BuildError, ConcurrentCaesar, IngestStats, DEFAULT_RING_CAPACITY,
-};
+pub use atomic_sram::{AtomicCounterArray, WritebackBuffer};
+pub use concurrent::{per_shard_entries, ConcurrentCaesar, IngestStats};
 pub use epochs::EpochedCaesar;
 pub use heavy_hitters::{DetectionReport, Hitter};
+pub use lane::DEFAULT_RING_CAPACITY;
 pub use merge::{MergeError, PayloadError, SketchDelta, SketchFingerprint, SketchPayload};
 pub use online::{
     BackpressurePolicy, ChainError, DeltaError, FaultKind, FaultLog, FaultRecord, LaneStats,

@@ -1,10 +1,10 @@
 //! Fault-tolerant **online** (non-terminating) ingest: one engine, two
 //! drivers.
 //!
-//! The finite builds in [`crate::concurrent`] run to completion and
-//! abort (or now, with the `try_` family, *return an error*) when a
-//! shard worker panics — acceptable for an offline trace replay,
-//! useless for a line card that must keep measuring through faults.
+//! The finite build in [`crate::concurrent`] runs to completion and
+//! panics when a shard worker panics — acceptable for an offline trace
+//! replay, useless for a line card that must keep measuring through
+//! faults.
 //! [`OnlineEngine`] is the supervised, long-running form of the same
 //! machinery. It holds the configuration, the shared SRAM and k-map,
 //! one shard lane per shard (the crate-private `lane::Lane`: a bounded
@@ -47,7 +47,7 @@
 //!   caller's thread until the next epoch boundary re-arms the ring
 //!   path.
 //! * **Epoch-aligned merges.** Workers stage evictions in shard-local
-//!   [`crate::WRITEBACK_ACCUMULATE_ALL`] segments; at every epoch
+//!   [`crate::WritebackBuffer`] segments; at every epoch
 //!   boundary ([`OnlineEngine::with_epoch_len`] offered packets) all
 //!   lanes are drained dry and their segments merged into the shared
 //!   SRAM in ascending shard order. Queries read the SRAM at any time —
@@ -87,9 +87,9 @@ use std::sync::Arc;
 
 use crate::atomic_sram::AtomicCounterArray;
 use crate::checkpoint;
-use crate::concurrent::{ConcurrentCaesar, IngestStats, ShardWorker, STREAM_CHUNK};
+use crate::concurrent::{ConcurrentCaesar, IngestStats, ShardWorker};
 use crate::config::CaesarConfig;
-use crate::lane::Lane;
+use crate::lane::{Lane, STREAM_CHUNK};
 use crate::merge::{MergeError, SketchFingerprint, SketchPayload};
 use crate::query::SketchRead;
 use hashkit::KCounterMap;

@@ -31,11 +31,6 @@ pub struct PackedCounterArray {
     /// identical [`CounterArrayStats`](crate::sram::CounterArrayStats)
     /// to a word-backed one (the parity suite pins it).
     accesses: u64,
-    /// Dirty-block bitmap, same layout and semantics as
-    /// [`crate::CounterArray`]'s (one bit per
-    /// [`DIRTY_BLOCK_COUNTERS`](crate::sram::DIRTY_BLOCK_COUNTERS)
-    /// counters, independent of the packed word layout).
-    dirty: Vec<u64>,
 }
 
 impl PackedCounterArray {
@@ -56,25 +51,7 @@ impl PackedCounterArray {
             saturations: 0,
             total_added: 0,
             accesses: 0,
-            dirty: vec![0; crate::sram::dirty_words_for(len)],
         }
-    }
-
-    /// Mark the block holding counter `idx` dirty.
-    #[inline(always)]
-    fn mark_dirty(&mut self, idx: usize) {
-        let block = idx >> crate::sram::DIRTY_BLOCK_SHIFT;
-        let bit = 1u64 << (block & 63);
-        let word = &mut self.dirty[block >> 6];
-        if *word & bit == 0 {
-            *word |= bit;
-        }
-    }
-
-    /// Drain the dirty-block bitmap — see
-    /// [`crate::CounterArray::take_dirty_blocks`] for the contract.
-    pub fn take_dirty_blocks(&mut self) -> Vec<usize> {
-        crate::sram::drain_dirty_words(&mut self.dirty)
     }
 
     /// Number of counters.
@@ -145,7 +122,6 @@ impl PackedCounterArray {
     pub fn add(&mut self, idx: usize, v: u64) {
         self.accesses += 1;
         self.total_added = self.total_added.wrapping_add(v);
-        self.mark_dirty(idx);
         let cur = self.get(idx);
         let room = self.max_value - cur;
         if v > room {
@@ -173,9 +149,6 @@ impl PackedCounterArray {
         self.total_added = self.total_added.wrapping_add(batch_total);
         self.accesses += updates.len() as u64;
         for &(idx, v) in updates {
-            // A zero add still marks its block, exactly like the word
-            // array's `add_batch` (dirtiness over-approximates).
-            self.mark_dirty(idx);
             if v == 0 {
                 continue;
             }
@@ -295,10 +268,6 @@ impl crate::sram::SramBacking for PackedCounterArray {
     fn saturated_fraction(&self) -> f64 {
         PackedCounterArray::saturated_fraction(self)
     }
-
-    fn take_dirty_blocks(&mut self) -> Vec<usize> {
-        PackedCounterArray::take_dirty_blocks(self)
-    }
 }
 
 #[cfg(test)]
@@ -387,19 +356,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_get_panics() {
         PackedCounterArray::new(4, 8).get(4);
-    }
-
-    #[test]
-    fn dirty_blocks_match_word_array_semantics() {
-        use crate::sram::DIRTY_BLOCK_COUNTERS;
-        let mut a = PackedCounterArray::new(DIRTY_BLOCK_COUNTERS * 3, 11);
-        assert!(a.take_dirty_blocks().is_empty());
-        a.add(1, 7);
-        a.add(DIRTY_BLOCK_COUNTERS * 2 + 5, 9);
-        assert_eq!(a.take_dirty_blocks(), vec![0, 2]);
-        a.add_batch(&[(DIRTY_BLOCK_COUNTERS, 0), (2, 4)]);
-        assert_eq!(a.take_dirty_blocks(), vec![0, 1]);
-        assert!(a.take_dirty_blocks().is_empty());
     }
 
     #[test]

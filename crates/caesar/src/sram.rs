@@ -8,36 +8,11 @@
 use crate::merge::MergeError;
 use crate::query::CounterView;
 
-/// Counters per dirty-tracking block: the granularity at which the SRAM
-/// backings report "something here changed" (one cache line of u64
-/// words). Coarse blocks keep the hot-path mark to a single shift+or
-/// and bound bitmap size at `L / 64` bits.
+/// Counters per dirty-tracking block: the granularity at which
+/// checkpoint and push deltas report "something here changed" (one
+/// cache line of u64 words), and the width of the atomic array's
+/// per-counter change mask.
 pub const DIRTY_BLOCK_COUNTERS: usize = 64;
-
-/// log2([`DIRTY_BLOCK_COUNTERS`]) — counter index → block index shift.
-pub(crate) const DIRTY_BLOCK_SHIFT: u32 = DIRTY_BLOCK_COUNTERS.trailing_zeros();
-
-/// Number of bitmap words needed to track `len` counters (one bit per
-/// [`DIRTY_BLOCK_COUNTERS`]-counter block, 64 blocks per word).
-pub(crate) fn dirty_words_for(len: usize) -> usize {
-    len.div_ceil(DIRTY_BLOCK_COUNTERS).div_ceil(64)
-}
-
-/// Drain a plain (non-atomic) dirty bitmap into ascending block
-/// indices, clearing it. Shared by the word and packed backings.
-pub(crate) fn drain_dirty_words(words: &mut [u64]) -> Vec<usize> {
-    let mut blocks = Vec::new();
-    for (w, word) in words.iter_mut().enumerate() {
-        let mut bits = *word;
-        *word = 0;
-        while bits != 0 {
-            let b = bits.trailing_zeros() as usize;
-            blocks.push(w * 64 + b);
-            bits &= bits - 1;
-        }
-    }
-    blocks
-}
 
 /// Fixed-width saturating counter array.
 #[derive(Debug, Clone)]
@@ -50,10 +25,6 @@ pub struct CounterArray {
     /// the `n = Q·μ` the estimators need for de-noising.
     total_added: u64,
     accesses: u64,
-    /// One bit per [`DIRTY_BLOCK_COUNTERS`]-counter block, set by every
-    /// write path and drained by
-    /// [`take_dirty_blocks`](CounterArray::take_dirty_blocks).
-    dirty: Vec<u64>,
 }
 
 /// Summary of the array state.
@@ -88,34 +59,7 @@ impl CounterArray {
             saturations: 0,
             total_added: 0,
             accesses: 0,
-            dirty: vec![0; dirty_words_for(len)],
         }
-    }
-
-    /// Mark the block holding counter `idx` dirty. Test-then-or, not
-    /// an unconditional `|=`: hot traces re-dirty the same few blocks
-    /// between drains, so the already-set test predicts perfectly and
-    /// the store retires only on a block's first write per epoch —
-    /// same trick the atomic flavor uses to avoid redundant RMWs.
-    #[inline(always)]
-    fn mark_dirty(&mut self, idx: usize) {
-        let block = idx >> DIRTY_BLOCK_SHIFT;
-        let bit = 1u64 << (block & 63);
-        let word = &mut self.dirty[block >> 6];
-        if *word & bit == 0 {
-            *word |= bit;
-        }
-    }
-
-    /// Drain the dirty-block bitmap: ascending indices of every
-    /// [`DIRTY_BLOCK_COUNTERS`]-counter block written since the last
-    /// drain (or construction/[`clear`](CounterArray::clear)), then
-    /// mark everything clean. The bitmap over-approximates change —
-    /// a zero-increment write still marks its block — so callers may
-    /// see blocks whose counters are byte-identical; they never miss a
-    /// changed one.
-    pub fn take_dirty_blocks(&mut self) -> Vec<usize> {
-        drain_dirty_words(&mut self.dirty)
     }
 
     /// Number of counters.
@@ -138,7 +82,6 @@ impl CounterArray {
     pub fn add(&mut self, idx: usize, v: u64) {
         self.accesses += 1;
         self.total_added += v;
-        self.mark_dirty(idx);
         let c = &mut self.counters[idx];
         let room = self.max_value - *c;
         if v > room {
@@ -171,7 +114,6 @@ impl CounterArray {
             }
             self.accesses += 1;
             self.total_added += inc;
-            self.mark_dirty(idx);
             let c = &mut self.counters[idx];
             let room = max - *c;
             if inc > room {
@@ -246,14 +188,12 @@ impl CounterArray {
         }
     }
 
-    /// Reset all counters and statistics. The dirty bitmap resets too:
-    /// a cleared array is a fresh baseline, exactly like construction.
+    /// Reset all counters and statistics.
     pub fn clear(&mut self) {
         self.counters.fill(0);
         self.saturations = 0;
         self.total_added = 0;
         self.accesses = 0;
-        self.dirty.fill(0);
     }
 
     /// Borrow the raw counters (for estimation sweeps).
@@ -296,7 +236,6 @@ impl CounterArray {
             if v == 0 {
                 continue;
             }
-            self.mark_dirty(idx);
             let c = &mut self.counters[idx];
             let room = self.max_value - *c;
             if v > room {
@@ -365,14 +304,6 @@ pub trait SramBacking: CounterView {
 
     /// Fraction of counters pinned at the capacity `l`.
     fn saturated_fraction(&self) -> f64;
-
-    /// Drain the dirty-block bitmap: ascending indices of every
-    /// [`DIRTY_BLOCK_COUNTERS`]-counter block written since the last
-    /// drain, then mark everything clean. Over-approximates change
-    /// (a zero-increment write still marks its block) but never misses
-    /// a changed counter — the soundness contract the delta-checkpoint
-    /// machinery relies on.
-    fn take_dirty_blocks(&mut self) -> Vec<usize>;
 }
 
 impl SramBacking for CounterArray {
@@ -404,10 +335,6 @@ impl SramBacking for CounterArray {
 
     fn saturated_fraction(&self) -> f64 {
         CounterArray::saturated_fraction(self)
-    }
-
-    fn take_dirty_blocks(&mut self) -> Vec<usize> {
-        CounterArray::take_dirty_blocks(self)
     }
 }
 
@@ -544,30 +471,6 @@ mod tests {
         assert_eq!(a.stats().saturations, 2);
         // offered totals fold even though values clamped
         assert_eq!(a.total_added(), 120);
-    }
-
-    #[test]
-    fn dirty_blocks_track_every_write_path() {
-        let mut a = CounterArray::new(DIRTY_BLOCK_COUNTERS * 4 + 7, 8);
-        assert!(a.take_dirty_blocks().is_empty(), "fresh array is clean");
-        a.add(0, 1);
-        a.add(DIRTY_BLOCK_COUNTERS, 2); // block 1
-        a.add(DIRTY_BLOCK_COUNTERS * 4 + 6, 3); // tail block
-        assert_eq!(a.take_dirty_blocks(), vec![0, 1, 4]);
-        assert!(a.take_dirty_blocks().is_empty(), "drain clears");
-        a.add_spread(&[DIRTY_BLOCK_COUNTERS * 2, 1], &[5, 0]);
-        // zero increment skipped entirely: only block 2 marked
-        assert_eq!(a.take_dirty_blocks(), vec![2]);
-        a.add_batch(&[(3, 0), (DIRTY_BLOCK_COUNTERS * 3, 9)]);
-        // zero add still tallies an access and marks (over-approximate)
-        assert_eq!(a.take_dirty_blocks(), vec![0, 3]);
-        let mut b = CounterArray::new(DIRTY_BLOCK_COUNTERS * 4 + 7, 8);
-        b.add(DIRTY_BLOCK_COUNTERS + 1, 4);
-        a.merge_from(&b).unwrap();
-        assert_eq!(a.take_dirty_blocks(), vec![1]);
-        a.add(5, 1);
-        a.clear();
-        assert!(a.take_dirty_blocks().is_empty(), "clear re-baselines");
     }
 
     #[test]

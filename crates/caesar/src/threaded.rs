@@ -67,7 +67,7 @@
 //! bit-identical to the pump oracle at every epoch boundary, and its
 //! `finish` equals [`ConcurrentCaesar::build`]. This is by
 //! construction, not luck: workers stage all evictions in shard-local
-//! [`crate::WRITEBACK_ACCUMULATE_ALL`] segments (no mid-epoch writes to
+//! [`crate::WritebackBuffer`] segments (no mid-epoch writes to
 //! shared SRAM), the batch kernel is chunk-boundary-insensitive, and
 //! the engine's epoch rotation drains every lane dry then flushes the
 //! shards in ascending order with acknowledgement waits — the same
@@ -85,9 +85,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::atomic_sram::AtomicCounterArray;
-use crate::concurrent::{ShardWorker, STREAM_CHUNK};
+use crate::concurrent::ShardWorker;
 use crate::lane::{
-    Lane, LaneShared, HB_EXITED, HB_IDLE, HB_PANICKED, HB_PARKED, HB_RUNNING,
+    Lane, LaneShared, HB_EXITED, HB_IDLE, HB_PANICKED, HB_PARKED, HB_RUNNING, STREAM_CHUNK,
 };
 use crate::online::{
     BackpressurePolicy, Drive, FaultKind, FaultRecord, OnlineCaesar, OnlineEngine, Pump,

@@ -12,7 +12,10 @@
 use cachesim::{CacheConfig, CachePolicy, CacheTable};
 use caesar::SketchRead;
 use caesar::update::spread_eviction;
-use caesar::{Caesar, CaesarConfig, ConcurrentCaesar, CounterArray, PackedCaesar, SramBacking};
+use caesar::{
+    Caesar, CaesarConfig, ConcurrentCaesar, CounterArray, PackedCaesar, SramBacking,
+    ThreadedCaesar,
+};
 use hashkit::{KCounterMap, K_MAX};
 use support::rand::{rngs::StdRng, Rng, SeedableRng};
 use support::testkit::{for_each_seed_n, GenExt};
@@ -125,8 +128,8 @@ fn assert_concurrent_matches(reference: &Reference, sketch: &ConcurrentCaesar, c
 }
 
 /// Caesar's `record` and `record_batch` (fed in random chunk sizes),
-/// `PackedCaesar`, and the one-shard `ConcurrentCaesar` builds all
-/// equal the reference ingest.
+/// `PackedCaesar`, the one-shard `ConcurrentCaesar` build and a
+/// one-shard thread runtime all equal the reference ingest.
 #[test]
 fn every_engine_matches_the_reference_ingest() {
     for_each_seed_n(32, |rng| {
@@ -158,8 +161,10 @@ fn every_engine_matches_the_reference_ingest() {
 
         let built = ConcurrentCaesar::build(cfg, 1, &flows);
         assert_concurrent_matches(&reference, &built, &format!("build {cfg:?}"));
-        let streamed = ConcurrentCaesar::build_stream(cfg, 1, flows.iter().copied());
-        assert_concurrent_matches(&reference, &streamed, &format!("build_stream {cfg:?}"));
+        let mut engine = ThreadedCaesar::new(cfg, 1)
+            .with_heartbeat_interval(std::time::Duration::from_secs(5));
+        engine.offer_batch(&flows);
+        assert_concurrent_matches(&reference, &engine.finish(), &format!("threaded {cfg:?}"));
     });
 }
 

@@ -17,7 +17,7 @@ use crate::report::{f, Csv, TextTable};
 use crate::runner::bursty_trace_for;
 use crate::scale::{Scale, PAPER_MEAN_FLOW};
 use cachesim::{CacheConfig, CacheTable};
-use caesar::ConcurrentCaesar;
+use caesar::{ConcurrentCaesar, ThreadedCaesar};
 use memsim::{AccessCosts, PacketWork, Pipeline};
 use std::time::Instant;
 
@@ -184,10 +184,9 @@ impl ThroughputResult {
 /// One measured construction run of the sharded CAESAR build.
 #[derive(Debug, Clone)]
 pub struct ConstructionRow {
-    /// Ingest path: `partitioned` (O(n) single pass + batch writeback),
-    /// `stream` (overlapped partition/consume over SPSC rings),
-    /// `pinned` (explicit ring-fed worker-per-shard mode), or `replay`
-    /// (the seed's O(T·n) scan-and-filter reference).
+    /// Ingest path: `partitioned` (O(n) single pass + batch writeback)
+    /// or `threaded` (the supervised thread runtime: packets offered
+    /// one at a time over one SPSC ring per shard, finished).
     pub path: String,
     /// Worker shards used.
     pub shards: usize,
@@ -198,7 +197,7 @@ pub struct ConstructionRow {
 }
 
 /// Wall-clock construction-throughput study of the ingest pipeline:
-/// the partitioned slice build versus the ring-fed stream build, per
+/// the partitioned slice build versus the ring-fed thread runtime, per
 /// shard count.
 #[derive(Debug, Clone)]
 pub struct ConstructionScaling {
@@ -250,8 +249,10 @@ pub fn construction_scaling(
         timed("partitioned", shards, &|| {
             ConcurrentCaesar::build(cfg, shards, &flows)
         });
-        timed("stream", shards, &|| {
-            ConcurrentCaesar::build_stream(cfg, shards, flows.iter().copied())
+        timed("threaded", shards, &|| {
+            let mut engine = ThreadedCaesar::new(cfg, shards);
+            engine.offer_batch(&flows);
+            engine.finish()
         });
     }
     ConstructionScaling { rows, n_packets: flows.len() }
@@ -349,7 +350,7 @@ mod tests {
             assert!(row.mpps > 0.0 && row.mpps.is_finite(), "{row:?}");
         }
         assert!(r.row("partitioned", 2).is_some());
-        assert!(r.row("stream", 1).is_some());
+        assert!(r.row("threaded", 1).is_some());
         assert!(r.render().contains("construction"));
         assert_eq!(r.to_csv().len(), 1);
     }

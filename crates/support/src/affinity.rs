@@ -9,12 +9,12 @@
 //! sized, fully initialized, stack-owned CPU mask and never retain
 //! pointers past the call.
 //!
-//! Why pinning matters here: the sharded ingest pipeline
-//! (`ConcurrentCaesar::build_stream`'s ring-fed workers, and the
-//! detached-thread online runtime's shard workers) wants shard→core
-//! placement so each worker's cache working set — its eviction
-//! accumulator and its ring's consumer-side lines — stays resident on
-//! one L1/L2 instead of migrating with the scheduler. On a host without real parallelism (or a non-Linux OS)
+//! Why pinning matters here: the ring-fed shard workers of the
+//! detached-thread online runtime (`ThreadedCaesar::with_pinning`)
+//! want shard→core placement so each worker's cache working set — its
+//! eviction accumulator and its ring's consumer-side lines — stays
+//! resident on one L1/L2 instead of migrating with the scheduler. On a
+//! host without real parallelism (or a non-Linux OS)
 //! pinning is useless-to-harmful, so [`pin_current_thread`] degrades
 //! to a no-op that warns **once** rather than failing the build or the
 //! run: placement is an optimization, never a correctness dependency.

@@ -1,9 +1,9 @@
 //! Fixed-capacity lock-free single-producer/single-consumer ring.
 //!
-//! The sharded ingest pipeline's transport: the RSS front end (one
-//! producer) hands each shard worker (one consumer) its flow
-//! subsequence over a bounded ring instead of a `std::sync::mpsc`
-//! channel. The design is the classic Lamport queue with the two
+//! The online ingest engine's transport: the engine's `offer` path
+//! (one producer) hands each shard lane's worker (one consumer) its
+//! flow subsequence over a bounded ring instead of a
+//! `std::sync::mpsc` channel. The design is the classic Lamport queue with the two
 //! standard refinements high-throughput SPSC queues use:
 //!
 //! * **cache-line-padded head/tail** ([`CachePadded`]) so the
@@ -79,7 +79,7 @@ struct Ring<T> {
     /// Next position the producer will write. Written by the producer
     /// (Release), read by the consumer (Acquire).
     tail: CachePadded<AtomicUsize>,
-    /// Set when either endpoint is dropped.
+    /// Set when the producer is dropped or seals the ring.
     closed: AtomicBool,
 }
 
@@ -182,7 +182,8 @@ pub fn try_ring<T: Send>(capacity: usize) -> Option<(Producer<T>, Consumer<T>)> 
     ))
 }
 
-/// Adaptive wait used by the blocking push/pop paths: brief on-core
+/// Adaptive wait for a peer — the blocking pop, or a producer facing a
+/// full ring: brief on-core
 /// spinning first (the common case: the peer is one store away), then
 /// yields to the scheduler so a single-hardware-thread host makes
 /// progress instead of burning the peer's timeslice.
@@ -224,12 +225,6 @@ impl<T: Send> Producer<T> {
     /// The ring's in-flight bound.
     pub fn capacity(&self) -> usize {
         self.ring.capacity
-    }
-
-    /// True once the consumer endpoint has been dropped; pushed items
-    /// would never be consumed.
-    pub fn is_closed(&self) -> bool {
-        self.ring.closed.load(Ordering::Acquire)
     }
 
     /// Free slots according to the (possibly stale) cached view,
@@ -276,31 +271,10 @@ impl<T: Send> Producer<T> {
         Ok(())
     }
 
-    /// Blocking push: spins/yields until a slot frees up. Returns
-    /// `Err(v)` only if the consumer endpoint is gone (the value would
-    /// never be read) — the ring equivalent of a `SendError`.
-    pub fn push(&mut self, mut v: T) -> Result<(), T> {
-        let mut backoff = Backoff::new();
-        loop {
-            match self.try_push(v) {
-                Ok(()) => return Ok(()),
-                Err(back) => {
-                    if self.is_closed() {
-                        // Full and the consumer is gone: it will never
-                        // drain.
-                        return Err(back);
-                    }
-                    v = back;
-                    backoff.wait();
-                }
-            }
-        }
-    }
-
     /// Seal the ring from the producer side **without** consuming the
     /// endpoint: sets the close flag so a blocking consumer loop
-    /// ([`Consumer::pop`], [`Consumer::pop_batch_blocking`]) terminates
-    /// once it drains the already-published prefix. The supervised
+    /// ([`Consumer::pop_batch_blocking`]) terminates once it drains the
+    /// already-published prefix. The supervised
     /// threaded runtime's failover path needs exactly this shape — stop
     /// a (possibly wedged) worker's intake while keeping the producer
     /// handle alive to account for what was in flight. Pushing after a
@@ -353,12 +327,8 @@ impl<T> Drop for Producer<T> {
 }
 
 impl<T: Send> Consumer<T> {
-    /// The ring's in-flight bound.
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity
-    }
-
-    /// True once the producer endpoint has been dropped. Items already
+    /// True once the producer endpoint has been dropped or has sealed
+    /// the ring ([`Producer::seal`]). Items already
     /// published are still poppable; drain until [`Consumer::is_empty`]
     /// before treating the stream as finished.
     pub fn is_closed(&self) -> bool {
@@ -430,29 +400,11 @@ impl<T: Send> Consumer<T> {
         n
     }
 
-    /// Blocking pop for a streaming consumer loop: waits (spin, then
-    /// yield) until an item arrives, and returns `None` only when the
-    /// producer is gone **and** the ring is fully drained — the ring
+    /// Blocking batch pop for a streaming consumer loop: waits (spin,
+    /// then yield) until items arrive, fills `out` with up to `max` of
+    /// them, and returns 0 only when the producer is gone (or sealed
+    /// the ring) **and** the ring is fully drained — the ring
     /// equivalent of iterating a closed channel.
-    pub fn pop(&mut self) -> Option<T> {
-        let mut backoff = Backoff::new();
-        loop {
-            if let Some(v) = self.try_pop() {
-                return Some(v);
-            }
-            // Check closed *after* an empty observation: the producer
-            // publishes items before dropping, so closed + empty is
-            // final. (Ordering: `closed` is stored Release on drop and
-            // loaded Acquire here, after the failed tail refresh.)
-            if self.is_closed() && self.is_empty() {
-                return None;
-            }
-            backoff.wait();
-        }
-    }
-
-    /// Blocking batch pop: like [`Consumer::pop`] but fills `out` with
-    /// up to `max` items. Returns 0 only on closed-and-drained.
     pub fn pop_batch_blocking(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         let mut backoff = Backoff::new();
         loop {
@@ -460,17 +412,16 @@ impl<T: Send> Consumer<T> {
             if n > 0 {
                 return n;
             }
+            // Check closed *after* an empty observation: the producer
+            // publishes items before closing, so closed + empty is
+            // final. (Ordering: `closed` is stored Release on drop or
+            // seal and loaded Acquire here, after the failed tail
+            // refresh.)
             if self.is_closed() && self.is_empty() {
                 return 0;
             }
             backoff.wait();
         }
-    }
-}
-
-impl<T> Drop for Consumer<T> {
-    fn drop(&mut self) {
-        self.ring.closed.store(true, Ordering::Release);
     }
 }
 
@@ -504,7 +455,6 @@ mod tests {
         tx.try_push(5).expect("one slot freed");
         assert!(tx.try_push(6).is_err());
         assert_eq!(tx.capacity(), 5);
-        assert_eq!(rx.capacity(), 5);
     }
 
     #[test]
@@ -545,19 +495,10 @@ mod tests {
         tx.try_push(2).expect("fits");
         drop(tx);
         assert!(rx.is_closed());
-        assert_eq!(rx.pop(), Some(1), "published items survive close");
-        assert_eq!(rx.pop(), Some(2));
-        assert_eq!(rx.pop(), None, "closed + drained");
         let mut out = Vec::new();
-        assert_eq!(rx.pop_batch_blocking(&mut out, 8), 0);
-    }
-
-    #[test]
-    fn push_fails_once_consumer_is_gone() {
-        let (mut tx, rx) = ring::<u64>(1);
-        tx.try_push(7).expect("fits");
-        drop(rx);
-        assert_eq!(tx.push(8), Err(8), "full ring with no consumer");
+        assert_eq!(rx.pop_batch_blocking(&mut out, 8), 2, "published items survive close");
+        assert_eq!(out, vec![1, 2]);
+        assert_eq!(rx.pop_batch_blocking(&mut out, 8), 0, "closed + drained");
     }
 
     #[test]
@@ -589,26 +530,6 @@ mod tests {
         assert_eq!(rx.pop_batch_blocking(&mut out, 100), 8);
         assert_eq!(out, src[..8], "exact published prefix, in order");
         assert_eq!(rx.pop_batch_blocking(&mut out, 100), 0, "closed + drained");
-    }
-
-    #[test]
-    fn consumer_dropped_while_producer_blocked_at_capacity_one() {
-        // The nastiest shutdown edge: a capacity-1 ring, the producer
-        // parked inside blocking push(), and the consumer endpoint
-        // drops without ever draining. The push must return Err with
-        // the undelivered value instead of spinning forever.
-        let (mut tx, rx) = ring::<u64>(1);
-        tx.try_push(1).expect("fits");
-        let waiter = std::thread::spawn(move || {
-            // Blocks: ring is full. Unblocked only by the close flag.
-            tx.push(2)
-        });
-        // Give the producer a moment to actually park in the backoff
-        // loop, then kill the consumer.
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        drop(rx);
-        let res = waiter.join().expect("producer thread exits cleanly");
-        assert_eq!(res, Err(2), "undelivered value comes back to the caller");
     }
 
     #[test]
@@ -651,14 +572,24 @@ mod tests {
 
     #[test]
     fn cross_thread_stream_conserves_everything() {
-        // 100k u64s through a small ring with blocking ops on both
-        // sides; sum and order must survive exactly.
+        // 100k u64s through a small ring: slice pushes backing off on
+        // a full ring against a blocking batch consumer; sum and order
+        // must survive exactly.
         let (mut tx, mut rx) = ring::<u64>(64);
         let n = 100_000u64;
         std::thread::scope(|s| {
             s.spawn(move || {
-                for i in 0..n {
-                    tx.push(i).expect("consumer alive");
+                let src: Vec<u64> = (0..n).collect();
+                let mut rest = &src[..];
+                let mut backoff = Backoff::new();
+                while !rest.is_empty() {
+                    let pushed = tx.push_slice(rest);
+                    rest = &rest[pushed..];
+                    if pushed == 0 {
+                        backoff.wait();
+                    } else {
+                        backoff.reset();
+                    }
                 }
             });
             let mut expected = 0u64;
@@ -692,7 +623,7 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(rx.pop_batch_blocking(&mut out, 100), 5);
         assert_eq!(out, vec![0, 1, 2, 3, 4], "exact sealed prefix");
-        assert_eq!(rx.pop(), None, "sealed + drained is final");
+        assert_eq!(rx.pop_batch_blocking(&mut out, 100), 0, "sealed + drained is final");
         assert_eq!(tx.in_flight(), 0, "drain visible from the producer");
     }
 
@@ -710,7 +641,6 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(10));
         tx.seal();
         assert_eq!(waiter.join().expect("consumer exits"), 0);
-        assert!(tx.is_closed());
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! batches with a single O(n) pass and pushes evictions through
 //! coalescing writeback buffers. This example measures construction
 //! throughput from 1 to 8 shards, compares the slice build against the
-//! ring-fed streaming build, and checks accuracy is unaffected.
+//! ring-fed thread runtime, and checks accuracy is unaffected.
 
 use caesar::SketchRead;
-use caesar::ConcurrentCaesar;
+use caesar::{ConcurrentCaesar, ThreadedCaesar};
 use caesar_repro::prelude::*;
 use std::time::Instant;
 
@@ -80,21 +80,24 @@ fn main() {
     }
 
     // Slice build (one partition pass, then a scoped thread per shard)
-    // vs stream build (partitioning overlapped with consumption over
-    // one SPSC ring per shard).
+    // vs the thread runtime (packets offered one at a time, routed on
+    // the fly over one SPSC ring per shard to supervised workers).
     let shards = 4usize;
     let t0 = Instant::now();
     let fast = ConcurrentCaesar::build(cfg, shards, &flows);
     let partitioned_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t0 = Instant::now();
-    let stream = ConcurrentCaesar::build_stream(cfg, shards, flows.iter().copied());
-    let stream_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(fast.sram().snapshot(), stream.sram().snapshot());
+    let mut engine = ThreadedCaesar::new(cfg, shards);
+    engine.offer_batch(&flows);
+    let threaded = engine.finish();
+    let threaded_ms = t0.elapsed().as_secs_f64() * 1e3;
+    assert_eq!(fast.sram().snapshot(), threaded.sram().snapshot());
+    assert_eq!(fast.evictions(), threaded.evictions());
     println!(
         "\ningest pipeline at {shards} shards (identical counters, pinned):\n\
          {:>14} {partitioned_ms:>10.1} ms\n\
-         {:>14} {stream_ms:>10.1} ms  (partition overlapped via SPSC rings)",
-        "partitioned", "streamed",
+         {:>14} {threaded_ms:>10.1} ms  (offered over SPSC rings to supervised workers)",
+        "partitioned", "threaded",
     );
     let stats = fast.ingest_stats();
     println!(
@@ -107,7 +110,7 @@ fn main() {
     );
     println!(
         "\nflow partitioning keeps each shard's eviction stream deterministic —\n\
-         rerun this example and the counter array is bit-identical; batch and\n\
-         stream agree because saturating adds commute"
+         rerun this example and the counter array is bit-identical; the slice\n\
+         build and the thread runtime agree because saturating adds commute"
     );
 }

@@ -19,8 +19,10 @@
 # Compare trajectories across PRs by joining on (group, name) — names
 # are stable by contract (see support::timing docs). Group
 # "concurrent_build" prices the sharded slice build ("1"/"2"/"4",
-# "linerate_4") against the ring-fed stream build ("stream_4",
-# "linerate_stream_4"); the retired scan-and-filter "replay_*" and
+# "linerate_4"); the ring-fed transport is priced by the thread
+# runtime rows of group "online" ("threaded_steady_state_*"). The
+# retired ring-fed stream build ("stream_4", "linerate_stream_4"),
+# scan-and-filter "replay_*" and
 # slice-over-ring "pinned_4" rows survive only in the trajectory files
 # recorded before their code was deleted. PR 3's pairs live in
 # groups "record" ("caesar_trace" vs "caesar_trace_batch"),
@@ -30,8 +32,8 @@
 # PR 5's pair prices the supervised
 # online engine's fault-tolerance tax: group "online"
 # "steady_state_4" (single-owner supervised offer loop, epoch merges,
-# watchdog ticks) vs group "concurrent_build" "stream_4" (the same
-# transport without supervision), plus "online/snapshot_roundtrip_4"
+# watchdog ticks) vs group "concurrent_build" "4" (the slice build
+# without rings or supervision), plus "online/snapshot_roundtrip_4"
 # for the cost of a mid-stream checkpoint + restore. PR 6 adds group
 # "zoo_ingest": one sequential-ingest bench per workload-zoo family
 # (cdn … caida_fit), pricing how each traffic shape loads the

@@ -15,20 +15,25 @@
 #                       respawn, live quiesce-snapshot/restore, delta
 #                       chains, pump↔threads handoff, finish without
 #                       waiting out the monitor) plus the thread chaos
-#                       property in tests/fault_tolerance.rs and the
-#                       runtime's unit tests (a dropped engine releases
-#                       every worker), in release, under a hard
-#                       wall-clock timeout — a supervision bug whose
-#                       symptom is "a drain wait never returns" or "a
-#                       worker never wakes" must fail the smoke, not
-#                       wedge it. Also runs the no-sleep check below.
+#                       property in tests/fault_tolerance.rs, the
+#                       ring-fed ingest equivalence suite
+#                       (tests/ingest_scaling.rs — finish ≡ build at
+#                       1/2/4 shards and every ring capacity down to
+#                       1, 16 shards over 5 flows, the empty trace)
+#                       and the runtime's unit tests (a dropped engine
+#                       releases every worker), in release, under a
+#                       hard wall-clock timeout — a supervision bug
+#                       whose symptom is "a drain wait never returns"
+#                       or "a worker never wakes" must fail the smoke,
+#                       not wedge it. Also runs the no-sleep and
+#                       one-ring-runtime checks below.
 #   --delta-smoke       delta-checkpoint smoke mode: run the epoch-delta
 #                       acceptance suite (tests/delta_checkpoint.rs —
 #                       base+deltas replays byte-identical across random
 #                       geometries × shard counts × fault plans, per-link
 #                       mass conservation, typed rejection of broken
-#                       chains, dirty-bitmap soundness on every SRAM
-#                       flavor) in release, plus the delta-push unit
+#                       chains, dirty-mask soundness on the shared
+#                       atomic SRAM) in release, plus the delta-push unit
 #                       tests in the caesar and service crates, then the
 #                       forged-frame tests (the caesar unit tests named
 #                       `forged*`: re-sealed snapshots, CDLT links and
@@ -144,13 +149,33 @@ check_no_runtime_sleeps() {
     fi
 }
 
+# One ring transport: the online engine's `Lane` is the only code in
+# crates/caesar/src that builds an SPSC ring, so every ring-fed path
+# shares its supervision, accounting and checkpointing.
+check_one_ring_runtime() {
+    echo "==> one ring runtime: SPSC rings built only in crates/caesar/src/lane.rs"
+    local rings
+    rings=$(grep -rnE 'spsc::(try_)?ring' crates/caesar/src | grep -v '^crates/caesar/src/lane\.rs:' || true)
+    if [ -n "$rings" ]; then
+        echo "check.sh: SPSC ring built outside the Lane; feed the thread runtime instead:"
+        echo "$rings"
+        exit 1
+    fi
+    if ! grep -qE 'spsc::(try_)?ring' crates/caesar/src/lane.rs; then
+        echo "check.sh: no SPSC ring construction found in crates/caesar/src/lane.rs"
+        exit 1
+    fi
+}
+
 if [ "${1:-}" = "--thread-smoke" ]; then
     echo "==> thread smoke: detached-thread runtime + heartbeat supervision, release build"
     check_no_runtime_sleeps
+    check_one_ring_runtime
     # `timeout` turns a wedged drain/failover wait into a failure
     # instead of a hung CI job; 300s is ~100x the healthy runtime.
     run timeout 300 cargo test --release --offline -q --test threaded_runtime
     run timeout 300 cargo test --release --offline -q --test fault_tolerance random_thread_chaos
+    run timeout 300 cargo test --release --offline -q --test ingest_scaling
     run timeout 120 cargo test --release --offline -q -p caesar --lib threaded
     echo "check.sh --thread-smoke: all green"
     exit 0
@@ -405,6 +430,7 @@ if [ "${1:-}" = "--quick-bench" ]; then
 fi
 
 check_no_runtime_sleeps
+check_one_ring_runtime
 
 run cargo build --release --offline
 

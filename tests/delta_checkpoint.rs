@@ -11,11 +11,11 @@
 //! foreign chains, foreign fleets) must be refused with typed errors,
 //! never half-applied.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use caesar::{
-    AtomicCounterArray, BackpressurePolicy, CaesarConfig, ChainError, CounterArray, DeltaError,
-    OnlineCaesar, PackedCounterArray, ThreadedCaesar, DIRTY_BLOCK_COUNTERS,
+    AtomicCounterArray, BackpressurePolicy, CaesarConfig, ChainError, DeltaError, OnlineCaesar,
+    ThreadedCaesar, DIRTY_BLOCK_COUNTERS,
 };
 use cachesim::CachePolicy;
 use support::rand::{rngs::StdRng, Rng};
@@ -406,10 +406,11 @@ fn misordered_foreign_and_corrupt_deltas_are_rejected_typed() {
     ));
 }
 
-/// The layer below the chain: every SRAM flavor's dirty-block bitmap
-/// over-approximates change and never misses it — every counter whose
-/// value moved since the last drain lies in a reported block, a drain
-/// clears the bitmap, and later writes re-mark it.
+/// The layer below the chain: the shared atomic array's dirty masks
+/// over-approximate change and never miss it — every counter whose
+/// value moved since the last drain has its bit set in a reported
+/// block's mask, a drain clears the masks, and later writes re-mark
+/// them.
 #[test]
 fn dirty_block_bitmaps_cover_every_changed_counter() {
     for_each_seed_n(CASES, |rng| {
@@ -419,54 +420,28 @@ fn dirty_block_bitmaps_cover_every_changed_counter() {
         let ops: Vec<(usize, u64)> =
             (0..n_ops).map(|_| (rng.gen_range(0..len), rng.gen_range(0..2000))).collect();
 
-        let check = |name: &str, before: &[u64], after: &[u64], dirty: &[usize]| {
-            assert!(dirty.windows(2).all(|w| w[0] < w[1]), "{name}: blocks ascending");
-            let dirty: HashSet<usize> = dirty.iter().copied().collect();
-            for (i, (&b, &a)) in before.iter().zip(after).enumerate() {
-                if b != a {
-                    assert!(
-                        dirty.contains(&(i / DIRTY_BLOCK_COUNTERS)),
-                        "{name}: counter {i} changed outside any dirty block (len={len})"
-                    );
-                }
-            }
-        };
-
-        let mut plain = CounterArray::new(len, bits);
-        let mut packed = PackedCounterArray::new(len, bits);
         let atomic = AtomicCounterArray::new(len, bits);
         // Drain construction-time state so the observed window is
         // exactly the ops below.
-        plain.take_dirty_blocks();
-        packed.take_dirty_blocks();
         atomic.take_dirty_blocks();
 
-        let before: Vec<u64> = (0..len).map(|i| plain.get(i)).collect();
+        let before = atomic.snapshot();
         for (i, &(idx, v)) in ops.iter().enumerate() {
             if i % 3 == 0 {
-                plain.add_batch(&[(idx, v)]);
-                packed.add_batch(&[(idx, v)]);
                 atomic.add_batch(&[(idx, v)]);
             } else {
-                plain.add(idx, v);
-                packed.add(idx, v);
                 atomic.add(idx, v);
             }
         }
 
-        let after_plain: Vec<u64> = (0..len).map(|i| plain.get(i)).collect();
-        let after_packed: Vec<u64> = (0..len).map(|i| packed.get(i)).collect();
-        let after_atomic = atomic.snapshot();
-        check("CounterArray", &before, &after_plain, &plain.take_dirty_blocks());
-        check("PackedCounterArray", &before, &after_packed, &packed.take_dirty_blocks());
-        // The atomic array tracks one bit per counter: its masks cover
-        // every changed counter itself, not just its block.
+        let after = atomic.snapshot();
         let masks = atomic.take_dirty_masks();
-        let blocks: Vec<usize> = masks.iter().map(|&(b, _)| b).collect();
-        check("AtomicCounterArray", &before, &after_atomic, &blocks);
+        assert!(masks.windows(2).all(|w| w[0].0 < w[1].0), "blocks ascending");
         assert!(masks.iter().all(|&(_, m)| m != 0), "listed masks are nonempty");
+        // One bit per counter: the masks cover every changed counter
+        // itself, not just its block.
         let mask_of: HashMap<usize, u64> = masks.into_iter().collect();
-        for (i, (&b, &a)) in before.iter().zip(&after_atomic).enumerate() {
+        for (i, (&b, &a)) in before.iter().zip(&after).enumerate() {
             let bit = 1u64 << (i % DIRTY_BLOCK_COUNTERS);
             if b != a {
                 let mask = mask_of.get(&(i / DIRTY_BLOCK_COUNTERS)).copied().unwrap_or(0);
@@ -476,16 +451,9 @@ fn dirty_block_bitmaps_cover_every_changed_counter() {
 
         // A drain means *drained*: nothing reported twice, and the
         // next write re-marks its block.
-        assert!(plain.take_dirty_blocks().is_empty());
-        assert!(packed.take_dirty_blocks().is_empty());
         assert!(atomic.take_dirty_blocks().is_empty());
         let idx = ops[0].0;
-        plain.add(idx, 1);
-        packed.add(idx, 1);
         atomic.add(idx, 1);
-        let block = idx / DIRTY_BLOCK_COUNTERS;
-        assert_eq!(plain.take_dirty_blocks(), vec![block]);
-        assert_eq!(packed.take_dirty_blocks(), vec![block]);
-        assert_eq!(atomic.take_dirty_blocks(), vec![block]);
+        assert_eq!(atomic.take_dirty_blocks(), vec![idx / DIRTY_BLOCK_COUNTERS]);
     });
 }

@@ -4,12 +4,18 @@
 //!
 //! * conserve every packet,
 //! * produce **bit-identical** SRAM snapshots across repeated runs and
-//!   across `build` / `build_stream` at any ring capacity,
+//!   across `build` and the ring-fed thread runtime at any ring
+//!   capacity and epoch length,
 //! * match the sequential `Caesar` total mass with one shard, and
 //! * split the on-chip budget exactly (`Σ per-shard entries ==
 //!   max(M, shards)`).
 
-use caesar::{per_shard_entries, CaesarConfig, ConcurrentCaesar, DEFAULT_RING_CAPACITY};
+use std::time::Duration;
+
+use caesar::{
+    per_shard_entries, CaesarConfig, ConcurrentCaesar, ThreadedCaesar, DEFAULT_EPOCH_LEN,
+    DEFAULT_RING_CAPACITY,
+};
 use caesar_repro::prelude::*;
 use cachesim::CachePolicy;
 use support::rand::{rngs::StdRng, Rng};
@@ -18,6 +24,15 @@ use support::testkit::{for_each_seed_n, GenExt};
 /// Threaded builds are costlier than the unit-level properties; fewer
 /// cases, each covering cfg × shards × workload jointly.
 const CASES: u32 = 24;
+
+/// A fault-free thread runtime (its heartbeat monitor can never
+/// legitimately fire, however starved the host), fed `flows` and
+/// finished.
+fn threaded(engine: ThreadedCaesar, flows: &[u64]) -> ConcurrentCaesar {
+    let mut engine = engine.with_heartbeat_interval(Duration::from_secs(5));
+    engine.offer_batch(flows);
+    engine.finish()
+}
 
 fn random_cfg(rng: &mut StdRng) -> CaesarConfig {
     let counters = rng.gen_range(64usize..2048);
@@ -64,32 +79,32 @@ fn ingest_conserves_packets_and_repeats_bit_exactly() {
 }
 
 #[test]
-fn build_stream_is_bit_identical_to_build() {
+fn threaded_finish_is_bit_identical_to_build() {
     for_each_seed_n(CASES, |rng| {
         let cfg = random_cfg(rng);
         let shards = rng.gen_range(1usize..8);
         let flows = random_workload(rng);
         // Scheduling must be invisible: the ring transport at any
-        // capacity (1 = full-backpressure ping-pong) agrees with the
-        // partitioned slice build.
+        // capacity (1 = full-backpressure ping-pong) and any epoch
+        // length agrees with the partitioned slice build.
         let ring_capacity = rng.pick(&[1usize, 7, DEFAULT_RING_CAPACITY]);
+        let epoch_len = rng.pick(&[u64::MAX, 97, DEFAULT_EPOCH_LEN]);
         let batch = ConcurrentCaesar::build(cfg, shards, &flows);
-        let stream = ConcurrentCaesar::try_build_stream(
-            cfg,
-            shards,
-            flows.iter().copied(),
-            ring_capacity,
-            &[],
-        )
-        .expect("no faults scheduled");
+        let engine = ThreadedCaesar::new(cfg, shards)
+            .with_ring_capacity(ring_capacity)
+            .with_epoch_len(epoch_len);
+        let stream = threaded(engine, &flows);
         assert_eq!(
             batch.sram().snapshot(),
             stream.sram().snapshot(),
-            "build vs build_stream: {cfg:?} shards={shards} ring={ring_capacity}"
+            "build vs threads: {cfg:?} shards={shards} ring={ring_capacity} epoch={epoch_len}"
         );
-        assert_eq!(batch.ingest_stats(), stream.ingest_stats(), "stream stats");
         assert_eq!(batch.evictions(), stream.evictions());
         assert_eq!(batch.sram().total_added(), stream.sram().total_added());
+        if (flows.len() as u64) < epoch_len {
+            // One epoch: `finish` is the only merge, as in `build`.
+            assert_eq!(batch.ingest_stats(), stream.ingest_stats(), "stream stats");
+        }
     });
 }
 
@@ -99,8 +114,9 @@ fn one_shard_matches_sequential_byte_for_byte() {
         let cfg = random_cfg(rng);
         let flows = random_workload(rng);
         let conc = ConcurrentCaesar::build(cfg, 1, &flows);
-        let stream = ConcurrentCaesar::build_stream(cfg, 1, flows.iter().copied());
+        let stream = threaded(ThreadedCaesar::new(cfg, 1), &flows);
         assert_eq!(conc.sram().snapshot(), stream.sram().snapshot(), "{cfg:?}");
+        assert_eq!(conc.evictions(), stream.evictions(), "{cfg:?}");
         let mut seq = Caesar::new(cfg);
         for &f in &flows {
             seq.record(f);

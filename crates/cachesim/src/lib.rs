@@ -14,7 +14,8 @@
 //!   entries to the SRAM counters".
 //!
 //! The table is O(1) per packet: an identity-hashed index map plus an
-//! intrusive doubly-linked recency list over a slab of slots.
+//! intrusive doubly-linked recency list over a slab of slots, kept
+//! only under the policies that read it (LRU and FIFO).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -141,18 +141,18 @@ impl CacheStats {
 
 /// Complete serializable dynamic state of a [`CacheTable`], captured by
 /// [`CacheTable::snapshot_state`] and consumed by
-/// [`CacheTable::restore`]. All fields are plain data so callers can
-/// encode them with any codec (the CAESAR online runtime uses
-/// `support::bytesx`).
+/// [`CacheTable::restore`]: exactly the state the table's policy reads.
+/// All fields are plain data so callers can encode them with any codec
+/// (the CAESAR online runtime uses `support::bytesx`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheTableState {
-    /// Resident slots in slot-id order: `(flow, count, prev, next)`
-    /// where `prev`/`next` are recency-list links (`u32::MAX` = nil).
-    pub slots: Vec<(u64, u64, u32, u32)>,
-    /// Most-recently-used slot (list head; `u32::MAX` = empty).
-    pub head: u32,
-    /// Least-recently-used slot (list tail; `u32::MAX` = empty).
-    pub tail: u32,
+    /// Resident slots in slot-id order: `(flow, count)`.
+    pub slots: Vec<(u64, u64)>,
+    /// The recency list from head to tail, as slot ids: a permutation
+    /// of the slots under [`CachePolicy::Lru`] and
+    /// [`CachePolicy::Fifo`], empty under [`CachePolicy::Random`],
+    /// which keeps no list.
+    pub order: Vec<u32>,
     /// Random-replacement generator state ([`StdRng::state`]).
     pub rng: [u64; 4],
     /// Running statistics at snapshot time.
@@ -160,6 +160,10 @@ pub struct CacheTableState {
 }
 
 const NIL: u32 = u32::MAX;
+
+/// Why [`CacheTable::restore`] refuses a recency order that is no
+/// permutation of the slots.
+const NOT_A_PERMUTATION: &str = "recency order is not a permutation of the slots";
 
 #[derive(Debug, Clone, Copy)]
 struct Slot {
@@ -191,7 +195,6 @@ pub struct CacheTable {
     head: u32,
     /// Least-recently-used slot (list tail).
     tail: u32,
-    free: Vec<u32>,
     rng: StdRng,
     stats: CacheStats,
 }
@@ -210,7 +213,6 @@ impl CacheTable {
             index: FlowSlotMap::with_capacity(cfg.entries),
             head: NIL,
             tail: NIL,
-            free: Vec::new(),
             rng: StdRng::seed_from_u64(cfg.seed),
             stats: CacheStats::default(),
             cfg,
@@ -261,42 +263,40 @@ impl CacheTable {
             return self.hit(flow, slot);
         }
 
-        self.stats.misses += 1;
-        // Free capacity? Allocate a fresh or recycled slot.
-        if self.index.len() < self.cfg.entries {
-            let slot = if let Some(s) = self.free.pop() {
-                self.slots[s as usize] = Slot { flow, count: 1, prev: NIL, next: NIL };
-                s
-            } else {
-                self.slots.push(Slot { flow, count: 1, prev: NIL, next: NIL });
-                (self.slots.len() - 1) as u32
-            };
-            self.index.insert(flow, slot);
-            self.push_front(slot);
-            return Recorded { slot, inserted: true, eviction: None };
-        }
+        let (slot, eviction) = self.bind(flow, 1);
+        Recorded { slot, inserted: true, eviction }
+    }
 
-        // Full: pick a victim, flush it, reuse its slot.
-        let victim = self.select_victim();
-        let victim_flow = self.slots[victim as usize].flow;
-        let victim_count = self.slots[victim as usize].count;
-        self.index.remove(victim_flow);
-        self.unlink(victim);
-        self.slots[victim as usize] = Slot { flow, count: 1, prev: NIL, next: NIL };
-        self.index.insert(flow, victim);
-        self.push_front(victim);
-        let eviction = if victim_count > 0 {
-            self.stats.replacement_evictions += 1;
-            Some(Eviction {
-                flow: victim_flow,
-                value: victim_count,
-                reason: EvictionReason::Replacement,
-            })
+    /// The miss branch of every record: bind `flow`, holding `count`,
+    /// to the next unused slot, or once the table is full to the
+    /// victim the policy picks, and return the slot with the victim's
+    /// replacement eviction, if it held a count.
+    #[inline]
+    fn bind(&mut self, flow: u64, count: u64) -> (u32, Option<Eviction>) {
+        self.stats.misses += 1;
+        let fresh = Slot { flow, count, prev: NIL, next: NIL };
+        let (slot, eviction) = if self.slots.len() < self.cfg.entries {
+            self.slots.push(fresh);
+            ((self.slots.len() - 1) as u32, None)
         } else {
-            // The victim had just overflowed (count 0): nothing to flush.
-            None
+            let victim = self.select_victim();
+            if self.keeps_list() {
+                self.unlink(victim);
+            }
+            let old = std::mem::replace(&mut self.slots[victim as usize], fresh);
+            self.index.remove(old.flow);
+            // A victim that had just overflowed (count 0) flushes nothing.
+            let eviction = (old.count > 0).then(|| {
+                self.stats.replacement_evictions += 1;
+                Eviction { flow: old.flow, value: old.count, reason: EvictionReason::Replacement }
+            });
+            (victim, eviction)
         };
-        Recorded { slot: victim, inserted: true, eviction }
+        self.index.insert(flow, slot);
+        if self.keeps_list() {
+            self.push_front(slot);
+        }
+        (slot, eviction)
     }
 
     /// The shared hit branch of [`record_slotted`](Self::record_slotted)
@@ -409,44 +409,14 @@ impl CacheTable {
         if weight == 0 {
             return None;
         }
-        let mut inserted = false;
-        let slot = if let Some(slot) = self.index.get(flow) {
+        let (slot, inserted) = if let Some(slot) = self.index.get(flow) {
             self.stats.hits += 1;
             self.touch(slot);
-            slot
+            (slot, false)
         } else {
-            self.stats.misses += 1;
-            inserted = true;
-            if self.index.len() < self.cfg.entries {
-                let slot = if let Some(s) = self.free.pop() {
-                    self.slots[s as usize] = Slot { flow, count: 0, prev: NIL, next: NIL };
-                    s
-                } else {
-                    self.slots.push(Slot { flow, count: 0, prev: NIL, next: NIL });
-                    (self.slots.len() - 1) as u32
-                };
-                self.index.insert(flow, slot);
-                self.push_front(slot);
-                slot
-            } else {
-                let victim = self.select_victim();
-                let victim_flow = self.slots[victim as usize].flow;
-                let victim_count = self.slots[victim as usize].count;
-                self.index.remove(victim_flow);
-                self.unlink(victim);
-                self.slots[victim as usize] = Slot { flow, count: 0, prev: NIL, next: NIL };
-                self.index.insert(flow, victim);
-                self.push_front(victim);
-                if victim_count > 0 {
-                    self.stats.replacement_evictions += 1;
-                    out.push(Eviction {
-                        flow: victim_flow,
-                        value: victim_count,
-                        reason: EvictionReason::Replacement,
-                    });
-                }
-                victim
-            }
+            let (slot, eviction) = self.bind(flow, 0);
+            out.extend(eviction);
+            (slot, true)
         };
         let s = &mut self.slots[slot as usize];
         s.count += weight;
@@ -505,7 +475,6 @@ impl CacheTable {
         self.stats.final_dump_entries += dumped;
         self.index.clear();
         self.slots.clear();
-        self.free.clear();
         self.head = NIL;
         self.tail = NIL;
     }
@@ -516,15 +485,15 @@ impl CacheTable {
     /// observable — records, evictions, recency order, random-victim
     /// draws, final dump — is byte-identical to continuing with `self`.
     pub fn snapshot_state(&self) -> CacheTableState {
-        debug_assert!(self.free.is_empty(), "slots are never freed mid-run");
+        let mut order = Vec::with_capacity(if self.keeps_list() { self.slots.len() } else { 0 });
+        let mut cur = self.head;
+        while cur != NIL {
+            order.push(cur);
+            cur = self.slots[cur as usize].next;
+        }
         CacheTableState {
-            slots: self
-                .slots
-                .iter()
-                .map(|s| (s.flow, s.count, s.prev, s.next))
-                .collect(),
-            head: self.head,
-            tail: self.tail,
+            slots: self.slots.iter().map(|s| (s.flow, s.count)).collect(),
+            order,
             rng: self.rng.state(),
             stats: self.stats,
         }
@@ -541,8 +510,9 @@ impl CacheTable {
     /// the table's operations index by is checked, and a violation is
     /// named instead of panicking later: more slots than entries, a
     /// count a `record` could never leave behind (`>= entry_capacity`),
-    /// a duplicate flow, or a recency list that is not one chain
-    /// through every slot. An `entries` the allocator refuses is an
+    /// a duplicate flow, or a recency order that is not a permutation
+    /// of the slots (or is not empty under [`CachePolicy::Random`],
+    /// which keeps no list). An `entries` the allocator refuses is an
     /// error too.
     ///
     /// # Panics
@@ -560,26 +530,43 @@ impl CacheTable {
         let mut slots = Vec::new();
         slots.try_reserve_exact(cfg.entries).map_err(|_| TOO_LARGE)?;
         let mut index = FlowSlotMap::try_with_capacity(cfg.entries).ok_or(TOO_LARGE)?;
-        for (i, &(flow, count, prev, next)) in state.slots.iter().enumerate() {
+        for (i, &(flow, count)) in state.slots.iter().enumerate() {
             if count >= cfg.entry_capacity {
                 return Err("cache slot count at or above the entry capacity");
             }
             if index.insert(flow, i as u32).is_some() {
                 return Err("duplicate flow in the cache");
             }
-            slots.push(Slot { flow, count, prev, next });
+            slots.push(Slot { flow, count, prev: NIL, next: NIL });
         }
-        check_recency_list(&slots, state.head, state.tail)?;
-        Ok(Self {
+        let mut table = Self {
             cfg,
             slots,
             index,
-            head: state.head,
-            tail: state.tail,
-            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
             rng: StdRng::from_state(state.rng),
             stats: state.stats,
-        })
+        };
+        if !table.keeps_list() {
+            if !state.order.is_empty() {
+                return Err("recency order under random replacement");
+            }
+            return Ok(table);
+        }
+        // Link the order from its tail, each slot pushed to the head. A
+        // linked slot has a successor or is the tail, so a repeat is
+        // caught; with the lengths equal, no slot is then missing.
+        if state.order.len() != table.slots.len() {
+            return Err(NOT_A_PERMUTATION);
+        }
+        for &slot in state.order.iter().rev() {
+            match table.slots.get(slot as usize) {
+                Some(s) if s.next == NIL && slot != table.tail => table.push_front(slot),
+                _ => return Err(NOT_A_PERMUTATION),
+            }
+        }
+        Ok(table)
     }
 
     /// Software-prefetch the table state for an upcoming
@@ -605,6 +592,13 @@ impl CacheTable {
     /// layout-independent, like [`drain_with`](Self::drain_with)).
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.slots.iter().map(|s| (s.flow, s.count))
+    }
+
+    /// Whether the policy reads the recency list. Under
+    /// [`CachePolicy::Random`] no list is kept: the links stay nil.
+    #[inline]
+    fn keeps_list(&self) -> bool {
+        self.cfg.policy != CachePolicy::Random
     }
 
     #[inline]
@@ -695,37 +689,12 @@ impl CacheTable {
             cur = self.slots[cur as usize].next;
         }
         assert_eq!(prev, self.tail);
-        assert_eq!(seen.len(), self.index.len());
+        assert_eq!(seen.len(), if self.keeps_list() { self.index.len() } else { 0 });
         for (flow, slot) in self.index.iter() {
             assert_eq!(self.slots[slot as usize].flow, flow);
-            assert!(seen.contains(&slot));
+            assert!(seen.contains(&slot) || !self.keeps_list());
         }
     }
-}
-
-/// The recency list must be one chain from `head` to `tail` through
-/// every slot exactly once, with each `prev` naming the slot before:
-/// `touch` and `unlink` follow these links without checking them.
-fn check_recency_list(slots: &[Slot], head: u32, tail: u32) -> Result<(), &'static str> {
-    let mut seen = vec![false; slots.len()];
-    let (mut prev, mut cur) = (NIL, head);
-    while cur != NIL {
-        let slot = slots.get(cur as usize).ok_or("dangling recency link")?;
-        if std::mem::replace(&mut seen[cur as usize], true) {
-            return Err("recency list revisits a slot");
-        }
-        if slot.prev != prev {
-            return Err("recency list back link disagrees");
-        }
-        (prev, cur) = (cur, slot.next);
-    }
-    if prev != tail {
-        return Err("recency list does not end at its tail");
-    }
-    if seen.iter().any(|&s| !s) {
-        return Err("recency list misses a slot");
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1108,29 +1077,83 @@ mod tests {
 
     #[test]
     fn snapshot_restore_round_trips_state() {
-        let cfg = CacheConfig::random(4, 9);
+        for policy in [CachePolicy::Lru, CachePolicy::Random, CachePolicy::Fifo] {
+            let cfg = CacheConfig { policy, ..CacheConfig::lru(4, 9) };
+            let mut c = CacheTable::new(cfg);
+            for f in [3u64, 1, 4, 1, 5, 9, 2, 6] {
+                c.record(f);
+            }
+            let snap = c.snapshot_state();
+            // The order is kept exactly where the policy reads it.
+            let listed = if policy == CachePolicy::Random { 0 } else { snap.slots.len() };
+            assert_eq!(snap.order.len(), listed, "{policy:?}");
+            let r = CacheTable::restore(cfg, &snap).expect("a snapshot restores");
+            r.assert_list_invariants();
+            assert_eq!(r.snapshot_state(), snap, "restore → snapshot is the identity");
+            // iter() is slot-ordered, hence identical too.
+            assert_eq!(c.iter().collect::<Vec<_>>(), r.iter().collect::<Vec<_>>());
+        }
+    }
+
+    /// A full table's state under `policy`, slot ids `0..4`.
+    fn full_state(policy: CachePolicy) -> (CacheConfig, CacheTableState) {
+        let cfg = CacheConfig { policy, ..CacheConfig::lru(4, 9) };
         let mut c = CacheTable::new(cfg);
-        for f in [3u64, 1, 4, 1, 5, 9, 2, 6] {
+        for f in [10u64, 11, 12, 13, 11] {
             c.record(f);
         }
-        let snap = c.snapshot_state();
-        let r = CacheTable::restore(cfg, &snap).expect("a snapshot restores");
-        assert_eq!(r.snapshot_state(), snap, "restore → snapshot is the identity");
-        // iter() is slot-ordered, hence identical too.
-        assert_eq!(c.iter().collect::<Vec<_>>(), r.iter().collect::<Vec<_>>());
+        (cfg, c.snapshot_state())
     }
 
     #[test]
-    fn restore_rejects_duplicate_flows() {
-        let cfg = CacheConfig::lru(4, 9);
-        let state = CacheTableState {
-            slots: vec![(7, 1, NIL, 1), (7, 2, 0, NIL)],
-            head: 0,
-            tail: 1,
-            rng: [1, 2, 3, 4],
-            stats: CacheStats::default(),
-        };
+    fn forged_duplicate_flows_are_refused() {
+        let (cfg, mut state) = full_state(CachePolicy::Lru);
+        state.slots[1].0 = state.slots[0].0;
         assert_eq!(CacheTable::restore(cfg, &state).err(), Some("duplicate flow in the cache"));
+    }
+
+    /// `entries` comes with a state from outside, so a size the
+    /// allocator refuses is a typed error. Without an address-space
+    /// limit a host that overcommits might grant the smaller sizes, so
+    /// this runs under `ulimit -v` (`scripts/check.sh --delta-smoke`).
+    #[test]
+    #[ignore = "needs an address-space limit: run by scripts/check.sh --delta-smoke"]
+    fn forged_huge_entries_are_refused_typed_under_an_address_limit() {
+        let (_, state) = full_state(CachePolicy::Lru);
+        for entries in [1 << 30, 1 << 40, usize::MAX] {
+            let cfg = CacheConfig::lru(entries, 9);
+            let refused = CacheTable::restore(cfg, &state).err();
+            assert_eq!(refused, Some("cache too large to allocate"), "{entries}");
+        }
+    }
+
+    #[test]
+    fn forged_orders_are_refused() {
+        for policy in [CachePolicy::Lru, CachePolicy::Fifo] {
+            let (cfg, state) = full_state(policy);
+            let refused = |edit: fn(&mut Vec<u32>)| {
+                let mut forged = state.clone();
+                edit(&mut forged.order);
+                CacheTable::restore(cfg, &forged).err()
+            };
+            assert_eq!(refused(|o| o[1] = o[0]), Some(NOT_A_PERMUTATION), "duplicate id");
+            assert_eq!(refused(|o| o[2] = 4), Some(NOT_A_PERMUTATION), "id ≥ the slot count");
+            assert_eq!(refused(|o| o[3] = NIL), Some(NOT_A_PERMUTATION), "nil id");
+            assert_eq!(refused(|o| o.truncate(3)), Some(NOT_A_PERMUTATION), "a short order");
+            assert_eq!(refused(|o| o.push(0)), Some(NOT_A_PERMUTATION), "a long order");
+            assert_eq!(refused(Vec::clear), Some(NOT_A_PERMUTATION), "no order");
+            // Any permutation is a valid list.
+            let restored = CacheTable::restore(cfg, &{
+                let mut s = state.clone();
+                s.order.reverse();
+                s
+            });
+            restored.expect("a permuted order restores").assert_list_invariants();
+        }
+        let (cfg, mut state) = full_state(CachePolicy::Random);
+        state.order = vec![0, 1, 2, 3];
+        let why = "recency order under random replacement";
+        assert_eq!(CacheTable::restore(cfg, &state).err(), Some(why));
     }
 
     #[test]

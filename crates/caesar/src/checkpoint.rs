@@ -29,7 +29,7 @@ use crate::online::{
 use crate::sram::DIRTY_BLOCK_COUNTERS;
 use cachesim::{CachePolicy, CacheStats, CacheTableState};
 use hashkit::KCounterMap;
-use support::bytesx::{seal, unseal, ByteReader, PutBytes, VarintError};
+use support::bytesx::{seal, unseal_with_checksum, ByteReader, PutBytes, VarintError};
 
 const SNAPSHOT_MAGIC: &[u8; 4] = b"CSNP";
 const DELTA_MAGIC: &[u8; 4] = b"CDLT";
@@ -37,9 +37,9 @@ const DELTA_MAGIC: &[u8; 4] = b"CDLT";
 /// Frame layout version, shared by snapshots and deltas (bump on
 /// layout changes; the sealed footer's own version is managed by
 /// [`support::bytesx`]). Version 3 unified the two kinds, version 4
-/// made the counter-block section sparse; earlier frames are refused,
-/// not read.
-const FRAME_VERSION: u16 = 4;
+/// made the counter-block section sparse, version 5 stores a cache as
+/// slots and a recency order; earlier frames are refused, not read.
+const FRAME_VERSION: u16 = 5;
 
 // ---------------------------------------------------------------------
 // Counter-block section (shared with `CSKD`)
@@ -382,13 +382,13 @@ impl Scaffold {
 /// Seal a frame of `e`'s state into `buf`: a snapshot listing every
 /// nonzero counter when `link` is `None`, else the `CDLT` link
 /// `(chain id, sequence)` listing every counter written since the last
-/// checkpoint (consuming the dirty baseline). The caller has quiesced
-/// the driver.
+/// checkpoint (consuming the dirty baseline). Returns the seal's
+/// checksum, a snapshot's chain id. The caller has quiesced the driver.
 pub(crate) fn encode_frame<D>(
     buf: &mut Vec<u8>,
     e: &mut OnlineEngine<D>,
     link: Option<(u64, u64)>,
-) {
+) -> u64 {
     buf.clear();
     buf.put_slice(if link.is_some() { DELTA_MAGIC } else { SNAPSHOT_MAGIC });
     buf.put_u16_le(FRAME_VERSION);
@@ -417,13 +417,14 @@ pub(crate) fn encode_frame<D>(
     for lane in &mut e.lanes {
         LaneSection::of(lane).put(buf);
     }
-    seal(buf);
+    seal(buf)
 }
 
-/// Unseal a frame and read its kind and fingerprint. Snapshot-kind
-/// frames come back as `true`.
-fn read_header(bytes: &[u8]) -> Result<(bool, SketchFingerprint, ByteReader<'_>), DeltaError> {
-    let mut r = ByteReader::new(unseal(bytes)?);
+/// Unseal a frame and read its kind (snapshot frames come back as
+/// `true`) and fingerprint, with the seal checksum.
+fn read_header(bytes: &[u8]) -> Result<(bool, SketchFingerprint, u64, ByteReader<'_>), DeltaError> {
+    let (payload, checksum) = unseal_with_checksum(bytes)?;
+    let mut r = ByteReader::new(payload);
     let magic = r.get_array::<4>().ok_or(DeltaError::Truncated)?;
     let snapshot = match &magic {
         SNAPSHOT_MAGIC => true,
@@ -435,13 +436,14 @@ fn read_header(bytes: &[u8]) -> Result<(bool, SketchFingerprint, ByteReader<'_>)
         return Err(DeltaError::UnsupportedVersion(version));
     }
     let fingerprint = SketchFingerprint::decode_from(&mut r).ok_or(DeltaError::Truncated)?;
-    Ok((snapshot, fingerprint, r))
+    Ok((snapshot, fingerprint, checksum, r))
 }
 
 /// A frame's body, validated in full against the engine it restores
 /// or extends: nothing in it can make that engine panic.
 struct Body {
-    seq: u64,
+    /// The chain position the frame leaves its engine at.
+    chain: (u64, u64),
     epoch: u64,
     merges: u64,
     offered_total: u64,
@@ -451,8 +453,8 @@ struct Body {
 }
 
 impl Body {
-    /// Install the body on `e`, on the chain `chain_id`.
-    fn apply(self, e: &mut OnlineCaesar, chain_id: u64) {
+    /// Install the body on `e`.
+    fn apply(self, e: &mut OnlineCaesar) {
         // Plain stores: the values are absolute.
         e.sram.store_counters(self.blocks.counters());
         e.sram.restore_tallies(&self.tallies);
@@ -460,7 +462,7 @@ impl Body {
         e.merges = self.merges;
         e.offered_total = self.offered_total;
         e.lanes = self.lanes;
-        e.chain = Some((chain_id, self.seq));
+        e.chain = Some(self.chain);
         // Replayed state is the new baseline, exactly as it was on the
         // emitting engine the instant after its drain.
         let _ = e.sram.take_dirty_blocks();
@@ -472,7 +474,7 @@ impl Body {
 /// and settings; or, without a `base`, a snapshot. Returned with the
 /// scaffold the body was checked against.
 fn decode_frame(bytes: &[u8], base: Option<&OnlineCaesar>) -> Result<(Scaffold, Body), DeltaError> {
-    let (snapshot, fingerprint, mut r) = read_header(bytes)?;
+    let (snapshot, fingerprint, checksum, mut r) = read_header(bytes)?;
     if snapshot != base.is_none() {
         return Err(DeltaError::BadMagic);
     }
@@ -521,33 +523,33 @@ fn decode_frame(bytes: &[u8], base: Option<&OnlineCaesar>) -> Result<(Scaffold, 
     if offers != Some(offered_total) {
         return Err(DeltaError::Corrupt("lane offers do not sum to the engine's"));
     }
-    Ok((scaffold, Body { seq, epoch, merges, offered_total, blocks, tallies, lanes }))
+    // A snapshot's chain id is its seal checksum, the one the emitting
+    // engine kept: a restored engine continues the chain it anchored.
+    let chain = (if snapshot { checksum } else { chain_id }, seq);
+    Ok((scaffold, Body { chain, epoch, merges, offered_total, blocks, tallies, lanes }))
 }
 
 /// Build a pump engine from a snapshot frame.
 pub(crate) fn restore(bytes: &[u8]) -> Result<OnlineCaesar, RestoreError> {
     let (scaffold, body) = decode_frame(bytes, None).map_err(restore_error)?;
     let mut e = scaffold.engine();
-    // Re-deriving the chain id from the frame's own bytes means a
-    // restored engine continues the chain the frame anchored: both
-    // sides hashed the same bytes.
-    body.apply(&mut e, hashkit::fnv::fnv1a64(bytes));
+    body.apply(&mut e);
     Ok(e)
 }
 
 /// Decode, validate and apply the next `CDLT` link of `e`'s chain; a
 /// refused frame leaves `e` untouched.
 pub(crate) fn apply_delta(e: &mut OnlineCaesar, bytes: &[u8]) -> Result<(), DeltaError> {
-    let (chain_id, _) = e.chain.ok_or(DeltaError::NoBase)?;
+    e.chain.ok_or(DeltaError::NoBase)?;
     let (_, body) = decode_frame(bytes, Some(e))?;
-    body.apply(e, chain_id);
+    body.apply(e);
     Ok(())
 }
 
 /// The fingerprint of a snapshot frame, read without decoding the rest.
 pub(crate) fn snapshot_fingerprint(bytes: &[u8]) -> Result<SketchFingerprint, RestoreError> {
     match read_header(bytes).map_err(restore_error)? {
-        (true, fingerprint, _) => Ok(fingerprint),
+        (true, fingerprint, ..) => Ok(fingerprint),
         (false, ..) => Err(restore_error(DeltaError::BadMagic)),
     }
 }
@@ -572,11 +574,11 @@ fn restore_error(e: DeltaError) -> RestoreError {
 // ---------------------------------------------------------------------
 
 /// The fewest bytes a lane section encodes to (no ring contents, cache
-/// slots, staged increments or fault records): the ledger and pump
-/// scalars, the ring length, the retired ingest stats, the worker's
-/// fixed fields and counts, and the fault-log count.
+/// slots, recency order, staged increments or fault records): the
+/// ledger and pump scalars, the ring length, the retired ingest stats,
+/// the worker's fixed fields and counts, and the fault-log count.
 const LANE_SECTION_MIN: usize =
-    5 * 8 + 1 + 8 + 8 + 4 * 8 + (8 + 2 * 4 + 4 * 8 + 5 * 8 + 4 * 8 + 8 + 4 * 8) + 8;
+    5 * 8 + 1 + 8 + 8 + 4 * 8 + (8 + 8 + 4 * 8 + 5 * 8 + 4 * 8 + 8 + 4 * 8) + 8;
 
 /// One lane section as plain data: what a frame says about a lane,
 /// before any check. The same in both frame kinds (the lane tail is
@@ -685,8 +687,8 @@ fn get_u8(r: &mut ByteReader<'_>) -> Result<u8, DeltaError> {
     r.get_u8().ok_or(DeltaError::Truncated)
 }
 
-fn get_u32(r: &mut ByteReader<'_>) -> Result<u32, DeltaError> {
-    r.get_u32_le().ok_or(DeltaError::Truncated)
+fn get_uvarint(r: &mut ByteReader<'_>) -> Result<u64, DeltaError> {
+    Ok(r.get_uvarint().map_err(BlockError::from)?)
 }
 
 fn get_u64(r: &mut ByteReader<'_>) -> Result<u64, DeltaError> {
@@ -732,16 +734,17 @@ fn decode_ingest_stats(r: &mut ByteReader<'_>) -> Result<IngestStats, DeltaError
 }
 
 fn encode_worker_state(buf: &mut Vec<u8>, st: &ShardWorkerState) {
-    // Cache.
+    // Cache: each slot's flow and count (below `y`, so its varint is
+    // short), then the recency order as slot ids.
     buf.put_u64_le(st.cache.slots.len() as u64);
-    for &(flow, count, prev, next) in &st.cache.slots {
+    for &(flow, count) in &st.cache.slots {
         buf.put_u64_le(flow);
-        buf.put_u64_le(count);
-        buf.put_u32_le(prev);
-        buf.put_u32_le(next);
+        buf.put_uvarint(count);
     }
-    buf.put_u32_le(st.cache.head);
-    buf.put_u32_le(st.cache.tail);
+    buf.put_u64_le(st.cache.order.len() as u64);
+    for &slot in &st.cache.order {
+        buf.put_uvarint(u64::from(slot));
+    }
     for &s in &st.cache.rng {
         buf.put_u64_le(s);
     }
@@ -768,12 +771,14 @@ fn encode_worker_state(buf: &mut Vec<u8>, st: &ShardWorkerState) {
 }
 
 fn decode_worker_state(r: &mut ByteReader<'_>) -> Result<ShardWorkerState, DeltaError> {
-    let n_slots = get_count(r, 24)?;
+    let n_slots = get_count(r, 9)?;
     let slots = (0..n_slots)
-        .map(|_| Ok((get_u64(r)?, get_u64(r)?, get_u32(r)?, get_u32(r)?)))
+        .map(|_| Ok((get_u64(r)?, get_uvarint(r)?)))
         .collect::<Result<Vec<_>, DeltaError>>()?;
-    let head = get_u32(r)?;
-    let tail = get_u32(r)?;
+    let n_order = get_count(r, 1)?;
+    let order = (0..n_order)
+        .map(|_| u32::try_from(get_uvarint(r)?).map_err(|_| DeltaError::Corrupt("slot id")))
+        .collect::<Result<Vec<_>, DeltaError>>()?;
     let cache_rng = get_rng_state(r)?;
     let stats = CacheStats {
         hits: get_u64(r)?,
@@ -788,7 +793,7 @@ fn decode_worker_state(r: &mut ByteReader<'_>) -> Result<ShardWorkerState, Delta
         .map(|_| Ok((get_usize(r)?, get_u64(r)?)))
         .collect::<Result<Vec<_>, DeltaError>>()?;
     Ok(ShardWorkerState {
-        cache: CacheTableState { slots, head, tail, rng: cache_rng, stats },
+        cache: CacheTableState { slots, order, rng: cache_rng, stats },
         rng,
         wb: WritebackState {
             pending,
@@ -978,6 +983,7 @@ pub(crate) mod raw {
 mod tests {
     use super::*;
     use crate::merge::FINGERPRINT_BYTES;
+    use support::bytesx::unseal;
     use support::rand::rngs::StdRng;
     use support::rand::Rng;
     use support::testkit::{for_each_seed_n, GenExt};
@@ -1072,7 +1078,11 @@ mod tests {
     /// A one-shard engine mid-epoch, with full caches and staged
     /// writeback: its snapshot and the delta link after it.
     fn frames() -> (Vec<u8>, Vec<u8>) {
-        let mut live = OnlineCaesar::new(cfg(), 1).with_epoch_len(1 << 20);
+        frames_under(cfg())
+    }
+
+    fn frames_under(under: CaesarConfig) -> (Vec<u8>, Vec<u8>) {
+        let mut live = OnlineCaesar::new(under, 1).with_epoch_len(1 << 20);
         live.offer_batch(&traffic(0, 3_000));
         let base = live.snapshot();
         live.offer_batch(&traffic(1, 2_000));
@@ -1084,9 +1094,13 @@ mod tests {
     /// refused as corrupt by restore, and the delta by delta replay,
     /// which leaves the replica as it was.
     fn assert_refused(edit: impl Fn(&mut LaneSection)) {
-        let (base, delta) = frames();
+        assert_refused_under(cfg(), edit);
+    }
+
+    fn assert_refused_under(under: CaesarConfig, edit: impl Fn(&mut LaneSection)) {
+        let (base, delta) = frames_under(under);
         for (frame, is_delta) in [(&base, false), (&delta, true)] {
-            let mut parts = Parts::of(frame, cfg().counters, 1);
+            let mut parts = Parts::of(frame, under.counters, 1);
             edit(&mut parts.lanes[0]);
             let forged = parts.seal(None);
             if is_delta {
@@ -1159,18 +1173,22 @@ mod tests {
             Some(RestoreError::Corrupt("not a snapshot frame"))
         );
         // A version-1 `CDLT` link keeps its magic; version 3, the
-        // dense counter-block layout, shares it with the snapshot.
+        // dense counter-block layout, shares it with the snapshot, and
+        // version 4 wrote each cache slot with its recency links.
         let mut replica = OnlineCaesar::restore(&base).expect("base restores");
-        for version in [1u16, 3] {
+        for version in [1u16, 3, 4] {
             let mut old = unseal(&delta).expect("pristine").to_vec();
             old[4..6].copy_from_slice(&version.to_le_bytes());
             seal(&mut old);
             assert_eq!(replica.apply_delta(&old), Err(DeltaError::UnsupportedVersion(version)));
         }
-        let mut old = unseal(&base).expect("pristine").to_vec();
-        old[4..6].copy_from_slice(&3u16.to_le_bytes());
-        seal(&mut old);
-        assert_eq!(OnlineCaesar::restore(&old).err(), Some(RestoreError::UnsupportedVersion(3)));
+        for version in [3u16, 4] {
+            let mut old = unseal(&base).expect("pristine").to_vec();
+            old[4..6].copy_from_slice(&version.to_le_bytes());
+            seal(&mut old);
+            let refused = OnlineCaesar::restore(&old).err();
+            assert_eq!(refused, Some(RestoreError::UnsupportedVersion(version)));
+        }
     }
 
     #[test]
@@ -1179,20 +1197,26 @@ mod tests {
     }
 
     #[test]
-    fn forged_dangling_recency_links_are_refused() {
-        let n = cfg().cache_entries as u32;
-        assert_refused(|lane| lane.worker.cache.slots[0].3 = n);
-        assert_refused(|lane| lane.worker.cache.slots[0].2 = n + 7);
-        assert_refused(|lane| lane.worker.cache.head = n);
-        assert_refused(|lane| lane.worker.cache.tail = u32::MAX);
+    fn forged_recency_orders_are_refused() {
+        assert_refused(|lane| {
+            let order = &mut lane.worker.cache.order;
+            order[1] = order[0];
+        });
+        assert_refused(|lane| lane.worker.cache.order[0] = lane.worker.cache.slots.len() as u32);
+        assert_refused(|lane| lane.worker.cache.order.truncate(1));
+        // Random replacement keeps no list: any order is forged.
+        let random = CaesarConfig { policy: CachePolicy::Random, ..cfg() };
+        assert_refused_under(random, |lane| {
+            lane.worker.cache.order = (0..lane.worker.cache.slots.len() as u32).collect();
+        });
     }
 
     #[test]
     fn forged_slot_count_above_entries_is_refused() {
         assert_refused(|lane| {
-            let slots = &mut lane.worker.cache.slots;
-            let extra = slots[0];
-            slots.push((u64::MAX, extra.1, extra.2, extra.3));
+            let cache = &mut lane.worker.cache;
+            cache.order.push(cache.slots.len() as u32);
+            cache.slots.push((u64::MAX, cache.slots[0].1));
         });
     }
 
@@ -1321,15 +1345,47 @@ mod tests {
         assert_eq!(buf.len(), LANE_SECTION_MIN);
     }
 
+    /// A lane whose cache is full costs a flow and a one-byte count per
+    /// slot (`y <= 128`), plus a slot id of at most two bytes (at most
+    /// 2^14 entries) per order entry where the policy keeps a list.
+    #[test]
+    fn a_full_cache_costs_at_most_eleven_bytes_per_slot() {
+        for (policy, per_slot) in
+            [(CachePolicy::Lru, 11), (CachePolicy::Fifo, 11), (CachePolicy::Random, 9)]
+        {
+            let full =
+                CaesarConfig { cache_entries: 1 << 14, entry_capacity: 128, policy, ..cfg() };
+            let mut cache = cachesim::CacheTable::new(cachesim::CacheConfig {
+                entries: full.cache_entries,
+                entry_capacity: full.entry_capacity,
+                policy,
+                seed: 7,
+            });
+            for i in 0..200_000u64 {
+                cache.record(hashkit::mix::mix64(i * i % 40_009));
+            }
+            assert_eq!(cache.len(), full.cache_entries, "{policy:?}: the cache is full");
+            let mut fresh = OnlineCaesar::new(full, 1);
+            let mut section = LaneSection::of(&mut fresh.lanes[0]);
+            section.worker.cache = cache.snapshot_state();
+            let mut buf = Vec::new();
+            section.put(&mut buf);
+            assert!(
+                buf.len() <= LANE_SECTION_MIN + per_slot * full.cache_entries,
+                "{policy:?}: {} bytes",
+                buf.len()
+            );
+            let decoded = LaneSection::get(&mut ByteReader::new(&buf)).expect("a full lane");
+            assert_eq!(decoded.worker.cache, section.worker.cache);
+        }
+    }
+
     /// The structural fields the property forges, one per case.
     #[derive(Debug, Clone, Copy)]
     enum Field {
         SlotFlow,
         SlotCount,
-        SlotPrev,
-        SlotNext,
-        Head,
-        Tail,
+        Order,
         PendingIndex,
         PendingValue,
         Offered,
@@ -1340,13 +1396,10 @@ mod tests {
         Section(SectionField),
     }
 
-    const FIELDS: [Field; 20] = [
+    const FIELDS: [Field; 17] = [
         Field::SlotFlow,
         Field::SlotCount,
-        Field::SlotPrev,
-        Field::SlotNext,
-        Field::Head,
-        Field::Tail,
+        Field::Order,
         Field::PendingIndex,
         Field::PendingValue,
         Field::Offered,
@@ -1374,17 +1427,15 @@ mod tests {
     ) -> Option<Option<(Raw, u64)>> {
         let lane = rng.gen_range(0..parts.lanes.len());
         let section = &mut parts.lanes[lane];
-        let slots = &mut section.worker.cache.slots;
+        let (slots, order) = (&mut section.worker.cache.slots, &mut section.worker.cache.order);
         let pending = &mut section.worker.wb.pending;
         let slot = (!slots.is_empty()).then(|| rng.gen_range(0..slots.len()));
+        let listed = (!order.is_empty()).then(|| rng.gen_range(0..order.len()));
         let staged = (!pending.is_empty()).then(|| rng.gen_range(0..pending.len()));
         match field {
             Field::SlotFlow => slots[slot?].0 = value,
             Field::SlotCount => slots[slot?].1 = value,
-            Field::SlotPrev => slots[slot?].2 = value as u32,
-            Field::SlotNext => slots[slot?].3 = value as u32,
-            Field::Head => section.worker.cache.head = value as u32,
-            Field::Tail => section.worker.cache.tail = value as u32,
+            Field::Order => order[listed?] = value as u32,
             Field::PendingIndex => pending[staged?].0 = value as usize,
             Field::PendingValue => pending[staged?].1 = value,
             Field::Offered => section.ledger.offered = value,
@@ -1430,6 +1481,7 @@ mod tests {
                 k: rng.gen_range(1usize..5).min(counters),
                 counter_bits: rng.pick(&[8u32, 16, 32]),
                 seed: rng.gen(),
+                policy: rng.pick(&[CachePolicy::Lru, CachePolicy::Random, CachePolicy::Fifo]),
                 ..CaesarConfig::default()
             };
             let population = rng.gen_range(1u64..80);

@@ -360,9 +360,10 @@ pub struct OnlineEngine<D> {
     pub(crate) merges: u64,
     pub(crate) offered_total: u64,
     /// Delta-checkpoint chain position: `(chain id, deltas emitted)`.
-    /// The chain id is the FNV-1a digest of the anchoring full
-    /// snapshot's sealed bytes, so an uninterrupted engine and one
-    /// restored from that same blob agree on it without coordination.
+    /// The chain id is the anchoring full snapshot's seal checksum (the
+    /// FNV-1a digest of its payload), so an uninterrupted engine and
+    /// one restored from that same blob agree on it without
+    /// coordination.
     /// `None` until the first [`OnlineEngine::snapshot`] anchors a
     /// chain.
     pub(crate) chain: Option<(u64, u64)>,
@@ -703,10 +704,11 @@ impl<D: Drive> OnlineEngine<D> {
     /// instead of growing a fresh `Vec` every epoch.
     pub fn snapshot_into(&mut self, buf: &mut Vec<u8>) {
         D::quiesce(self);
-        checkpoint::encode_frame(buf, self, None);
-        // This blob is now the chain anchor: future deltas diff against
-        // it, so the dirty baseline resets here.
-        self.chain = Some((hashkit::fnv::fnv1a64(buf), 0));
+        // This blob is now the chain anchor, named by its seal's
+        // checksum: future deltas diff against it, so the dirty
+        // baseline resets here.
+        let chain_id = checkpoint::encode_frame(buf, self, None);
+        self.chain = Some((chain_id, 0));
         let _ = self.sram.take_dirty_blocks();
         D::resume(self);
     }
@@ -1179,18 +1181,6 @@ impl From<SealError> for DeltaError {
     }
 }
 
-impl From<RestoreError> for DeltaError {
-    fn from(e: RestoreError) -> Self {
-        match e {
-            RestoreError::Seal(s) => DeltaError::Seal(s),
-            RestoreError::Truncated => DeltaError::Truncated,
-            RestoreError::UnsupportedVersion(v) => DeltaError::UnsupportedVersion(v),
-            RestoreError::Corrupt(what) => DeltaError::Corrupt(what),
-            RestoreError::Incompatible(m) => DeltaError::Incompatible(m),
-        }
-    }
-}
-
 impl std::fmt::Display for DeltaError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -1474,7 +1464,8 @@ mod tests {
         let mut live = OnlineCaesar::new(cfg(), 2).with_epoch_len(4_096);
         live.offer_batch(base_part);
         let base = live.snapshot();
-        assert_eq!(live.chain_position(), Some((hashkit::fnv::fnv1a64(&base), 0)));
+        let payload = support::bytesx::unseal(&base).expect("a sealed snapshot");
+        assert_eq!(live.chain_position(), Some((hashkit::fnv::fnv1a64(payload), 0)));
         live.offer_batch(mid);
         let d1 = live.checkpoint_delta().expect("anchored chain emits");
         live.offer_batch(last);

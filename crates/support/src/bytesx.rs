@@ -198,16 +198,18 @@ pub const SEAL_FOOTER_LEN: usize = 4 + 2 + 8 + 8;
 use hashkit::fnv::fnv1a64;
 
 /// Append a crash-consistency footer — `magic, version, payload_len,
-/// fnv1a64(payload)` — to `payload` in place. A sealed buffer is
-/// self-validating: [`unseal`] refuses truncated, over-long, or
-/// bit-flipped blobs instead of letting a decoder misparse them.
-pub fn seal(payload: &mut Vec<u8>) {
+/// fnv1a64(payload)` — to `payload` in place, and return the checksum
+/// it wrote. A sealed buffer is self-validating: [`unseal`] refuses
+/// truncated, over-long, or bit-flipped blobs instead of letting a
+/// decoder misparse them.
+pub fn seal(payload: &mut Vec<u8>) -> u64 {
     let len = payload.len() as u64;
     let sum = fnv1a64(payload);
     payload.put_u32_le(SEAL_MAGIC);
     payload.put_u16_le(SEAL_VERSION);
     payload.put_u64_le(len);
     payload.put_u64_le(sum);
+    sum
 }
 
 /// Why [`unseal`] rejected a buffer.
@@ -238,6 +240,12 @@ impl std::error::Error for SealError {}
 /// Validate a buffer produced by [`seal`] and return the payload slice
 /// (footer stripped).
 pub fn unseal(buf: &[u8]) -> Result<&[u8], SealError> {
+    unseal_with_checksum(buf).map(|(payload, _)| payload)
+}
+
+/// [`unseal`], also returning the validated checksum (the one [`seal`]
+/// returned), so a caller that names a buffer by it hashes it once.
+pub fn unseal_with_checksum(buf: &[u8]) -> Result<(&[u8], u64), SealError> {
     if buf.len() < SEAL_FOOTER_LEN {
         return Err(SealError::Truncated);
     }
@@ -256,7 +264,7 @@ pub fn unseal(buf: &[u8]) -> Result<&[u8], SealError> {
     if sum != fnv1a64(payload) {
         return Err(SealError::BadChecksum);
     }
-    Ok(payload)
+    Ok((payload, sum))
 }
 
 #[cfg(test)]
@@ -358,9 +366,11 @@ mod tests {
     fn seal_unseal_round_trip() {
         let mut buf = b"snapshot payload".to_vec();
         let payload = buf.clone();
-        seal(&mut buf);
+        let sum = seal(&mut buf);
         assert_eq!(buf.len(), payload.len() + SEAL_FOOTER_LEN);
         assert_eq!(unseal(&buf), Ok(payload.as_slice()));
+        assert_eq!(sum, fnv1a64(&payload), "seal returns the checksum it wrote");
+        assert_eq!(unseal_with_checksum(&buf), Ok((payload.as_slice(), sum)));
         // Empty payload seals too.
         let mut empty = Vec::new();
         seal(&mut empty);

@@ -47,7 +47,11 @@
 #                       to ask for —, and likewise the service unit
 #                       tests named `forged*` (a PushDelta whose
 #                       fingerprint claims L = 2^40 must be refused
-#                       before a block expands), then the tiny-scale
+#                       before a block expands) and the cachesim ones
+#                       (`CacheTable::restore` refusing a duplicate
+#                       flow, a recency order that is no permutation
+#                       and, with the ignored one, an `entries` the
+#                       allocator refuses), then the tiny-scale
 #                       cluster-view sweep whose rows now carry
 #                       measured full-vs-delta wire bytes.
 #   --simd-smoke        lane-kernel smoke mode: run the lane bit-identity
@@ -198,7 +202,7 @@ if [ "${1:-}" = "--delta-smoke" ]; then
     run cargo test --release --offline -q --test delta_checkpoint
     run cargo test --release --offline -q -p caesar --lib -- delta
     run cargo test --release --offline -q -p service
-    for crate in caesar service; do
+    for crate in cachesim caesar service; do
         BIN="$(cargo test --release --offline -q -p "$crate" --lib --no-run --message-format=json \
             | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' | head -1)"
         if [ -z "$BIN" ]; then

@@ -19,7 +19,9 @@ use caesar::{
 use experiments::zoo::{online_engine, stress_plan, zoo_config, ONLINE_SHARDS};
 use flowtrace::zoo::{standard_zoo, ZOO_SEED};
 use memsim::{PacketWork, Pipeline};
-use service::{InProcess, MeasurementClient, MeasurementService, TcpServer, TcpTransport};
+use service::{
+    InProcess, MeasurementClient, MeasurementService, Request, Response, TcpServer, TcpTransport,
+};
 use std::hint::black_box;
 use support::rand::{rngs::StdRng, SeedableRng};
 use support::timing::Harness;
@@ -345,7 +347,8 @@ fn zoo_merge_and_service() {
     });
     let svc = std::sync::Arc::new(MeasurementService::new(cfg));
     for p in &payloads {
-        svc.push(p).expect("push");
+        let ack = svc.handle(&Request::PushSketch(p.clone()));
+        assert!(matches!(ack, Response::PushAck { .. }), "push: {ack:?}");
     }
     let server = TcpServer::spawn(std::sync::Arc::clone(&svc), "127.0.0.1:0").expect("bind");
     let mut client = MeasurementClient::connect(

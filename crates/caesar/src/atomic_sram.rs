@@ -376,71 +376,39 @@ impl AtomicCounterArray {
     /// [`MergeError`]. Stripe counts may differ — stripes are an
     /// ingest-side layout detail, not part of the sketch identity.
     pub fn merge_from(&self, other: &AtomicCounterArray) -> Result<(), MergeError> {
-        if self.bits != other.bits {
-            return Err(MergeError::Geometry {
-                field: "counter_bits",
-                ours: u64::from(self.bits),
-                theirs: u64::from(other.bits),
-            });
+        let geometry = [
+            ("counter_bits", u64::from(self.bits), u64::from(other.bits)),
+            ("counters", self.len() as u64, other.len() as u64),
+        ];
+        if let Some((field, ours, theirs)) = geometry.into_iter().find(|&(_, a, b)| a != b) {
+            return Err(MergeError::Geometry { field, ours, theirs });
         }
-        self.merge_counters(&other.snapshot(), other.total_added(), other.saturations())
-    }
-
-    /// The raw-slice half of [`AtomicCounterArray::merge_from`]: fold a
-    /// frozen counter snapshot plus its producer's tallies into this
-    /// array. This is what a wire-pushed [`crate::SketchPayload`]
-    /// merges through — the producing array no longer exists on this
-    /// node, only its values do.
-    pub fn merge_counters(
-        &self,
-        counters: &[u64],
-        total_added: u64,
-        saturation_events: u64,
-    ) -> Result<(), MergeError> {
-        if self.counters.len() != counters.len() {
-            return Err(MergeError::Geometry {
-                field: "counters",
-                ours: self.counters.len() as u64,
-                theirs: counters.len() as u64,
-            });
-        }
-        for (idx, &v) in counters.iter().enumerate() {
-            if v > 0 {
-                self.add_counter(idx, v, 0);
-            }
-        }
-        self.tallies[0].total_added.fetch_add(total_added, Ordering::Relaxed);
-        self.tallies[0].saturations.fetch_add(saturation_events, Ordering::Relaxed);
+        let values = other.counters.iter().map(|c| c.load(Ordering::Relaxed));
+        self.fold(values.enumerate(), other.total_added(), other.saturations());
         Ok(())
     }
 
-    /// The sparse form of [`AtomicCounterArray::merge_counters`]: fold
-    /// `(index, increment)` pairs plus the producer's tally increments
-    /// — what a wire-pushed [`crate::SketchDelta`] merges through.
-    /// Saturation-aware exactly like the dense path (each clamp
-    /// crossing is counted), so a delta-fed view degrades
-    /// [`crate::QueryHealth`] identically to a full-push-fed one.
-    pub fn merge_counters_sparse(
+    /// The one merge fold: saturating-add each `(index, increment)`
+    /// pair (zeros skipped; each clamp crossing counted on stripe 0)
+    /// and add a producer's offered-units and saturation tallies. What
+    /// an in-process merge, a `PushSketch`, a `PushDelta` and a NACK
+    /// resync all apply through, after their geometry check: the
+    /// caller has checked every index is in range.
+    pub(crate) fn fold(
         &self,
-        updates: &[(usize, u64)],
+        updates: impl IntoIterator<Item = (usize, u64)>,
         total_added: u64,
         saturation_events: u64,
-    ) -> Result<(), MergeError> {
-        if let Some(&(idx, _)) = updates.iter().find(|&&(idx, _)| idx >= self.counters.len()) {
-            return Err(MergeError::Geometry {
-                field: "counters",
-                ours: self.counters.len() as u64,
-                theirs: idx as u64,
-            });
-        }
-        for &(idx, v) in updates {
+    ) {
+        // Internal iteration: a caller's `flat_map` over blocks runs as
+        // one tight loop per block, not one `next` call per counter.
+        updates.into_iter().for_each(|(idx, v)| {
             if v > 0 {
                 self.add_counter(idx, v, 0);
             }
-        }
+        });
         self.tallies[0].total_added.fetch_add(total_added, Ordering::Relaxed);
         self.tallies[0].saturations.fetch_add(saturation_events, Ordering::Relaxed);
-        Ok(())
     }
 
     /// Charge `events` saturation events to `stripe` without touching
@@ -732,22 +700,23 @@ mod tests {
             Err(MergeError::Geometry { field: "counter_bits", .. })
         ));
         assert!(matches!(
-            a.merge_counters(&[1, 2, 3], 6, 0),
+            a.merge_from(&AtomicCounterArray::new(3, 16)),
             Err(MergeError::Geometry { field: "counters", .. })
         ));
     }
 
     #[test]
-    fn merge_counters_matches_merge_from() {
+    fn folding_sparse_pairs_matches_merge_from() {
         let a = AtomicCounterArray::new(4, 16);
         let b = AtomicCounterArray::new(4, 16);
         for i in 0..4 {
             a.add(i, i as u64 + 1);
-            b.add(i, 10 * (i as u64 + 1));
         }
+        b.add(1, 20);
+        b.add(3, 40);
         let via_from = AtomicCounterArray::restore(16, &a.snapshot(), &a.tally_snapshot());
         via_from.merge_from(&b).unwrap();
-        a.merge_counters(&b.snapshot(), b.total_added(), b.saturations()).unwrap();
+        a.fold([(1, 20), (3, 40)], b.total_added(), b.saturations());
         assert_eq!(a.snapshot(), via_from.snapshot());
         assert_eq!(a.total_added(), via_from.total_added());
         assert_eq!(a.saturations(), via_from.saturations());
@@ -935,12 +904,7 @@ mod tests {
         assert_eq!(a.nonzero_masks(), vec![(0, 0b101), (3, 1 << 4)]);
         a.add(DIRTY_BLOCK_COUNTERS * 3, 1);
         assert_eq!(a.take_dirty_blocks(), vec![3]);
-        a.merge_counters(&{
-            let mut v = vec![0u64; DIRTY_BLOCK_COUNTERS * 3 + 5];
-            v[DIRTY_BLOCK_COUNTERS + 1] = 7;
-            v
-        }, 7, 0)
-        .unwrap();
+        a.fold([(DIRTY_BLOCK_COUNTERS + 1, 7)], 7, 0);
         assert_eq!(a.take_dirty_blocks(), vec![1]);
         // Restore and store_counters re-baseline: no marks.
         let r = AtomicCounterArray::restore(a.bits(), &a.snapshot(), &a.tally_snapshot());

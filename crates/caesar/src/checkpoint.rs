@@ -1,7 +1,7 @@
 //! The checkpoint codec: one frame layout for full snapshots (magic
 //! `CSNP`) and `CDLT` delta links, one validating decoder for both,
-//! and the counter-block section the `CSKD` wire delta shares. The
-//! layout table is in DESIGN §4j.
+//! and the counter-block section the `CSKP` and `CSKD` wire frames
+//! share. The layout tables are in DESIGN §4j.
 //!
 //! A frame holds only what a restore cannot recompute: the memo rows,
 //! the writeback segment's shape, the SRAM geometry and the tally
@@ -42,7 +42,7 @@ const DELTA_MAGIC: &[u8; 4] = b"CDLT";
 const FRAME_VERSION: u16 = 5;
 
 // ---------------------------------------------------------------------
-// Counter-block section (shared with `CSKD`)
+// Counter-block section (shared with `CSKP` and `CSKD`)
 // ---------------------------------------------------------------------
 
 /// Tag of a block listed by its 64-bit change mask.

@@ -813,11 +813,13 @@ impl ConcurrentCaesar {
     /// semantics as [`ConcurrentCaesar::merge`].
     pub fn merge_sketch(&mut self, payload: &SketchPayload) -> Result<(), MergeError> {
         self.fingerprint().expect_matches(&payload.fingerprint)?;
-        self.sram.merge_counters(
-            &payload.counters,
-            payload.total_added,
-            payload.saturation_events,
-        )?;
+        let len = self.sram.len();
+        if payload.counters.len() != len {
+            let theirs = payload.counters.len() as u64;
+            return Err(MergeError::Geometry { field: "counters", ours: len as u64, theirs });
+        }
+        let updates = payload.counters.iter().copied().enumerate();
+        self.sram.fold(updates, payload.total_added, payload.saturation_events);
         self.ingest.evictions += payload.evictions;
         Ok(())
     }
@@ -832,8 +834,7 @@ impl ConcurrentCaesar {
     pub fn merge_delta(&mut self, delta: &SketchDelta) -> Result<(), MergeError> {
         self.fingerprint().expect_matches(&delta.fingerprint)?;
         let span = crate::sram::DIRTY_BLOCK_COUNTERS;
-        // Every listed block must lie inside the array, zeros or not;
-        // only then are its nonzero increments gathered.
+        // Every listed block must lie inside the array, zeros or not.
         let len = self.sram.len();
         let end = |(block, increments): &(usize, Vec<u64>)| {
             block.checked_mul(span).and_then(|start| start.checked_add(increments.len()))
@@ -845,18 +846,10 @@ impl ConcurrentCaesar {
                 theirs: past.map_or(u64::MAX, |e| e as u64 - 1),
             });
         }
-        let updates: Vec<(usize, u64)> = (delta.blocks.iter())
-            .flat_map(|(block, increments)| {
-                let start = block * span;
-                let listed = increments.iter().enumerate().filter(|&(_, &v)| v != 0);
-                listed.map(move |(i, &v)| (start + i, v))
-            })
-            .collect();
-        self.sram.merge_counters_sparse(
-            &updates,
-            delta.total_added_delta,
-            delta.saturation_events_delta,
-        )?;
+        let updates = (delta.blocks.iter()).flat_map(|(block, increments)| {
+            (block * span..).zip(increments.iter().copied())
+        });
+        self.sram.fold(updates, delta.total_added_delta, delta.saturation_events_delta);
         self.ingest.evictions += delta.evictions_delta;
         Ok(())
     }

@@ -23,7 +23,7 @@
 //! wire-transportable form of a sketch is [`SketchPayload`] — what a
 //! measurement node pushes to an aggregator (see the `service` crate).
 
-use crate::checkpoint::{block_span, get_blocks, positions, put_blocks, BlockError};
+use crate::checkpoint::{block_span, get_blocks, positions, put_blocks, BlockError, Blocks};
 use crate::config::{CaesarConfig, Estimator};
 use support::bytesx::{ByteCount, ByteReader, PutBytes};
 
@@ -192,8 +192,10 @@ impl std::error::Error for MergeError {}
 
 /// Magic prefix of an encoded [`SketchPayload`].
 pub const PAYLOAD_MAGIC: &[u8; 4] = b"CSKP";
-/// Current payload encoding version.
-pub const PAYLOAD_VERSION: u16 = 1;
+/// Current payload encoding version. Version 2 lists only the nonzero
+/// counters (the sparse counter-block section, values absolute);
+/// version 1, every counter at 8 bytes, is refused, not read.
+pub const PAYLOAD_VERSION: u16 = 2;
 
 /// Errors from decoding a [`SketchPayload`] or [`SketchDelta`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,6 +223,100 @@ impl std::fmt::Display for PayloadError {
 
 impl std::error::Error for PayloadError {}
 
+/// One of the two sketch frame kinds: `CSKP` (a full payload) or
+/// `CSKD` (a delta, which also names its base epoch).
+#[derive(Clone, Copy)]
+struct Kind {
+    magic: &'static [u8; 4],
+    version: u16,
+    base_epoch: bool,
+}
+
+const FULL: Kind = Kind { magic: PAYLOAD_MAGIC, version: PAYLOAD_VERSION, base_epoch: false };
+const DELTA: Kind =
+    Kind { magic: DELTA_PAYLOAD_MAGIC, version: DELTA_PAYLOAD_VERSION, base_epoch: true };
+
+/// The fixed fields a sketch frame leads with, before its counter
+/// section: magic, version, fingerprint, a delta's base epoch, then
+/// the three tallies (`total_added`, `saturation_events`, `evictions`:
+/// absolute in a payload, increments in a delta).
+struct Head {
+    fingerprint: SketchFingerprint,
+    base_epoch: u64,
+    tallies: [u64; 3],
+}
+
+impl Head {
+    fn put(&self, buf: &mut impl PutBytes, kind: Kind) {
+        buf.put_slice(kind.magic);
+        buf.put_u16_le(kind.version);
+        self.fingerprint.encode_into(buf);
+        if kind.base_epoch {
+            buf.put_u64_le(self.base_epoch);
+        }
+        for tally in self.tallies {
+            buf.put_u64_le(tally);
+        }
+    }
+
+    fn get(r: &mut ByteReader<'_>, kind: Kind) -> Result<Self, PayloadError> {
+        let magic = r.get_array::<4>().ok_or(PayloadError::BadMagic)?;
+        if &magic != kind.magic {
+            return Err(PayloadError::BadMagic);
+        }
+        let version = r.get_u16_le().ok_or(PayloadError::Truncated)?;
+        if version != kind.version {
+            return Err(PayloadError::BadVersion(version));
+        }
+        let fingerprint = SketchFingerprint::decode_from(r).ok_or(PayloadError::Truncated)?;
+        let mut word = || r.get_u64_le().ok_or(PayloadError::Truncated);
+        let base_epoch = if kind.base_epoch { word()? } else { 0 };
+        let tallies = [word()?, word()?, word()?];
+        Ok(Self { fingerprint, base_epoch, tallies })
+    }
+}
+
+/// Write the counter section of a sketch frame: every nonzero value of
+/// `blocks`, given as `(block index, the block's counters)` ascending.
+/// A block with no nonzero counter is not listed.
+fn put_section<'a>(buf: &mut impl PutBytes, blocks: impl Iterator<Item = (usize, &'a [u64])>) {
+    let nonzero = |values: &[u64]| {
+        let bits = values.iter().take(64).map(|&v| u64::from(v != 0));
+        bits.enumerate().fold(0u64, |mask, (i, bit)| mask | bit << i)
+    };
+    let listed: Vec<(usize, u64, &[u64])> = (blocks.map(|(b, values)| (b, nonzero(values), values)))
+        .filter(|&(_, mask, _)| mask != 0)
+        .collect();
+    let blocks = listed.iter().map(|&(b, mask, values)| (b, mask, move |i: usize| values[i]));
+    put_blocks(buf, blocks);
+}
+
+/// Read the counter section that ends a sketch frame, for an array of
+/// `len` counters with every value at most `max`, and check that
+/// nothing follows it.
+fn get_section(
+    r: &mut ByteReader<'_>,
+    len: usize,
+    max: Option<u64>,
+) -> Result<Blocks, PayloadError> {
+    let section = get_blocks(r, len, max).map_err(|e| match e {
+        BlockError::Truncated => PayloadError::Truncated,
+        BlockError::Malformed(why) => PayloadError::Malformed(why),
+    })?;
+    if r.remaining() != 0 {
+        return Err(PayloadError::Malformed("trailing bytes"));
+    }
+    Ok(section)
+}
+
+/// Write a listed block's values, in position order, into `span` (the
+/// block's counters) at the set bits of `mask`.
+fn expand(span: &mut [u64], mask: u64, values: &mut impl Iterator<Item = u64>) {
+    for (i, v) in positions(mask).zip(values) {
+        span[i] = v;
+    }
+}
+
 /// The wire-transportable state of one node's sketch: fingerprint,
 /// frozen counters, and the tallies the merged view must fold to stay
 /// honest. This is what `PushSketch` carries in the service protocol
@@ -240,63 +336,73 @@ pub struct SketchPayload {
 }
 
 impl SketchPayload {
-    /// Fixed-width binary encoding (little-endian throughout):
+    /// Binary encoding:
     ///
     /// ```text
-    /// magic "CSKP", version u16
+    /// magic "CSKP", version u16 (little-endian, as every fixed field)
     /// fingerprint (FINGERPRINT_BYTES)
     /// total_added u64, saturation_events u64, evictions u64
-    /// num_counters u64, then each counter u64
+    /// the sparse counter-block section (DESIGN §4j), listing every
+    ///   nonzero counter with its absolute value
     /// ```
+    ///
+    /// `L` is the fingerprint's, so it is not stored; an unlisted
+    /// counter decodes as zero.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.encoded_len());
+        let mut buf = Vec::new();
         self.encode_into(&mut buf);
         buf
     }
 
     /// Append [`SketchPayload::encode`]'s bytes to `buf` — the form a
-    /// caller framing the payload in a larger buffer uses.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.reserve(self.encoded_len());
-        buf.put_slice(PAYLOAD_MAGIC);
-        buf.put_u16_le(PAYLOAD_VERSION);
-        self.fingerprint.encode_into(buf);
-        buf.put_u64_le(self.total_added);
-        buf.put_u64_le(self.saturation_events);
-        buf.put_u64_le(self.evictions);
-        buf.put_u64_le(self.counters.len() as u64);
-        for &c in &self.counters {
-            buf.put_u64_le(c);
-        }
+    /// caller framing the payload in a larger buffer uses, and, into a
+    /// [`ByteCount`], [`SketchPayload::encoded_len`].
+    pub fn encode_into(&self, buf: &mut impl PutBytes) {
+        let tallies = [self.total_added, self.saturation_events, self.evictions];
+        Head { fingerprint: self.fingerprint, base_epoch: 0, tallies }.put(buf, FULL);
+        let span = crate::sram::DIRTY_BLOCK_COUNTERS;
+        put_section(buf, self.counters.chunks(span).enumerate());
     }
 
-    /// Exact size of [`SketchPayload::encode`]'s output in bytes —
-    /// the wire cost of a full push, without encoding.
+    /// Exact size of [`SketchPayload::encode`]'s output in bytes — the
+    /// wire cost of a full push, without encoding. O(nonzero counters)
+    /// bytes; computing it reads all `L`.
     pub fn encoded_len(&self) -> usize {
-        4 + 2 + FINGERPRINT_BYTES + 32 + self.counters.len() * 8
+        let mut count = ByteCount::default();
+        self.encode_into(&mut count);
+        count.0
     }
 
-    /// Decode [`SketchPayload::encode`] output.
+    /// The fingerprint of an encoded payload, read without decoding its
+    /// counters. [`SketchPayload::decode`] allocates the fingerprint's
+    /// `L` counters, so a receiver checks this against its own
+    /// fingerprint first: a matching `L` bounds the allocation by the
+    /// receiver's own array.
+    pub fn decode_fingerprint(data: &[u8]) -> Result<SketchFingerprint, PayloadError> {
+        Ok(Head::get(&mut ByteReader::new(data), FULL)?.fingerprint)
+    }
+
+    /// Decode [`SketchPayload::encode`] output, validating the section
+    /// (see [`SketchDelta::decode`]) with every value at most the
+    /// fingerprint's clamp. The dense `L` counters are allocated
+    /// fallibly, after the section passed: an `L` the allocator refuses
+    /// is `Malformed`, not an abort.
     pub fn decode(data: &[u8]) -> Result<Self, PayloadError> {
         let mut r = ByteReader::new(data);
-        let magic = r.get_array::<4>().ok_or(PayloadError::BadMagic)?;
-        if &magic != PAYLOAD_MAGIC {
-            return Err(PayloadError::BadMagic);
+        let head = Head::get(&mut r, FULL)?;
+        let fingerprint = head.fingerprint;
+        let (len, bits) = (fingerprint.counters, fingerprint.counter_bits);
+        let max = 1u64.checked_shl(bits).map_or(u64::MAX, |cap| cap - 1);
+        let section = get_section(&mut r, len, Some(max))?;
+        let mut counters = Vec::new();
+        (counters.try_reserve_exact(len))
+            .map_err(|_| PayloadError::Malformed("counter array too large to allocate"))?;
+        counters.resize(len, 0);
+        let mut values = section.values.into_iter();
+        for &(block, mask) in &section.masks {
+            expand(&mut counters[block_span(block, len)], mask, &mut values);
         }
-        let version = r.get_u16_le().ok_or(PayloadError::Truncated)?;
-        if version != PAYLOAD_VERSION {
-            return Err(PayloadError::BadVersion(version));
-        }
-        let fingerprint =
-            SketchFingerprint::decode_from(&mut r).ok_or(PayloadError::Truncated)?;
-        let total_added = r.get_u64_le().ok_or(PayloadError::Truncated)?;
-        let saturation_events = r.get_u64_le().ok_or(PayloadError::Truncated)?;
-        let evictions = r.get_u64_le().ok_or(PayloadError::Truncated)?;
-        let num = r.get_count(8).ok_or(PayloadError::Truncated)?;
-        let mut counters = Vec::with_capacity(num);
-        for _ in 0..num {
-            counters.push(r.get_u64_le().ok_or(PayloadError::Truncated)?);
-        }
+        let [total_added, saturation_events, evictions] = head.tallies;
         Ok(Self { fingerprint, counters, total_added, saturation_events, evictions })
     }
 }
@@ -315,7 +421,7 @@ pub const DELTA_PAYLOAD_VERSION: u16 = 2;
 /// two consecutive [`SketchPayload`]s is itself a mergeable sketch —
 /// applying it to the view is counter-wise addition, exactly like
 /// [`SketchPayload`] but O(changed counters) on the wire instead of
-/// O(L).
+/// O(nonzero counters).
 ///
 /// Blocks are [`crate::DIRTY_BLOCK_COUNTERS`]-counter spans — the same
 /// granularity the SRAM layer's dirty bitmap tracks — identified by
@@ -460,45 +566,20 @@ impl SketchDelta {
     /// caller framing the delta in a larger buffer uses, and, into a
     /// [`ByteCount`], [`SketchDelta::encoded_len`].
     pub fn encode_into(&self, buf: &mut impl PutBytes) {
-        buf.put_slice(DELTA_PAYLOAD_MAGIC);
-        buf.put_u16_le(DELTA_PAYLOAD_VERSION);
-        self.fingerprint.encode_into(buf);
-        buf.put_u64_le(self.base_epoch);
-        buf.put_u64_le(self.total_added_delta);
-        buf.put_u64_le(self.saturation_events_delta);
-        buf.put_u64_le(self.evictions_delta);
-        let nonzero = |increments: &[u64]| {
-            let bits = increments.iter().take(64).map(|&v| u64::from(v != 0));
-            bits.enumerate().fold(0u64, |mask, (i, bit)| mask | bit << i)
-        };
-        let listed: Vec<(usize, u64, &[u64])> = (self.blocks.iter())
-            .map(|(block, increments)| (*block, nonzero(increments), increments.as_slice()))
-            .filter(|&(_, mask, _)| mask != 0)
-            .collect();
-        let blocks = listed.iter().map(|&(block, mask, inc)| (block, mask, move |i: usize| inc[i]));
-        put_blocks(buf, blocks);
+        let tallies =
+            [self.total_added_delta, self.saturation_events_delta, self.evictions_delta];
+        let head = Head { fingerprint: self.fingerprint, base_epoch: self.base_epoch, tallies };
+        head.put(buf, DELTA);
+        put_section(buf, self.blocks.iter().map(|(block, inc)| (*block, inc.as_slice())));
     }
 
     /// Exact size of [`SketchDelta::encode`]'s output in bytes — the
     /// wire cost of a delta push, without encoding. O(changed counters)
-    /// bytes where the full payload's is O(L).
+    /// bytes where the full payload's is O(nonzero counters).
     pub fn encoded_len(&self) -> usize {
         let mut count = ByteCount::default();
         self.encode_into(&mut count);
         count.0
-    }
-
-    /// Read an encoded delta's magic, version and fingerprint.
-    fn get_head(r: &mut ByteReader<'_>) -> Result<SketchFingerprint, PayloadError> {
-        let magic = r.get_array::<4>().ok_or(PayloadError::BadMagic)?;
-        if &magic != DELTA_PAYLOAD_MAGIC {
-            return Err(PayloadError::BadMagic);
-        }
-        let version = r.get_u16_le().ok_or(PayloadError::Truncated)?;
-        if version != DELTA_PAYLOAD_VERSION {
-            return Err(PayloadError::BadVersion(version));
-        }
-        SketchFingerprint::decode_from(r).ok_or(PayloadError::Truncated)
     }
 
     /// The fingerprint of an encoded delta, read without decoding its
@@ -507,7 +588,7 @@ impl SketchDelta {
     /// fingerprint first: a matching `L` bounds the expansion by the
     /// receiver's own array.
     pub fn decode_fingerprint(data: &[u8]) -> Result<SketchFingerprint, PayloadError> {
-        Self::get_head(&mut ByteReader::new(data))
+        Ok(Head::get(&mut ByteReader::new(data), DELTA)?.fingerprint)
     }
 
     /// Decode [`SketchDelta::encode`] output, validating block
@@ -519,32 +600,21 @@ impl SketchDelta {
     /// [`SketchDelta::decode_fingerprint`]).
     pub fn decode(data: &[u8]) -> Result<Self, PayloadError> {
         let mut r = ByteReader::new(data);
-        let fingerprint = Self::get_head(&mut r)?;
-        let base_epoch = r.get_u64_le().ok_or(PayloadError::Truncated)?;
-        let total_added_delta = r.get_u64_le().ok_or(PayloadError::Truncated)?;
-        let saturation_events_delta = r.get_u64_le().ok_or(PayloadError::Truncated)?;
-        let evictions_delta = r.get_u64_le().ok_or(PayloadError::Truncated)?;
-        let len = fingerprint.counters;
-        let section = get_blocks(&mut r, len, None).map_err(|e| match e {
-            BlockError::Truncated => PayloadError::Truncated,
-            BlockError::Malformed(why) => PayloadError::Malformed(why),
-        })?;
-        if r.remaining() != 0 {
-            return Err(PayloadError::Malformed("trailing bytes"));
-        }
+        let head = Head::get(&mut r, DELTA)?;
+        let len = head.fingerprint.counters;
+        let section = get_section(&mut r, len, None)?;
         let mut values = section.values.into_iter();
         let blocks = (section.masks.iter())
             .map(|&(block, mask)| {
                 let mut increments = vec![0; block_span(block, len).len()];
-                for (i, v) in positions(mask).zip(&mut values) {
-                    increments[i] = v;
-                }
+                expand(&mut increments, mask, &mut values);
                 (block, increments)
             })
             .collect();
+        let [total_added_delta, saturation_events_delta, evictions_delta] = head.tallies;
         Ok(Self {
-            fingerprint,
-            base_epoch,
+            fingerprint: head.fingerprint,
+            base_epoch: head.base_epoch,
             blocks,
             total_added_delta,
             saturation_events_delta,
@@ -610,9 +680,10 @@ mod tests {
 
     #[test]
     fn payload_roundtrips() {
+        let f = SketchFingerprint { counters: 4, ..fp() };
         let p = SketchPayload {
-            fingerprint: fp(),
-            counters: vec![0, 1, u64::MAX >> 1, 42],
+            fingerprint: f,
+            counters: vec![0, 1, (1 << f.counter_bits) - 1, 42],
             total_added: 1_000,
             saturation_events: 3,
             evictions: 17,
@@ -620,6 +691,179 @@ mod tests {
         let enc = p.encode();
         let dec = SketchPayload::decode(&enc).unwrap();
         assert_eq!(dec, p);
+        // A value above the clamp is no counter this fingerprint holds.
+        let above = SketchPayload { counters: vec![0, 1, 1 << f.counter_bits, 42], ..p };
+        assert_eq!(
+            SketchPayload::decode(&above.encode()),
+            Err(PayloadError::Malformed("counter exceeds width"))
+        );
+    }
+
+    /// A random payload under a random geometry and width: all zero,
+    /// all at the clamp, or a mix of zeros, clamped and random values
+    /// at a random density, the short tail block included.
+    fn random_payload(rng: &mut StdRng) -> SketchPayload {
+        let counters = rng.gen_range(1usize..700);
+        let counter_bits = rng.gen_range(1u32..=63);
+        let clamp = (1u64 << counter_bits) - 1;
+        let f = SketchFingerprint { counters, counter_bits, ..fp() };
+        let density = rng.pick(&[0.002, 0.05, 0.3, 1.0]);
+        let mode = rng.gen_range(0..4);
+        let mut values: Vec<u64> = (0..counters)
+            .map(|_| match mode {
+                0 => 0,
+                1 => clamp,
+                _ if !rng.gen_bool(density) => 0,
+                _ => match rng.gen_range(0..4) {
+                    0 => 1,
+                    1 => clamp,
+                    2 => rng.gen::<u64>() & clamp,
+                    _ => rng.gen_range(0..300).min(clamp),
+                },
+            })
+            .collect();
+        if mode > 1 && rng.gen_bool(0.5) {
+            values[counters - 1] = clamp; // a listed short tail
+        }
+        SketchPayload {
+            fingerprint: f,
+            counters: values,
+            total_added: rng.gen(),
+            saturation_events: rng.gen(),
+            evictions: rng.gen(),
+        }
+    }
+
+    #[test]
+    fn payloads_roundtrip_and_encoded_len_is_exact() {
+        for_each_seed_n(200, |rng| {
+            let p = random_payload(rng);
+            let enc = p.encode();
+            assert_eq!(p.encoded_len(), enc.len());
+            assert_eq!(SketchPayload::decode(&enc).as_ref(), Ok(&p));
+            assert_eq!(SketchPayload::decode_fingerprint(&enc), Ok(p.fingerprint));
+            let mut framed = vec![0xA5];
+            p.encode_into(&mut framed);
+            assert_eq!(&framed[1..], enc.as_slice());
+            // Only nonzero counters are listed: an all-zero payload is
+            // its head and an empty section.
+            if p.counters.iter().all(|&c| c == 0) {
+                assert_eq!(enc.len(), PAYLOAD_HEAD + 1);
+            }
+        });
+    }
+
+    #[test]
+    fn earlier_payload_versions_are_refused_typed() {
+        let p = SketchPayload {
+            fingerprint: fp(),
+            counters: vec![0; fp().counters],
+            total_added: 0,
+            saturation_events: 0,
+            evictions: 0,
+        };
+        let mut v1 = p.encode();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(SketchPayload::decode(&v1), Err(PayloadError::BadVersion(1)));
+        assert_eq!(SketchPayload::decode_fingerprint(&v1), Err(PayloadError::BadVersion(1)));
+        // A delta is not a payload, nor a payload a delta.
+        let d = SketchDelta::between(&p, &p, 0).unwrap();
+        assert_eq!(SketchPayload::decode(&d.encode()), Err(PayloadError::BadMagic));
+        assert_eq!(SketchDelta::decode_fingerprint(&p.encode()), Err(PayloadError::BadMagic));
+    }
+
+    /// Bytes before a `CSKP` frame's counter section.
+    const PAYLOAD_HEAD: usize = 4 + 2 + FINGERPRINT_BYTES + 24;
+
+    /// `(offset, width)` of every fixed field of a `CSKP` head: magic,
+    /// version, the six fingerprint fields, the three tallies.
+    const PAYLOAD_HEAD_FIELDS: [(usize, usize); 11] = [
+        (0, 4),
+        (4, 2),
+        (6, 8),
+        (14, 4),
+        (18, 8),
+        (26, 8),
+        (34, 8),
+        (42, 1),
+        (43, 8),
+        (51, 8),
+        (59, 8),
+    ];
+
+    /// Forge one head field or one section field of random payloads'
+    /// frames (boundary values and random ones): each must be refused
+    /// typed, or decode to a payload of its fingerprint's `L`, every
+    /// value within its clamp, which merges into a view of the
+    /// original geometry when its fingerprint is the original one and
+    /// is refused typed by it otherwise.
+    #[test]
+    fn forged_payload_frames_are_refused_typed_or_merge() {
+        use crate::checkpoint::raw::{RawSection, SECTION_FIELDS};
+        use crate::concurrent::ConcurrentCaesar;
+        for_each_seed_n(64, |rng| {
+            let p = random_payload(rng);
+            let enc = p.encode();
+            let len = p.fingerprint.counters as u64;
+            let values =
+                [0, 1, 6, 7, 63, 64, 255, len - 1, len, len + 1, len / 64, 1 << 20, 1 << 50, u64::MAX];
+            let value =
+                |rng: &mut StdRng| if rng.gen_bool(0.75) { rng.pick(&values) } else { rng.gen() };
+            let mut frames = Vec::new();
+            for (at, width) in PAYLOAD_HEAD_FIELDS {
+                let mut forged = enc.clone();
+                forged[at..at + width].copy_from_slice(&value(rng).to_le_bytes()[..width]);
+                frames.push(forged);
+            }
+            for field in SECTION_FIELDS {
+                let mut raw =
+                    RawSection::get(&mut ByteReader::new(&enc[PAYLOAD_HEAD..]), len as usize);
+                if raw.forge(field, value(rng), rng) {
+                    let mut forged = enc[..PAYLOAD_HEAD].to_vec();
+                    raw.put(&mut forged);
+                    frames.push(forged);
+                }
+            }
+            let cfg = CaesarConfig {
+                counters: len as usize,
+                counter_bits: p.fingerprint.counter_bits,
+                ..CaesarConfig::default()
+            };
+            for forged in frames {
+                let Ok(back) = SketchPayload::decode(&forged) else {
+                    continue;
+                };
+                let f = back.fingerprint;
+                assert_eq!(back.counters.len(), f.counters);
+                let clamp = 1u64.checked_shl(f.counter_bits).map_or(u64::MAX, |cap| cap - 1);
+                assert!(back.counters.iter().all(|&c| c <= clamp));
+                let merged = ConcurrentCaesar::empty(cfg).merge_sketch(&back);
+                assert_eq!(merged.is_ok(), f == p.fingerprint, "{f:?}: {merged:?}");
+            }
+        });
+    }
+
+    /// A 68-byte `CSKP` frame whose fingerprint claims `L` = 2^40 and
+    /// lists no counter: the section is well formed, so decoding asks
+    /// for 8 TiB of dense counters, fallibly. Ignored by default: only
+    /// an address limit makes the request safe everywhere, so
+    /// `scripts/check.sh --delta-smoke` runs it under `ulimit -v`.
+    #[test]
+    #[ignore]
+    fn forged_payload_with_a_huge_length_and_no_counters_is_refused_typed() {
+        let forged = SketchPayload {
+            fingerprint: SketchFingerprint { counters: 1 << 40, ..fp() },
+            counters: Vec::new(),
+            total_added: 0,
+            saturation_events: 0,
+            evictions: 0,
+        };
+        let enc = forged.encode();
+        assert_eq!(enc.len(), PAYLOAD_HEAD + 1);
+        assert_eq!(
+            SketchPayload::decode(&enc),
+            Err(PayloadError::Malformed("counter array too large to allocate"))
+        );
     }
 
     #[test]

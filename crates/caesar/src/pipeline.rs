@@ -156,11 +156,6 @@ impl<B: SramBacking> CaesarCore<B> {
         self.finished = true;
     }
 
-    /// True once [`Caesar::finish`] ran.
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
     /// The raw values of `flow`'s `k` mapped counters.
     pub fn counters_of(&self, flow: u64) -> Vec<u64> {
         self.kmap

@@ -133,7 +133,6 @@ impl Drop for Monitor {
 /// heartbeat monitor, all spawned on first use.
 pub struct Threads {
     heartbeat: Duration,
-    pin_workers: bool,
     /// The live fault schedule, shared with the worker threads.
     injector: Arc<Mutex<FaultInjector>>,
     injector_live: bool,
@@ -146,7 +145,6 @@ impl Default for Threads {
     fn default() -> Self {
         Self {
             heartbeat: Duration::from_millis(DEFAULT_HEARTBEAT_MS),
-            pin_workers: false,
             injector: Arc::default(),
             injector_live: false,
             monitor: None,
@@ -222,18 +220,6 @@ impl ThreadedCaesar {
         self
     }
 
-    /// Pin each worker thread to a core (shard *i* → CPU
-    /// `i % cores`, via [`support::affinity::pin_shard`]). A loud
-    /// no-op on hosts that cannot pin.
-    ///
-    /// # Panics
-    /// Panics if workers already spawned.
-    pub fn with_pinning(mut self, pin: bool) -> Self {
-        assert!(!self.driver.started, "set pinning before workers spawn");
-        self.driver.pin_workers = pin;
-        self
-    }
-
     /// Attach a deterministic fault-injection schedule (testing).
     /// Thread-aware sites: [`FaultSite::WorkerPanic`] panics the
     /// worker *on its own thread* between two packets;
@@ -261,11 +247,6 @@ impl ThreadedCaesar {
     /// this borrows it to `f` under a brief lock.
     pub fn with_injector_state<R>(&self, f: impl FnOnce(&FaultInjector) -> R) -> R {
         f(&self.driver.injector.lock().expect("fault injector lock"))
-    }
-
-    /// The heartbeat interval in effect.
-    pub fn heartbeat_interval(&self) -> Duration {
-        self.driver.heartbeat
     }
 
     // -----------------------------------------------------------------
@@ -308,12 +289,7 @@ impl ThreadedCaesar {
         let kmap = Arc::clone(&self.kmap);
         let driver = &self.driver;
         let injector = driver.injector_live.then(|| Arc::clone(&driver.injector));
-        let ctx = WorkerCtx {
-            shard,
-            shards: self.shards,
-            interval: driver.heartbeat,
-            pin: driver.pin_workers,
-        };
+        let ctx = WorkerCtx { shard, interval: driver.heartbeat };
         let handle = std::thread::Builder::new()
             .name(format!("caesar-worker-{shard}"))
             .spawn(move || worker_loop(ctx, rx, &shared, &sram, &kmap, injector.as_deref()))
@@ -585,9 +561,7 @@ impl Drive for Threads {
 /// readable).
 struct WorkerCtx {
     shard: usize,
-    shards: usize,
     interval: Duration,
-    pin: bool,
 }
 
 /// Yields an idle worker spends on an empty ring before it waits for
@@ -614,9 +588,6 @@ fn worker_loop(
     kmap: &KCounterMap,
     injector: Option<&Mutex<FaultInjector>>,
 ) -> spsc::Consumer<u64> {
-    if ctx.pin {
-        let _ = support::affinity::pin_shard(ctx.shard, ctx.shards);
-    }
     let ctrl = &shared.ctrl;
     let state = &shared.hb.state.0;
     let my_gen = ctrl.gen.load(Ordering::Acquire);

@@ -29,11 +29,13 @@
 use std::io::Read;
 
 use caesar::{QueryHealth, SketchDelta, SketchFingerprint, SketchPayload};
-use support::bytesx::{seal, unseal, ByteReader, PutBytes, SealError, SEAL_FOOTER_LEN};
+use support::bytesx::{seal, unseal, ByteReader, PutBytes, SealError};
 
-/// Upper bound on a frame body. A `PushSketch` for one million 64-bit
-/// counters is ~8 MB; 64 MB leaves an order of magnitude of headroom
-/// while still refusing nonsense lengths before allocating.
+/// Upper bound on a frame body. A `PushSketch` lists only its nonzero
+/// counters, one to nine bytes each beside a block's position bytes,
+/// so one million counters all nonzero take at most ~10 MB; 64 MB
+/// leaves headroom while still refusing nonsense lengths before
+/// allocating.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// What [`read_frame`] reserves before a frame body arrives; past it,
@@ -214,18 +216,11 @@ const TAG_STATS_RSP: u8 = 0x85;
 const TAG_DELTA_NACK: u8 = 0x86;
 const TAG_ERROR: u8 = 0xFF;
 
-/// An empty payload buffer with room for `len` bytes and the seal
-/// footer, so [`write_frame`] seals it without reallocating.
-fn payload_buf(len: usize) -> Vec<u8> {
-    Vec::with_capacity(len + SEAL_FOOTER_LEN)
-}
-
 impl Request {
     /// The payload [`Request::PushSketch`] of `sketch` encodes to,
     /// written once, straight from the borrowed sketch.
     pub fn push_sketch_payload(sketch: &SketchPayload) -> Vec<u8> {
-        let mut buf = payload_buf(1 + sketch.encoded_len());
-        buf.push(TAG_PUSH);
+        let mut buf = vec![TAG_PUSH];
         sketch.encode_into(&mut buf);
         buf
     }
@@ -233,17 +228,18 @@ impl Request {
     /// The payload [`Request::PushDelta`] of `delta` encodes to,
     /// written once, straight from the borrowed delta.
     pub fn push_delta_payload(delta: &SketchDelta) -> Vec<u8> {
-        let mut buf = payload_buf(0);
-        buf.push(TAG_PUSH_DELTA);
+        let mut buf = vec![TAG_PUSH_DELTA];
         delta.encode_into(&mut buf);
         buf
     }
 
-    /// The fingerprint of an encoded `PushDelta` payload, read without
-    /// decoding its blocks; `None` for any other payload, or one whose
-    /// delta header does not decode (its full decode reports why).
-    pub fn push_delta_fingerprint(payload: &[u8]) -> Option<SketchFingerprint> {
+    /// The fingerprint of an encoded `PushSketch` or `PushDelta`
+    /// payload, read from its head without decoding its counters;
+    /// `None` for any other payload, or one whose head does not decode
+    /// (its full decode reports why).
+    pub fn push_fingerprint(payload: &[u8]) -> Option<SketchFingerprint> {
         match payload.split_first() {
+            Some((&TAG_PUSH, sketch)) => SketchPayload::decode_fingerprint(sketch).ok(),
             Some((&TAG_PUSH_DELTA, delta)) => SketchDelta::decode_fingerprint(delta).ok(),
             _ => None,
         }
@@ -520,8 +516,10 @@ mod tests {
 
     #[test]
     fn requests_roundtrip() {
+        // `L` travels in the fingerprint, so a payload's counters are
+        // its fingerprint's.
         let payload = SketchPayload {
-            fingerprint: fp(),
+            fingerprint: SketchFingerprint { counters: 3, ..fp() },
             counters: vec![1, 2, 3],
             total_added: 6,
             saturation_events: 0,

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 
-use caesar::{CaesarConfig, ConcurrentCaesar, SketchFingerprint, SketchPayload, SketchRead};
+use caesar::{CaesarConfig, ConcurrentCaesar, MergeError, SketchFingerprint, SketchRead};
 
 use crate::proto::{read_frame, write_frame, ClusterStats, HealthReport, ProtoError, Request, Response};
 
@@ -65,37 +65,11 @@ impl MeasurementService {
         match request {
             Request::Hello(_) => Response::HelloAck(self.fingerprint),
             Request::PushSketch(payload) => {
-                let bytes = payload.encoded_len() as u64;
-                let mut view = self.view.write().expect("view lock");
-                match view.sketch.merge_sketch(payload) {
-                    Ok(()) => {
-                        view.epoch += 1;
-                        view.nodes += 1;
-                        Response::PushAck { epoch: view.epoch, nodes: view.nodes, bytes }
-                    }
-                    Err(e) => Response::Error(e.to_string()),
-                }
+                self.apply(payload.encoded_len(), None, |view| view.merge_sketch(payload))
             }
             Request::PushDelta(delta) => {
-                let bytes = delta.encoded_len() as u64;
-                let mut view = self.view.write().expect("view lock");
-                // Optimistic concurrency: the delta was diffed against
-                // a specific view epoch; if any other push landed in
-                // between, applying it would interleave with state the
-                // tap never saw. Refuse typed — the tap full-pushes.
-                if delta.base_epoch != view.epoch {
-                    return Response::DeltaNack { epoch: view.epoch };
-                }
-                match view.sketch.merge_delta(delta) {
-                    Ok(()) => {
-                        // A delta updates an existing tap's
-                        // contribution; `nodes` counts sketches, so
-                        // only the epoch bumps.
-                        view.epoch += 1;
-                        Response::PushAck { epoch: view.epoch, nodes: view.nodes, bytes }
-                    }
-                    Err(e) => Response::Error(e.to_string()),
-                }
+                let base = Some(delta.base_epoch);
+                self.apply(delta.encoded_len(), base, |view| view.merge_delta(delta))
             }
             Request::Query(flows) => {
                 let view = self.view.read().expect("view lock");
@@ -125,17 +99,47 @@ impl MeasurementService {
         }
     }
 
+    /// Apply one push under the write lock and acknowledge it with its
+    /// `bytes` on the wire. A delta names the view epoch it was diffed
+    /// against (`base_epoch`): optimistic concurrency — if any other
+    /// push landed in between, applying it would interleave with state
+    /// the tap never saw, so it is refused typed and nothing is
+    /// applied. An accepted push bumps the epoch; a full push also adds
+    /// a sketch to `nodes`, while a delta updates an existing tap's
+    /// contribution.
+    fn apply(
+        &self,
+        bytes: usize,
+        base_epoch: Option<u64>,
+        merge: impl FnOnce(&mut ConcurrentCaesar) -> Result<(), MergeError>,
+    ) -> Response {
+        let mut view = self.view.write().expect("view lock");
+        if base_epoch.is_some_and(|base| base != view.epoch) {
+            return Response::DeltaNack { epoch: view.epoch };
+        }
+        match merge(&mut view.sketch) {
+            Ok(()) => {
+                view.epoch += 1;
+                view.nodes += u64::from(base_epoch.is_none());
+                Response::PushAck { epoch: view.epoch, nodes: view.nodes, bytes: bytes as u64 }
+            }
+            Err(e) => Response::Error(e.to_string()),
+        }
+    }
+
     /// Frame-level entry point: decode a sealed-and-stripped request
     /// payload, handle it, encode the response payload. Decode
     /// failures become [`Response::Error`] payloads, never a dropped
     /// connection.
     ///
-    /// A `PushDelta`'s fingerprint is checked against the view's before
-    /// the delta is decoded: decoding expands every listed block to its
-    /// full span, so only a matching `L` bounds that by the view's own
-    /// array. A few bytes per block under a forged `L` are refused here.
+    /// A push's fingerprint is checked against the view's before the
+    /// push is decoded: decoding a `PushSketch` allocates the
+    /// fingerprint's `L` counters and decoding a `PushDelta` expands
+    /// every listed block to its full span, so only a matching `L`
+    /// bounds either by the view's own array. A forged `L` is refused
+    /// here, at the cost of reading the frame's head.
     pub fn handle_payload(&self, payload: &[u8]) -> Vec<u8> {
-        if let Some(Err(e)) = Request::push_delta_fingerprint(payload)
+        if let Some(Err(e)) = Request::push_fingerprint(payload)
             .map(|theirs| self.fingerprint.expect_matches(&theirs))
         {
             return Response::Error(e.to_string()).encode();
@@ -145,16 +149,6 @@ impl MeasurementService {
             Err(e) => Response::Error(e.to_string()),
         };
         response.encode()
-    }
-
-    /// Convenience for in-process aggregation (no wire): merge a
-    /// node's sketch directly. Same semantics as a `PushSketch` frame.
-    pub fn push(&self, payload: &SketchPayload) -> Result<(u64, u64), caesar::MergeError> {
-        let mut view = self.view.write().expect("view lock");
-        view.sketch.merge_sketch(payload)?;
-        view.epoch += 1;
-        view.nodes += 1;
-        Ok((view.epoch, view.nodes))
     }
 
     /// Run `f` against an epoch-consistent read snapshot of the view.
@@ -244,7 +238,7 @@ fn serve_connection(service: &MeasurementService, mut stream: TcpStream) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caesar::SketchDelta;
+    use caesar::{SketchDelta, SketchPayload};
 
     fn cfg() -> CaesarConfig {
         CaesarConfig {
@@ -346,6 +340,33 @@ mod tests {
         }
         match svc.handle(&Request::Stats) {
             Response::Stats(s) => assert_eq!((s.epoch, s.total_added), (0, 0)),
+            other => panic!("wrong variant: {other:?}"),
+        }
+    }
+
+    /// A `PushSketch` whose fingerprint claims `L` = 2^40 and lists no
+    /// counter: a frame of under 100 bytes whose decode would allocate
+    /// 8 TiB of dense counters. The view refuses it on its fingerprint
+    /// before decoding, so nothing is sized from that `L` (the same
+    /// runs under `ulimit -v` in `scripts/check.sh --delta-smoke`).
+    #[test]
+    fn forged_push_sketch_with_a_huge_length_is_refused_before_allocation() {
+        let svc = MeasurementService::new(cfg());
+        let forged = SketchPayload {
+            fingerprint: SketchFingerprint { counters: 1 << 40, ..svc.fingerprint() },
+            counters: Vec::new(),
+            total_added: 1,
+            saturation_events: 0,
+            evictions: 0,
+        };
+        let payload = Request::push_sketch_payload(&forged);
+        assert!(payload.len() < 100);
+        match Response::decode(&svc.handle_payload(&payload)).unwrap() {
+            Response::Error(msg) => assert!(msg.contains("counters"), "{msg}"),
+            other => panic!("wrong variant: {other:?}"),
+        }
+        match svc.handle(&Request::Stats) {
+            Response::Stats(s) => assert_eq!((s.epoch, s.nodes, s.total_added), (0, 0, 0)),
             other => panic!("wrong variant: {other:?}"),
         }
     }

@@ -6,8 +6,8 @@
 //! supervision — and keeps the aggregator's cluster view current with
 //! the cheapest correct push each time [`SupervisedTap::sync`] runs:
 //!
-//! * the first sync is a **full push** ([`SketchPayload`], O(L) on the
-//!   wire) — the aggregator has never seen this tap;
+//! * the first sync is a **full push** ([`SketchPayload`], O(nonzero
+//!   counters) on the wire) — the aggregator has never seen this tap;
 //! * every later sync diffs the engine's export against the last
 //!   state the aggregator acked and pushes the **delta**
 //!   ([`SketchDelta`], O(changed counters));
@@ -17,7 +17,8 @@
 //!   [`MeasurementClient::resync_after_nack`], which re-pushes the
 //!   refused delta's **increment only**. Mass the aggregator already
 //!   acked is never re-sent, so no NACK/resync interleaving can
-//!   double-count a packet.
+//!   double-count a packet. A lost *ack* can: see
+//!   [`SupervisedTap::sync`] for that at-least-once limit.
 //!
 //! The tap survives what its engine survives: a worker thread that
 //! hangs or panics between syncs is failed over by the engine's
@@ -114,12 +115,6 @@ impl SupervisedTap {
         &self.engine
     }
 
-    /// The wrapped engine, mutably (epoch rotation, fault injection in
-    /// tests).
-    pub fn engine_mut(&mut self) -> &mut ThreadedCaesar {
-        &mut self.engine
-    }
-
     /// Unwrap the engine, abandoning the push-protocol state.
     pub fn into_engine(self) -> ThreadedCaesar {
         self.engine
@@ -152,8 +147,14 @@ impl SupervisedTap {
     /// happened on the wire.
     ///
     /// On any transport error the diff base is left untouched, so the
-    /// next sync re-diffs against the last state the aggregator
-    /// actually acked and re-carries the unshipped increment.
+    /// next sync re-diffs against the last state this tap saw acked
+    /// and re-sends the increment. That is exact when the push never
+    /// reached the aggregator, but **at-least-once** when only the ack
+    /// was lost: the server applies a push before it writes the reply,
+    /// so the re-sent delta names a base epoch the view has left, is
+    /// NACKed, and [`MeasurementClient::resync_after_nack`] applies
+    /// the increment a second time. The protocol carries nothing that
+    /// would let the server recognise the repeat.
     pub fn sync<T: Transport>(
         &mut self,
         client: &mut MeasurementClient<T>,

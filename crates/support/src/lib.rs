@@ -16,14 +16,12 @@
 //! | `crossbeam`    | `std::thread::scope` (call sites migrated directly) + [`spsc`] (lock-free bounded SPSC ring) |
 //! | `parking_lot`  | `std::sync::Mutex` (call sites migrated directly) |
 //! | `proptest`     | [`testkit`] (deterministic seeded property harness) |
-//! | `core_affinity`| [`affinity`] (direct `sched_setaffinity` shim, loud no-op elsewhere) |
 //! | `criterion`    | [`timing`] (warmup + median-of-N bench harness) |
 //!
 //! Everything here is seeded and reproducible: the same seed produces
 //! the same stream on every platform, which the workspace's regression
 //! pins and determinism tests rely on.
 
-pub mod affinity;
 pub mod bytesx;
 pub mod json;
 pub mod mathx;

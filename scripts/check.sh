@@ -37,23 +37,27 @@
 #                       tests in the caesar and service crates, then the
 #                       forged-frame tests (the caesar unit tests named
 #                       `forged*`: re-sealed snapshots, CDLT links and
-#                       CSKD frames with forged fields must be refused
-#                       typed or restore a working engine) again from
+#                       CSKP/CSKD frames with forged fields must be
+#                       refused typed, or restore a working engine or
+#                       merge) again from
 #                       their release binary under `ulimit -v` 4 GiB,
 #                       so an allocation sized from forged input fails
 #                       at once instead of eating the host — including
 #                       the ignored ones whose forged sizes (cache,
-#                       ring and L) only the address limit makes safe
-#                       to ask for —, and likewise the service unit
-#                       tests named `forged*` (a PushDelta whose
-#                       fingerprint claims L = 2^40 must be refused
-#                       before a block expands) and the cachesim ones
+#                       ring, a snapshot's or a CSKP payload's L) only
+#                       the address limit makes safe to ask for —, and
+#                       likewise the service unit tests named `forged*`
+#                       (a PushDelta or PushSketch whose fingerprint
+#                       claims L = 2^40 must be refused before a block
+#                       expands or the counters are allocated) and the
+#                       cachesim ones
 #                       (`CacheTable::restore` refusing a duplicate
 #                       flow, a recency order that is no permutation
 #                       and, with the ignored one, an `entries` the
 #                       allocator refuses), then the tiny-scale
 #                       cluster-view sweep whose rows now carry
-#                       measured full-vs-delta wire bytes.
+#                       measured full-vs-delta wire bytes. Runs the
+#                       one-counter-codec check below first.
 #   --simd-smoke        lane-kernel smoke mode: run the lane bit-identity
 #                       suites (tests/lane_kernels.rs — chunked CSM/MLM
 #                       sweeps ≡ scalar prepared kernels bit for bit —
@@ -171,6 +175,39 @@ check_one_ring_runtime() {
     fi
 }
 
+# One counter codec: `CSKP` payloads, `CSKD` deltas and the service
+# frames that carry them write and read counters only through the
+# shared sparse section (`checkpoint::{put_blocks, get_blocks}`). A
+# raw byte read or write on the counter array, or inside a loop over
+# it, in the non-test code of crates/caesar/src/merge.rs or
+# crates/service/src is a second codec.
+check_one_counter_codec() {
+    echo "==> one counter codec: merge.rs and crates/service/src carry counters only via put_blocks/get_blocks"
+    local bad
+    bad=$(for f in crates/caesar/src/merge.rs crates/service/src/*.rs; do
+        awk -v f="$f" '
+            /^#\[cfg\(test\)\]/ { exit }
+            /^[[:space:]]*\/\// { next }
+            {
+                io = ($0 ~ /(put|get)_(u8|u16_le|u32_le|u64_le|uvarint|slice|array|count)\(/)
+                if (io && ($0 ~ /counters(\.|\[)/ || loop > 0)) print f ":" NR ": " $0
+                if (loop > 0) loop--
+                if ($0 ~ /for .* in .*counters/) loop = 3
+            }' "$f"
+    done)
+    if [ -n "$bad" ]; then
+        echo "check.sh: counters encoded or decoded outside checkpoint::{put_blocks, get_blocks}:"
+        echo "$bad"
+        exit 1
+    fi
+    for fn in put_blocks get_blocks; do
+        if ! grep -q "$fn(" crates/caesar/src/merge.rs; then
+            echo "check.sh: crates/caesar/src/merge.rs no longer calls $fn"
+            exit 1
+        fi
+    done
+}
+
 if [ "${1:-}" = "--thread-smoke" ]; then
     echo "==> thread smoke: detached-thread runtime + heartbeat supervision, release build"
     check_no_runtime_sleeps
@@ -199,6 +236,7 @@ fi
 
 if [ "${1:-}" = "--delta-smoke" ]; then
     echo "==> delta smoke: epoch-delta checkpoints + delta pushes, release build"
+    check_one_counter_codec
     run cargo test --release --offline -q --test delta_checkpoint
     run cargo test --release --offline -q -p caesar --lib -- delta
     run cargo test --release --offline -q -p service
@@ -435,6 +473,7 @@ fi
 
 check_no_runtime_sleeps
 check_one_ring_runtime
+check_one_counter_codec
 
 run cargo build --release --offline
 

@@ -15,7 +15,6 @@
 //! match the old criterion ids (`ablate_k/3`, `ablate_policy/lru`, …).
 
 use bench::{bench_config, bench_trace, big_bench_trace, build_sketch, sketch_are};
-use caesar::{Caesar, PackedCaesar};
 use cachesim::CachePolicy;
 use std::hint::black_box;
 use support::timing::Harness;
@@ -122,55 +121,10 @@ fn ablate_sram_size() {
     g.finish();
 }
 
-/// Packed-SRAM ingest ablation (DESIGN.md §4i): the bit-packed backing
-/// stores the `L` counters in `L·b` bits instead of `L·64`, but every
-/// eviction write pays a shift/mask read-modify-write in the CPU model.
-/// Prices that trade at a small and a large `L` so EXPERIMENTS.md can
-/// record a keep/drop verdict for packed storage on the ingest path.
-fn ablate_ingest_backing() {
-    let (small, _) = bench_trace();
-    let (big, _) = big_bench_trace();
-    let mut g = Harness::new("ingest_backing");
-    for (scale, trace, cfg) in [
-        ("small_l", &small, bench_config()),
-        (
-            "large_l",
-            &big,
-            caesar::CaesarConfig {
-                cache_entries: 2048,
-                counters: 32_768,
-                ..bench_config()
-            },
-        ),
-    ] {
-        let flows: Vec<u64> = trace.packets.iter().map(|p| p.flow).collect();
-        eprintln!(
-            "[ingest_backing] {scale}: L={}, word {:.1} KB vs packed {:.1} KB",
-            cfg.counters,
-            cfg.counters as f64 * 8.0 / 1024.0,
-            cfg.sram_kb()
-        );
-        g.bench(&format!("word_{scale}"), || {
-            let mut c = Caesar::new(cfg);
-            c.record_batch(&flows);
-            c.finish();
-            black_box(c.stats().evictions);
-        });
-        g.bench(&format!("packed_{scale}"), || {
-            let mut c = PackedCaesar::new(cfg);
-            c.record_batch(&flows);
-            c.finish();
-            black_box(c.stats().evictions);
-        });
-    }
-    g.finish();
-}
-
 fn main() {
     ablate_k();
     ablate_entry_capacity();
     ablate_policy();
     ablate_cache_size();
     ablate_sram_size();
-    ablate_ingest_backing();
 }

@@ -347,7 +347,8 @@ fn zoo_merge_and_service() {
     });
     let svc = std::sync::Arc::new(MeasurementService::new(cfg));
     for p in &payloads {
-        let ack = svc.handle(&Request::PushSketch(p.clone()));
+        let ack = Response::decode(&svc.handle_payload(&Request::push_sketch_payload(p)))
+            .expect("ack decodes");
         assert!(matches!(ack, Response::PushAck { .. }), "push: {ack:?}");
     }
     let server = TcpServer::spawn(std::sync::Arc::clone(&svc), "127.0.0.1:0").expect("bind");

@@ -546,14 +546,6 @@ pub(crate) fn apply_delta(e: &mut OnlineCaesar, bytes: &[u8]) -> Result<(), Delt
     Ok(())
 }
 
-/// The fingerprint of a snapshot frame, read without decoding the rest.
-pub(crate) fn snapshot_fingerprint(bytes: &[u8]) -> Result<SketchFingerprint, RestoreError> {
-    match read_header(bytes).map_err(restore_error)? {
-        (true, fingerprint, ..) => Ok(fingerprint),
-        (false, ..) => Err(restore_error(DeltaError::BadMagic)),
-    }
-}
-
 /// A frame error as the snapshot path reports it.
 fn restore_error(e: DeltaError) -> RestoreError {
     match e {
@@ -561,11 +553,11 @@ fn restore_error(e: DeltaError) -> RestoreError {
         DeltaError::Truncated => RestoreError::Truncated,
         DeltaError::UnsupportedVersion(v) => RestoreError::UnsupportedVersion(v),
         DeltaError::Corrupt(why) => RestoreError::Corrupt(why),
-        DeltaError::Incompatible(m) => RestoreError::Incompatible(m),
         DeltaError::BadMagic => RestoreError::Corrupt("not a snapshot frame"),
-        DeltaError::ForeignChain { .. } | DeltaError::Sequence { .. } | DeltaError::NoBase => {
-            RestoreError::Corrupt("chain check on a snapshot frame")
-        }
+        DeltaError::Incompatible(_)
+        | DeltaError::ForeignChain { .. }
+        | DeltaError::Sequence { .. }
+        | DeltaError::NoBase => RestoreError::Corrupt("base-engine check on a snapshot frame"),
     }
 }
 

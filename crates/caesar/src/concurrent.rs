@@ -8,7 +8,7 @@
 //! and handed to the worker's `EvictionSink`:
 //!
 //! * the sequential [`crate::Caesar`] is one worker whose sink is its
-//!   own [`SramBacking`] — evictions apply directly, with no staging;
+//!   own [`CounterArray`] — evictions apply directly, with no staging;
 //! * the sharded engines ([`ConcurrentCaesar`], the online pump and the
 //!   detached-thread runtime) give each shard a worker whose sink is a
 //!   [`WritebackBuffer`] acting as a **shard-local SRAM segment**: the
@@ -48,8 +48,8 @@ use crate::atomic_sram::{AtomicCounterArray, WritebackBuffer, WritebackState};
 use crate::config::{CaesarConfig, Estimator};
 use crate::estimator::Estimate;
 use crate::merge::{MergeError, SketchDelta, SketchFingerprint, SketchPayload};
-use crate::query::{CounterView, QueryHealth, SketchRead};
-use crate::sram::SramBacking;
+use crate::query::{QueryHealth, SketchRead};
+use crate::sram::CounterArray;
 use crate::update::{spread_eviction, SpreadTarget};
 use cachesim::{CacheConfig, CacheTable, CacheTableState};
 use hashkit::mix::{bucket, mix64};
@@ -97,7 +97,7 @@ pub(crate) trait EvictionSink {
 
 /// The sequential sketch's sink: evictions apply straight to the
 /// worker's own SRAM.
-impl<B: SramBacking> EvictionSink for B {
+impl EvictionSink for CounterArray {
     type Target = ();
 
     #[inline]
@@ -107,7 +107,7 @@ impl<B: SramBacking> EvictionSink for B {
 
     #[inline]
     fn prefetch(&self, _: &(), idx: usize) {
-        CounterView::prefetch(self, idx);
+        CounterArray::prefetch(self, idx);
     }
 }
 

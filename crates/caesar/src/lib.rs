@@ -58,7 +58,6 @@ pub mod heavy_hitters;
 mod lane;
 pub mod merge;
 pub mod online;
-pub mod packed;
 pub mod pipeline;
 pub mod query;
 pub mod sram;
@@ -76,10 +75,9 @@ pub use online::{
     BackpressurePolicy, ChainError, DeltaError, FaultKind, FaultLog, FaultRecord, LaneStats,
     OnlineCaesar, OnlineStats, RestoreError, DEFAULT_EPOCH_LEN, DEFAULT_WATCHDOG_DEADLINE,
 };
-pub use packed::PackedCounterArray;
 pub use config::{CaesarConfig, Estimator};
 pub use estimator::{Estimate, EstimateParams};
-pub use pipeline::{Caesar, CaesarCore, CaesarStats, PackedCaesar};
+pub use pipeline::{Caesar, CaesarStats};
 pub use query::{CounterView, QueryHealth, SketchRead};
-pub use sram::{CounterArray, SramBacking, DIRTY_BLOCK_COUNTERS};
+pub use sram::{CounterArray, DIRTY_BLOCK_COUNTERS};
 pub use threaded::{ThreadedCaesar, DEFAULT_HEARTBEAT_MS};

@@ -38,8 +38,9 @@
 //!   the worker and backs off); only then does the configured
 //!   [`BackpressurePolicy`] apply — `Block` retries (a hung consumer is
 //!   bounded by the watchdog or the heartbeat verdict),
-//!   `DropNewest`/`DropOldest` shed with exact per-shard loss counters
-//!   that [`SketchRead::query_health`] folds into query-time confidence.
+//!   `DropNewest` sheds the incoming packet with an exact per-shard
+//!   loss counter that [`SketchRead::query_health`] folds into
+//!   query-time confidence.
 //! * **Watchdog failover (pump).** A lane whose consumer makes no
 //!   progress for [`OnlineCaesar::with_watchdog_deadline`] consecutive
 //!   pump attempts is declared hung: the pump drains the wedged ring
@@ -127,9 +128,6 @@ pub enum BackpressurePolicy {
     /// behaviour). Loss is accounted against the incoming packet's
     /// shard.
     DropNewest,
-    /// Shed the *oldest* queued packet to admit the new one (head
-    /// drop — freshness-biased, as in time-decayed monitors).
-    DropOldest,
 }
 
 impl BackpressurePolicy {
@@ -137,7 +135,6 @@ impl BackpressurePolicy {
         match self {
             BackpressurePolicy::Block => 0,
             BackpressurePolicy::DropNewest => 1,
-            BackpressurePolicy::DropOldest => 2,
         }
     }
 
@@ -145,7 +142,6 @@ impl BackpressurePolicy {
         match v {
             0 => Some(BackpressurePolicy::Block),
             1 => Some(BackpressurePolicy::DropNewest),
-            2 => Some(BackpressurePolicy::DropOldest),
             _ => None,
         }
     }
@@ -281,7 +277,7 @@ impl OnlineStats {
 /// thread runtime do differently. It lives in a private module, so no
 /// driver outside this crate can exist.
 mod drive {
-    use super::{BackpressurePolicy, OnlineCaesar, OnlineEngine};
+    use super::{OnlineCaesar, OnlineEngine};
     use support::spsc::Backoff;
     use support::testkit::FaultSite;
 
@@ -289,12 +285,8 @@ mod drive {
     /// hooks as static functions on the concrete driver; see DESIGN
     /// §4n for the order they run in.
     pub trait Drive: Default + Sized {
-        /// `Err(why)` when this driver cannot run `policy`.
-        fn check_policy(policy: BackpressurePolicy) -> Result<(), &'static str>;
-
         /// Take over a pump engine's complete state (a restore, or a
-        /// handoff between drivers). The policy has passed
-        /// [`Drive::check_policy`].
+        /// handoff between drivers).
         fn adopt(engine: OnlineCaesar) -> OnlineEngine<Self>;
 
         /// A packet for `shard` arrives, before its first push.
@@ -438,13 +430,7 @@ impl<D: Drive> OnlineEngine<D> {
 
     /// Set the backpressure policy (builder-style; call before
     /// offering packets).
-    ///
-    /// # Panics
-    /// Panics if the driver cannot run `policy`: the thread runtime
-    /// refuses [`BackpressurePolicy::DropOldest`], since head drop
-    /// needs the consumer endpoint its workers own.
     pub fn with_policy(mut self, policy: BackpressurePolicy) -> Self {
-        D::check_policy(policy).unwrap_or_else(|why| panic!("{why}"));
         self.policy = policy;
         self
     }
@@ -515,14 +501,6 @@ impl<D: Drive> OnlineEngine<D> {
                     D::settled(self, shard);
                     self.lanes[shard].ledger.dropped += 1;
                     break;
-                }
-                BackpressurePolicy::DropOldest => {
-                    let lane = &mut self.lanes[shard];
-                    let rx = lane.rx.as_mut().expect("only the pump runs DropOldest");
-                    if rx.try_pop().is_some() {
-                        lane.ledger.dropped += 1;
-                    }
-                    continue; // admit the new packet into the freed slot
                 }
             }
         }
@@ -763,13 +741,9 @@ impl<D: Drive> OnlineEngine<D> {
     ///
     /// # Errors
     /// Rejects truncated, bit-flipped, version-mismatched or
-    /// internally inconsistent blobs, and a blob whose backpressure
-    /// policy this driver cannot run ([`RestoreError::Corrupt`]; the
-    /// thread runtime refuses [`BackpressurePolicy::DropOldest`]).
+    /// internally inconsistent blobs.
     pub fn restore(bytes: &[u8]) -> Result<Self, RestoreError> {
-        let engine = checkpoint::restore(bytes)?;
-        D::check_policy(engine.policy).map_err(RestoreError::Corrupt)?;
-        Ok(D::adopt(engine))
+        checkpoint::restore(bytes).map(D::adopt)
     }
 
     /// Rebuild an engine from a full-snapshot anchor plus its ordered
@@ -786,8 +760,6 @@ impl<D: Drive> OnlineEngine<D> {
     /// delta is damaged, foreign, or out of sequence.
     pub fn restore_chain<B: AsRef<[u8]>>(base: &[u8], deltas: &[B]) -> Result<Self, ChainError> {
         let mut engine = checkpoint::restore(base).map_err(ChainError::Base)?;
-        D::check_policy(engine.policy)
-            .map_err(|why| ChainError::Base(RestoreError::Corrupt(why)))?;
         for (index, delta) in deltas.iter().enumerate() {
             engine
                 .apply_delta(delta.as_ref())
@@ -877,32 +849,6 @@ impl OnlineCaesar {
     /// ([`DeltaError::Corrupt`]).
     pub fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), DeltaError> {
         checkpoint::apply_delta(self, bytes)
-    }
-
-    /// Read just the [`SketchFingerprint`] embedded in a snapshot blob
-    /// — the cheap compatibility probe an aggregator runs before
-    /// committing to a full [`OnlineEngine::restore`] of a peer node's
-    /// state. Validates the seal, so a truncated or bit-flipped blob
-    /// is rejected here too.
-    pub fn snapshot_fingerprint(bytes: &[u8]) -> Result<SketchFingerprint, RestoreError> {
-        checkpoint::snapshot_fingerprint(bytes)
-    }
-
-    /// [`OnlineEngine::restore`] gated on merge compatibility: the
-    /// blob's embedded fingerprint must match `expected` (typically
-    /// the local sketch's [`ConcurrentCaesar::fingerprint`]), so a
-    /// node cannot accidentally restore-and-merge a peer snapshot
-    /// built with different geometry, seed or estimator — the mismatch
-    /// comes back as a typed [`MergeError`] naming the field.
-    pub fn restore_expecting(
-        bytes: &[u8],
-        expected: &SketchFingerprint,
-    ) -> Result<Self, RestoreError> {
-        let found = Self::snapshot_fingerprint(bytes)?;
-        expected
-            .expect_matches(&found)
-            .map_err(RestoreError::Incompatible)?;
-        Self::restore(bytes)
     }
 
     /// One supervised pump attempt on `shard`: returns the number of
@@ -995,10 +941,6 @@ impl OnlineCaesar {
 /// attempt, so a fault that attempt fires includes the packet in hand
 /// in its `at_offered`.
 impl Drive for Pump {
-    fn check_policy(_: BackpressurePolicy) -> Result<(), &'static str> {
-        Ok(())
-    }
-
     fn adopt(engine: OnlineCaesar) -> OnlineCaesar {
         engine
     }
@@ -1105,10 +1047,6 @@ pub enum RestoreError {
     UnsupportedVersion(u16),
     /// A field decoded but violates an internal invariant.
     Corrupt(&'static str),
-    /// The blob is valid but belongs to an incompatible sketch: its
-    /// fingerprint differs from the expected one (see
-    /// [`OnlineCaesar::restore_expecting`]).
-    Incompatible(MergeError),
 }
 
 impl From<SealError> for RestoreError {
@@ -1126,9 +1064,6 @@ impl std::fmt::Display for RestoreError {
                 write!(f, "snapshot layout version {v} not supported")
             }
             RestoreError::Corrupt(what) => write!(f, "snapshot corrupt: {what}"),
-            RestoreError::Incompatible(e) => {
-                write!(f, "snapshot belongs to an incompatible sketch: {e}")
-            }
         }
     }
 }
@@ -1339,28 +1274,26 @@ mod tests {
     #[test]
     fn drop_policies_account_losses_exactly() {
         let flows = workload(10_000);
-        for policy in [BackpressurePolicy::DropNewest, BackpressurePolicy::DropOldest] {
-            let plan = FaultInjector::with_events(vec![FaultEvent {
-                site: FaultSite::RingStall,
-                shard: 0,
-                at_tick: 0,
-            }]);
-            let mut online = OnlineCaesar::new(cfg(), 1)
-                .with_injector(plan)
-                .with_policy(policy)
-                .with_ring_capacity(16)
-                .with_watchdog_deadline(1_000_000); // never fail over
-            online.offer_batch(&flows);
-            assert_conserved(&online);
-            let st = online.stats();
-            assert!(st.dropped > 0, "{policy:?} sheds under a wedged consumer");
-            let finished = online.finish();
-            assert_eq!(
-                finished.sram().total_added() + st.dropped,
-                flows.len() as u64,
-                "{policy:?}: every packet is either measured or counted lost"
-            );
-        }
+        let plan = FaultInjector::with_events(vec![FaultEvent {
+            site: FaultSite::RingStall,
+            shard: 0,
+            at_tick: 0,
+        }]);
+        let mut online = OnlineCaesar::new(cfg(), 1)
+            .with_injector(plan)
+            .with_policy(BackpressurePolicy::DropNewest)
+            .with_ring_capacity(16)
+            .with_watchdog_deadline(1_000_000); // never fail over
+        online.offer_batch(&flows);
+        assert_conserved(&online);
+        let st = online.stats();
+        assert!(st.dropped > 0, "DropNewest sheds under a wedged consumer");
+        let finished = online.finish();
+        assert_eq!(
+            finished.sram().total_added() + st.dropped,
+            flows.len() as u64,
+            "every packet is either measured or counted lost"
+        );
     }
 
     #[test]
@@ -1596,46 +1529,10 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_embeds_fingerprint() {
-        let mut online = OnlineCaesar::new(cfg(), 2);
-        online.offer_batch(&workload(2_000));
-        let blob = online.snapshot();
-        let fp = OnlineCaesar::snapshot_fingerprint(&blob).expect("peek");
-        assert_eq!(fp, SketchFingerprint::of(&cfg()));
-        // Peeking validates the seal too.
-        assert!(OnlineCaesar::snapshot_fingerprint(&blob[..8]).is_err());
-    }
-
-    #[test]
-    fn restore_expecting_rejects_mismatched_sketches() {
-        let mut online = OnlineCaesar::new(cfg(), 2);
-        online.offer_batch(&workload(2_000));
-        let blob = online.snapshot();
-
-        // Matching expectation restores and resumes.
-        let ours = SketchFingerprint::of(&cfg());
-        let restored = OnlineCaesar::restore_expecting(&blob, &ours).expect("compatible");
-        assert_eq!(restored.stats().offered, 2_000);
-
-        // A node running different geometry gets a typed field-level
-        // rejection instead of a silently wrong merge.
-        let other_k = SketchFingerprint::of(&CaesarConfig { k: 4, ..cfg() });
-        assert!(matches!(
-            OnlineCaesar::restore_expecting(&blob, &other_k),
-            Err(RestoreError::Incompatible(MergeError::Geometry { field: "k", .. }))
-        ));
-        let other_seed = SketchFingerprint::of(&CaesarConfig { seed: 7, ..cfg() });
-        assert!(matches!(
-            OnlineCaesar::restore_expecting(&blob, &other_seed),
-            Err(RestoreError::Incompatible(MergeError::Seed { .. }))
-        ));
-    }
-
-    #[test]
     fn restored_engine_finishes_into_a_mergeable_sketch() {
         // The cross-node flow the service layer builds on: node B's
-        // snapshot travels to node A, restores there (fingerprint
-        // checked), finishes, and merges into A's cluster view.
+        // snapshot travels to node A, restores there, finishes, and
+        // merges (fingerprint checked) into A's cluster view.
         let flows = workload(10_000);
         let (fa, fb) = flows.split_at(flows.len() / 2);
         let mut node_a = OnlineCaesar::new(cfg(), 2);
@@ -1645,9 +1542,7 @@ mod tests {
         let blob = node_b.snapshot();
 
         let a = node_a.finish();
-        let b = OnlineCaesar::restore_expecting(&blob, &a.fingerprint())
-            .expect("same fleet config")
-            .finish();
+        let b = OnlineCaesar::restore(&blob).expect("pristine blob").finish();
         let mut view = ConcurrentCaesar::empty(cfg());
         view.merge(&a).unwrap();
         view.merge(&b).unwrap();

@@ -4,9 +4,8 @@
 use crate::concurrent::ShardWorker;
 use crate::config::{CaesarConfig, Estimator};
 use crate::estimator::Estimate;
-use crate::packed::PackedCounterArray;
 use crate::query::SketchRead;
-use crate::sram::{CounterArray, CounterArrayStats, SramBacking};
+use crate::sram::{CounterArray, CounterArrayStats};
 use cachesim::CacheStats;
 use hashkit::KCounterMap;
 
@@ -23,37 +22,22 @@ pub struct CaesarStats {
     pub sram_writes: u64,
 }
 
-/// Cache Assisted randomizEd ShAring counteRs (see crate docs),
-/// generic over the off-chip counter storage.
+/// Cache Assisted randomizEd ShAring counteRs (see crate docs).
 ///
 /// The sketch is one `ShardWorker` — the same construction kernel
 /// every sharded engine runs per shard — whose evictions apply directly
-/// to its own SRAM, plus the flow→counter map the query phase reads.
-///
-/// `B` is the [`SramBacking`] seam: [`Caesar`] (the default, a
-/// word-per-counter [`CounterArray`]) is the simulation hot path;
-/// [`PackedCaesar`] runs the identical ingest against the
-/// hardware-faithful bit-packed layout, and the two produce
-/// byte-identical sketches (pinned by the packed-parity suite). The
-/// `ablations/ingest_backing` bench group prices the difference.
+/// to its own [`CounterArray`], plus the flow→counter map the query
+/// phase reads.
 #[derive(Debug)]
-pub struct CaesarCore<B: SramBacking = CounterArray> {
+pub struct Caesar {
     cfg: CaesarConfig,
     kmap: KCounterMap,
-    worker: ShardWorker<B>,
+    worker: ShardWorker<CounterArray>,
     ev_buf: Vec<cachesim::Eviction>,
     finished: bool,
 }
 
-/// The word-per-counter CAESAR sketch — the default, fastest layout.
-pub type Caesar = CaesarCore<CounterArray>;
-
-/// CAESAR ingesting directly into the bit-packed
-/// [`PackedCounterArray`] — the paper's exact `L·log2(l)`-bit SRAM
-/// budget on the real construction path.
-pub type PackedCaesar = CaesarCore<PackedCounterArray>;
-
-impl<B: SramBacking> CaesarCore<B> {
+impl Caesar {
     /// Build the two-level structure for `cfg`.
     ///
     /// # Panics
@@ -61,7 +45,7 @@ impl<B: SramBacking> CaesarCore<B> {
     /// [`CaesarConfig::validate`]).
     pub fn new(cfg: CaesarConfig) -> Self {
         cfg.validate();
-        let sram = B::new_backing(cfg.counters, cfg.counter_bits);
+        let sram = CounterArray::new(cfg.counters, cfg.counter_bits);
         Self {
             kmap: KCounterMap::new(cfg.k, cfg.counters, cfg.seed ^ 0x5EED_5EED),
             worker: ShardWorker::new(&cfg, 0, cfg.cache_entries, sram),
@@ -102,6 +86,11 @@ impl<B: SramBacking> CaesarCore<B> {
     ///
     /// # Panics
     /// Panics if called after [`Caesar::finish`].
+    // `#[inline]` here, on `finish` and on `estimate_all` lets the
+    // calling crate instantiate the generic worker and query kernels
+    // with its own inlining; compiled in this crate instead, sequential
+    // ingest measured ~5% slower in `perfbench`.
+    #[inline]
     pub fn record_batch(&mut self, flows: &[u64]) {
         assert!(!self.finished, "record_batch() after finish(): the sketch is read-only");
         self.worker.record_batch(flows, &(), &self.kmap);
@@ -145,6 +134,7 @@ impl<B: SramBacking> CaesarCore<B> {
 
     /// End of measurement: dump all cache entries to SRAM (§3.1). Safe
     /// to call more than once; only the first call does work.
+    #[inline]
     pub fn finish(&mut self) {
         if self.finished {
             return;
@@ -167,6 +157,7 @@ impl<B: SramBacking> CaesarCore<B> {
 
     /// [`SketchRead::estimate_all`], callable without importing the
     /// trait.
+    #[inline]
     pub fn estimate_all(&self, flows: &[u64], estimator: Estimator) -> Vec<Estimate> {
         SketchRead::estimate_all(self, flows, estimator)
     }
@@ -190,13 +181,13 @@ impl<B: SramBacking> CaesarCore<B> {
     /// draw from the marginal noise-plus-share distribution, selection
     /// term included.
     pub fn empirical_counter_variance(&self) -> f64 {
-        let sram = self.sram();
-        let len = sram.len();
-        let n = len as f64;
-        let mean = (0..len).map(|i| sram.get(i) as f64).sum::<f64>() / n;
-        (0..len)
-            .map(|i| {
-                let d = sram.get(i) as f64 - mean;
+        let counters = self.sram().as_slice();
+        let n = counters.len() as f64;
+        let mean = counters.iter().map(|&c| c as f64).sum::<f64>() / n;
+        counters
+            .iter()
+            .map(|&c| {
+                let d = c as f64 - mean;
                 d * d
             })
             .sum::<f64>()
@@ -226,29 +217,11 @@ impl<B: SramBacking> CaesarCore<B> {
         }
     }
 
-    /// Borrow the SRAM backing (read-only diagnostics / sweeps).
-    pub fn sram(&self) -> &B {
+    /// Borrow the SRAM counter array (read-only diagnostics / sweeps).
+    pub fn sram(&self) -> &CounterArray {
         &self.worker.sink
     }
-}
 
-impl<B: SramBacking> SketchRead for CaesarCore<B> {
-    type Counters = B;
-
-    fn config(&self) -> &CaesarConfig {
-        &self.cfg
-    }
-
-    fn kmap(&self) -> &KCounterMap {
-        &self.kmap
-    }
-
-    fn counters(&self) -> &B {
-        self.sram()
-    }
-}
-
-impl Caesar {
     /// Merge another **finished** sketch with the **same configuration
     /// and seed** into this one — the distributed-collector operation:
     /// several taps measure disjoint packet streams with identical
@@ -276,6 +249,22 @@ impl Caesar {
         self.worker.sink.merge(other.sram());
         self.worker.evictions += other.worker.evictions;
         self.worker.sram_writes += other.worker.sram_writes;
+    }
+}
+
+impl SketchRead for Caesar {
+    type Counters = CounterArray;
+
+    fn config(&self) -> &CaesarConfig {
+        &self.cfg
+    }
+
+    fn kmap(&self) -> &KCounterMap {
+        &self.kmap
+    }
+
+    fn counters(&self) -> &CounterArray {
+        self.sram()
     }
 }
 

@@ -45,9 +45,8 @@ use hashkit::{KCounterMap, K_MAX};
 use support::par::par_map_threads;
 
 /// Read-only view of a frozen counter array — everything the query
-/// phase reads from the three counter-array flavors ([`crate::Caesar`]'s
-/// `CounterArray`, [`crate::PackedCaesar`]'s `PackedCounterArray`, the
-/// sharded engines' `AtomicCounterArray`).
+/// phase reads from the two counter-array flavors ([`crate::Caesar`]'s
+/// `CounterArray`, the sharded engines' `AtomicCounterArray`).
 pub trait CounterView: Sync {
     /// Read counter `idx`.
     fn get(&self, idx: usize) -> u64;
@@ -101,26 +100,6 @@ impl CounterView for crate::atomic_sram::AtomicCounterArray {
     }
 }
 
-impl CounterView for crate::packed::PackedCounterArray {
-    #[inline]
-    fn get(&self, idx: usize) -> u64 {
-        crate::packed::PackedCounterArray::get(self, idx)
-    }
-    #[inline]
-    fn prefetch(&self, idx: usize) {
-        crate::packed::PackedCounterArray::prefetch(self, idx)
-    }
-    fn total_added(&self) -> u64 {
-        crate::packed::PackedCounterArray::total_added(self)
-    }
-    fn saturation_events(&self) -> u64 {
-        self.saturations()
-    }
-    fn clamp_value(&self) -> u64 {
-        self.max_value()
-    }
-}
-
 /// The query phase (§3.2) of every CAESAR engine: read the flow's `k`
 /// counters, remove the `n/L` sharing noise, apply CSM or MLM.
 ///
@@ -128,7 +107,7 @@ impl CounterView for crate::packed::PackedCounterArray {
 /// map, the counter array it answers from, and (for the online
 /// runtimes) the exact ingest-loss ratio of a flow's shard — and the
 /// default methods are the whole query surface, identical for
-/// [`crate::Caesar`], [`crate::PackedCaesar`], [`crate::ConcurrentCaesar`],
+/// [`crate::Caesar`], [`crate::ConcurrentCaesar`],
 /// [`crate::OnlineCaesar`] and [`crate::ThreadedCaesar`].
 ///
 /// ```
@@ -746,13 +725,6 @@ mod tests {
         let atomic = crate::atomic_sram::AtomicCounterArray::new(params.counters, 4);
         atomic.add(idx[0], 1_000);
         let h = query_health(&kmap, &atomic, &params, Estimator::Mlm, flow, 0.0);
-        assert!(h.saturation_events > 0);
-        assert_eq!(h.saturated_counters, 1);
-
-        // Packed array.
-        let mut packed = crate::packed::PackedCounterArray::new(params.counters, 4);
-        packed.add(idx[0], 1_000);
-        let h = query_health(&kmap, &packed, &params, Estimator::Csm, flow, 0.0);
         assert!(h.saturation_events > 0);
         assert_eq!(h.saturated_counters, 1);
     }

@@ -6,7 +6,6 @@
 //! are counted so experiments can detect an undersized configuration.
 
 use crate::merge::MergeError;
-use crate::query::CounterView;
 
 /// Counters per dirty-tracking block: the granularity at which
 /// checkpoint and push deltas report "something here changed" (one
@@ -127,16 +126,6 @@ impl CounterArray {
         writes
     }
 
-    /// Apply a batch of `(index, increment)` updates, one
-    /// [`CounterArray::add`] each (duplicates legal, zero increments
-    /// tallied as accesses exactly like a zero `add`). The word-array
-    /// mirror of [`crate::PackedCounterArray::add_batch`].
-    pub fn add_batch(&mut self, updates: &[(usize, u64)]) {
-        for &(idx, v) in updates {
-            self.add(idx, v);
-        }
-    }
-
     /// Read counter `idx`.
     #[inline]
     pub fn get(&self, idx: usize) -> u64 {
@@ -249,92 +238,6 @@ impl CounterArray {
         self.accesses += other.accesses;
         self.saturations += other.saturations;
         Ok(())
-    }
-}
-
-/// The storage seam of the ingest path: everything the CAESAR pipeline
-/// ([`crate::CaesarCore`]) needs from its off-chip counter array.
-///
-/// Implemented by the word-per-counter [`CounterArray`] (the simulation
-/// hot path) and the hardware-faithful bit-packed
-/// [`crate::PackedCounterArray`], so the same construction code runs —
-/// and is priced, by the `ablations/ingest_backing` bench group —
-/// against either layout.
-///
-/// Reads come from the [`CounterView`] supertrait — the same contract
-/// the query phase reads through.
-///
-/// Every implementor must honor the [`CounterArray`] semantics (the
-/// packed-parity suite pins them): adds saturate at
-/// [`clamp_value`](CounterView::clamp_value) and count saturation
-/// events, each write tallies one access, and the offered-units total
-/// records pre-clipping values.
-pub trait SramBacking: CounterView {
-    /// Fresh all-zero array of `len` counters of `bits` bits each.
-    ///
-    /// # Panics
-    /// Panics if `len == 0` or `bits` is outside `1..=63`.
-    fn new_backing(len: usize, bits: u32) -> Self
-    where
-        Self: Sized;
-
-    /// Add `v` to counter `idx`, saturating at the capacity.
-    fn add(&mut self, idx: usize, v: u64);
-
-    /// Apply one eviction's coalesced per-counter increments
-    /// (`incs[slot]` onto `indices[slot]`, zero increments skipped with
-    /// **no** access tallied) and return the number of counters
-    /// written. Must be observably identical to the skip-zero `add`
-    /// loop — see [`CounterArray::add_spread`].
-    fn add_spread(&mut self, indices: &[usize], incs: &[u64]) -> u64;
-
-    /// Number of counters `L`.
-    fn len(&self) -> usize;
-
-    /// True when the array has no counters.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Sum over all counters.
-    fn sum(&self) -> u64;
-
-    /// Array statistics in the common [`CounterArrayStats`] shape.
-    fn stats(&self) -> CounterArrayStats;
-
-    /// Fraction of counters pinned at the capacity `l`.
-    fn saturated_fraction(&self) -> f64;
-}
-
-impl SramBacking for CounterArray {
-    fn new_backing(len: usize, bits: u32) -> Self {
-        CounterArray::new(len, bits)
-    }
-
-    #[inline]
-    fn add(&mut self, idx: usize, v: u64) {
-        CounterArray::add(self, idx, v);
-    }
-
-    #[inline]
-    fn add_spread(&mut self, indices: &[usize], incs: &[u64]) -> u64 {
-        CounterArray::add_spread(self, indices, incs)
-    }
-
-    fn len(&self) -> usize {
-        CounterArray::len(self)
-    }
-
-    fn sum(&self) -> u64 {
-        CounterArray::sum(self)
-    }
-
-    fn stats(&self) -> CounterArrayStats {
-        CounterArray::stats(self)
-    }
-
-    fn saturated_fraction(&self) -> f64 {
-        CounterArray::saturated_fraction(self)
     }
 }
 

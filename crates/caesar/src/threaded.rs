@@ -89,9 +89,7 @@ use crate::concurrent::ShardWorker;
 use crate::lane::{
     Lane, LaneShared, HB_EXITED, HB_IDLE, HB_PANICKED, HB_PARKED, HB_RUNNING, STREAM_CHUNK,
 };
-use crate::online::{
-    BackpressurePolicy, Drive, FaultKind, FaultRecord, OnlineCaesar, OnlineEngine, Pump,
-};
+use crate::online::{Drive, FaultKind, FaultRecord, OnlineCaesar, OnlineEngine, Pump};
 use hashkit::KCounterMap;
 use support::spsc::{self, Backoff};
 use support::testkit::{FaultInjector, FaultSite};
@@ -183,13 +181,7 @@ impl ThreadedCaesar {
     /// fault schedule — without a codec round trip: only the driver
     /// changes, and the worker threads spawn on first use. The inverse
     /// of [`ThreadedCaesar::into_online`].
-    ///
-    /// # Panics
-    /// Panics if the pump is configured with
-    /// [`BackpressurePolicy::DropOldest`], which requires consumer-side
-    /// ownership the threaded runtime hands to its workers.
     pub fn from_online(engine: OnlineCaesar) -> Self {
-        Threads::check_policy(engine.policy).unwrap_or_else(|why| panic!("{why}"));
         Threads::adopt(engine)
     }
 
@@ -400,15 +392,6 @@ impl ThreadedCaesar {
 /// settled (see the module docs), and relieves a full ring by waking
 /// the worker and backing off, never by draining it itself.
 impl Drive for Threads {
-    fn check_policy(policy: BackpressurePolicy) -> Result<(), &'static str> {
-        match policy {
-            BackpressurePolicy::DropOldest => {
-                Err("DropOldest needs the consumer endpoint, which threaded workers own")
-            }
-            BackpressurePolicy::Block | BackpressurePolicy::DropNewest => Ok(()),
-        }
-    }
-
     fn adopt(mut engine: OnlineCaesar) -> ThreadedCaesar {
         let injector = std::mem::take(&mut engine.driver.injector);
         for lane in &mut engine.lanes {
@@ -823,18 +806,5 @@ mod tests {
             assert!(Instant::now() < deadline, "a worker outlived its engine by 1 s");
             std::thread::yield_now();
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "DropOldest")]
-    fn drop_oldest_is_rejected() {
-        let cfg = CaesarConfig {
-            cache_entries: 32,
-            entry_capacity: 8,
-            counters: 1024,
-            k: 3,
-            ..CaesarConfig::default()
-        };
-        let _ = ThreadedCaesar::new(cfg, 1).with_policy(BackpressurePolicy::DropOldest);
     }
 }

@@ -6,26 +6,26 @@
 //! and uniformly at random — which makes the per-counter remainder
 //! follow `B(q, 1/k)` exactly as the analysis assumes (Eq. 4).
 
-use crate::sram::SramBacking;
+use crate::sram::CounterArray;
 use hashkit::K_MAX;
 use support::rand::Rng;
 
-/// Where one eviction's finished per-counter increment row lands: an
-/// [`SramBacking`] applies it directly, the sharded engines stage it in
+/// Where one eviction's finished per-counter increment row lands: a
+/// [`CounterArray`] applies it directly, the sharded engines stage it in
 /// a shard-local writeback segment. Either way the split itself is
 /// [`spread_eviction_scratch`]'s, so every engine draws the same
 /// remainder placements.
 pub trait SpreadTarget {
     /// Add `incs[slot]` to counter `indices[slot]` for every nonzero
     /// increment, in slot order, and return the number of counters
-    /// written (see [`SramBacking::add_spread`]).
+    /// written (see [`CounterArray::add_spread`]).
     fn add_spread(&mut self, indices: &[usize], incs: &[u64]) -> u64;
 }
 
-impl<B: SramBacking + ?Sized> SpreadTarget for B {
+impl SpreadTarget for CounterArray {
     #[inline]
     fn add_spread(&mut self, indices: &[usize], incs: &[u64]) -> u64 {
-        SramBacking::add_spread(self, indices, incs)
+        CounterArray::add_spread(self, indices, incs)
     }
 }
 

@@ -2,45 +2,30 @@
 //! estimators, on the deterministic `support::testkit` harness.
 
 use caesar::estimator::{csm, mlm, EstimateParams};
-use caesar::{AtomicCounterArray, CounterArray, PackedCounterArray};
+use caesar::{AtomicCounterArray, CounterArray};
 use support::rand::Rng;
 use support::testkit::{for_each_seed, GenExt};
 
-/// Packed, plain, and atomic counter arrays agree on any operation
-/// stream and geometry.
+/// Plain and atomic counter arrays agree on any operation stream and
+/// geometry.
 #[test]
-fn three_counter_layouts_agree() {
+fn plain_and_atomic_counter_arrays_agree() {
     for_each_seed(|rng| {
         let ops =
             rng.vec_with(1..800, |r| (r.gen_range(0usize..64), r.gen_range(0u64..5000)));
         let len = rng.gen_range(1usize..64);
         let bits = rng.gen_range(1u32..40);
-        let mut packed = PackedCounterArray::new(len, bits);
         let mut plain = CounterArray::new(len, bits);
         let atomic = AtomicCounterArray::new(len, bits);
         for &(idx, v) in &ops {
             let idx = idx % len;
-            packed.add(idx, v);
             plain.add(idx, v);
             atomic.add(idx, v);
         }
         for i in 0..len {
-            assert_eq!(packed.get(i), plain.get(i), "counter {i}");
             assert_eq!(atomic.get(i), plain.get(i), "counter {i}");
         }
-        assert_eq!(packed.total_added(), plain.total_added());
         assert_eq!(atomic.total_added(), plain.total_added());
-    });
-}
-
-/// The packed layout's memory accounting is exactly ⌈len·bits/8⌉.
-#[test]
-fn packed_memory_is_exact() {
-    for_each_seed(|rng| {
-        let len = rng.gen_range(1usize..500);
-        let bits = rng.gen_range(1u32..63);
-        let a = PackedCounterArray::new(len, bits);
-        assert_eq!(a.memory_bytes(), (len * bits as usize).div_ceil(8));
     });
 }
 

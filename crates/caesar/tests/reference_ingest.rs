@@ -12,10 +12,7 @@
 use cachesim::{CacheConfig, CachePolicy, CacheTable};
 use caesar::SketchRead;
 use caesar::update::spread_eviction;
-use caesar::{
-    Caesar, CaesarConfig, ConcurrentCaesar, CounterArray, PackedCaesar, SramBacking,
-    ThreadedCaesar,
-};
+use caesar::{Caesar, CaesarConfig, ConcurrentCaesar, CounterArray, ThreadedCaesar};
 use hashkit::{KCounterMap, K_MAX};
 use support::rand::{rngs::StdRng, Rng, SeedableRng};
 use support::testkit::{for_each_seed_n, GenExt};
@@ -91,14 +88,8 @@ fn random_workload(rng: &mut StdRng) -> Vec<u64> {
     })
 }
 
-fn assert_matches<B: SramBacking>(
-    reference: &Reference,
-    sketch: &caesar::CaesarCore<B>,
-    ctx: &str,
-) {
-    let sram = sketch.sram();
-    let words: Vec<u64> = (0..sram.len()).map(|i| sram.get(i)).collect();
-    assert_eq!(words, reference.words, "{ctx}: SRAM words");
+fn assert_matches(reference: &Reference, sketch: &Caesar, ctx: &str) {
+    assert_eq!(sketch.sram().as_slice(), reference.words, "{ctx}: SRAM words");
     assert_eq!(
         sketch.stats().evictions,
         reference.evictions,
@@ -128,8 +119,8 @@ fn assert_concurrent_matches(reference: &Reference, sketch: &ConcurrentCaesar, c
 }
 
 /// Caesar's `record` and `record_batch` (fed in random chunk sizes),
-/// `PackedCaesar`, the one-shard `ConcurrentCaesar` build and a
-/// one-shard thread runtime all equal the reference ingest.
+/// the one-shard `ConcurrentCaesar` build and a one-shard thread
+/// runtime all equal the reference ingest.
 #[test]
 fn every_engine_matches_the_reference_ingest() {
     for_each_seed_n(32, |rng| {
@@ -153,11 +144,6 @@ fn every_engine_matches_the_reference_ingest() {
         }
         batched.finish();
         assert_matches(&reference, &batched, &format!("record_batch {cfg:?}"));
-
-        let mut packed = PackedCaesar::new(cfg);
-        packed.record_batch(&flows);
-        packed.finish();
-        assert_matches(&reference, &packed, &format!("packed {cfg:?}"));
 
         let built = ConcurrentCaesar::build(cfg, 1, &flows);
         assert_concurrent_matches(&reference, &built, &format!("build {cfg:?}"));

@@ -58,18 +58,20 @@ impl MeasurementService {
         self.fingerprint
     }
 
-    /// Handle one decoded request. Infallible by design: refusals
-    /// (incompatible sketch) come back as [`Response::Error`] so the
-    /// connection survives them.
-    pub fn handle(&self, request: &Request) -> Response {
+    /// Handle one decoded request whose body (the payload after its
+    /// tag byte) was `body_len` bytes: a push acknowledges with that
+    /// length. Infallible by design: refusals (incompatible sketch)
+    /// come back as [`Response::Error`] so the connection survives
+    /// them.
+    fn handle(&self, request: &Request, body_len: usize) -> Response {
         match request {
             Request::Hello(_) => Response::HelloAck(self.fingerprint),
             Request::PushSketch(payload) => {
-                self.apply(payload.encoded_len(), None, |view| view.merge_sketch(payload))
+                self.apply(body_len, None, |view| view.merge_sketch(payload))
             }
             Request::PushDelta(delta) => {
                 let base = Some(delta.base_epoch);
-                self.apply(delta.encoded_len(), base, |view| view.merge_delta(delta))
+                self.apply(body_len, base, |view| view.merge_delta(delta))
             }
             Request::Query(flows) => {
                 let view = self.view.read().expect("view lock");
@@ -145,7 +147,8 @@ impl MeasurementService {
             return Response::Error(e.to_string()).encode();
         }
         let response = match Request::decode(payload) {
-            Ok(request) => self.handle(&request),
+            // A decoded request has its tag byte.
+            Ok(request) => self.handle(&request, payload.len() - 1),
             Err(e) => Response::Error(e.to_string()),
         };
         response.encode()
@@ -254,10 +257,15 @@ mod tests {
         ConcurrentCaesar::build(cfg(), 2, flows).export_sketch()
     }
 
+    /// `request` through the frame-level entry point.
+    fn ask(svc: &MeasurementService, request: &Request) -> Response {
+        Response::decode(&svc.handle_payload(&request.encode())).unwrap()
+    }
+
     #[test]
     fn push_bumps_epoch_and_answers_reflect_it() {
         let svc = MeasurementService::new(cfg());
-        assert_eq!(svc.handle(&Request::Stats), Response::Stats(ClusterStats {
+        assert_eq!(ask(&svc, &Request::Stats), Response::Stats(ClusterStats {
             epoch: 0,
             nodes: 0,
             total_added: 0,
@@ -268,9 +276,9 @@ mod tests {
         let flows: Vec<u64> = (0..100).map(hash_flow).collect();
         let payload = node_sketch(&flows);
         let bytes = payload.encoded_len() as u64;
-        let rsp = svc.handle(&Request::PushSketch(payload));
+        let rsp = ask(&svc, &Request::PushSketch(payload));
         assert_eq!(rsp, Response::PushAck { epoch: 1, nodes: 1, bytes });
-        match svc.handle(&Request::Query(vec![flows[0]])) {
+        match ask(&svc, &Request::Query(vec![flows[0]])) {
             Response::Estimates { epoch, values } => {
                 assert_eq!(epoch, 1);
                 assert_eq!(values.len(), 1);
@@ -288,12 +296,12 @@ mod tests {
             &[1, 2, 3],
         )
         .export_sketch();
-        match svc.handle(&Request::PushSketch(foreign)) {
+        match ask(&svc, &Request::PushSketch(foreign)) {
             Response::Error(msg) => assert!(msg.contains("seed mismatch"), "{msg}"),
             other => panic!("wrong variant: {other:?}"),
         }
         // The view is untouched and the service keeps answering.
-        match svc.handle(&Request::Stats) {
+        match ask(&svc, &Request::Stats) {
             Response::Stats(s) => assert_eq!((s.epoch, s.nodes, s.total_added), (0, 0, 0)),
             other => panic!("wrong variant: {other:?}"),
         }
@@ -338,7 +346,7 @@ mod tests {
             Response::Error(msg) => assert!(msg.contains("counters"), "{msg}"),
             other => panic!("wrong variant: {other:?}"),
         }
-        match svc.handle(&Request::Stats) {
+        match ask(&svc, &Request::Stats) {
             Response::Stats(s) => assert_eq!((s.epoch, s.total_added), (0, 0)),
             other => panic!("wrong variant: {other:?}"),
         }
@@ -365,7 +373,7 @@ mod tests {
             Response::Error(msg) => assert!(msg.contains("counters"), "{msg}"),
             other => panic!("wrong variant: {other:?}"),
         }
-        match svc.handle(&Request::Stats) {
+        match ask(&svc, &Request::Stats) {
             Response::Stats(s) => assert_eq!((s.epoch, s.nodes, s.total_added), (0, 0, 0)),
             other => panic!("wrong variant: {other:?}"),
         }

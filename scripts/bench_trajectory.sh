@@ -6,8 +6,7 @@
 # Usage: scripts/bench_trajectory.sh [OUT] [BENCH...]
 #   OUT      output file (default: the next BENCH_PR<N>.json after the
 #            highest-numbered one present)
-#   BENCH... bench targets to run (default: micro extensions, plus the
-#            ingest_backing group from the ablations bench)
+#   BENCH... bench targets to run (default: micro extensions)
 #
 # Environment:
 #   CAESAR_BENCH_SAMPLES  samples per benchmark (harness default 5)
@@ -53,9 +52,8 @@
 # same names in BENCH_PR7.json), the batched-ingest headline
 # "record/caesar_trace_batch" (FlowSlotMap cache index + base-hash
 # batching), and group "ingest_backing" — the packed-vs-word SRAM
-# ablation ("word_small_l"/"packed_small_l" at L=2048,
-# "word_large_l"/"packed_large_l" at L=32768) whose keep/drop verdict
-# lives in EXPERIMENTS.md. PR 9 adds groups "checkpoint" and
+# ablation, whose rows survive only in the trajectory files recorded
+# before the packed backing was deleted. PR 9 adds groups "checkpoint" and
 # "service_delta": "checkpoint" prices a low-churn epoch's checkpoint
 # both ways ("snapshot_full_{small,large}_l" re-seals every counter,
 # "delta_low_churn_{small,large}_l" seals only the dirtied blocks; the
@@ -78,12 +76,8 @@ LAST_N="$(ls BENCH_PR*.json 2>/dev/null \
 OUT="${1:-BENCH_PR$(( ${LAST_N:-0} + 1 )).json}"
 shift || true
 BENCHES=("$@")
-ABLATION_RIDEALONG=0
 if [ "${#BENCHES[@]}" -eq 0 ]; then
     BENCHES=(micro extensions)
-    # The packed-vs-word ingest ablation rides along under a filter so
-    # the (slow) full ablation suite does not run on every refresh.
-    ABLATION_RIDEALONG=1
 fi
 
 echo "==> building release benches (offline)"
@@ -101,13 +95,6 @@ for b in "${BENCHES[@]}"; do
     cargo bench --offline -p bench --bench "$b" 2>/dev/null \
         | grep '^{' >> "$TMP"
 done
-
-if [ "$ABLATION_RIDEALONG" -eq 1 ]; then
-    echo "==> cargo bench --bench ablations (ingest_backing only)"
-    CAESAR_BENCH_FILTER=ingest_backing \
-        cargo bench --offline -p bench --bench ablations 2>/dev/null \
-        | grep '^{' >> "$TMP"
-fi
 
 mv "$TMP" "$OUT"
 trap - EXIT

@@ -59,10 +59,9 @@
 #                       measured full-vs-delta wire bytes. Runs the
 #                       one-counter-codec check below first.
 #   --simd-smoke        lane-kernel smoke mode: run the lane bit-identity
-#                       suites (tests/lane_kernels.rs — chunked CSM/MLM
-#                       sweeps ≡ scalar prepared kernels bit for bit —
-#                       and tests/packed_parity.rs — packed-SRAM builds
-#                       byte-identical to word builds) in release, then
+#                       suite (tests/lane_kernels.rs — chunked CSM/MLM
+#                       sweeps ≡ scalar prepared kernels bit for bit)
+#                       in release, then
 #                       the asm-shape guard: re-emit the caesar crate
 #                       with --emit=asm and require packed vector
 #                       instructions inside the named probe kernels
@@ -329,7 +328,6 @@ fi
 if [ "${1:-}" = "--simd-smoke" ]; then
     echo "==> simd smoke: lane-kernel bit-identity + asm vector-shape guard"
     run cargo test --release --offline -q -p caesar --test lane_kernels
-    run cargo test --release --offline -q -p caesar --test packed_parity
     if ! grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
         echo "simd-smoke: asm guard SKIPPED — host CPU advertises no AVX2;"
         echo "simd-smoke: lane kernels verified bit-identical under scalar codegen only"

@@ -14,11 +14,10 @@
 //! 3. the chunk-parallel batch query engine is **bit-identical** to the
 //!    sequential per-flow estimators for CSM and MLM at 1, 2 and 4
 //!    threads, for every engine behind the one `SketchRead` surface
-//!    (sequential, packed, sharded, pump and threaded).
+//!    (sequential, sharded, pump and threaded).
 
 use caesar::{
-    Caesar, CaesarConfig, ConcurrentCaesar, Estimator, OnlineCaesar, PackedCaesar, SketchRead,
-    ThreadedCaesar,
+    Caesar, CaesarConfig, ConcurrentCaesar, Estimator, OnlineCaesar, SketchRead, ThreadedCaesar,
 };
 use caesar_repro::prelude::*;
 use hashkit::{KCounterMap, K_MAX};
@@ -175,18 +174,6 @@ fn parallel_query_bit_identical_to_sequential_caesar() {
         let workload = random_workload(rng);
         let mut sketch = Caesar::new(cfg);
         sketch.record_all(workload.iter().copied());
-        sketch.finish();
-        assert_batch_matches_per_flow(&sketch, &query_flows(&workload));
-    });
-}
-
-#[test]
-fn parallel_query_bit_identical_to_sequential_packed() {
-    for_each_seed_n(4, |rng| {
-        let cfg = random_cfg(rng);
-        let workload = random_workload(rng);
-        let mut sketch = PackedCaesar::new(cfg);
-        sketch.record_batch(&workload);
         sketch.finish();
         assert_batch_matches_per_flow(&sketch, &query_flows(&workload));
     });

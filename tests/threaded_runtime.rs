@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 use caesar::merge::FINGERPRINT_BYTES;
 use caesar::SketchRead;
 use caesar::{
-    BackpressurePolicy, CaesarConfig, ChainError, ConcurrentCaesar, DeltaError, FaultKind,
-    OnlineCaesar, RestoreError, ThreadedCaesar,
+    CaesarConfig, ChainError, ConcurrentCaesar, DeltaError, FaultKind, OnlineCaesar, RestoreError,
+    ThreadedCaesar,
 };
 use support::bytesx::{seal, unseal};
 use support::testkit::{FaultEvent, FaultInjector, FaultSite, INJECTED_PANIC};
@@ -551,6 +551,21 @@ fn forged_lane_counts_are_refused_by_both_restores() {
         assert!(matches!(OnlineCaesar::restore(forged), Err(RestoreError::Corrupt(_))));
         assert!(matches!(ThreadedCaesar::restore(forged), Err(RestoreError::Corrupt(_))));
     }
+
+    // Settings: cache entries, cache policy and shards, then the
+    // backpressure policy byte, where 2 names no policy.
+    let policy_at = settings_end - 42 + 17;
+    let mut unknown_policy = payload.to_vec();
+    assert_eq!(unknown_policy[policy_at], 0, "backpressure policy Block");
+    unknown_policy[policy_at] = 2;
+    seal(&mut unknown_policy);
+    let refused = RestoreError::Corrupt("backpressure policy");
+    assert_eq!(OnlineCaesar::restore(&unknown_policy).err(), Some(refused.clone()));
+    assert_eq!(ThreadedCaesar::restore(&unknown_policy).err(), Some(refused.clone()));
+    assert!(matches!(
+        ThreadedCaesar::restore_chain(&unknown_policy, &[&delta]),
+        Err(ChainError::Base(e)) if e == refused
+    ));
     assert!(ThreadedCaesar::restore(&blob).is_ok(), "the pristine blob restores");
 
     // Delta payload: the same layout, listing the written counters.
@@ -566,27 +581,4 @@ fn forged_lane_counts_are_refused_by_both_restores() {
     ));
     replica.apply_delta(&delta).expect("the pristine delta applies");
     assert_eq!(replica.stats(), engine.stats());
-}
-
-/// A well-formed snapshot taken under `DropOldest` restores on the
-/// pump. The thread runtime cannot head-drop (its workers own the
-/// consumer endpoints), so it refuses the blob with a typed error
-/// through both restore paths instead of panicking.
-#[test]
-fn drop_oldest_snapshot_is_refused_typed_by_the_thread_runtime() {
-    let mut pump = OnlineCaesar::new(cfg(), 2).with_policy(BackpressurePolicy::DropOldest);
-    pump.offer_batch(&workload(500));
-    let blob = pump.snapshot();
-    pump.offer_batch(&workload(300));
-    let delta = pump.checkpoint_delta().expect("anchored chain emits");
-    assert!(OnlineCaesar::restore(&blob).is_ok(), "the pump restores its own blob");
-    assert!(OnlineCaesar::restore_chain(&blob, &[&delta]).is_ok());
-    assert!(matches!(
-        ThreadedCaesar::restore(&blob),
-        Err(RestoreError::Corrupt(why)) if why.contains("DropOldest")
-    ));
-    assert!(matches!(
-        ThreadedCaesar::restore_chain(&blob, &[&delta]),
-        Err(ChainError::Base(RestoreError::Corrupt(why))) if why.contains("DropOldest")
-    ));
 }
